@@ -101,7 +101,7 @@ def plan_campaign(analysis: Analysis, catalog: FaultCatalog, k,
 def run_campaign(topology: TopologySpec, analysis: Analysis,
                  catalog: FaultCatalog, cases: list, phases: PhaseConfig,
                  criteria: Optional[OracleCriteria] = None, seed: int = 0,
-                 entry_only: bool = False, parallel: int = 1,
+                 entry_only: bool = False,
                  history: Optional[History] = None) -> CampaignResult:
     if not cases:
         return CampaignResult(test_runs=[], startup_count=0, initial_runs=0,
@@ -110,7 +110,7 @@ def run_campaign(topology: TopologySpec, analysis: Analysis,
     plan = greedy_batch(cases)
     return run_batch(plan, topology, list(analysis.templates.values()), catalog,
                      phases, criteria, seed=seed, entry_only=entry_only,
-                     parallel=parallel, history=history)
+                     history=history)
 
 
 def healthy_success_rates(analysis: Analysis) -> dict:

@@ -24,11 +24,12 @@ from . import __version__
 from .aggregation import ClusterParams, save_cluster_report
 from .campaign import Analysis, analyze_corpus, plan_campaign, resolve_k
 from .executor import (FAIL_VERDICTS, OracleCriteria, PhaseConfig, load_report,
-                       save_report)
+                       run_batch, save_report)
 from .faults import default_catalog, load_catalog
 from .model import dumps_canonical, load_corpus, save_corpus
 from .planner import PlanConfig, save_plan
-from .scheduler import History, filter_history, greedy_batch, load_run_plan, save_run_plan
+from .scheduler import (History, Run, RunPlan, filter_history, greedy_batch,
+                        load_run_plan, save_run_plan)
 from .selection import ComplexityWeights, load_selection_report, save_selection_report
 from .sim.engine import record_corpus
 from .sim.topology import load_topology
@@ -138,9 +139,6 @@ def cmd_run(args) -> int:
     if args.reset_history:
         history.reset()
 
-    from .executor import run_batch
-    from .scheduler import Run, RunPlan
-
     # drop cases that already passed in the current epoch, then empty runs
     kept_runs = []
     for run in plan.runs:
@@ -149,8 +147,7 @@ def cmd_run(args) -> int:
             kept_runs.append(Run(trace_id=run.trace_id, cases=pending))
     result = run_batch(RunPlan(runs=kept_runs), topology, templates, catalog,
                        args.phases, criteria, seed=args.seed,
-                       entry_only=args.entry_only_oracle, parallel=args.parallel,
-                       history=history)
+                       entry_only=args.entry_only_oracle, history=history)
     config = {
         "seed": args.seed,
         "entry_only_oracle": args.entry_only_oracle,
@@ -260,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=PhaseConfig(), metavar="STARTUP_S,INJECT_S,RECOVER_S,RATE")
     p.add_argument("--entry-only-oracle", action="store_true",
                    help="disable granular assertion points (naive oracle)")
-    p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--fail-on-vulnerability", action="store_true")
     p.add_argument("--top-k", type=_parse_top_k, default=None,
                    help="recorded in the report config for sensitivity tables")

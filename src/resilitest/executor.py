@@ -14,18 +14,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .faults import FaultCatalog
-from .model import Endpoint, dumps_canonical
-from .scheduler import History, Run, RunPlan, greedy_batch
+from .model import Endpoint, atomic_writer, dumps_canonical
+from .scheduler import VERDICT_PASS, History, Run, RunPlan, greedy_batch
 from .sim.engine import System, replay_traffic
 from .sim.topology import TopologySpec
 from .templating import ReplayContext, SequentialIdSource, TraceTemplate, instantiate
 
-VERDICT_PASS = "PASS"
 VERDICT_NO_RECOVERY = "FAIL_NO_RECOVERY"
 VERDICT_SILENT = "FAIL_SILENT"
 VERDICT_NO_IMPACT = "FAIL_NO_IMPACT"
@@ -307,7 +305,7 @@ class CampaignResult:
 def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
               catalog: FaultCatalog, phases: PhaseConfig,
               criteria: OracleCriteria, seed: int = 0,
-              entry_only: bool = False, parallel: int = 1,
+              entry_only: bool = False,
               history: Optional[History] = None) -> CampaignResult:
     """Execute every planned case exactly once, rescheduling deferred cases
     from fail-fast halts into fresh greedily-batched runs."""
@@ -318,24 +316,14 @@ def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
     queue = list(plan.runs)
     initial_runs = len(queue)
     while queue:
-        jobs = []
         for run in queue:
             if run.trace_id not in by_trace:
                 raise ExecutorError(f"no template for trace {run.trace_id}")
-            jobs.append((run, by_trace[run.trace_id],
-                         run_seed_for(seed, run.trace_id, wave)))
-        if parallel > 1:
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                outcomes = list(pool.map(
-                    lambda job: execute_run(job[0], topology, job[1], catalog,
-                                            phases, criteria, job[2],
-                                            entry_only=entry_only), jobs))
-        else:
-            outcomes = [execute_run(run, topology, template, catalog, phases,
-                                    criteria, run_seed, entry_only=entry_only)
-                        for run, template, run_seed in jobs]
         deferred = []
-        for run_results, run_deferred in outcomes:
+        for run in queue:
+            run_results, run_deferred = execute_run(
+                run, topology, by_trace[run.trace_id], catalog, phases, criteria,
+                run_seed_for(seed, run.trace_id, wave), entry_only=entry_only)
             results.extend(run_results)
             deferred.extend(run_deferred)
             startup_count += 1
@@ -402,7 +390,7 @@ def test_run_from_record(rec: dict) -> TestRun:
 
 
 def save_report(result: CampaignResult, path, config: Optional[dict] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for tr in result.test_runs:
             fh.write(dumps_canonical(test_run_to_record(tr)))
             fh.write("\n")

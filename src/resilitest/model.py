@@ -8,6 +8,8 @@ Payloads are flattened key-path -> scalar-string maps (nested documents use
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -79,9 +81,6 @@ class Trace:
             if span.span_id == self.root:
                 return span
         raise KeyError(f"trace {self.trace_id}: root span {self.root!r} missing")
-
-    def span_at(self, position: int) -> Span:
-        return self.spans[position]
 
 
 @dataclass(frozen=True)
@@ -265,6 +264,24 @@ def trace_from_record(rec: dict) -> Trace:
 def dumps_canonical(obj) -> str:
     """Canonical JSON used for every serialized artifact (byte-deterministic)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+@contextmanager
+def atomic_writer(path):
+    """Text handle whose contents replace `path` only once fully written.
+
+    Writes go to `<path>.tmp`, which `os.replace` moves over `path` when the
+    block exits normally; on an exception the temp file is removed and `path`
+    keeps its earlier bytes.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only left behind by an exception
+            os.remove(tmp)
 
 
 def save_corpus(corpus: Corpus, path) -> None:

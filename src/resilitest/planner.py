@@ -227,31 +227,30 @@ def plan_targets(selected: list, corpus: Corpus, catalog: FaultCatalog,
     return cases
 
 
+def format_case_line(case: TestCase) -> str:
+    """The 7-field case line: `case_id trace_id pos C:F:M service fault_id rationale`."""
+    t = case.target
+    return (f"{case.case_id} {t.trace_id} {t.span_position} "
+            f"{t.endpoint.triple()} {t.service} {case.fault_id} {t.rationale}")
+
+
+def parse_case_line(line: str, where: str) -> TestCase:
+    """Inverse of format_case_line; `where` prefixes the error message."""
+    parts = line.split()
+    if len(parts) != 7:
+        raise ValueError(f"{where}: expected 7 fields")
+    case_id, trace_id, pos, triple, service, fault_id, rationale = parts
+    component, framework, method = triple.split(":")
+    return TestCase(
+        case_id=case_id,
+        target=InjectionTarget(trace_id=trace_id, span_position=int(pos),
+                               endpoint=Endpoint(component, framework, method),
+                               service=service, rationale=rationale),
+        fault_id=fault_id,
+    )
+
+
 def save_plan(cases: list, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for case in cases:
-            t = case.target
-            fh.write(f"{case.case_id} {t.trace_id} {t.span_position} "
-                     f"{t.endpoint.triple()} {t.service} {case.fault_id} {t.rationale}\n")
-
-
-def load_plan(path) -> list:
-    cases = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 7:
-                raise ValueError(f"plan line {line_no}: expected 7 fields")
-            case_id, trace_id, pos, triple, service, fault_id, rationale = parts
-            component, framework, method = triple.split(":")
-            cases.append(TestCase(
-                case_id=case_id,
-                target=InjectionTarget(trace_id=trace_id, span_position=int(pos),
-                                       endpoint=Endpoint(component, framework, method),
-                                       service=service, rationale=rationale),
-                fault_id=fault_id,
-            ))
-    return cases
+            fh.write(format_case_line(case) + "\n")

@@ -18,7 +18,6 @@ class). Layout rules the generator enforces:
 from __future__ import annotations
 
 from .aggregation import WILDCARD, interface_digest
-from .model import Endpoint
 from .templating import EntryRequest, ManualVariableRegistry
 from .sim.topology import (BUG_FIRE_AND_FORGET, BUG_MISSING_TIMEOUT,
                            BUG_NO_RETRY, BUG_NO_ROLLBACK, BUG_SWALLOW,
@@ -523,10 +522,6 @@ def build_reference_workload(spec: TopologySpec, per_interface: int = 5,
             entries.append((at, EntryRequest(f"{iface.method} {path}", payload)))
             at += gap_us
     return entries
-
-
-def reference_endpoint(component: str, framework: str, method: str) -> Endpoint:
-    return Endpoint(component, framework, method)
 
 
 def write_reference_assets(out_dir: str) -> dict:

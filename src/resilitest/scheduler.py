@@ -13,6 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .model import atomic_writer
+from .planner import format_case_line, parse_case_line
+
 VERDICT_PASS = "PASS"
 HISTORY_RESET_MARKER = "-"
 
@@ -97,7 +100,7 @@ class History:
         return self.executed.get(case_id) == VERDICT_PASS
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_writer(path) as fh:
             for epoch, case_id, verdict, seq in self._records:
                 fh.write(f"{epoch} {case_id} {verdict} {seq}\n")
 
@@ -130,31 +133,15 @@ def filter_history(cases: list, history: History) -> tuple:
     return new, skipped
 
 
-def record_outcome(history: History, case_id: str, verdict: str) -> History:
-    history.record_outcome(case_id, verdict)
-    return history
-
-
-def reset_history(history: History) -> History:
-    history.reset()
-    return history
-
-
 def save_run_plan(plan: RunPlan, path) -> None:
-    # Case lines share the flat plan-file field layout, grouped under run headers.
     with open(path, "w", encoding="utf-8") as fh:
         for index, run in enumerate(plan.runs):
             fh.write(f"run {index} trace={run.trace_id} cases={len(run.cases)}\n")
             for case in run.cases:
-                t = case.target
-                fh.write(f"  {case.case_id} {t.trace_id} {t.span_position} "
-                         f"{t.endpoint.triple()} {t.service} {case.fault_id} {t.rationale}\n")
+                fh.write(f"  {format_case_line(case)}\n")
 
 
 def load_run_plan(path) -> RunPlan:
-    from .model import Endpoint
-    from .planner import InjectionTarget, TestCase
-
     runs = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -166,16 +153,5 @@ def load_run_plan(path) -> RunPlan:
                 continue
             if not runs:
                 raise ValueError(f"run-plan line {line_no}: case before any run header")
-            parts = raw.split()
-            if len(parts) != 7:
-                raise ValueError(f"run-plan line {line_no}: expected 7 fields")
-            case_id, trace_id, pos, triple, service, fault_id, rationale = parts
-            component, framework, method = triple.split(":")
-            runs[-1].cases.append(TestCase(
-                case_id=case_id,
-                target=InjectionTarget(trace_id=trace_id, span_position=int(pos),
-                                       endpoint=Endpoint(component, framework, method),
-                                       service=service, rationale=rationale),
-                fault_id=fault_id,
-            ))
+            runs[-1].cases.append(parse_case_line(raw, f"run-plan line {line_no}"))
     return RunPlan(runs=runs)

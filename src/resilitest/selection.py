@@ -99,6 +99,12 @@ def interface_score(cluster, per_trace_scores: dict) -> float:
     return sum(per_trace_scores[tid] for tid in members) / len(members)
 
 
+def representative_key(score: float, trace_id: str) -> tuple:
+    """Sort key under which an interface's representative trace is the
+    minimum: highest score first, ties to the lowest trace ID."""
+    return (-score, trace_id)
+
+
 @dataclass(frozen=True)
 class SelectedInterface:
     interface_id: str
@@ -120,7 +126,7 @@ def select_top_k(clusters: list, per_trace_scores: dict, k: int) -> list:
     out = []
     for cluster in ranked[:k]:
         best = min(cluster.member_trace_ids,
-                   key=lambda tid: (-per_trace_scores[tid], tid))
+                   key=lambda tid: representative_key(per_trace_scores[tid], tid))
         out.append(SelectedInterface(
             interface_id=cluster.interface_id,
             aggregate_score=interface_score(cluster, per_trace_scores),

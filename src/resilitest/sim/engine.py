@@ -70,10 +70,6 @@ class ArmedFault:
     active: bool = True
     hits: list = field(default_factory=list)  # interception times (us)
 
-    @property
-    def hit_counter(self) -> int:
-        return len(self.hits)
-
     def hits_in(self, window: tuple) -> int:
         lo, hi = window
         return sum(1 for t in self.hits if lo <= t < hi)
@@ -699,26 +695,6 @@ class System:
                     failures += 1
         return {"invocations": invocations, "failures": failures}
 
-    def all_endpoint_stats(self, window: tuple) -> dict:
-        lo, hi = window
-        stats = {}
-        for (start, svc, ep, ok) in self._endpoint_events:
-            if lo <= start < hi:
-                entry = stats.setdefault((svc, ep), {"invocations": 0, "failures": 0})
-                entry["invocations"] += 1
-                if not ok:
-                    entry["failures"] += 1
-        return stats
-
-    def collect_metrics(self, window: tuple) -> dict:
-        return {
-            "entry": self.entry_metrics(window),
-            "per_endpoint": {
-                f"{svc}|{ep.triple()}": stats
-                for (svc, ep), stats in sorted(self.all_endpoint_stats(window).items())
-            },
-        }
-
     def losses_in(self, window: tuple) -> int:
         lo, hi = window
         return sum(1 for t in self._loss_events if lo <= t < hi)
@@ -731,11 +707,6 @@ class System:
     def topic_counts(self, topic_name: str) -> dict:
         topic = self._topic(topic_name)
         return {"queued": len(topic["queued"]), "delivered": len(topic["delivered"])}
-
-
-def start_system(spec: TopologySpec, seed: int, record_traces: bool = False) -> System:
-    """Fresh isolated instance: virtual clock at zero, empty stores."""
-    return System(spec, seed, record_traces=record_traces)
 
 
 def replay_traffic(system: System, make_request, rate_per_sec: int,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .model import Span, Trace, dumps_canonical, trace_from_record, trace_to_record
+from .selection import representative_key
 
 REQ = "req"
 RESP = "resp"
@@ -28,8 +29,7 @@ SIDES = (REQ, RESP)
 
 KIND_FRESH_ID = "fresh_id"
 KIND_TIMESTAMP = "timestamp"
-KIND_OPAQUE_COPY = "opaque_copy"
-KINDS = (KIND_FRESH_ID, KIND_TIMESTAMP, KIND_OPAQUE_COPY)
+KINDS = (KIND_FRESH_ID, KIND_TIMESTAMP)
 
 DEFAULT_MIN_INSTANCES = 2
 
@@ -188,17 +188,19 @@ def build_template(cluster_traces: list, registry: ManualVariableRegistry,
                    min_instances: int = DEFAULT_MIN_INSTANCES) -> TraceTemplate:
     """Build the replay template for one interface cluster.
 
-    The base trace is the member with the highest complexity score (the
-    pipeline passes selection scores; without them, span count breaks the
-    tie deterministically). Auto-detected paths use the two-stage heuristic
-    per span position; registry entries for this interface are unioned in at
-    the root span.
+    The base trace is the member with the highest complexity score, ties to
+    the lowest trace ID: the trace selection picks for the interface (the
+    pipeline passes selection scores; without them, the member with the most
+    spans, ties to the highest trace ID). Auto-detected paths use the
+    two-stage heuristic per span position; registry entries for this
+    interface are unioned in at the root span.
     """
     if not cluster_traces:
         raise TemplatingError("cannot build a template from zero traces")
 
     if scores:
-        base = max(cluster_traces, key=lambda t: (scores.get(t.trace_id, 0.0), t.trace_id))
+        base = min(cluster_traces, key=lambda t: representative_key(
+            scores.get(t.trace_id, 0.0), t.trace_id))
     else:
         base = max(cluster_traces, key=lambda t: (len(t.spans), t.trace_id))
 
@@ -264,14 +266,12 @@ class ReplayContext:
     id_source: Callable
 
 
-def instantiate(template: TraceTemplate, context: ReplayContext,
-                resolver: Optional[Callable] = None) -> EntryRequest:
+def instantiate(template: TraceTemplate, context: ReplayContext) -> EntryRequest:
     """Materialize the entry request for one replayed call.
 
     fresh_id paths get new unique values, timestamp paths get the context's
-    current virtual time, opaque_copy paths are resolved from the live
-    response chain by the executor (left as recorded when no resolver is
-    supplied). All other payload content is byte-identical to the base trace.
+    current virtual time. All other payload content is byte-identical to the
+    base trace.
     """
     root = template.base_trace.root_span()
     root_pos = next(i for i, s in enumerate(template.base_trace.spans)
@@ -285,9 +285,6 @@ def instantiate(template: TraceTemplate, context: ReplayContext,
             payload[dp.key_path] = context.id_source()
         elif kind == KIND_TIMESTAMP:
             payload[dp.key_path] = str(context.now_us)
-        elif kind == KIND_OPAQUE_COPY:
-            if resolver is not None:
-                payload[dp.key_path] = resolver(dp.key_path)
         else:
             raise TemplatingError(f"unknown placeholder kind {kind!r} for {dp}")
     return EntryRequest(line=root.operation_name, payload=payload)

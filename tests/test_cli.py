@@ -52,6 +52,35 @@ def test_full_pipeline_produces_all_artifacts(mini_files, capsys):
     assert "FAIL_SILENT" in out  # the seeded fire-and-forget bug surfaces
 
 
+def test_plan_and_run_plan_hold_the_same_case_lines(mini_files):
+    tmp_path, topo, workload = mini_files
+    _corpus, _analysis, plans, _report, _code = _pipeline(tmp_path, topo, workload)
+    flat = (plans / "plan.txt").read_text().splitlines()
+    grouped = [line.strip() for line in (plans / "runplan.txt").read_text().splitlines()
+               if not line.startswith("run ")]
+    assert flat and sorted(flat) == sorted(grouped)
+
+
+def test_analyze_rejects_opaque_copy_registry_kind(mini_files, capsys):
+    tmp_path, topo, workload = mini_files
+    corpus = tmp_path / "corpus.txt"
+    registry = tmp_path / "registry.txt"
+    registry.write_text("0123abcd req cursor opaque_copy  # response-chain value\n")
+    assert main(["simulate-record", "--topology", str(topo), "--workload",
+                 str(workload), "--out", str(corpus)]) == 0
+    assert main(["analyze", "--corpus", str(corpus), "--registry", str(registry),
+                 "--out-dir", str(tmp_path / "analysis")]) == 2
+    assert "invalid placeholder kind 'opaque_copy'" in capsys.readouterr().err
+
+
+def test_run_has_no_parallel_option(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--run-plan", "p", "--topology", "t", "--templates", "x",
+              "--out", "r", "--parallel", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
+
+
 def test_seed_determinism_byte_identical_files(tmp_path):
     spec = make_mini_topology()
     topo = tmp_path / "topology.json"

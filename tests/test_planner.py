@@ -5,7 +5,7 @@ from resilitest.model import Endpoint, new_corpus
 from resilitest.planner import (PlanConfig, detect_dual_write,
                                 detect_producer_consumer, extract_endpoints,
                                 last_invocation_targets, plan_targets,
-                                sample_services, load_plan, save_plan)
+                                sample_services)
 
 from conftest import make_span, make_trace, root_span
 
@@ -329,15 +329,6 @@ def test_plan_deterministic_under_seed(catalog):
     a = plan_targets(selected, corpus, catalog, PlanConfig(seed=42))
     b = plan_targets(selected, corpus, catalog, PlanConfig(seed=42))
     assert a == b
-
-
-def test_plan_file_round_trip(tmp_path, catalog):
-    trace = _price_dual_write_trace()
-    corpus = new_corpus([trace], 0, "00")
-    cases = plan_targets([("if0", trace)], corpus, catalog, PlanConfig(seed=1))
-    path = tmp_path / "plan.txt"
-    save_plan(cases, path)
-    assert load_plan(path) == cases
 
 
 def test_coverage_preserved_on_reference_corpus(ref_corpus, ref_analysis, catalog):

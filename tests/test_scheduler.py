@@ -7,8 +7,7 @@ import pytest
 from resilitest.model import Endpoint
 from resilitest.planner import InjectionTarget, TestCase, case_digest
 from resilitest.scheduler import (History, filter_history, greedy_batch,
-                                  load_run_plan, record_outcome,
-                                  reset_history, save_run_plan)
+                                  load_run_plan, save_run_plan)
 
 
 def _case(trace_id, endpoint_name, fault_id="f0", service="svc"):
@@ -132,10 +131,10 @@ def test_filter_history_skips_passed_and_keeps_failed():
 def test_reset_clears_skips_and_increments_epoch():
     cases = [_case("t1", "a")]
     history = History()
-    record_outcome(history, cases[0].case_id, "PASS")
+    history.record_outcome(cases[0].case_id, "PASS")
     assert filter_history(cases, history)[1] != []
     epoch_before = history.epoch
-    reset_history(history)
+    history.reset()
     assert history.epoch == epoch_before + 1
     new, skipped = filter_history(cases, history)
     assert skipped == [] and new == cases
@@ -165,11 +164,33 @@ def test_history_file_round_trip(tmp_path):
 
 
 def test_run_plan_file_round_trip(tmp_path):
-    cases = [_case("t1", "a"), _case("t2", "b", "f1"), _case("t2", "c", "f2")]
+    cases = [_case("t1", "a"), _case("t2", "b", "f1"), _case("t2", "c", "f2"),
+             TestCase(case_id=case_digest("t3", 4, "f3"),
+                      target=InjectionTarget(trace_id="t3", span_position=4,
+                                             endpoint=Endpoint("MQ", "kafka", "send"),
+                                             service="other",
+                                             rationale="dual_write_secondary"),
+                      fault_id="f3")]
     plan = greedy_batch(cases)
     path = tmp_path / "runplan.txt"
     save_run_plan(plan, path)
-    loaded = load_run_plan(path)
-    assert [r.trace_id for r in loaded.runs] == [r.trace_id for r in plan.runs]
-    assert [c.case_id for r in loaded.runs for c in r.cases] == \
-        [c.case_id for r in plan.runs for c in r.cases]
+    assert load_run_plan(path) == plan
+
+
+def test_history_save_interrupted_keeps_earlier_file(tmp_path):
+    path = tmp_path / "history.txt"
+    history = History()
+    history.record_outcome("c1", "PASS")
+    history.save(path)
+    before = path.read_bytes()
+
+    class Unprintable:
+        def __format__(self, spec):
+            raise RuntimeError("write interrupted")
+
+    history.record_outcome("c2", "PASS")
+    history._records.append((0, Unprintable(), "PASS", 99))
+    with pytest.raises(RuntimeError):
+        history.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["history.txt"]

@@ -87,7 +87,7 @@ def test_bug_free_transform_fixes_every_flag(ref_topology):
                     assert step.timeout_us is not None
 
 
-# --- start_system ------------------------------------------------------------
+# --- fresh systems ------------------------------------------------------------
 
 def test_same_seed_same_recorded_traces():
     spec = make_mini_topology()
@@ -226,14 +226,15 @@ def test_arm_unknown_endpoint_rejected(catalog):
                          catalog.get("cache-conn-down"))
 
 
-def test_hit_counter_increments_per_interception(catalog):
+def test_hits_recorded_per_interception(catalog):
     spec = make_mini_topology()
     system = _boot(spec)
     endpoint = Endpoint("Database", "jdbc", "insert")
     armed = system.arm_fault("front", endpoint, catalog.get("db-sql-timeout"))
     for i in range(3):
         system.submit_request(_mini_request(system, token=f"hit-{i}"))
-    assert armed.hit_counter == 3
+    assert len(armed.hits) == 3
+    assert armed.hits_in((0, system.now_us + 1)) == 3
 
 
 # --- metrics -----------------------------------------------------------------
@@ -301,16 +302,12 @@ def test_conservation_invocations_equal_recorded_spans():
                 continue
             key = (span.service, span.endpoint)
             per_endpoint[key] = per_endpoint.get(key, 0) + 1
-    stats = system.all_endpoint_stats((0, system.now_us + 1))
-    assert {k: v["invocations"] for k, v in stats.items()} == per_endpoint
-
-
-def test_collect_metrics_shape():
-    system = _boot(make_mini_topology())
-    system.submit_request(_mini_request(system))
-    metrics = system.collect_metrics((0, system.now_us + 1))
-    assert set(metrics) == {"entry", "per_endpoint"}
-    assert any(key.startswith("front|") for key in metrics["per_endpoint"])
+    units = {(svc.name, step.endpoint()) for svc, iface in spec.interfaces()
+             for step in iface.workflow}
+    window = (0, system.now_us + 1)
+    invocations = {unit: system.endpoint_stats(*unit, window)["invocations"]
+                   for unit in units}
+    assert {k: v for k, v in invocations.items() if v} == per_endpoint
 
 
 def test_workload_file_round_trip(tmp_path):

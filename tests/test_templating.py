@@ -176,18 +176,10 @@ def test_unknown_placeholder_kind_rejected():
         instantiate(template, ReplayContext(1, SequentialIdSource()))
 
 
-def test_opaque_copy_resolved_by_executor_callback():
-    trace = make_trace("t0", [root_span("s0", "POST /svc/chain/next",
-                                        req={"cursor": "recorded-cursor"},
-                                        resp={"done": "1"})])
-    registry = ManualVariableRegistry()
-    registry.register("i", "req", "cursor", "opaque_copy")
-    template = build_template([trace], registry, interface_id="i")
-    ctx = ReplayContext(now_us=1, id_source=SequentialIdSource())
-    # no resolver: the recorded value is kept for the executor to substitute
-    assert instantiate(template, ctx).payload["cursor"] == "recorded-cursor"
-    live = instantiate(template, ctx, resolver=lambda path: "live-cursor-77")
-    assert live.payload["cursor"] == "live-cursor-77"
+def test_registry_rejects_opaque_copy():
+    # only fresh_id and timestamp have a replay rule
+    with pytest.raises(TemplatingError, match="invalid placeholder kind"):
+        ManualVariableRegistry().register("i", "req", "cursor", "opaque_copy")
 
 
 def test_registry_add_then_remove_is_identity():
@@ -223,7 +215,7 @@ def test_registry_union_merge_is_deterministic():
 def test_registry_file_round_trip(tmp_path):
     registry = ManualVariableRegistry()
     registry.register("ifa", "req", "sig", "fresh_id", note="computed signature")
-    registry.register("ifb", "resp", "chain.token", "opaque_copy")
+    registry.register("ifb", "resp", "chain.token", "timestamp")
     path = tmp_path / "registry.txt"
     registry.save(path)
     loaded = ManualVariableRegistry.load(path)
