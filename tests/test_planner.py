@@ -4,8 +4,8 @@ from resilitest.faults import faults_for_endpoint
 from resilitest.model import Endpoint, new_corpus
 from resilitest.planner import (PlanConfig, detect_dual_write,
                                 detect_producer_consumer, extract_endpoints,
-                                last_invocation_targets, plan_targets,
-                                sample_services)
+                                last_invocation_targets, parse_case_line,
+                                plan_targets, sample_services, save_plan)
 
 from conftest import make_span, make_trace, root_span
 
@@ -329,6 +329,18 @@ def test_plan_deterministic_under_seed(catalog):
     a = plan_targets(selected, corpus, catalog, PlanConfig(seed=42))
     b = plan_targets(selected, corpus, catalog, PlanConfig(seed=42))
     assert a == b
+
+
+def test_plan_file_round_trip(tmp_path, catalog):
+    trace = _price_dual_write_trace()
+    corpus = new_corpus([trace], 0, "00")
+    cases = plan_targets([("if0", trace)], corpus, catalog, PlanConfig(seed=1))
+    assert cases
+    path = tmp_path / "plan.txt"
+    save_plan(cases, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [parse_case_line(line, f"plan line {i}")
+            for i, line in enumerate(lines, start=1)] == cases
 
 
 def test_coverage_preserved_on_reference_corpus(ref_corpus, ref_analysis, catalog):
