@@ -33,9 +33,6 @@ class Analysis:
     ranked: list                 # SelectedInterface, best-first, all interfaces
     templates: dict              # interface_id -> TraceTemplate
 
-    def traces_by_id(self) -> dict:
-        return {t.trace_id: t for t in self.corpus.traces}
-
 
 def analyze_corpus(corpus: Corpus, weights: Optional[ComplexityWeights] = None,
                    registry: Optional[ManualVariableRegistry] = None,
@@ -64,32 +61,32 @@ def resolve_k(k, available: int) -> int:
     return min(k, available)
 
 
-def plan_campaign(analysis: Analysis, catalog: FaultCatalog, k,
+def plan_campaign(ranked: list, corpus: Corpus, catalog: FaultCatalog, k,
                   plan_config: PlanConfig,
                   history: Optional[History] = None) -> tuple:
-    """Select top-K interfaces and plan their cases.
+    """Select the top-K of the `ranked` interfaces and plan their cases.
 
     Without history this is the plain two-level selection. With history,
     ranked interfaces whose entire case set is skippable (all PASS in the
     current epoch, or nothing to test) are passed over until K contributing
     interfaces are found.
     """
-    traces = analysis.traces_by_id()
-    k = resolve_k(k, len(analysis.ranked))
+    traces = {t.trace_id: t for t in corpus.traces}
+    k = resolve_k(k, len(ranked))
     if history is None:
-        selected = analysis.ranked[:k]
+        selected = ranked[:k]
         cases = plan_targets([(s.interface_id, traces[s.trace_id]) for s in selected],
-                             analysis.corpus, catalog, plan_config)
+                             corpus, catalog, plan_config)
         return selected, cases
 
     selected = []
     cases = []
-    for candidate in analysis.ranked:
+    for candidate in ranked:
         if len(selected) >= k:
             break
         interface_cases = plan_targets(
             [(candidate.interface_id, traces[candidate.trace_id])],
-            analysis.corpus, catalog, plan_config)
+            corpus, catalog, plan_config)
         pending, _skipped = filter_history(interface_cases, history)
         if not pending:
             continue
@@ -111,17 +108,6 @@ def run_campaign(topology: TopologySpec, analysis: Analysis,
     return run_batch(plan, topology, list(analysis.templates.values()), catalog,
                      phases, criteria, seed=seed, entry_only=entry_only,
                      history=history)
-
-
-def healthy_success_rates(analysis: Analysis) -> dict:
-    """Per-interface entry success over the recorded corpus (oracle history)."""
-    traces = analysis.traces_by_id()
-    rates = {}
-    for cluster in analysis.clusters:
-        oks = [1 if traces[tid].root_span().status == "ok" else 0
-               for tid in cluster.member_trace_ids]
-        rates[cluster.interface_id] = sum(oks) / len(oks)
-    return rates
 
 
 @dataclass

@@ -22,7 +22,7 @@ import sys
 
 from . import __version__
 from .aggregation import ClusterParams, save_cluster_report
-from .campaign import Analysis, analyze_corpus, plan_campaign, resolve_k
+from .campaign import analyze_corpus, plan_campaign, resolve_k
 from .executor import (FAIL_VERDICTS, OracleCriteria, PhaseConfig, load_report,
                        run_batch, save_report)
 from .faults import default_catalog, load_catalog
@@ -111,20 +111,18 @@ def cmd_analyze(args) -> int:
 def cmd_plan(args) -> int:
     corpus = load_corpus(args.corpus)
     ranked = load_selection_report(os.path.join(args.analysis, "selection.jsonl"))
-    analysis = Analysis(corpus=corpus, clusters=[], scores={}, ranked=ranked,
-                        templates={})
     catalog = _load_catalog(args.catalog)
     history = _load_history(args.history) if args.history else None
     plan_config = PlanConfig(n_services=args.n_services, seed=args.seed)
-    selected, cases = plan_campaign(analysis, catalog, args.top_k, plan_config,
-                                    history=history)
+    selected, cases = plan_campaign(ranked, corpus, catalog, args.top_k,
+                                    plan_config, history=history)
     os.makedirs(args.out_dir, exist_ok=True)
     save_plan(cases, os.path.join(args.out_dir, "plan.txt"))
     if cases:
         save_run_plan(greedy_batch(cases), os.path.join(args.out_dir, "runplan.txt"))
     else:
         open(os.path.join(args.out_dir, "runplan.txt"), "w").close()
-    k = resolve_k(args.top_k, len(analysis.ranked))
+    k = resolve_k(args.top_k, len(ranked))
     print(f"selected {len(selected)}/{k} interfaces, {len(cases)} cases -> {args.out_dir}")
     return 0
 

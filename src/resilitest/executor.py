@@ -68,6 +68,9 @@ class EffectiveCriteria:
                 f"{self.recover_min})")
 
 
+CRITERIA_KEYS = ("startup_min_success", "inject_max_success", "recover_min_success")
+
+
 @dataclass
 class OracleCriteria:
     startup_min_success: float = 1.0
@@ -83,47 +86,42 @@ class OracleCriteria:
             recover_min=overrides.get("recover_min_success", self.recover_min_success),
         )
 
-    def save(self, path) -> None:
-        rec = {"startup_min_success": self.startup_min_success,
-               "inject_max_success": self.inject_max_success,
-               "recover_min_success": self.recover_min_success,
-               "interfaces": self.per_interface}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rec, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
     @classmethod
     def load(cls, path) -> "OracleCriteria":
+        """Read a criteria file: a JSON object with any of the three global
+        keys and an `interfaces` map from interface ID to an object of
+        overrides of those keys. Every resolved set is checked here, so a bad
+        file fails before any case runs."""
         with open(path, "r", encoding="utf-8") as fh:
             rec = json.load(fh)
-        return cls(
-            startup_min_success=rec.get("startup_min_success", 1.0),
-            inject_max_success=rec.get("inject_max_success", 0.30),
-            recover_min_success=rec.get("recover_min_success", 0.80),
-            per_interface=dict(rec.get("interfaces", {})),
-        )
+        where = f"criteria {path}"
+        _check_thresholds(rec, where, extra=("interfaces",))
+        overrides = rec.get("interfaces", {})
+        if not isinstance(overrides, dict):
+            raise ExecutorError(f"{where}: interfaces must be a JSON object")
+        for interface_id, entry in overrides.items():
+            _check_thresholds(entry, f"{where}: interface {interface_id}")
+        criteria = cls(per_interface=dict(overrides),
+                       **{k: rec[k] for k in CRITERIA_KEYS if k in rec})
+        for interface_id in (None, *overrides):  # None resolves the globals
+            try:
+                criteria.resolve(interface_id)
+            except ExecutorError as exc:
+                label = "globals" if interface_id is None else f"interface {interface_id}"
+                raise ExecutorError(f"{where}: {label}: {exc}") from None
+        return criteria
 
 
-def derive_criteria(healthy_success_rates: dict,
-                    defaults: Optional[OracleCriteria] = None,
-                    margin: float = 0.05) -> OracleCriteria:
-    """Per-interface recovery thresholds from healthy history: an interface
-    that was never fully healthy must not be held to a stricter bar than it
-    ever met (min of the default and observed-minus-margin)."""
-    defaults = defaults or OracleCriteria()
-    per_interface = dict(defaults.per_interface)
-    for interface_id, rate in sorted(healthy_success_rates.items()):
-        derived = min(defaults.recover_min_success, rate - margin)
-        if derived < defaults.recover_min_success:
-            entry = dict(per_interface.get(interface_id, {}))
-            entry["recover_min_success"] = derived
-            per_interface[interface_id] = entry
-    return OracleCriteria(
-        startup_min_success=defaults.startup_min_success,
-        inject_max_success=defaults.inject_max_success,
-        recover_min_success=defaults.recover_min_success,
-        per_interface=per_interface,
-    )
+def _check_thresholds(rec, where: str, extra: tuple = ()) -> None:
+    if not isinstance(rec, dict):
+        raise ExecutorError(f"{where}: expected a JSON object")
+    unknown = sorted(set(rec) - set(CRITERIA_KEYS) - set(extra))
+    if unknown:
+        raise ExecutorError(f"{where}: unknown key(s) {', '.join(unknown)}")
+    for key in CRITERIA_KEYS:
+        value = rec.get(key, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ExecutorError(f"{where}: {key} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -271,18 +269,6 @@ def execute_run(run: Run, topology: TopologySpec, template: TraceTemplate,
             deferred.extend(run.cases[position + 1:])
             break
     return results, deferred
-
-
-def run_test(case, template: TraceTemplate, phases: PhaseConfig,
-             criteria: OracleCriteria, topology: TopologySpec,
-             catalog: FaultCatalog, seed: int = 0,
-             entry_only: bool = False) -> TestRun:
-    """Single-case three-phase cycle on a fresh system."""
-    run = Run(trace_id=case.target.trace_id, cases=[case])
-    results, _deferred = execute_run(run, topology, template, catalog, phases,
-                                     criteria, run_seed_for(seed, run.trace_id, 0),
-                                     entry_only=entry_only)
-    return results[0]
 
 
 @dataclass

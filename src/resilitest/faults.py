@@ -68,17 +68,6 @@ class FaultSpec:
     matcher: EndpointMatcher
     effect: Effect
 
-    def describe(self) -> str:
-        e = self.effect
-        if e.kind == EFFECT_THROW:
-            detail = e.exception
-        elif e.kind == EFFECT_DELAY:
-            detail = DELAY_AUTO if e.delay_us is None else f"{e.delay_us}us"
-        else:
-            detail = f"{e.status_code} {e.body}".strip()
-        return f"{self.fault_id} [{self.category}] {self.matcher.component}:" \
-               f"{self.matcher.framework}:{self.matcher.method} {e.kind} {detail}"
-
 
 @dataclass
 class FaultCatalog:

@@ -11,6 +11,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 CORPUS_FORMAT = "resilitest-corpus"
@@ -100,6 +101,18 @@ class Corpus:
         if not isinstance(other, Corpus):
             return NotImplemented
         return self.meta == other.meta and self.traces == other.traces
+
+    @cached_property
+    def endpoint_users(self) -> dict:
+        """Endpoint -> sorted tuple of the distinct services invoking it from
+        a non-root span. Built on first use, so `traces` must not change after."""
+        users = {}
+        for trace in self.traces:
+            for span in trace.spans:
+                if span.span_id != trace.root:
+                    users.setdefault(span.endpoint, set()).add(span.service)
+        return {endpoint: tuple(sorted(services))
+                for endpoint, services in users.items()}
 
 
 def compute_window(traces: Iterable[Trace]) -> tuple:

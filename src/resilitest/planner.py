@@ -81,8 +81,7 @@ def sample_services(corpus: Corpus, endpoint: Endpoint, n: int, seed: int) -> se
     anywhere in the corpus; empty when the endpoint was never observed."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    users = sorted({s.service for t in corpus.traces for s in t.spans
-                    if s.endpoint == endpoint and s.span_id != t.root})
+    users = corpus.endpoint_users.get(endpoint, ())
     if len(users) <= n:
         return set(users)
     rng = random.Random(f"{seed}:{endpoint.triple()}")
@@ -136,14 +135,11 @@ def detect_producer_consumer(trace: Trace,
     return edges
 
 
-def detect_dual_write(trace: Trace, min_token_len: int = DEFAULT_MIN_TOKEN_LEN,
-                      write_methods: frozenset = WRITE_METHODS,
-                      async_positions: Optional[set] = None) -> list:
+def detect_dual_write(trace: Trace, min_token_len: int = DEFAULT_MIN_TOKEN_LEN) -> list:
     """Groups of >= 2 write-class spans of one service that share a request
-    token and target different components; the later (or flagged-async) write
-    is the secondary."""
+    token and target different components; the later write is the secondary."""
     writes = [(i, s) for i, s in enumerate(trace.spans)
-              if s.span_id != trace.root and s.endpoint.method in write_methods]
+              if s.span_id != trace.root and s.endpoint.method in WRITE_METHODS]
     groups = {}  # (service, positions tuple) -> set of shared tokens
     token_map = {}  # (service, token) -> positions
     for i, span in writes:
@@ -160,16 +156,11 @@ def detect_dual_write(trace: Trace, min_token_len: int = DEFAULT_MIN_TOKEN_LEN,
 
     edges = []
     for (service, positions), tokens in sorted(groups.items()):
-        secondary = positions[-1]
-        if async_positions:
-            flagged = [p for p in positions if p in async_positions]
-            if flagged:
-                secondary = flagged[-1]
         edges.append(DependencyEdge(
             kind=KIND_DUAL_WRITE,
             shared_tokens=frozenset(tokens),
             write_positions=positions,
-            secondary_position=secondary,
+            secondary_position=positions[-1],
         ))
     return edges
 
@@ -209,14 +200,11 @@ def plan_targets(selected: list, corpus: Corpus, catalog: FaultCatalog,
     cross-producted with applicable faults. Deterministic under a fixed seed."""
     if not selected:
         raise ValueError("selection must not be empty")
-    sampled = {}
     cases = []
     for _interface_id, trace in selected:
         for target in plan_trace_targets(trace, config.min_token_len):
-            if target.endpoint not in sampled:
-                sampled[target.endpoint] = sample_services(
-                    corpus, target.endpoint, config.n_services, config.seed)
-            if target.service not in sampled[target.endpoint]:
+            if target.service not in sample_services(
+                    corpus, target.endpoint, config.n_services, config.seed):
                 continue
             for fault in faults_for_endpoint(catalog, target.endpoint):
                 cases.append(TestCase(

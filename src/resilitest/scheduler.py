@@ -34,9 +34,6 @@ class Run:
 class RunPlan:
     runs: list = field(default_factory=list)
 
-    def case_count(self) -> int:
-        return sum(len(r.cases) for r in self.runs)
-
 
 def greedy_batch(cases: list) -> RunPlan:
     """Greedy endpoint-coverage batching.

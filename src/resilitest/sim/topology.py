@@ -131,9 +131,6 @@ class ServiceSpec:
     workers: int = DEFAULT_WORKERS
     queue_limit: int = DEFAULT_QUEUE_LIMIT
 
-    def bug_flags(self) -> set:
-        return {s.bug for i in self.interfaces for s in i.workflow if s.bug}
-
 
 @dataclass(frozen=True)
 class TopologySpec:

@@ -91,20 +91,9 @@ class ManualVariableRegistry:
         if note:
             self.provenance[entry] = note
 
-    def deregister(self, interface_id: str, side: str, key_path: str, kind: str) -> None:
-        entry = RegistryEntry(interface_id, side, key_path, kind)
-        self.entries.discard(entry)
-        self.provenance.pop(entry, None)
-
     def for_interface(self, interface_id: str) -> list:
         hits = [e for e in self.entries if e.interface_id == interface_id]
         return sorted(hits, key=lambda e: (e.side, e.key_path, e.kind))
-
-    def merge(self, other: "ManualVariableRegistry") -> None:
-        self.entries |= other.entries
-        for entry, note in sorted(other.provenance.items(),
-                                  key=lambda kv: (kv[0].interface_id, kv[0].side, kv[0].key_path)):
-            self.provenance.setdefault(entry, note)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -17,14 +17,14 @@ from resilitest.campaign import (analyze_corpus, plan_campaign, replay_check,
                                  run_campaign)
 from resilitest.executor import (EffectiveCriteria, FAIL_VERDICTS,
                                  OracleCriteria, PhaseConfig, PhaseMetrics,
-                                 evaluate, run_test, save_report)
+                                 evaluate, run_batch, save_report)
 from resilitest.faults import faults_for_endpoint
 from resilitest.model import dumps_canonical, new_corpus
 from resilitest.planner import PlanConfig, plan_targets, sample_services
 from resilitest.refassets import (build_reference_topology,
                                   build_reference_workload,
                                   build_signature_registry)
-from resilitest.scheduler import History, greedy_batch
+from resilitest.scheduler import History, Run, RunPlan, greedy_batch
 from resilitest.sim.engine import record_corpus
 from resilitest.templating import ManualVariableRegistry, build_template
 
@@ -84,8 +84,8 @@ def pipeline():
 def campaign_all(pipeline, catalog, tmp_path_factory):
     topology, _workload, _corpus, _registry, analysis = pipeline.value
     t0 = time.monotonic()
-    _selected, cases = plan_campaign(analysis, catalog, "all",
-                                     PlanConfig(n_services=3, seed=SEED))
+    _selected, cases = plan_campaign(analysis.ranked, analysis.corpus, catalog,
+                                     "all", PlanConfig(n_services=3, seed=SEED))
     result = run_campaign(topology, analysis, catalog, cases, PHASES,
                           OracleCriteria(), seed=SEED)
     seconds = time.monotonic() - t0
@@ -102,8 +102,8 @@ def campaign_all_bugfree(catalog):
     corpus = record_corpus(topology, workload, seed=SEED)
     analysis = analyze_corpus(corpus, registry=build_signature_registry(
         build_reference_topology()))
-    _selected, cases = plan_campaign(analysis, catalog, "all",
-                                     PlanConfig(n_services=3, seed=SEED))
+    _selected, cases = plan_campaign(analysis.ranked, analysis.corpus, catalog,
+                                     "all", PlanConfig(n_services=3, seed=SEED))
     result = run_campaign(topology, analysis, catalog, cases, PHASES,
                           OracleCriteria(), seed=SEED)
     return Timed(result, time.monotonic() - t0)
@@ -117,8 +117,8 @@ def sweep(pipeline, catalog, tmp_path_factory):
     reports = {}
     directory = tmp_path_factory.mktemp("sweep")
     for k in (5, 10, 20, 40):
-        _sel, cases = plan_campaign(analysis, catalog, k,
-                                    PlanConfig(n_services=3, seed=SEED))
+        _sel, cases = plan_campaign(analysis.ranked, analysis.corpus, catalog,
+                                    k, PlanConfig(n_services=3, seed=SEED))
         result = run_campaign(topology, analysis, catalog, cases, PHASES,
                               OracleCriteria(), seed=SEED)
         out[k] = (len(cases), result)
@@ -197,11 +197,11 @@ def test_criterion_4_granular_oracle_differential(pipeline, catalog):
     units = {unit: flag for unit, flag in _bug_units(topology).items()
              if flag == "fire_and_forget"}
     assert len(units) == 2
-    traces = analysis.traces_by_id()
+    traces = {t.trace_id: t for t in corpus.traces}
+    templates = list(analysis.templates.values())
     checked = 0
     for (service, endpoint) in sorted(units, key=lambda u: u[0]):
         case = None
-        template = None
         for sel in analysis.ranked:
             trace = traces[sel.trace_id]
             for c in plan_targets([(sel.interface_id, trace)], corpus, catalog,
@@ -209,14 +209,14 @@ def test_criterion_4_granular_oracle_differential(pipeline, catalog):
                 if (c.target.service, c.target.endpoint) == (service, endpoint) \
                         and c.fault_id == "mq-disconnect":
                     case = c
-                    template = analysis.templates[sel.interface_id]
             if case:
                 break
         assert case is not None, f"no planned case for {service}"
-        dual = run_test(case, template, PHASES, OracleCriteria(), topology,
-                        catalog, seed=SEED)
-        naive = run_test(case, template, PHASES, OracleCriteria(), topology,
-                         catalog, seed=SEED, entry_only=True)
+        plan = RunPlan(runs=[Run(trace_id=case.target.trace_id, cases=[case])])
+        dual, = run_batch(plan, topology, templates, catalog, PHASES,
+                          OracleCriteria(), seed=SEED).test_runs
+        naive, = run_batch(plan, topology, templates, catalog, PHASES,
+                           OracleCriteria(), seed=SEED, entry_only=True).test_runs
         assert dual.verdict == "FAIL_SILENT", (service, dual.verdict)
         assert naive.verdict == "PASS", (service, naive.verdict)
         checked += 1
@@ -376,15 +376,15 @@ def test_criterion_8_history_cumulative_coverage(pipeline, catalog):
     history = History()
     plan_config = PlanConfig(n_services=3, seed=SEED)
 
-    _sel1, cases1 = plan_campaign(analysis, catalog, 10, plan_config,
-                                  history=history)
+    _sel1, cases1 = plan_campaign(analysis.ranked, analysis.corpus, catalog,
+                                  10, plan_config, history=history)
     first = run_campaign(topology, analysis, catalog, cases1, PHASES,
                          OracleCriteria(), seed=SEED, history=history)
     pass1 = {tr.case_id for tr in first.test_runs if tr.verdict == "PASS"}
     coverage1 = first.coverage()
 
-    _sel2, cases2 = plan_campaign(analysis, catalog, 10, plan_config,
-                                  history=history)
+    _sel2, cases2 = plan_campaign(analysis.ranked, analysis.corpus, catalog,
+                                  10, plan_config, history=history)
     second = run_campaign(topology, analysis, catalog, cases2, PHASES,
                           OracleCriteria(), seed=SEED, history=history)
     pass2 = {tr.case_id for tr in second.test_runs if tr.verdict == "PASS"}
@@ -423,8 +423,8 @@ def test_criterion_9_determinism(pipeline, campaign_all, sweep, catalog,
     assert replay_report_1.read_bytes() == replay_report_2.read_bytes()
 
     # criterion 3 campaign repeated
-    _sel, cases2_all = plan_campaign(analysis2, catalog, "all",
-                                     PlanConfig(n_services=3, seed=SEED))
+    _sel, cases2_all = plan_campaign(analysis2.ranked, analysis2.corpus, catalog,
+                                     "all", PlanConfig(n_services=3, seed=SEED))
     rerun = run_campaign(topology, analysis2, catalog, cases2_all, PHASES,
                          OracleCriteria(), seed=SEED)
     rerun_path = tmp_path / "campaign_all_rerun.jsonl"
@@ -432,8 +432,8 @@ def test_criterion_9_determinism(pipeline, campaign_all, sweep, catalog,
     assert rerun_path.read_bytes() == campaign_all.extras["report"].read_bytes()
 
     # criterion 7 sweep point repeated (K=20)
-    _sel, cases_k20 = plan_campaign(analysis2, catalog, 20,
-                                    PlanConfig(n_services=3, seed=SEED))
+    _sel, cases_k20 = plan_campaign(analysis2.ranked, analysis2.corpus, catalog,
+                                    20, PlanConfig(n_services=3, seed=SEED))
     rerun20 = run_campaign(topology, analysis2, catalog, cases_k20, PHASES,
                            OracleCriteria(), seed=SEED)
     rerun20_path = tmp_path / "k20_rerun.jsonl"

@@ -81,6 +81,54 @@ def test_run_has_no_parallel_option(capsys):
     assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def planned_files(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("planned")
+    spec = make_mini_topology()
+    topo = tmp_path / "topology.json"
+    save_topology(spec, topo)
+    workload = tmp_path / "workload.jsonl"
+    save_workload(make_mini_workload(spec), workload)
+    corpus = tmp_path / "corpus.txt"
+    assert main(["simulate-record", "--topology", str(topo), "--workload",
+                 str(workload), "--out", str(corpus)]) == 0
+    assert main(["analyze", "--corpus", str(corpus),
+                 "--out-dir", str(tmp_path / "analysis")]) == 0
+    assert main(["plan", "--corpus", str(corpus), "--analysis",
+                 str(tmp_path / "analysis"), "--out-dir", str(tmp_path / "plans")]) == 0
+    return tmp_path, topo
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "expected a JSON object"),
+    ('{"startup_min_success": "x"}', "startup_min_success must be a number"),
+    ('{"startup_min_success": true}', "startup_min_success must be a number"),
+    ('{"recover_min": 0.1}', "unknown key(s) recover_min"),
+    ('{"interfaces": [1]}', "interfaces must be a JSON object"),
+    ('{"interfaces": {"ifx": 0.5}}', "interface ifx: expected a JSON object"),
+    ('{"interfaces": {"ifx": {"recover_min": 0.1}}}',
+     "interface ifx: unknown key(s) recover_min"),
+    ('{"interfaces": {"ifx": {"inject_max_success": 0.9}}}',
+     "interface ifx: criteria must satisfy"),
+    ('{"inject_max_success": 0.9}', "globals: criteria must satisfy"),
+], ids=["list", "string-value", "bool-value", "unknown-key", "interfaces-list",
+        "override-not-object", "unknown-override-key", "override-order",
+        "global-order"])
+def test_run_rejects_bad_criteria_before_any_case(planned_files, capsys, text, message):
+    tmp_path, topo = planned_files
+    criteria = tmp_path / "criteria.json"
+    criteria.write_text(text)
+    report = tmp_path / "report.jsonl"
+    code = main(["run", "--run-plan", str(tmp_path / "plans" / "runplan.txt"),
+                 "--topology", str(topo),
+                 "--templates", str(tmp_path / "analysis" / "templates.jsonl"),
+                 "--phases", "6,6,6,5", "--criteria", str(criteria),
+                 "--out", str(report)])
+    assert code == 2
+    assert f"error: criteria {criteria}: {message}" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_seed_determinism_byte_identical_files(tmp_path):
     spec = make_mini_topology()
     topo = tmp_path / "topology.json"

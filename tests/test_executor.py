@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 
 from resilitest.executor import (EffectiveCriteria, ExecutorError,
                                  OracleCriteria, PhaseConfig, PhaseMetrics,
-                                 derive_criteria, evaluate, load_report,
-                                 run_batch, run_test, save_report)
+                                 evaluate, load_report, run_batch, save_report)
 from resilitest.faults import default_catalog
 from resilitest.planner import PlanConfig, plan_targets
-from resilitest.scheduler import History, greedy_batch
+from resilitest.scheduler import History, Run, RunPlan, greedy_batch
 from resilitest.sim.engine import record_corpus
 from resilitest.campaign import analyze_corpus, run_campaign
 
@@ -35,46 +34,21 @@ def test_criteria_ordering_invariant():
         EffectiveCriteria(startup_min=0.7, inject_max=0.3, recover_min=0.8)
 
 
-def test_derive_criteria_defaults_without_history():
-    criteria = derive_criteria({})
-    assert criteria.startup_min_success == 1.0
-    assert criteria.inject_max_success == 0.30
-    assert criteria.recover_min_success == 0.80
-    assert criteria.per_interface == {}
-
-
-def test_derive_criteria_min_rule():
-    # 0.92 healthy: default 0.80 already below 0.87 -> unchanged
-    criteria = derive_criteria({"ifa": 0.92})
-    assert criteria.resolve("ifa").recover_min == 0.80
-    # 0.70 healthy: derived 0.65 replaces the default for that interface only
-    criteria = derive_criteria({"ifa": 0.70, "ifb": 1.0})
-    assert criteria.resolve("ifa").recover_min == pytest.approx(0.65)
-    assert criteria.resolve("ifb").recover_min == 0.80
-
-
-def test_derive_criteria_from_recorded_corpus(mini_setup):
-    from resilitest.campaign import healthy_success_rates
-
-    _spec, _corpus, analysis, _catalog = mini_setup
-    rates = healthy_success_rates(analysis)
-    assert set(rates.values()) == {1.0}  # healthy recording
-    criteria = derive_criteria(rates)
-    assert criteria.per_interface == {}  # defaults already below 1.0 - margin
-
-
 def test_override_single_interface():
     criteria = OracleCriteria(per_interface={"ifx": {"inject_max_success": 0.5}})
     assert criteria.resolve("ifx").inject_max == 0.5
     assert criteria.resolve("other").inject_max == 0.30
 
 
-def test_criteria_file_round_trip(tmp_path):
-    criteria = derive_criteria({"ifa": 0.70})
+def test_criteria_file_resolves_interface_override(tmp_path):
     path = tmp_path / "criteria.json"
-    criteria.save(path)
+    path.write_text('{"inject_max_success": 0.2, "interfaces": '
+                    '{"ifa": {"recover_min_success": 0.65}}}', encoding="utf-8")
     loaded = OracleCriteria.load(path)
-    assert loaded.resolve("ifa").recover_min == pytest.approx(0.65)
+    assert loaded.resolve("ifa") == EffectiveCriteria(
+        startup_min=1.0, inject_max=0.2, recover_min=0.65)
+    assert loaded.resolve("ifb") == EffectiveCriteria(
+        startup_min=1.0, inject_max=0.2, recover_min=0.80)
 
 
 def test_evaluate_pass_case():
@@ -175,21 +149,24 @@ def mini_setup():
 
 
 def _mini_cases(analysis, corpus, catalog, n_services=3, seed=5):
-    traces = analysis.traces_by_id()
+    traces = {t.trace_id: t for t in corpus.traces}
     selected = [(s.interface_id, traces[s.trace_id]) for s in analysis.ranked]
     return plan_targets(selected, corpus, catalog, PlanConfig(n_services, seed))
+
+
+def _run_one(case, analysis, spec, catalog, seed, entry_only=False):
+    """One case on a fresh system, the way `resilitest run` executes it."""
+    plan = RunPlan(runs=[Run(trace_id=case.target.trace_id, cases=[case])])
+    result = run_batch(plan, spec, list(analysis.templates.values()), catalog,
+                       FAST, OracleCriteria(), seed=seed, entry_only=entry_only)
+    return result.test_runs[0]
 
 
 def test_run_test_healthy_resilient_case(mini_setup):
     spec, corpus, analysis, catalog = mini_setup
     cases = _mini_cases(analysis, corpus, catalog)
     case = next(c for c in cases if c.fault_id == "db-sql-timeout")
-    template = analysis.templates[analysis.ranked[0].interface_id]
-    # run against the case's own interface template
-    for sel in analysis.ranked:
-        if sel.trace_id == case.target.trace_id:
-            template = analysis.templates[sel.interface_id]
-    result = run_test(case, template, FAST, OracleCriteria(), spec, catalog, seed=3)
+    result = _run_one(case, analysis, spec, catalog, seed=3)
     assert result.verdict == "PASS"
     assert result.injection_hits > 0
     assert result.startup.success_rate == 1.0
@@ -204,12 +181,9 @@ def test_fire_and_forget_differential_oracle(catalog):
     cases = _mini_cases(analysis, corpus, catalog)
     case = next(c for c in cases if c.fault_id == "mq-disconnect"
                 and c.target.endpoint.component == "MQ")
-    template = next(analysis.templates[s.interface_id] for s in analysis.ranked
-                    if s.trace_id == case.target.trace_id)
-    dual = run_test(case, template, FAST, OracleCriteria(), spec, catalog, seed=3)
+    dual = _run_one(case, analysis, spec, catalog, seed=3)
     assert dual.verdict == "FAIL_SILENT"
-    naive = run_test(case, template, FAST, OracleCriteria(), spec, catalog,
-                     seed=3, entry_only=True)
+    naive = _run_one(case, analysis, spec, catalog, seed=3, entry_only=True)
     assert naive.verdict == "PASS"
 
 

@@ -170,11 +170,8 @@ def test_dual_write_db_plus_mq_async_flag():
                   framework="kafka", method="publish", req={"oid": "order-778"},
                   start=3, dur=1),
     ]
-    trace = make_trace("t0", spans)
-    edges = detect_dual_write(trace, async_positions={2})
-    assert edges[0].secondary_position == 2
-    # fallback (no ground truth) picks the later write: same answer here
-    assert detect_dual_write(trace)[0].secondary_position == 2
+    # the later write, the MQ publish, is the secondary
+    assert detect_dual_write(make_trace("t0", spans))[0].secondary_position == 2
 
 
 def test_same_component_writes_do_not_group():
@@ -229,6 +226,23 @@ def test_sample_services_deterministic_and_bounded():
     single = new_corpus(traces[:1], 0, "00")
     assert sample_services(single, endpoint, 3, seed=5) == {"svc0"}
     assert sample_services(corpus, Endpoint("MQ", "none", "x"), 3, seed=5) == set()
+
+
+def test_sample_services_matches_full_corpus_scan(ref_corpus):
+    """The corpus's endpoint index gives what a scan of every trace gives."""
+    endpoints = {s.endpoint for t in ref_corpus.traces for s in t.spans
+                 if s.span_id != t.root}
+    sampled = 0
+    for endpoint in sorted(endpoints, key=Endpoint.triple):
+        users = sorted({s.service for t in ref_corpus.traces for s in t.spans
+                        if s.endpoint == endpoint and s.span_id != t.root})
+        rng_seed = f"7:{endpoint.triple()}"
+        for n in (1, 3, 50):
+            expected = (set(users) if len(users) <= n
+                        else set(random.Random(rng_seed).sample(users, n)))
+            assert sample_services(ref_corpus, endpoint, n, seed=7) == expected
+            sampled += len(users) > n
+    assert sampled > 0  # some endpoints have more users than n
 
 
 def test_default_n_services_is_three():
@@ -346,7 +360,7 @@ def test_plan_file_round_trip(tmp_path, catalog):
 def test_coverage_preserved_on_reference_corpus(ref_corpus, ref_analysis, catalog):
     """Pruning removes redundancy, never whole endpoint types (designed into
     the reference corpus)."""
-    traces = ref_analysis.traces_by_id()
+    traces = {t.trace_id: t for t in ref_corpus.traces}
     selected = [(s.interface_id, traces[s.trace_id]) for s in ref_analysis.ranked]
     config = PlanConfig(n_services=3, seed=7)
     cases = plan_targets(selected, ref_corpus, catalog, config)

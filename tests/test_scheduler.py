@@ -25,7 +25,7 @@ def test_single_trace_single_run():
     plan = greedy_batch(cases)
     assert len(plan.runs) == 1
     assert plan.runs[0].trace_id == "t1"
-    assert plan.case_count() == 2
+    assert plan.runs[0].cases == cases
 
 
 def test_spec_example_absorption_depends_on_case_ownership():

@@ -182,34 +182,11 @@ def test_registry_rejects_opaque_copy():
         ManualVariableRegistry().register("i", "req", "cursor", "opaque_copy")
 
 
-def test_registry_add_then_remove_is_identity():
-    registry = ManualVariableRegistry()
-    before = set(registry.entries)
-    registry.register("i", "req", "k", "fresh_id")
-    registry.deregister("i", "req", "k", "fresh_id")
-    assert set(registry.entries) == before
-
-
 def test_registry_double_add_is_idempotent():
     registry = ManualVariableRegistry()
     registry.register("i", "req", "k", "fresh_id")
     registry.register("i", "req", "k", "fresh_id")
     assert len(registry.entries) == 1
-
-
-def test_registry_union_merge_is_deterministic():
-    a = ManualVariableRegistry()
-    a.register("ifa", "req", "sig", "fresh_id", note="first")
-    b = ManualVariableRegistry()
-    b.register("ifa", "req", "sig", "fresh_id", note="second")  # duplicate entry
-    b.register("ifb", "req", "nonce", "fresh_id")
-    a.merge(b)
-    assert len(a.entries) == 2
-    merged_again = ManualVariableRegistry()
-    merged_again.register("ifa", "req", "sig", "fresh_id", note="first")
-    merged_again.merge(b)
-    assert merged_again.entries == a.entries
-    assert merged_again.provenance == a.provenance  # first note wins on clashes
 
 
 def test_registry_file_round_trip(tmp_path):
