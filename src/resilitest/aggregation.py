@@ -15,9 +15,9 @@ from .model import Corpus
 
 WILDCARD = "<*>"
 
-DEFAULT_TREE_DEPTH = 4
-DEFAULT_SIMILARITY_THRESHOLD = 0.5
-DEFAULT_MAX_CHILDREN = 100
+TREE_DEPTH = 4
+SIMILARITY_THRESHOLD = 0.5
+MAX_CHILDREN = 100
 
 
 class RequestLineError(Exception):
@@ -41,13 +41,6 @@ def parse_request_line(line: str) -> tuple:
     if path == "/":
         return method, []
     return method, path.split("/")[1:]
-
-
-@dataclass
-class ClusterParams:
-    tree_depth: int = DEFAULT_TREE_DEPTH
-    similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD
-    max_children: int = DEFAULT_MAX_CHILDREN
 
 
 @dataclass
@@ -95,21 +88,19 @@ class DrainTree:
     """Online fixed-depth parse tree; the first levels are keyed by
     (method, token count) then by leading tokens, leaves hold clusters."""
 
-    def __init__(self, params: ClusterParams = None):
-        self.params = params or ClusterParams()
+    def __init__(self):
         self._root = {}
 
     def _leaf_group(self, method: str, tokens: list) -> list:
         key = (method, len(tokens))
         node = self._root.setdefault(key, {})
-        depth_budget = self.params.tree_depth - 2
-        for token in tokens[:depth_budget]:
+        for token in tokens[:TREE_DEPTH - 2]:
             children = node.setdefault("children", {})
             if token in children:
                 node = children[token]
             elif _has_digit(token):
                 node = children.setdefault(WILDCARD, {})
-            elif len(children) < self.params.max_children:
+            elif len(children) < MAX_CHILDREN:
                 node = children.setdefault(token, {})
             else:
                 node = children.setdefault(WILDCARD, {})
@@ -124,7 +115,7 @@ class DrainTree:
             if (sim, wildcards) > best_key:
                 best_key = (sim, wildcards)
                 best = leaf
-        if best is not None and best_key[0] >= self.params.similarity_threshold:
+        if best is not None and best_key[0] >= SIMILARITY_THRESHOLD:
             best.trace_ids.append(trace_id)
             best.template = [a if a == b else WILDCARD
                              for a, b in zip(best.template, tokens)]
@@ -152,10 +143,10 @@ class DrainTree:
         return found
 
 
-def cluster_interfaces(corpus: Corpus, params: ClusterParams = None) -> list:
+def cluster_interfaces(corpus: Corpus) -> list:
     """Partition all corpus traces into interface clusters (every trace in
     exactly one cluster)."""
-    tree = DrainTree(params)
+    tree = DrainTree()
     for trace in corpus.traces:
         method, tokens = parse_request_line(trace.root_span().operation_name)
         tree.add(method, tokens, trace.trace_id)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .aggregation import ClusterParams, cluster_interfaces
+from .aggregation import cluster_interfaces
 from .executor import (CampaignResult, OracleCriteria, PhaseConfig, run_batch)
 from .faults import FaultCatalog
 from .model import Corpus
@@ -23,6 +23,8 @@ from .sim.engine import System
 from .sim.topology import TopologySpec
 from .templating import (ManualVariableRegistry, ReplayContext,
                          SequentialIdSource, build_template, instantiate)
+
+REPLAY_ATTEMPTS = 3
 
 
 @dataclass
@@ -35,11 +37,10 @@ class Analysis:
 
 
 def analyze_corpus(corpus: Corpus, weights: Optional[ComplexityWeights] = None,
-                   registry: Optional[ManualVariableRegistry] = None,
-                   params: Optional[ClusterParams] = None) -> Analysis:
+                   registry: Optional[ManualVariableRegistry] = None) -> Analysis:
     """Aggregation, scoring, full ranking, and templates for every cluster."""
     registry = registry or ManualVariableRegistry()
-    clusters = cluster_interfaces(corpus, params)
+    clusters = cluster_interfaces(corpus)
     scores = score_corpus(corpus, weights)
     ranked = select_top_k(clusters, scores, k=len(clusters))
     by_id = {t.trace_id: t for t in corpus.traces}
@@ -122,8 +123,8 @@ class ReplayCheck:
         return sum(self.interface_ok.values()) / len(self.interface_ok)
 
 
-def replay_check(topology: TopologySpec, analysis: Analysis, seed: int = 0,
-                 attempts: int = 3) -> ReplayCheck:
+def replay_check(topology: TopologySpec, analysis: Analysis,
+                 seed: int = 0) -> ReplayCheck:
     """Instantiate each interface's template against a healthy system.
 
     The system clock is advanced beyond the recording window plus skew first,
@@ -139,7 +140,7 @@ def replay_check(topology: TopologySpec, analysis: Analysis, seed: int = 0,
     for interface_id in sorted(analysis.templates):
         template = analysis.templates[interface_id]
         ok = True
-        for _ in range(attempts):
+        for _ in range(REPLAY_ATTEMPTS):
             request = instantiate(template, ReplayContext(system.now_us, ids))
             response, _trace = system.submit_request(request)
             if not response.ok:

@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import __version__
-from .aggregation import ClusterParams, save_cluster_report
+from .aggregation import save_cluster_report
 from .campaign import analyze_corpus, plan_campaign, resolve_k
 from .executor import (FAIL_VERDICTS, OracleCriteria, PhaseConfig, load_report,
                        run_batch, save_report)
@@ -64,12 +64,6 @@ def _parse_phases(text: str) -> PhaseConfig:
                        parts[2] * SECOND_US, parts[3])
 
 
-def _load_registry(path) -> ManualVariableRegistry:
-    if path and os.path.exists(path):
-        return ManualVariableRegistry.load(path)
-    return ManualVariableRegistry()
-
-
 def _load_catalog(path):
     return load_catalog(path) if path else default_catalog()
 
@@ -91,17 +85,12 @@ def cmd_simulate_record(args) -> int:
 
 def cmd_analyze(args) -> int:
     corpus = load_corpus(args.corpus)
-    registry = _load_registry(args.registry)
-    params = ClusterParams(tree_depth=args.tree_depth,
-                           similarity_threshold=args.similarity_threshold,
-                           max_children=args.max_children)
-    analysis = analyze_corpus(corpus, weights=args.weights, registry=registry,
-                              params=params)
+    registry = ManualVariableRegistry.load(args.registry) if args.registry else None
+    analysis = analyze_corpus(corpus, weights=args.weights, registry=registry)
     os.makedirs(args.out_dir, exist_ok=True)
     save_cluster_report(analysis.clusters, os.path.join(args.out_dir, "clusters.txt"))
     save_selection_report(analysis.ranked, corpus,
-                          os.path.join(args.out_dir, "selection.jsonl"),
-                          weights=args.weights)
+                          os.path.join(args.out_dir, "selection.jsonl"))
     ordered = [analysis.templates[c.interface_id] for c in analysis.clusters]
     save_templates(ordered, os.path.join(args.out_dir, "templates.jsonl"))
     print(f"{len(analysis.clusters)} interfaces -> {args.out_dir}")
@@ -182,10 +171,10 @@ def cmd_report(args) -> int:
         print(f"  endpoint coverage: {summary['endpoint_coverage']}")
         print(f"  startups:          {summary['startup_count']} "
               f"({summary['reschedules']} reschedules)")
-        failed = [tr for tr in entry["runs"] if tr.verdict in FAIL_VERDICTS]
-        for tr in failed:
-            print(f"  {tr.verdict}: {tr.service} {tr.endpoint.triple()} "
-                  f"fault={tr.fault_id} case={tr.case_id}")
+        for rec in entry["runs"]:
+            if rec["verdict"] in FAIL_VERDICTS:
+                print(f"  {rec['verdict']}: {rec['service']} {rec['endpoint']} "
+                      f"fault={rec['fault_id']} case={rec['case_id']}")
         return 0
 
     # sensitivity table across top-K campaigns
@@ -224,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--weights", type=_parse_weights, default=ComplexityWeights())
     p.add_argument("--registry", help="manual variable registry file")
-    p.add_argument("--tree-depth", type=int, default=4)
-    p.add_argument("--similarity-threshold", type=float, default=0.5)
-    p.add_argument("--max-children", type=int, default=100)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_analyze)
 

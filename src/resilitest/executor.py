@@ -351,30 +351,6 @@ def test_run_to_record(tr: TestRun) -> dict:
     }
 
 
-def test_run_from_record(rec: dict) -> TestRun:
-    component, framework, method = rec["endpoint"].split(":")
-    phases = rec.get("phases", {})
-
-    def phase(name):
-        data = phases.get(name)
-        return PhaseMetrics.from_dict(data) if data else None
-
-    asserts = rec.get("assertions", {})
-    return TestRun(
-        case_id=rec["case_id"], trace_id=rec["trace_id"],
-        host_trace_id=rec.get("host_trace_id", rec["trace_id"]),
-        interface_id=rec["interface_id"], service=rec["service"],
-        endpoint=Endpoint(component, framework, method),
-        fault_id=rec["fault_id"], rationale=rec.get("rationale", "plain"),
-        verdict=rec["verdict"], startup=phase("startup"), inject=phase("inject"),
-        recover=phase("recover"),
-        injection_hits=asserts.get("injection_hits", 0),
-        inject_endpoint_failures=asserts.get("inject_endpoint_failures", 0),
-        recover_endpoint_failures=asserts.get("recover_endpoint_failures", 0),
-        downstream_effect_ok=asserts.get("downstream_effect_ok", True),
-    )
-
-
 def save_report(result: CampaignResult, path, config: Optional[dict] = None) -> None:
     with atomic_writer(path) as fh:
         for tr in result.test_runs:
@@ -394,19 +370,49 @@ def save_report(result: CampaignResult, path, config: Optional[dict] = None) -> 
         fh.write("\n")
 
 
+REPORT_RUN_FIELDS = ("case_id", "service", "endpoint", "fault_id", "verdict")
+REPORT_COUNTERS = ("cases", "endpoint_coverage", "startup_count", "reschedules")
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
 def load_report(path) -> tuple:
-    test_runs = []
+    """(test-run records, summary record) of a report file, as dicts.
+
+    Checks the fields `resilitest report` reads: the five string fields of
+    each test run, and the summary's counters, verdict counts and config.
+    """
+    runs = []
     summary = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            if rec.get("type") == "summary":
-                summary = rec
+            where = f"report {path} line {line_no}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ExecutorError(f"{where}: {exc}") from None
+            if not isinstance(rec, dict) or rec.get("type") not in ("test_run", "summary"):
+                raise ExecutorError(f"{where}: expected a test_run or summary object")
+            if rec["type"] == "test_run":
+                bad = [k for k in REPORT_RUN_FIELDS if not isinstance(rec.get(k), str)]
+                runs.append(rec)
             else:
-                test_runs.append(test_run_from_record(rec))
+                verdicts = rec.get("verdicts")
+                bad = [k for k in REPORT_COUNTERS if not _is_count(rec.get(k))]
+                if not (isinstance(verdicts, dict)
+                        and all(_is_count(v) for v in verdicts.values())):
+                    bad.append("verdicts")
+                if not isinstance(rec.get("config", {}), dict):
+                    bad.append("config")
+                summary = rec
+            if bad:
+                raise ExecutorError(f"{where}: {rec['type']} has missing or "
+                                    f"malformed {', '.join(bad)}")
     if summary is None:
         raise ExecutorError(f"report {path} has no summary record")
-    return test_runs, summary
+    return runs, summary

@@ -52,6 +52,9 @@ class Endpoint:
 
 COMPONENTS = ("Database", "Cache", "MQ", "RPC", "HTTP")
 
+# Endpoint methods that change state: dual-write grouping and loss accounting.
+WRITE_METHODS = frozenset({"update", "insert", "delete", "send", "set", "publish"})
+
 
 @dataclass(frozen=True)
 class Span:
@@ -307,7 +310,8 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def load_corpus(path) -> Corpus:
-    """Parse a corpus file; raises CorpusParseError / CorpusVersionError."""
+    """Parse a corpus file; raises CorpusParseError / CorpusVersionError,
+    also for a trace that breaks a validate_trace rule."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header:
@@ -337,6 +341,9 @@ def load_corpus(path) -> Corpus:
                 raise CorpusParseError(line_no, f"malformed trace record: {exc}") from exc
             if trace.trace_id in seen_ids:
                 raise CorpusParseError(line_no, f"duplicate trace_id {trace.trace_id!r}")
+            violations = validate_trace(trace)
+            if violations:
+                raise CorpusParseError(line_no, f"trace {trace.trace_id!r}: {violations[0]}")
             seen_ids.add(trace.trace_id)
             traces.append(trace)
 
@@ -354,7 +361,7 @@ def new_corpus(traces: list, seed: int, topology_digest: str) -> Corpus:
 
 __all__ = [
     "Endpoint", "Span", "Trace", "Corpus", "CorpusMeta", "Violation",
-    "COMPONENTS", "STATUS_OK", "error_status", "is_ok", "status_code",
+    "COMPONENTS", "WRITE_METHODS", "STATUS_OK", "error_status", "is_ok", "status_code",
     "validate_trace", "save_corpus", "load_corpus", "new_corpus",
     "compute_window", "dumps_canonical", "trace_to_record", "trace_from_record",
     "CorpusError", "CorpusParseError", "CorpusVersionError",

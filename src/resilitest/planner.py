@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .faults import FaultCatalog, faults_for_endpoint
-from .model import Corpus, Endpoint, Trace
+from .model import WRITE_METHODS, Corpus, Endpoint, Trace
 
 RATIONALE_LAST = "last_invocation"
 RATIONALE_PRODUCER = "producer"
@@ -25,8 +25,7 @@ RATIONALE_PLAIN = "plain"
 KIND_PRODUCER_CONSUMER = "producer_consumer"
 KIND_DUAL_WRITE = "dual_write"
 
-WRITE_METHODS = frozenset({"update", "insert", "delete", "send", "set", "publish"})
-DEFAULT_MIN_TOKEN_LEN = 4
+MIN_TOKEN_LEN = 4
 DEFAULT_N_SERVICES = 3
 
 
@@ -62,7 +61,6 @@ class DependencyEdge:
 class PlanConfig:
     n_services: int = DEFAULT_N_SERVICES
     seed: int = 0
-    min_token_len: int = DEFAULT_MIN_TOKEN_LEN
 
 
 def case_digest(trace_id: str, span_position: int, fault_id: str) -> str:
@@ -101,12 +99,11 @@ def last_invocation_targets(trace: Trace) -> list:
     return targets
 
 
-def _payload_tokens(payload: dict, min_len: int) -> set:
-    return {v for v in payload.values() if isinstance(v, str) and len(v) >= min_len}
+def _payload_tokens(payload: dict) -> set:
+    return {v for v in payload.values() if isinstance(v, str) and len(v) >= MIN_TOKEN_LEN}
 
 
-def detect_producer_consumer(trace: Trace,
-                             min_token_len: int = DEFAULT_MIN_TOKEN_LEN) -> list:
+def detect_producer_consumer(trace: Trace) -> list:
     """Edges (i -> j) where a response value of sibling span i flows verbatim
     into the request of later sibling span j issued by the same service."""
     edges = []
@@ -114,7 +111,7 @@ def detect_producer_consumer(trace: Trace,
     for i in range(len(spans)):
         if spans[i].span_id == trace.root:
             continue
-        produced = _payload_tokens(spans[i].response_payload, min_token_len)
+        produced = _payload_tokens(spans[i].response_payload)
         if not produced:
             continue
         for j in range(i + 1, len(spans)):
@@ -124,7 +121,7 @@ def detect_producer_consumer(trace: Trace,
                 continue
             if spans[j].service != spans[i].service:
                 continue
-            shared = produced & _payload_tokens(spans[j].request_payload, min_token_len)
+            shared = produced & _payload_tokens(spans[j].request_payload)
             if shared:
                 edges.append(DependencyEdge(
                     kind=KIND_PRODUCER_CONSUMER,
@@ -135,7 +132,7 @@ def detect_producer_consumer(trace: Trace,
     return edges
 
 
-def detect_dual_write(trace: Trace, min_token_len: int = DEFAULT_MIN_TOKEN_LEN) -> list:
+def detect_dual_write(trace: Trace) -> list:
     """Groups of >= 2 write-class spans of one service that share a request
     token and target different components; the later write is the secondary."""
     writes = [(i, s) for i, s in enumerate(trace.spans)
@@ -143,7 +140,7 @@ def detect_dual_write(trace: Trace, min_token_len: int = DEFAULT_MIN_TOKEN_LEN) 
     groups = {}  # (service, positions tuple) -> set of shared tokens
     token_map = {}  # (service, token) -> positions
     for i, span in writes:
-        for token in _payload_tokens(span.request_payload, min_token_len):
+        for token in _payload_tokens(span.request_payload):
             token_map.setdefault((span.service, token), []).append(i)
     for (service, token), positions in token_map.items():
         if len(positions) < 2:
@@ -165,17 +162,17 @@ def detect_dual_write(trace: Trace, min_token_len: int = DEFAULT_MIN_TOKEN_LEN) 
     return edges
 
 
-def plan_trace_targets(trace: Trace, min_token_len: int = DEFAULT_MIN_TOKEN_LEN) -> list:
+def plan_trace_targets(trace: Trace) -> list:
     """Rules 1-3 for one trace: last-invocation targets, minus consumers
     covered by a producer edge, minus non-secondary dual writes."""
     targets = last_invocation_targets(trace)
 
-    producer_edges = detect_producer_consumer(trace, min_token_len)
+    producer_edges = detect_producer_consumer(trace)
     consumer_positions = {e.consumer_position for e in producer_edges}
     producer_positions = {e.producer_position for e in producer_edges}
     targets = [t for t in targets if t.span_position not in consumer_positions]
 
-    dual_edges = detect_dual_write(trace, min_token_len)
+    dual_edges = detect_dual_write(trace)
     dropped = set()
     secondary_positions = set()
     for edge in dual_edges:
@@ -202,7 +199,7 @@ def plan_targets(selected: list, corpus: Corpus, catalog: FaultCatalog,
         raise ValueError("selection must not be empty")
     cases = []
     for _interface_id, trace in selected:
-        for target in plan_trace_targets(trace, config.min_token_len):
+        for target in plan_trace_targets(trace):
             if target.service not in sample_services(
                     corpus, target.endpoint, config.n_services, config.seed):
                 continue

@@ -27,6 +27,7 @@ from .sim.topology import (BUG_FIRE_AND_FORGET, BUG_MISSING_TIMEOUT,
 
 REFERENCE_SEED = 1717
 TIMEOUT_US = 1_000_000
+WORKLOAD_GAP_US = 250_000
 
 # name -> component framework stack (None: the service does not use it)
 STACKS = {
@@ -81,30 +82,26 @@ def _std_fields(service: str, *data_fields: str, token: bool = True,
     return tuple(fields)
 
 
-def _db(svc, method, table, key, val=None, timeout=TIMEOUT_US,
-        on_error=ON_ERROR_PROPAGATE, bug="", retries=0):
+def _db(svc, method, table, key, val=None, on_error=ON_ERROR_PROPAGATE, bug=""):
     args = [("key", key)]
     if val is not None:
         args.append(("val", val))
     return Step(op="db", method=method, framework=STACKS[svc]["db"], table=table,
-                args=tuple(args), timeout_us=timeout, on_error=on_error, bug=bug,
-                retries=retries)
+                args=tuple(args), timeout_us=TIMEOUT_US, on_error=on_error, bug=bug)
 
 
-def _cache(svc, method, table, key, val=None, timeout=TIMEOUT_US,
-           on_error=ON_ERROR_CATCH, best_effort=True, bug="", retries=0):
+def _cache(svc, method, table, key, val=None, best_effort=True, bug=""):
     args = [("key", key)]
     if val is not None:
         args.append(("val", val))
     return Step(op="cache", method=method, framework=STACKS[svc]["cache"], table=table,
-                args=tuple(args), timeout_us=timeout, on_error=on_error,
-                best_effort=best_effort, bug=bug, retries=retries)
+                args=tuple(args), timeout_us=TIMEOUT_US, on_error=ON_ERROR_CATCH,
+                best_effort=best_effort, bug=bug)
 
 
-def _mq(svc, method, topic, args, on_error=ON_ERROR_CATCH, bug="",
-        timeout=TIMEOUT_US):
+def _mq(svc, method, topic, args, on_error=ON_ERROR_CATCH, bug=""):
     return Step(op="mq", method=method, framework=STACKS[svc]["mq"], topic=topic,
-                args=tuple(args), timeout_us=timeout, async_step=True,
+                args=tuple(args), timeout_us=TIMEOUT_US, async_step=True,
                 on_error=on_error, bug=bug)
 
 
@@ -491,15 +488,13 @@ def build_signature_registry(spec: TopologySpec) -> ManualVariableRegistry:
     return registry
 
 
-def build_reference_workload(spec: TopologySpec, per_interface: int = 5,
-                             start_us: int = None, gap_us: int = 250_000) -> list:
-    """Deterministic workload hitting every interface `per_interface` times
-    with cycled data values, fresh tokens, and send-time timestamps."""
-    if start_us is None:
-        start_us = spec.boot_us + 1_000_000
+def build_reference_workload(spec: TopologySpec, per_interface: int = 5) -> list:
+    """Deterministic workload hitting every interface `per_interface` times,
+    one request every WORKLOAD_GAP_US from a second after boot, with cycled
+    data values, fresh tokens, and send-time timestamps."""
     entries = []
     counter = 0
-    at = start_us
+    at = spec.boot_us + 1_000_000
     for svc, iface in spec.interfaces():
         pools = {f.path: _pool(f.path, svc.name) for f in iface.fields if f.kind == "data"}
         for instance in range(per_interface):
@@ -520,7 +515,7 @@ def build_reference_workload(spec: TopologySpec, per_interface: int = 5,
                     field = segment[1:-1]
                     path = path.replace(segment, payload.get(field, "x"))
             entries.append((at, EntryRequest(f"{iface.method} {path}", payload)))
-            at += gap_us
+            at += WORKLOAD_GAP_US
     return entries
 
 

@@ -83,11 +83,10 @@ def trace_complexity(trace: Trace, weights: ComplexityWeights,
             + weights.w_dur * _norm(root_duration(trace), norms.dur_min, norms.dur_max))
 
 
-def score_corpus(corpus: Corpus, weights: ComplexityWeights = None,
-                 norms: CorpusNorms = None) -> dict:
+def score_corpus(corpus: Corpus, weights: ComplexityWeights = None) -> dict:
     """Score every trace in one pass; returns trace_id -> score in [0, 1]."""
     weights = weights or ComplexityWeights()
-    norms = norms or compute_norms(corpus)
+    norms = compute_norms(corpus)
     return {t.trace_id: trace_complexity(t, weights, norms) for t in corpus.traces}
 
 
@@ -153,10 +152,7 @@ def load_selection_report(path) -> list:
     return ranked
 
 
-def save_selection_report(selected: list, corpus: Corpus, path,
-                          weights: ComplexityWeights = None) -> None:
-    weights = weights or ComplexityWeights()
-    norms = compute_norms(corpus)
+def save_selection_report(selected: list, corpus: Corpus, path) -> None:
     by_id = {t.trace_id: t for t in corpus.traces}
     with open(path, "w", encoding="utf-8") as fh:
         for rank, sel in enumerate(selected, start=1):

@@ -55,7 +55,6 @@ class SimError(Exception):
 class Response:
     status: str
     payload: dict
-    latency_us: int = 0
 
     @property
     def ok(self) -> bool:
@@ -137,22 +136,20 @@ class _ServiceState:
 class _Ctx:
     """One workflow execution (entry request or internal call)."""
 
-    __slots__ = ("service", "iface", "payload", "line", "entry", "parent_span",
-                 "outputs", "journal", "on_complete", "is_entry", "started_us")
+    __slots__ = ("service", "iface", "payload", "entry", "parent_span",
+                 "outputs", "journal", "on_complete", "is_entry")
 
-    def __init__(self, service, iface, payload, line, entry, parent_span,
+    def __init__(self, service, iface, payload, entry, parent_span,
                  on_complete, is_entry):
         self.service = service
         self.iface = iface
         self.payload = payload
-        self.line = line
         self.entry = entry
         self.parent_span = parent_span
         self.outputs = []
         self.journal = []
         self.on_complete = on_complete
         self.is_entry = is_entry
-        self.started_us = 0
 
 
 def _derive_token(prefix: str, value: str) -> str:
@@ -164,7 +161,6 @@ class System:
 
     def __init__(self, spec: TopologySpec, seed: int, record_traces: bool = False):
         self.spec = spec
-        self.seed = seed
         self.record_traces = record_traces
         self.now_us = 0
         self.boot_complete_us = spec.boot_us
@@ -272,8 +268,8 @@ class System:
                 None, service_name, Endpoint("HTTP", "server", iface.method.lower()),
                 handle.request.line, dict(handle.request.payload), self.now_us)
         ctx = _Ctx(service=service_name, iface=iface,
-                   payload=dict(handle.request.payload), line=iface.line,
-                   entry=handle, parent_span=root_span,
+                   payload=dict(handle.request.payload), entry=handle,
+                   parent_span=root_span,
                    on_complete=lambda resp: self._finish_entry(handle, resp, root_span),
                    is_entry=True)
         self._enqueue(service_name, ctx)
@@ -307,7 +303,6 @@ class System:
         if handle.completed:
             return
         handle.completed = True
-        response.latency_us = self.now_us - handle.submitted_us
         handle.response = response
         self._entry_log.append((self.now_us, handle.submitted_us, response.ok))
         if response.ok:
@@ -336,7 +331,6 @@ class System:
         if ctx.is_entry and ctx.entry.completed:
             return  # expired in queue
         state.busy += 1
-        ctx.started_us = self.now_us
         proc = self._workflow(state, ctx)
         self._drive(proc, None)
 
@@ -392,9 +386,8 @@ class System:
             on_resp(Response(error_status("not_found"), {}))
             return
         # internal calls share the entry's recorder and loss accounting
-        ctx = _Ctx(service=target_service, iface=iface, payload=payload, line=line,
-                   entry=entry, parent_span=parent_span, on_complete=on_resp,
-                   is_entry=False)
+        ctx = _Ctx(service=target_service, iface=iface, payload=payload, entry=entry,
+                   parent_span=parent_span, on_complete=on_resp, is_entry=False)
         self._enqueue(target_service, ctx)
 
     # -- workflow execution ---------------------------------------------------
@@ -414,7 +407,7 @@ class System:
                 break
             if step.op == OP_MQ and step.on_error == ON_ERROR_CATCH:
                 # durable retry: the publish is buffered, not lost
-                self._outbox_add(ctx.service, ctx.iface.line, index, step)
+                self._outbox_add(ctx.service, step)
             elif step.is_write() and not step.best_effort and ctx.entry is not None:
                 ctx.entry._loss_candidates.append(index)
         if aborted:
@@ -620,9 +613,9 @@ class System:
                 topic["delivered"].append(msgid)
         self._schedule(_DELIVERY_DELAY_US, deliver)
 
-    def _outbox_add(self, service: str, line: str, index: int, step) -> None:
-        entry = {"service": service, "line": line, "index": index, "step": step,
-                 "created_us": self.now_us, "pending": True}
+    def _outbox_add(self, service: str, step) -> None:
+        entry = {"service": service, "step": step, "created_us": self.now_us,
+                 "pending": True}
         self._outbox.append(entry)
         self._schedule(_OUTBOX_RETRY_US, lambda: self._outbox_retry(entry))
 
@@ -654,11 +647,9 @@ class System:
         self._armed.append(armed)
         return armed
 
-    def disarm_fault(self, service: str, endpoint: Endpoint,
-                     fault_id: Optional[str] = None) -> None:
+    def disarm_fault(self, service: str, endpoint: Endpoint) -> None:
         for armed in self._armed:
-            if (armed.active and armed.service == service and armed.endpoint == endpoint
-                    and (fault_id is None or armed.fault.fault_id == fault_id)):
+            if armed.active and armed.service == service and armed.endpoint == endpoint:
                 armed.active = False
 
     # -- metrics ----------------------------------------------------------------

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..model import Endpoint, dumps_canonical
+from ..model import WRITE_METHODS, Endpoint, dumps_canonical
 
 ON_ERROR_PROPAGATE = "propagate"
 ON_ERROR_CATCH = "catch_and_degrade"
@@ -96,7 +96,7 @@ class Step:
         return Endpoint(component, self.framework, self.method)
 
     def is_write(self) -> bool:
-        return self.method in ("update", "insert", "delete", "send", "set", "publish")
+        return self.method in WRITE_METHODS
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .model import Span, Trace, dumps_canonical, trace_from_record, trace_to_record
 from .selection import representative_key
@@ -31,15 +31,13 @@ KIND_FRESH_ID = "fresh_id"
 KIND_TIMESTAMP = "timestamp"
 KINDS = (KIND_FRESH_ID, KIND_TIMESTAMP)
 
-DEFAULT_MIN_INSTANCES = 2
-
 
 class TemplatingError(Exception):
     pass
 
 
 class InsufficientEvidenceError(TemplatingError):
-    """Fewer spans than min_instances: inter-span variability cannot be assessed."""
+    """Fewer than two spans: inter-span variability cannot be assessed."""
 
 
 @dataclass(frozen=True)
@@ -125,17 +123,14 @@ def find_intraspan_candidates(span: Span) -> set:
     return {path for path, value in span.request_payload.items() if value in resp_values}
 
 
-def confirm_dynamic_variables(spans: list, min_instances: int = DEFAULT_MIN_INSTANCES) -> set:
+def confirm_dynamic_variables(spans: list) -> set:
     """Stage 2: keep intra-span candidates whose value is not constant across spans.
 
     Candidates are the union of per-span stage-1 results; a candidate missing
     from some span's request is skipped (no evidence either way).
     """
-    if min_instances < 2:
-        raise TemplatingError("min_instances must be at least 2")
-    if len(spans) < min_instances:
-        raise InsufficientEvidenceError(
-            f"need at least {min_instances} spans, got {len(spans)}")
+    if len(spans) < 2:
+        raise InsufficientEvidenceError(f"need at least 2 spans, got {len(spans)}")
     candidates = set()
     for span in spans:
         candidates |= find_intraspan_candidates(span)
@@ -172,32 +167,21 @@ def _infer_kind(values: Iterable[str], window: tuple) -> str:
 
 
 def build_template(cluster_traces: list, registry: ManualVariableRegistry,
-                   interface_id: str = "", window: Optional[tuple] = None,
-                   scores: Optional[dict] = None,
-                   min_instances: int = DEFAULT_MIN_INSTANCES) -> TraceTemplate:
+                   interface_id: str, window: tuple, scores: dict) -> TraceTemplate:
     """Build the replay template for one interface cluster.
 
-    The base trace is the member with the highest complexity score, ties to
-    the lowest trace ID: the trace selection picks for the interface (the
-    pipeline passes selection scores; without them, the member with the most
-    spans, ties to the highest trace ID). Auto-detected paths use the
-    two-stage heuristic per span position; registry entries for this
+    The base trace is the member with the highest complexity score in
+    `scores` (0.0 when absent), ties to the lowest trace ID: the trace
+    selection picks for the interface. `window` is the corpus recording
+    window that timestamp values are inferred against. Auto-detected paths
+    use the two-stage heuristic per span position; registry entries for this
     interface are unioned in at the root span.
     """
     if not cluster_traces:
         raise TemplatingError("cannot build a template from zero traces")
 
-    if scores:
-        base = min(cluster_traces, key=lambda t: representative_key(
-            scores.get(t.trace_id, 0.0), t.trace_id))
-    else:
-        base = max(cluster_traces, key=lambda t: (len(t.spans), t.trace_id))
-
-    if window is None:
-        starts = [s.start_us for t in cluster_traces for s in t.spans]
-        ends = [s.end_us for t in cluster_traces for s in t.spans]
-        window = (min(starts), max(ends)) if starts else (0, 0)
-
+    base = min(cluster_traces, key=lambda t: representative_key(
+        scores.get(t.trace_id, 0.0), t.trace_id))
     dynamic_paths = set()
     kinds = {}
 
@@ -207,7 +191,7 @@ def build_template(cluster_traces: list, registry: ManualVariableRegistry,
         if not _spans_comparable(spans):
             continue
         try:
-            confirmed = confirm_dynamic_variables(spans, min_instances)
+            confirmed = confirm_dynamic_variables(spans)
         except InsufficientEvidenceError:
             confirmed = set()
         for path in confirmed:

@@ -19,7 +19,7 @@ from resilitest.executor import (EffectiveCriteria, FAIL_VERDICTS,
                                  OracleCriteria, PhaseConfig, PhaseMetrics,
                                  evaluate, run_batch, save_report)
 from resilitest.faults import faults_for_endpoint
-from resilitest.model import dumps_canonical, new_corpus
+from resilitest.model import compute_window, dumps_canonical, new_corpus
 from resilitest.planner import PlanConfig, plan_targets, sample_services
 from resilitest.refassets import (build_reference_topology,
                                   build_reference_workload,
@@ -138,7 +138,8 @@ def test_criterion_1_session_token_templating():
 
     traces = [make_trace("t0", [span("s0", "f7k9q2")]),
               make_trace("t1", [span("s1", "r4m8p1")])]
-    template = build_template(traces, ManualVariableRegistry(), interface_id="sessions")
+    template = build_template(traces, ManualVariableRegistry(), interface_id="sessions",
+                              window=compute_window(traces), scores={})
     parameterized = {(dp.side, dp.key_path) for dp in template.dynamic_paths}
     elapsed = time.monotonic() - t0
     assert parameterized == {("req", "session_id")}
@@ -330,8 +331,8 @@ def test_criterion_6_pruning_equivalence(catalog):
                 last[span.endpoint] = pos
             keep = {pos for pos, span in pairs if last[span.endpoint] == pos}
             keep -= {e.consumer_position
-                     for e in detect_producer_consumer(trace, config.min_token_len)}
-            for e in detect_dual_write(trace, config.min_token_len):
+                     for e in detect_producer_consumer(trace)}
+            for e in detect_dual_write(trace):
                 keep -= set(e.write_positions) - {e.secondary_position}
             for pos, span in pairs:
                 if pos not in keep:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from resilitest.aggregation import (ClusterParams, RequestLineError, WILDCARD,
+from resilitest.aggregation import (RequestLineError, WILDCARD,
                                     cluster_interfaces, interface_digest,
                                     parse_request_line, save_cluster_report)
 from resilitest.model import new_corpus
@@ -109,7 +109,7 @@ def test_wildcard_minimality_on_generated_corpus():
         lines.append(f"GET /api/users/fetch/{rng.randint(100, 999)}")
         lines.append(f"GET /api/rooms/clean/{rng.randint(100, 999)}")
     corpus = _corpus_of_lines(lines)
-    clusters = cluster_interfaces(corpus, ClusterParams(similarity_threshold=0.5))
+    clusters = cluster_interfaces(corpus)
     for cluster in clusters:
         wildcard_positions = [i for i, tok in enumerate(cluster.template_tokens)
                               if tok == WILDCARD]
@@ -130,7 +130,7 @@ def test_max_children_overflow_funnels_into_wildcard_branch():
             tokens.append(f"{a}{b}tok")
     lines = [f"GET /{tok}/leaf" for tok in tokens[:120]]
     corpus = _corpus_of_lines(lines)
-    clusters = cluster_interfaces(corpus, ClusterParams(max_children=100))
+    clusters = cluster_interfaces(corpus)
     merged = [c for c in clusters if WILDCARD in c.template_tokens]
     assert len(clusters) == 101
     assert len(merged) == 1

@@ -81,6 +81,58 @@ def test_run_has_no_parallel_option(capsys):
     assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
 
 
+def test_analyze_has_no_drain_options(capsys):
+    for flag, value in (("--tree-depth", "4"), ("--similarity-threshold", "0.5"),
+                        ("--max-children", "100")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--corpus", "c", "--out-dir", "a", flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_analyze_missing_registry_exits_2(mini_files, capsys):
+    tmp_path, topo, workload = mini_files
+    corpus = tmp_path / "corpus.txt"
+    assert main(["simulate-record", "--topology", str(topo), "--workload",
+                 str(workload), "--out", str(corpus)]) == 0
+    assert main(["analyze", "--corpus", str(corpus), "--registry",
+                 str(tmp_path / "no_such_file"), "--out-dir", str(tmp_path / "a")]) == 2
+    assert "no_such_file" in capsys.readouterr().err
+
+
+def test_corpus_with_invalid_trace_exits_2(mini_files, capsys):
+    tmp_path, topo, workload = mini_files
+    corpus = tmp_path / "corpus.txt"
+    analysis = tmp_path / "analysis"
+    assert main(["simulate-record", "--topology", str(topo), "--workload",
+                 str(workload), "--out", str(corpus)]) == 0
+    assert main(["analyze", "--corpus", str(corpus), "--out-dir", str(analysis)]) == 0
+    # a second root: the last span of the first trace loses its parent
+    header, first, *rest = corpus.read_text().splitlines()
+    rec = json.loads(first)
+    assert rec["trace_id"] == "t000000" and len(rec["spans"]) > 1
+    rec["spans"][-1]["parent"] = None
+    corpus.write_text("\n".join([header, json.dumps(rec), *rest]) + "\n")
+    expected = f"line 2: trace 't000000': [multiple-roots] span {rec['spans'][-1]['id']}"
+    assert main(["analyze", "--corpus", str(corpus), "--out-dir", str(analysis)]) == 2
+    assert expected in capsys.readouterr().err
+    assert main(["plan", "--corpus", str(corpus), "--analysis", str(analysis),
+                 "--out-dir", str(tmp_path / "plans")]) == 2
+    assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record, message", [
+    ('{"type":"test_run","case_id":"x"}',
+     "test_run has missing or malformed service, endpoint, fault_id, verdict"),
+    ("[1,2]", "expected a test_run or summary object"),
+], ids=["test-run-missing-fields", "not-an-object"])
+def test_report_rejects_malformed_record(tmp_path, capsys, record, message):
+    report = tmp_path / "report.jsonl"
+    report.write_text(record + "\n")
+    assert main(["report", str(report)]) == 2
+    assert f"error: report {report} line 1: {message}" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def planned_files(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("planned")

@@ -255,9 +255,10 @@ def test_report_round_trip(tmp_path, mini_setup):
     assert summary["verdicts"]["PASS"] == result.verdict_counts()["PASS"]
     assert summary["config"]["top_k"] == "all"
     for original, loaded in zip(result.test_runs, runs):
-        assert original.case_id == loaded.case_id
-        assert original.verdict == loaded.verdict
-        assert original.endpoint == loaded.endpoint
+        assert (loaded["case_id"], loaded["service"], loaded["endpoint"],
+                loaded["fault_id"], loaded["verdict"]) == (
+            original.case_id, original.service, original.endpoint.triple(),
+            original.fault_id, original.verdict)
 
 
 def test_report_save_interrupted_keeps_earlier_file(tmp_path, mini_setup):

@@ -160,7 +160,7 @@ def test_dual_write_nothing_shared():
     assert detect_dual_write(make_trace("t0", spans)) == []
 
 
-def test_dual_write_db_plus_mq_async_flag():
+def test_dual_write_db_plus_mq_secondary_is_later_write():
     spans = [
         root_span("s0", "POST /svc/orders/save", service="svc", dur=1000),
         make_span("s1", "s0", service="svc", component="Database",
@@ -290,11 +290,11 @@ def _oracle_plan(selected, corpus, catalog, config):
             last[span.endpoint] = max(last.get(span.endpoint, -1), pos)
         pairs = [(p, s, f) for p, s, f in pairs if last[s.endpoint] == p]
         # rule 2: consumers covered by a producer edge
-        consumers = {e.consumer_position for e in dpc(trace, config.min_token_len)}
+        consumers = {e.consumer_position for e in dpc(trace)}
         pairs = [(p, s, f) for p, s, f in pairs if p not in consumers]
         # rule 3: only secondary writes of dual-write groups
         dropped = set()
-        for e in ddw(trace, config.min_token_len):
+        for e in ddw(trace):
             dropped |= set(e.write_positions) - {e.secondary_position}
         pairs = [(p, s, f) for p, s, f in pairs if p not in dropped]
         # rule 4: cross-service sampling

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resilitest.model import compute_window
 from resilitest.templating import (InsufficientEvidenceError,
                                    ManualVariableRegistry, ReplayContext,
                                    SequentialIdSource, TemplatingError,
@@ -63,15 +64,16 @@ def test_stage2_generated_ground_truth():
     assert confirm_dynamic_variables(spans) == {"T"}
 
 
-def test_stage2_requires_min_instances():
+def test_stage2_requires_two_instances():
     with pytest.raises(InsufficientEvidenceError):
-        confirm_dynamic_variables([session_echo_span("s0", "a")], min_instances=2)
+        confirm_dynamic_variables([session_echo_span("s0", "a")])
 
 
 def test_build_template_session_pair():
     traces = [make_trace("t0", [session_echo_span("s0", "f7k9q2")]),
               make_trace("t1", [session_echo_span("s1", "r4m8p1")])]
-    template = build_template(traces, ManualVariableRegistry(), interface_id="if0")
+    template = build_template(traces, ManualVariableRegistry(), interface_id="if0",
+                              window=compute_window(traces), scores={})
     assert {(dp.side, dp.key_path) for dp in template.dynamic_paths} == {("req", "session_id")}
 
 
@@ -81,7 +83,8 @@ def test_registry_override_without_inter_span_evidence():
                                         resp={"ok": "yes"})])
     registry = ManualVariableRegistry()
     registry.register("if0", "req", "auth.signature", "fresh_id", note="hmac")
-    template = build_template([trace], registry, interface_id="if0")
+    template = build_template([trace], registry, interface_id="if0",
+                              window=compute_window([trace]), scores={})
     assert {(dp.side, dp.key_path) for dp in template.dynamic_paths} == \
         {("req", "auth.signature")}
 
@@ -92,22 +95,26 @@ def test_registry_for_other_interface_does_not_apply():
                                         resp={"ok": "yes"})])
     registry = ManualVariableRegistry()
     registry.register("OTHER", "req", "auth.signature", "fresh_id")
-    template_a = build_template([trace], registry, interface_id="if0")
+    template_a = build_template([trace], registry, interface_id="if0",
+                                window=compute_window([trace]), scores={})
     assert template_a.dynamic_paths == set()
-    template_b = build_template([trace], registry, interface_id="OTHER")
+    template_b = build_template([trace], registry, interface_id="OTHER",
+                                window=compute_window([trace]), scores={})
     assert len(template_b.dynamic_paths) == 1
 
 
 def test_build_template_empty_input_rejected():
     with pytest.raises(TemplatingError):
-        build_template([], ManualVariableRegistry())
+        build_template([], ManualVariableRegistry(), interface_id="if0",
+                       window=(0, 0), scores={})
 
 
 def test_template_fixpoint_on_instantiated_output():
     traces = [make_trace("t0", [session_echo_span("s0", "f7k9q2")]),
               make_trace("t1", [session_echo_span("s1", "r4m8p1")])]
     registry = ManualVariableRegistry()
-    first = build_template(traces, registry, interface_id="if0")
+    first = build_template(traces, registry, interface_id="if0",
+                           window=compute_window(traces), scores={})
 
     # re-record: replays with fresh ids produce new instances of the same shape
     ids = SequentialIdSource("fx")
@@ -117,7 +124,8 @@ def test_template_fixpoint_on_instantiated_output():
         replayed.append(make_trace(
             f"r{i}", [root_span(f"s{i}", req.line, req=dict(req.payload),
                                 resp={**req.payload, "status": "ok"})]))
-    second = build_template(replayed, registry, interface_id="if0")
+    second = build_template(replayed, registry, interface_id="if0",
+                            window=compute_window(replayed), scores={})
     assert {dp.as_tuple() for dp in second.dynamic_paths} == \
         {dp.as_tuple() for dp in first.dynamic_paths}
 
@@ -125,7 +133,8 @@ def test_template_fixpoint_on_instantiated_output():
 def test_instantiate_fresh_and_unique_session():
     traces = [make_trace("t0", [session_echo_span("s0", "f7k9q2")]),
               make_trace("t1", [session_echo_span("s1", "r4m8p1")])]
-    template = build_template(traces, ManualVariableRegistry(), interface_id="if0")
+    template = build_template(traces, ManualVariableRegistry(), interface_id="if0",
+                              window=compute_window(traces), scores={})
     ids = SequentialIdSource("rp")
     a = instantiate(template, ReplayContext(now_us=5, id_source=ids))
     b = instantiate(template, ReplayContext(now_us=5, id_source=ids))
@@ -138,7 +147,8 @@ def test_instantiate_fresh_and_unique_session():
 def test_instantiate_zero_dynamic_paths_is_identity():
     trace = make_trace("t0", [root_span("s0", "GET /svc/fixed/thing",
                                         req={"p": "q"}, resp={"r": "s"})])
-    template = build_template([trace], ManualVariableRegistry(), interface_id="i")
+    template = build_template([trace], ManualVariableRegistry(), interface_id="i",
+                              window=compute_window([trace]), scores={})
     out = instantiate(template, ReplayContext(now_us=9, id_source=SequentialIdSource()))
     assert out.payload == {"p": "q"}
     assert out.line == "GET /svc/fixed/thing"
@@ -147,7 +157,8 @@ def test_instantiate_zero_dynamic_paths_is_identity():
 def test_instantiate_deterministic_under_same_context():
     traces = [make_trace("t0", [session_echo_span("s0", "f7k9q2")]),
               make_trace("t1", [session_echo_span("s1", "r4m8p1")])]
-    template = build_template(traces, ManualVariableRegistry(), interface_id="if0")
+    template = build_template(traces, ManualVariableRegistry(), interface_id="if0",
+                              window=compute_window(traces), scores={})
     a = instantiate(template, ReplayContext(now_us=5, id_source=SequentialIdSource("x")))
     b = instantiate(template, ReplayContext(now_us=5, id_source=SequentialIdSource("x")))
     assert a == b
@@ -160,7 +171,7 @@ def test_instantiate_timestamp_kind_uses_now():
              for i in range(2)]
     traces = [make_trace(f"t{i}", [s]) for i, s in enumerate(spans)]
     template = build_template(traces, ManualVariableRegistry(), interface_id="i",
-                              window=(0, 5000))
+                              window=(0, 5000), scores={})
     out = instantiate(template, ReplayContext(now_us=777777,
                                               id_source=SequentialIdSource()))
     assert out.payload["ts"] == "777777"
@@ -169,7 +180,8 @@ def test_instantiate_timestamp_kind_uses_now():
 def test_unknown_placeholder_kind_rejected():
     traces = [make_trace("t0", [session_echo_span("s0", "f7k9q2")]),
               make_trace("t1", [session_echo_span("s1", "r4m8p1")])]
-    template = build_template(traces, ManualVariableRegistry(), interface_id="if0")
+    template = build_template(traces, ManualVariableRegistry(), interface_id="if0",
+                              window=compute_window(traces), scores={})
     for dp in template.dynamic_paths:
         template.placeholder_kinds[dp] = "wat"
     with pytest.raises(TemplatingError):
