@@ -21,8 +21,8 @@ from .scheduler import History, filter_history, greedy_batch
 from .selection import ComplexityWeights, score_corpus, select_top_k
 from .sim.engine import System
 from .sim.topology import TopologySpec
-from .templating import (ManualVariableRegistry, ReplayContext,
-                         SequentialIdSource, build_template, instantiate)
+from .templating import (ManualVariableRegistry, SequentialIdSource,
+                         build_template, instantiate)
 
 REPLAY_ATTEMPTS = 3
 
@@ -102,8 +102,7 @@ def run_campaign(topology: TopologySpec, analysis: Analysis,
                  entry_only: bool = False,
                  history: Optional[History] = None) -> CampaignResult:
     if not cases:
-        return CampaignResult(test_runs=[], startup_count=0, initial_runs=0,
-                              reschedules=0)
+        return CampaignResult(test_runs=[], startup_count=0, initial_runs=0)
     criteria = criteria or OracleCriteria()
     plan = greedy_batch(cases)
     return run_batch(plan, topology, list(analysis.templates.values()), catalog,
@@ -141,7 +140,7 @@ def replay_check(topology: TopologySpec, analysis: Analysis,
         template = analysis.templates[interface_id]
         ok = True
         for _ in range(REPLAY_ATTEMPTS):
-            request = instantiate(template, ReplayContext(system.now_us, ids))
+            request = instantiate(template, system.now_us, ids)
             response, _trace = system.submit_request(request)
             if not response.ok:
                 ok = False

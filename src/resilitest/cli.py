@@ -23,14 +23,15 @@ import sys
 from . import __version__
 from .aggregation import save_cluster_report
 from .campaign import analyze_corpus, plan_campaign, resolve_k
-from .executor import (FAIL_VERDICTS, OracleCriteria, PhaseConfig, load_report,
-                       run_batch, save_report)
+from .executor import (FAIL_VERDICTS, ExecutorError, OracleCriteria, PhaseConfig,
+                       load_report, run_batch, save_report)
 from .faults import default_catalog, load_catalog
 from .model import dumps_canonical, load_corpus, save_corpus
 from .planner import PlanConfig, save_plan
 from .scheduler import (History, Run, RunPlan, filter_history, greedy_batch,
                         load_run_plan, save_run_plan)
-from .selection import ComplexityWeights, load_selection_report, save_selection_report
+from .selection import (ComplexityWeights, SelectionError, load_selection_report,
+                        save_selection_report)
 from .sim.engine import record_corpus
 from .sim.topology import load_topology
 from .sim.workload import load_workload
@@ -43,7 +44,10 @@ def _parse_weights(text: str) -> ComplexityWeights:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("weights must be w_len,w_div,w_dur")
-    return ComplexityWeights(*parts)
+    try:
+        return ComplexityWeights(*parts)
+    except SelectionError as exc:  # parse_args runs before main's error handling
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_top_k(text: str):
@@ -60,8 +64,11 @@ def _parse_phases(text: str) -> PhaseConfig:
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(
             "phases must be startup_s,inject_s,recover_s,rate")
-    return PhaseConfig(parts[0] * SECOND_US, parts[1] * SECOND_US,
-                       parts[2] * SECOND_US, parts[3])
+    try:
+        return PhaseConfig(parts[0] * SECOND_US, parts[1] * SECOND_US,
+                           parts[2] * SECOND_US, parts[3])
+    except ExecutorError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_catalog(path):

@@ -22,7 +22,7 @@ from .model import Endpoint, atomic_writer, dumps_canonical
 from .scheduler import VERDICT_PASS, History, Run, RunPlan, greedy_batch
 from .sim.engine import System, replay_traffic
 from .sim.topology import TopologySpec
-from .templating import ReplayContext, SequentialIdSource, TraceTemplate, instantiate
+from .templating import SequentialIdSource, TraceTemplate, instantiate
 
 VERDICT_NO_RECOVERY = "FAIL_NO_RECOVERY"
 VERDICT_SILENT = "FAIL_SILENT"
@@ -216,7 +216,7 @@ def execute_run(run: Run, topology: TopologySpec, template: TraceTemplate,
     ids = SequentialIdSource(f"rp{run_seed % 1_000_000:06d}")
 
     def make_request(at_us: int):
-        return instantiate(template, ReplayContext(now_us=at_us, id_source=ids))
+        return instantiate(template, at_us, ids)
 
     effective = criteria.resolve(template.interface_id)
     cursor = system.boot_complete_us
@@ -276,7 +276,10 @@ class CampaignResult:
     test_runs: list
     startup_count: int
     initial_runs: int
-    reschedules: int
+
+    @property
+    def reschedules(self) -> int:
+        return self.startup_count - self.initial_runs
 
     def verdict_counts(self) -> dict:
         counts = {v: 0 for v in VERDICTS}
@@ -295,7 +298,7 @@ def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
               history: Optional[History] = None) -> CampaignResult:
     """Execute every planned case exactly once, rescheduling deferred cases
     from fail-fast halts into fresh greedily-batched runs."""
-    by_trace = {t.base_trace.trace_id: t for t in templates}
+    by_trace = {t.trace_id: t for t in templates}
     results = []
     startup_count = 0
     wave = 0
@@ -319,8 +322,7 @@ def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
         for tr in results:
             history.record_outcome(tr.case_id, tr.verdict)
     return CampaignResult(test_runs=results, startup_count=startup_count,
-                          initial_runs=initial_runs,
-                          reschedules=startup_count - initial_runs)
+                          initial_runs=initial_runs)
 
 
 # --- report file -------------------------------------------------------------

@@ -100,11 +100,6 @@ class Corpus:
     traces: list = field(default_factory=list)
     meta: CorpusMeta = field(default_factory=lambda: CorpusMeta(0, "0"))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return self.meta == other.meta and self.traces == other.traces
-
     @cached_property
     def endpoint_users(self) -> dict:
         """Endpoint -> sorted tuple of the distinct services invoking it from

@@ -483,7 +483,7 @@ def build_signature_registry(spec: TopologySpec) -> ManualVariableRegistry:
     registry = ManualVariableRegistry()
     for svc, iface in spec.interfaces():
         if any(f.kind == "signature" for f in iface.fields):
-            registry.register(expected_interface_id(iface), "req", "sig", "fresh_id",
+            registry.register(expected_interface_id(iface), "sig", "fresh_id",
                               note=f"computed signature of {svc.name}{iface.uri_template}")
     return registry
 

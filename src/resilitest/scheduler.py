@@ -145,7 +145,9 @@ def load_run_plan(path) -> RunPlan:
             if not raw.strip():
                 continue
             if raw.startswith("run "):
-                fields = dict(part.split("=", 1) for part in raw.split()[2:])
+                fields = dict(part.split("=", 1) for part in raw.split()[2:] if "=" in part)
+                if "trace" not in fields:
+                    raise ValueError(f"run-plan {path} line {line_no}: run header without trace=")
                 runs.append(Run(trace_id=fields["trace"], cases=[]))
                 continue
             if not runs:

@@ -135,14 +135,22 @@ def select_top_k(clusters: list, per_trace_scores: dict, k: int) -> list:
     return out
 
 
+SELECTION_FIELDS = ("interface_id", "aggregate_score", "trace_id", "trace_score")
+
+
 def load_selection_report(path) -> list:
     ranked = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
+            missing = [k for k in SELECTION_FIELDS
+                       if not isinstance(rec, dict) or k not in rec]
+            if missing:
+                raise ValueError(f"selection {path} line {line_no}: "
+                                 f"missing {', '.join(missing)}")
             ranked.append(SelectedInterface(
                 interface_id=rec["interface_id"],
                 aggregate_score=rec["aggregate_score"],

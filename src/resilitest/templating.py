@@ -20,12 +20,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .model import Span, Trace, dumps_canonical, trace_from_record, trace_to_record
+from .model import Span, dumps_canonical
 from .selection import representative_key
 
 REQ = "req"
-RESP = "resp"
-SIDES = (REQ, RESP)
 
 KIND_FRESH_ID = "fresh_id"
 KIND_TIMESTAMP = "timestamp"
@@ -41,27 +39,27 @@ class InsufficientEvidenceError(TemplatingError):
 
 
 @dataclass(frozen=True)
-class DynamicPath:
-    span_position: int
-    side: str  # req | resp
-    key_path: str
+class EntryRequest:
+    """A replayable entry request: the request line plus its payload."""
 
-    def as_tuple(self) -> tuple:
-        return (self.span_position, self.side, self.key_path)
+    line: str
+    payload: dict
 
 
 @dataclass
 class TraceTemplate:
+    """The entry request of an interface's representative trace, with the
+    kind of each request key-path that is re-filled on every replay."""
+
     interface_id: str
-    base_trace: Trace
-    dynamic_paths: set  # of DynamicPath
-    placeholder_kinds: dict  # DynamicPath -> kind
+    trace_id: str       # the representative trace the request comes from
+    request: EntryRequest
+    placeholders: dict  # request key-path -> kind
 
 
 @dataclass(frozen=True)
 class RegistryEntry:
     interface_id: str
-    side: str
     key_path: str
     kind: str
 
@@ -70,36 +68,35 @@ class RegistryEntry:
 class ManualVariableRegistry:
     """Operator-maintained list of variables invisible to the heuristic.
 
-    Persisted one entry per line: `<interface_id> <req|resp> <key-path> <kind> # note`.
+    Persisted one entry per line: `<interface_id> req <key-path> <kind> # note`.
+    Only entry requests are replayed, so `req` is the only payload side.
     """
 
     entries: set = field(default_factory=set)
     provenance: dict = field(default_factory=dict)
 
-    def register(self, interface_id: str, side: str, key_path: str, kind: str,
+    def register(self, interface_id: str, key_path: str, kind: str,
                  note: str = "") -> None:
-        if side not in SIDES:
-            raise TemplatingError(f"invalid payload side {side!r}")
         if kind not in KINDS:
             raise TemplatingError(f"invalid placeholder kind {kind!r}")
         if not key_path:
             raise TemplatingError("empty key-path")
-        entry = RegistryEntry(interface_id, side, key_path, kind)
+        entry = RegistryEntry(interface_id, key_path, kind)
         self.entries.add(entry)
         if note:
             self.provenance[entry] = note
 
     def for_interface(self, interface_id: str) -> list:
         hits = [e for e in self.entries if e.interface_id == interface_id]
-        return sorted(hits, key=lambda e: (e.side, e.key_path, e.kind))
+        return sorted(hits, key=lambda e: (e.key_path, e.kind))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for entry in sorted(self.entries,
-                                key=lambda e: (e.interface_id, e.side, e.key_path, e.kind)):
+                                key=lambda e: (e.interface_id, e.key_path, e.kind)):
                 note = self.provenance.get(entry, "")
                 suffix = f"  # {note}" if note else ""
-                fh.write(f"{entry.interface_id} {entry.side} {entry.key_path} {entry.kind}{suffix}\n")
+                fh.write(f"{entry.interface_id} {REQ} {entry.key_path} {entry.kind}{suffix}\n")
 
     @classmethod
     def load(cls, path) -> "ManualVariableRegistry":
@@ -113,7 +110,10 @@ class ManualVariableRegistry:
                 parts = line.split()
                 if len(parts) != 4:
                     raise TemplatingError(f"registry line {line_no}: expected 4 fields, got {len(parts)}")
-                reg.register(parts[0], parts[1], parts[2], parts[3], note)
+                if parts[1] != REQ:
+                    raise TemplatingError(f"registry line {line_no}: invalid payload side "
+                                          f"{parts[1]!r}, only {REQ!r} is replayed")
+                reg.register(parts[0], parts[2], parts[3], note)
         return reg
 
 
@@ -172,53 +172,37 @@ def build_template(cluster_traces: list, registry: ManualVariableRegistry,
 
     The base trace is the member with the highest complexity score in
     `scores` (0.0 when absent), ties to the lowest trace ID: the trace
-    selection picks for the interface. `window` is the corpus recording
-    window that timestamp values are inferred against. Auto-detected paths
-    use the two-stage heuristic per span position; registry entries for this
-    interface are unioned in at the root span.
+    selection picks for the interface. Its root request is what replay
+    sends. `window` is the corpus recording window that timestamp values are
+    inferred against. Placeholders are the two-stage heuristic's paths over
+    the members' root spans; registry entries for this interface override
+    them, for the keys present in the base root request.
     """
     if not cluster_traces:
         raise TemplatingError("cannot build a template from zero traces")
 
     base = min(cluster_traces, key=lambda t: representative_key(
         scores.get(t.trace_id, 0.0), t.trace_id))
-    dynamic_paths = set()
-    kinds = {}
-
-    min_len = min(len(t.spans) for t in cluster_traces)
-    for pos in range(min_len):
-        spans = [t.spans[pos] for t in cluster_traces]
-        if not _spans_comparable(spans):
-            continue
+    placeholders = {}
+    roots = [t.root_span() for t in cluster_traces]
+    if _spans_comparable(roots):
         try:
-            confirmed = confirm_dynamic_variables(spans)
+            confirmed = confirm_dynamic_variables(roots)
         except InsufficientEvidenceError:
             confirmed = set()
         for path in confirmed:
-            dp = DynamicPath(pos, REQ, path)
-            dynamic_paths.add(dp)
-            kinds[dp] = _infer_kind((s.request_payload[path] for s in spans), window)
+            placeholders[path] = _infer_kind((s.request_payload[path] for s in roots), window)
 
-    root_pos = next(i for i, s in enumerate(base.spans) if s.span_id == base.root)
-    root = base.spans[root_pos]
+    root = base.root_span()
     for entry in registry.for_interface(interface_id):
-        payload = root.request_payload if entry.side == REQ else root.response_payload
-        if entry.key_path not in payload:
-            continue  # registry entry does not apply to this interface's payload shape
-        dp = DynamicPath(root_pos, entry.side, entry.key_path)
-        dynamic_paths.add(dp)
-        kinds[dp] = entry.kind
+        if entry.key_path in root.request_payload:
+            placeholders[entry.key_path] = entry.kind
+        # otherwise the entry does not apply to this interface's payload shape
 
-    return TraceTemplate(interface_id=interface_id, base_trace=base,
-                         dynamic_paths=dynamic_paths, placeholder_kinds=kinds)
-
-
-@dataclass(frozen=True)
-class EntryRequest:
-    """A replayable entry request: the request line plus its payload."""
-
-    line: str
-    payload: dict
+    return TraceTemplate(interface_id=interface_id, trace_id=base.trace_id,
+                         request=EntryRequest(root.operation_name,
+                                              dict(root.request_payload)),
+                         placeholders=placeholders)
 
 
 class SequentialIdSource:
@@ -233,75 +217,68 @@ class SequentialIdSource:
         return f"{self.prefix}-{self._n:08d}"
 
 
-@dataclass
-class ReplayContext:
-    now_us: int
-    id_source: Callable
-
-
-def instantiate(template: TraceTemplate, context: ReplayContext) -> EntryRequest:
+def instantiate(template: TraceTemplate, now_us: int, id_source: Callable) -> EntryRequest:
     """Materialize the entry request for one replayed call.
 
-    fresh_id paths get new unique values, timestamp paths get the context's
-    current virtual time. All other payload content is byte-identical to the
-    base trace.
+    Placeholders are filled in key order: fresh_id paths get the next value
+    of `id_source`, timestamp paths get `now_us`. All other payload content
+    is byte-identical to the base trace's root request.
     """
-    root = template.base_trace.root_span()
-    root_pos = next(i for i, s in enumerate(template.base_trace.spans)
-                    if s.span_id == template.base_trace.root)
-    payload = dict(root.request_payload)
-    for dp in sorted(template.dynamic_paths, key=DynamicPath.as_tuple):
-        if dp.span_position != root_pos or dp.side != REQ:
-            continue
-        kind = template.placeholder_kinds.get(dp)
+    payload = dict(template.request.payload)
+    for key in sorted(template.placeholders):
+        kind = template.placeholders[key]
         if kind == KIND_FRESH_ID:
-            payload[dp.key_path] = context.id_source()
+            payload[key] = id_source()
         elif kind == KIND_TIMESTAMP:
-            payload[dp.key_path] = str(context.now_us)
+            payload[key] = str(now_us)
         else:
-            raise TemplatingError(f"unknown placeholder kind {kind!r} for {dp}")
-    return EntryRequest(line=root.operation_name, payload=payload)
+            raise TemplatingError(f"unknown placeholder kind {kind!r} for {key!r}")
+    return EntryRequest(line=template.request.line, payload=payload)
 
 
-def template_to_record(template: TraceTemplate) -> dict:
-    return {
-        "interface_id": template.interface_id,
-        "base_trace": trace_to_record(template.base_trace),
-        "dynamic_paths": sorted(dp.as_tuple() for dp in template.dynamic_paths),
-        "placeholder_kinds": {
-            f"{dp.span_position}|{dp.side}|{dp.key_path}": kind
-            for dp, kind in sorted(template.placeholder_kinds.items(),
-                                   key=lambda kv: kv[0].as_tuple())
-        },
-    }
-
-
-def template_from_record(rec: dict) -> TraceTemplate:
-    paths = {DynamicPath(int(p), s, k) for p, s, k in rec["dynamic_paths"]}
-    kinds = {}
-    for key, kind in rec["placeholder_kinds"].items():
-        pos, side, path = key.split("|", 2)
-        kinds[DynamicPath(int(pos), side, path)] = kind
-    return TraceTemplate(
-        interface_id=rec["interface_id"],
-        base_trace=trace_from_record(rec["base_trace"]),
-        dynamic_paths=paths,
-        placeholder_kinds=kinds,
-    )
+TEMPLATE_FIELDS = ("interface_id", "line", "payload", "placeholders", "trace_id")
 
 
 def save_templates(templates: list, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for template in templates:
-            fh.write(dumps_canonical(template_to_record(template)))
+        for t in templates:
+            fh.write(dumps_canonical({
+                "interface_id": t.interface_id, "trace_id": t.trace_id,
+                "line": t.request.line, "payload": t.request.payload,
+                "placeholders": t.placeholders}))
             fh.write("\n")
 
 
+def _template_from_record(rec) -> TraceTemplate:
+    if not isinstance(rec, dict) or sorted(rec) != list(TEMPLATE_FIELDS):
+        got = ", ".join(sorted(rec)) if isinstance(rec, dict) else type(rec).__name__
+        raise TemplatingError(f"expected an object with fields "
+                              f"{', '.join(TEMPLATE_FIELDS)}; got {got}")
+    bad = [k for k in ("interface_id", "trace_id", "line") if not isinstance(rec[k], str)]
+    bad += [k for k in ("payload", "placeholders") if not isinstance(rec[k], dict)]
+    if bad:
+        raise TemplatingError(f"malformed {', '.join(bad)}")
+    for key, kind in sorted(rec["placeholders"].items()):
+        if kind not in KINDS:
+            raise TemplatingError(f"unknown placeholder kind {kind!r} for {key!r}")
+        if key not in rec["payload"]:
+            raise TemplatingError(f"placeholder {key!r} is not a payload key")
+    return TraceTemplate(interface_id=rec["interface_id"], trace_id=rec["trace_id"],
+                         request=EntryRequest(rec["line"], rec["payload"]),
+                         placeholders=rec["placeholders"])
+
+
 def load_templates(path) -> list:
+    """Templates of a templates.jsonl file, one record per line; a record
+    that is not exactly what save_templates writes names the file and line."""
     templates = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                templates.append(template_from_record(json.loads(line)))
+            if not line:
+                continue
+            try:
+                templates.append(_template_from_record(json.loads(line)))
+            except (json.JSONDecodeError, TemplatingError) as exc:
+                raise TemplatingError(f"templates {path} line {line_no}: {exc}") from None
     return templates

@@ -181,6 +181,76 @@ def test_run_rejects_bad_criteria_before_any_case(planned_files, capsys, text, m
     assert not report.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--run-plan", "p", "--topology", "t", "--templates", "x", "--out", "r",
+      "--phases", "0,1,1,5"], "argument --phases: phase durations must be positive"),
+    (["analyze", "--corpus", "c", "--out-dir", "a", "--weights", "0.5,0.5,0.5"],
+     "argument --weights: weights must sum to 1"),
+], ids=["zero-phase", "weights-sum"])
+def test_rejected_argument_values_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+OLD_FORMAT_TEMPLATE = {"interface_id": "if0", "base_trace": {"trace_id": "t000000"},
+                          "dynamic_paths": [], "placeholder_kinds": {}}
+
+
+@pytest.mark.parametrize("record, message", [
+    (OLD_FORMAT_TEMPLATE, "expected an object with fields interface_id, line, "
+     "payload, placeholders, trace_id"),
+    ({"interface_id": "if0", "trace_id": "t000000", "line": "GET /a/b/c",
+      "payload": {"k": "v"}, "placeholders": {"k": "opaque_copy"}},
+     "unknown placeholder kind 'opaque_copy' for 'k'"),
+], ids=["old-format", "unknown-kind"])
+def test_run_rejects_malformed_templates(planned_files, tmp_path, capsys, record, message):
+    planned, topo = planned_files
+    templates = tmp_path / "templates.jsonl"
+    templates.write_text(json.dumps(record) + "\n")
+    report = tmp_path / "report.jsonl"
+    assert main(["run", "--run-plan", str(planned / "plans" / "runplan.txt"),
+                 "--topology", str(topo), "--templates", str(templates),
+                 "--phases", "6,6,6,5", "--out", str(report)]) == 2
+    assert f"error: templates {templates} line 1: {message}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_analyze_rejects_resp_registry_side(planned_files, tmp_path, capsys):
+    planned, _topo = planned_files
+    registry = tmp_path / "registry.txt"
+    registry.write_text("0123abcd resp chain.token timestamp\n")
+    assert main(["analyze", "--corpus", str(planned / "corpus.txt"), "--registry",
+                 str(registry), "--out-dir", str(tmp_path / "analysis")]) == 2
+    assert "registry line 1: invalid payload side 'resp'" in capsys.readouterr().err
+
+
+def test_plan_rejects_selection_record_without_trace_id(planned_files, tmp_path, capsys):
+    planned, _topo = planned_files
+    analysis = tmp_path / "analysis"
+    analysis.mkdir()
+    first = json.loads((planned / "analysis" / "selection.jsonl").read_text().splitlines()[0])
+    del first["trace_id"]
+    selection = analysis / "selection.jsonl"
+    selection.write_text(json.dumps(first) + "\n")
+    assert main(["plan", "--corpus", str(planned / "corpus.txt"), "--analysis",
+                 str(analysis), "--out-dir", str(tmp_path / "plans")]) == 2
+    assert f"error: selection {selection} line 1: missing trace_id" in \
+        capsys.readouterr().err
+
+
+def test_run_rejects_run_header_without_trace(planned_files, tmp_path, capsys):
+    planned, topo = planned_files
+    run_plan = tmp_path / "runplan.txt"
+    run_plan.write_text("run 0 cases=0\n")
+    assert main(["run", "--run-plan", str(run_plan), "--topology", str(topo),
+                 "--templates", str(planned / "analysis" / "templates.jsonl"),
+                 "--out", str(tmp_path / "report.jsonl")]) == 2
+    assert f"error: run-plan {run_plan} line 1: run header without trace=" in \
+        capsys.readouterr().err
+
+
 def test_seed_determinism_byte_identical_files(tmp_path):
     spec = make_mini_topology()
     topo = tmp_path / "topology.json"
