@@ -73,6 +73,10 @@ def plan_campaign(ranked: list, corpus: Corpus, catalog: FaultCatalog, k,
     interfaces are found.
     """
     traces = {t.trace_id: t for t in corpus.traces}
+    for s in ranked:
+        if s.trace_id not in traces:
+            raise ValueError(f"selection names trace {s.trace_id!r} for interface "
+                             f"{s.interface_id}, which the corpus does not hold")
     k = resolve_k(k, len(ranked))
     if history is None:
         selected = ranked[:k]

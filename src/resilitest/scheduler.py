@@ -110,9 +110,12 @@ class History:
                 if not line:
                     continue
                 parts = line.split()
+                where = f"history {path} line {line_no}"
                 if len(parts) != 4:
-                    raise ValueError(f"history line {line_no}: expected 4 fields")
-                epoch, case_id, verdict, seq = int(parts[0]), parts[1], parts[2], int(parts[3])
+                    raise ValueError(f"{where}: expected 4 fields")
+                epoch = _history_int(where, "epoch", parts[0])
+                case_id, verdict = parts[1], parts[2]
+                seq = _history_int(where, "sequence number", parts[3])
                 if epoch > history.epoch:
                     history.epoch = epoch
                     history.executed = {}
@@ -121,6 +124,13 @@ class History:
                 history._records.append((epoch, case_id, verdict, seq))
                 history._seq = max(history._seq, seq)
         return history
+
+
+def _history_int(where: str, name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: {name} {text!r} is not an integer") from None
 
 
 def filter_history(cases: list, history: History) -> tuple:

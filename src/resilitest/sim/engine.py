@@ -13,8 +13,10 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from collections import deque
+from bisect import bisect_left
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from ..faults import (DEFAULT_DELAY_US, EFFECT_DELAY, EFFECT_STATUS, EFFECT_THROW,
@@ -41,6 +43,7 @@ _OUTBOX_RETRY_US = 500_000
 HANG_EXCEPTIONS = frozenset({"SocketTimeoutException"})
 
 _TIMEOUT = object()  # sentinel resuming a caller whose call timed out
+_COMPLETE_US = itemgetter(0)  # of an entry-log record
 
 
 def is_connection_exception(name: str) -> bool:
@@ -172,11 +175,14 @@ class System:
         self._cache = {}
         self._topics = {}  # topic -> {"queued": [...], "delivered": [...]}
         self._outbox = []  # pending durable-retry publishes
-        self._armed = []
+        self._armed = {}  # (service, endpoint) -> active ArmedFault
         self._poisoned = {}  # (service, line, step idx) -> exception name
         self._single_use_seen = set()
-        self._entry_log = []  # (complete_us, submitted_us, ok)
-        self._endpoint_events = []  # (start_us, service, endpoint, ok)
+        # (complete_us, submitted_us, ok), appended in completion order, so
+        # sorted by complete_us since now_us never goes down
+        self._entry_log = []
+        # (service, endpoint) -> [(start_us, ok), ...] in completion order
+        self._endpoint_events = defaultdict(list)
         self._loss_events = []  # entry-ok responses that hid a failed effect
         self._fresh_counter = 0
         self._trace_counter = 0
@@ -437,7 +443,8 @@ class System:
 
     def _jitter(self, base_us: int) -> int:
         spread = base_us // 4
-        return base_us + self._rng.randrange(-spread, spread + 1)
+        # what randrange(-spread, spread + 1) computes: the same random stream
+        return base_us - spread + self._rng._randbelow(2 * spread + 1)
 
     def _render_args(self, ctx: _Ctx, step) -> dict:
         out = {}
@@ -452,15 +459,9 @@ class System:
                 out[name] = source[4:]
         return out
 
-    def _find_armed(self, service: str, endpoint: Endpoint) -> Optional[ArmedFault]:
-        for armed in self._armed:
-            if armed.active and armed.service == service and armed.endpoint == endpoint:
-                return armed
-        return None
-
     def _endpoint_event(self, start_us: int, service: str, endpoint: Endpoint,
                         ok: bool) -> None:
-        self._endpoint_events.append((start_us, service, endpoint, ok))
+        self._endpoint_events[(service, endpoint)].append((start_us, ok))
 
     def _exec_step(self, ctx: _Ctx, index: int, step):
         args = self._render_args(ctx, step)
@@ -503,7 +504,7 @@ class System:
             return error_status(exc), {}, exc
 
         extra_delay = 0
-        armed = self._find_armed(ctx.service, endpoint)
+        armed = self._armed.get((ctx.service, endpoint))
         if armed is not None:
             armed.hits.append(start)
             effect = armed.fault.effect
@@ -624,7 +625,7 @@ class System:
             return
         step = entry["step"]
         endpoint = step.endpoint()
-        armed = self._find_armed(entry["service"], endpoint)
+        armed = self._armed.get((entry["service"], endpoint))
         if armed is not None:
             armed.hits.append(self.now_us)
             self._endpoint_event(self.now_us, entry["service"], endpoint, ok=False)
@@ -644,13 +645,13 @@ class System:
         if not present:
             raise SimError(f"endpoint {endpoint.triple()} not used by service {service!r}")
         armed = ArmedFault(service=service, endpoint=endpoint, fault=fault)
-        self._armed.append(armed)
+        self._armed.setdefault((service, endpoint), armed)  # the first one wins
         return armed
 
     def disarm_fault(self, service: str, endpoint: Endpoint) -> None:
-        for armed in self._armed:
-            if armed.active and armed.service == service and armed.endpoint == endpoint:
-                armed.active = False
+        armed = self._armed.pop((service, endpoint), None)
+        if armed is not None:
+            armed.active = False
 
     # -- metrics ----------------------------------------------------------------
 
@@ -658,7 +659,9 @@ class System:
         lo, hi = window
         if hi > self.now_us + 1:
             raise SimError(f"window [{lo}, {hi}) beyond elapsed virtual time {self.now_us}")
-        done = [(c, s, ok) for (c, s, ok) in self._entry_log if lo <= c < hi]
+        log = self._entry_log
+        done = log[bisect_left(log, lo, key=_COMPLETE_US):
+                   bisect_left(log, hi, key=_COMPLETE_US)]
         if not done:
             return {"samples": 0, "success_rate": None, "p50_us": None,
                     "p95_us": None, "throughput_rps": 0.0}
@@ -679,8 +682,8 @@ class System:
         lo, hi = window
         invocations = 0
         failures = 0
-        for (start, svc, ep, ok) in self._endpoint_events:
-            if svc == service and ep == endpoint and lo <= start < hi:
+        for (start, ok) in self._endpoint_events.get((service, endpoint), ()):
+            if lo <= start < hi:
                 invocations += 1
                 if not ok:
                     failures += 1

@@ -91,9 +91,14 @@ class Step:
     best_effort: bool = False
     bug: str = ""
 
-    def endpoint(self) -> Endpoint:
+    def __post_init__(self):
+        # built once; not a field, so equality, hash and repr are unchanged
         component = _OP_COMPONENT.get(self.op, self.component)
-        return Endpoint(component, self.framework, self.method)
+        object.__setattr__(self, "_endpoint",
+                           Endpoint(component, self.framework, self.method))
+
+    def endpoint(self) -> Endpoint:
+        return self._endpoint
 
     def is_write(self) -> bool:
         return self.method in WRITE_METHODS

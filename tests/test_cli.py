@@ -240,6 +240,35 @@ def test_plan_rejects_selection_record_without_trace_id(planned_files, tmp_path,
         capsys.readouterr().err
 
 
+def test_plan_rejects_selection_trace_missing_from_corpus(planned_files, tmp_path, capsys):
+    planned, _topo = planned_files
+    analysis = tmp_path / "analysis"
+    analysis.mkdir()
+    first = json.loads((planned / "analysis" / "selection.jsonl").read_text().splitlines()[0])
+    first["trace_id"] = "t999999"
+    (analysis / "selection.jsonl").write_text(json.dumps(first) + "\n")
+    assert main(["plan", "--corpus", str(planned / "corpus.txt"), "--analysis",
+                 str(analysis), "--top-k", "1", "--out-dir", str(tmp_path / "plans")]) == 2
+    assert (f"error: selection names trace 't999999' for interface "
+            f"{first['interface_id']}, which the corpus does not hold") in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("x t1 PASS 1", "line 1: epoch 'x' is not an integer"),
+    ("0 t1 PASS y", "line 1: sequence number 'y' is not an integer"),
+])
+def test_plan_rejects_history_with_non_integer_field(planned_files, tmp_path, capsys,
+                                                     line, message):
+    planned, _topo = planned_files
+    history = tmp_path / "history.txt"
+    history.write_text(line + "\n")
+    assert main(["plan", "--corpus", str(planned / "corpus.txt"), "--analysis",
+                 str(planned / "analysis"), "--history", str(history),
+                 "--out-dir", str(tmp_path / "plans")]) == 2
+    assert f"error: history {history} {message}" in capsys.readouterr().err
+
+
 def test_run_rejects_run_header_without_trace(planned_files, tmp_path, capsys):
     planned, topo = planned_files
     run_plan = tmp_path / "runplan.txt"

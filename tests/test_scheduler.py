@@ -163,6 +163,18 @@ def test_history_file_round_trip(tmp_path):
     assert not loaded.passed("c1")  # earlier epoch no longer skips
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 c1 PASS 1\nx c2 PASS 2\n", "line 2: epoch 'x' is not an integer"),
+    ("0 c1 PASS 1.5\n", "line 1: sequence number '1.5' is not an integer"),
+])
+def test_history_load_names_file_line_and_field(tmp_path, text, message):
+    path = tmp_path / "history.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as excinfo:
+        History.load(path)
+    assert str(excinfo.value) == f"history {path} {message}"
+
+
 def test_run_plan_file_round_trip(tmp_path):
     cases = [_case("t1", "a"), _case("t2", "b", "f1"), _case("t2", "c", "f2"),
              TestCase(case_id=case_digest("t3", 4, "f3"),

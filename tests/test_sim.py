@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from resilitest.faults import parse_catalog
@@ -287,6 +289,78 @@ def test_metrics_window_beyond_elapsed_time_rejected():
     system = _boot(make_mini_topology())
     with pytest.raises(SimError):
         system.entry_metrics((0, system.now_us + SECOND))
+
+
+def test_entry_metrics_window_includes_lo_and_excludes_hi():
+    system = _boot(make_mini_topology())
+    completed = []
+    for i in range(3):
+        system.submit_request(_mini_request(system, token=f"edge-{i}"))
+        completed.append(system.now_us)
+    first, second, third = completed
+    assert first < second < third
+    assert system.entry_metrics((first, second))["samples"] == 1
+    assert system.entry_metrics((first, second + 1))["samples"] == 2
+    assert system.entry_metrics((first + 1, third))["samples"] == 1
+    assert system.entry_metrics((first, third + 1))["samples"] == 3
+
+
+def _shared_insert_topology():
+    """The mini topology with the backend's step turned into the same
+    Database:jdbc:insert endpoint the front service uses."""
+    spec = make_mini_topology()
+    backend = spec.services[0]
+    iface = backend.interfaces[0]
+    step = replace(iface.workflow[0], method="insert")
+    backend = replace(backend, interfaces=(replace(iface, workflow=(step,)),))
+    return replace(spec, services=(backend,) + spec.services[1:])
+
+
+def test_endpoint_stats_keep_units_apart(catalog):
+    system = _boot(_shared_insert_topology())
+    insert = Endpoint("Database", "jdbc", "insert")
+    system.arm_fault("backend", insert, catalog.get("db-sql-timeout"))
+    for i in range(4):
+        system.submit_request(_mini_request(system, item=f"item-{i}", token=f"u-{i}"))
+    window = (0, system.now_us + 1)
+    # one endpoint on two services
+    assert system.endpoint_stats("backend", insert, window) == \
+        {"invocations": 4, "failures": 4}
+    assert system.endpoint_stats("front", insert, window) == \
+        {"invocations": 4, "failures": 0}
+    # endpoints of one service; the failed call aborts the front workflow
+    assert system.endpoint_stats("front", Endpoint("HTTP", "resttemplate", "post"),
+                                 window) == {"invocations": 4, "failures": 4}
+    assert system.endpoint_stats("front", Endpoint("MQ", "kafka", "send"),
+                                 window) == {"invocations": 0, "failures": 0}
+
+
+def test_rearmed_unit_sends_hits_to_the_new_fault_only(catalog):
+    system = _boot(make_mini_topology())
+    unit = ("front", Endpoint("Database", "jdbc", "insert"))
+    fault = catalog.get("db-sql-timeout")
+    first = system.arm_fault(*unit, fault)
+    system.submit_request(_mini_request(system, token="a-1"))
+    system.disarm_fault(*unit)
+    system.submit_request(_mini_request(system, token="a-2"))
+    second = system.arm_fault(*unit, fault)
+    rearmed_at = system.now_us
+    system.submit_request(_mini_request(system, token="a-3"))
+    system.submit_request(_mini_request(system, token="a-4"))
+    assert first.active is False and len(first.hits) == 1
+    assert second.active is True and len(second.hits) == 2
+    assert all(t >= rearmed_at for t in second.hits)
+
+
+def test_disarm_of_a_unit_never_armed_does_nothing(catalog):
+    system = _boot(make_mini_topology())
+    armed = system.arm_fault("front", Endpoint("Database", "jdbc", "insert"),
+                             catalog.get("db-sql-timeout"))
+    system.disarm_fault("front", Endpoint("MQ", "kafka", "send"))
+    system.disarm_fault("backend", Endpoint("Database", "jdbc", "insert"))
+    resp, _ = system.submit_request(_mini_request(system, token="n-1"))
+    assert armed.active is True and len(armed.hits) == 1
+    assert not resp.ok
 
 
 def test_conservation_invocations_equal_recorded_spans():
