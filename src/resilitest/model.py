@@ -46,6 +46,14 @@ class Endpoint:
     framework: str
     method: str
 
+    def __post_init__(self):
+        # the generated hash's value, computed once: endpoints key hot dicts
+        object.__setattr__(self, "_hash",
+                           hash((self.component, self.framework, self.method)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def triple(self) -> str:
         return f"{self.component}:{self.framework}:{self.method}"
 

@@ -1,22 +1,27 @@
 """Deterministic virtual-time discrete-event execution of a topology.
 
-Every in-flight request is a generator process driven by a single event
-loop, so arbitrarily many requests overlap in virtual time while execution
-stays bit-reproducible for a given (topology, seed, workload). Services have
-fixed worker pools and bounded queues, which is what makes thread-exhaustion
-cascades expressible; stores, broker queues, and armed faults are plain
-in-memory state that vanishes with the system handle.
+Every workflow execution (an entry request or an internal call) is one
+generator process driven by a single event loop, so arbitrarily many
+requests overlap in virtual time while execution stays bit-reproducible for
+a given (topology, seed, workload). The generator runs all of its steps and
+retries itself; to wait it yields a plain number of microseconds, and the
+loop puts the suspended generator on the event heap to resume it then.
+Services have fixed worker pools and bounded queues, which is what makes
+thread-exhaustion cascades expressible; stores, broker queues, and armed
+faults are plain in-memory state that vanishes with the system handle.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from operator import itemgetter
+from types import GeneratorType
 from typing import Optional
 
 from ..faults import (DEFAULT_DELAY_US, EFFECT_DELAY, EFFECT_STATUS, EFFECT_THROW,
@@ -24,9 +29,9 @@ from ..faults import (DEFAULT_DELAY_US, EFFECT_DELAY, EFFECT_STATUS, EFFECT_THRO
 from ..model import (STATUS_OK, Endpoint, Span, Trace, error_status, is_ok,
                      new_corpus, status_code)
 from ..templating import EntryRequest
-from .topology import (BUG_NO_RETRY, ON_ERROR_CATCH, ON_ERROR_PROPAGATE,
-                       OP_CALL, OP_CACHE, OP_DB, OP_MQ, TopologySpec,
-                       VALIDATE_FRESH, VALIDATE_SINGLE_USE)
+from .topology import (ARG_LIT, ARG_REQ, BUG_NO_RETRY, ON_ERROR_CATCH,
+                       ON_ERROR_PROPAGATE, OP_CALL, OP_CACHE, OP_DB, OP_MQ,
+                       TopologySpec, VALIDATE_FRESH, VALIDATE_SINGLE_USE)
 
 SECOND_US = 1_000_000
 
@@ -43,7 +48,9 @@ _OUTBOX_RETRY_US = 500_000
 HANG_EXCEPTIONS = frozenset({"SocketTimeoutException"})
 
 _TIMEOUT = object()  # sentinel resuming a caller whose call timed out
-_COMPLETE_US = itemgetter(0)  # of an entry-log record
+_POISONED = object()  # marks a step attempt that fails without running
+_HANG = ("hang",)  # instruction: the worker is leaked, never resumed
+_COMPLETE_US = itemgetter(0)  # of an entry-log or endpoint-event record
 
 
 def is_connection_exception(name: str) -> bool:
@@ -181,12 +188,15 @@ class System:
         # (complete_us, submitted_us, ok), appended in completion order, so
         # sorted by complete_us since now_us never goes down
         self._entry_log = []
-        # (service, endpoint) -> [(start_us, ok), ...] in completion order
+        # (service, endpoint) -> [(complete_us, start_us, ok), ...] in
+        # completion order, so sorted by complete_us like the entry log
         self._endpoint_events = defaultdict(list)
         self._loss_events = []  # entry-ok responses that hid a failed effect
         self._fresh_counter = 0
         self._trace_counter = 0
         self._route_cache = {}
+        self._interfaces = {(svc.name, iface.line): iface
+                            for svc, iface in spec.interfaces()}
 
     # -- event loop -----------------------------------------------------------
 
@@ -199,19 +209,26 @@ class System:
         self._evseq += 1
         heapq.heappush(self._heap, (at_us, self._evseq, fn))
 
-    def run_until(self, t_us: int) -> None:
-        while self._heap and self._heap[0][0] <= t_us:
-            at, _seq, fn = heapq.heappop(self._heap)
+    def _run_events(self, until_us, handle: Optional[EntryHandle] = None) -> None:
+        """Resume the suspended workflow or call the callable of each event
+        due by `until_us`, in order; stop early once `handle` has completed."""
+        heap = self._heap
+        while heap and heap[0][0] <= until_us and (handle is None
+                                                   or not handle.completed):
+            at, _seq, item = heapq.heappop(heap)
             self.now_us = at
-            fn()
+            if item.__class__ is GeneratorType:
+                self._drive(item)
+            else:
+                item()
+
+    def run_until(self, t_us: int) -> None:
+        self._run_events(t_us)
         if t_us > self.now_us:
             self.now_us = t_us
 
     def run_until_idle(self) -> None:
-        while self._heap:
-            at, _seq, fn = heapq.heappop(self._heap)
-            self.now_us = at
-            fn()
+        self._run_events(math.inf)
 
     # -- request intake -------------------------------------------------------
 
@@ -230,10 +247,7 @@ class System:
         """Blocking submit: runs virtual time forward until this request
         completes; returns (Response, recorded Trace or None)."""
         handle = self.post_request(request)
-        while not handle.completed and self._heap:
-            at, _seq, fn = heapq.heappop(self._heap)
-            self.now_us = at
-            fn()
+        self._run_events(math.inf, handle)
         if not handle.completed:
             raise SimError("request never completed (event queue drained)")
         return handle.response, handle.trace
@@ -337,8 +351,7 @@ class System:
         if ctx.is_entry and ctx.entry.completed:
             return  # expired in queue
         state.busy += 1
-        proc = self._workflow(state, ctx)
-        self._drive(proc, None)
+        self._drive(self._workflow(state, ctx))
 
     def _release(self, state: _ServiceState) -> None:
         state.busy -= 1
@@ -349,45 +362,36 @@ class System:
             self._start_work(state, ctx)
             break
 
-    def _drive(self, proc, value) -> None:
+    def _drive(self, proc, value=None) -> None:
         try:
             instr = proc.send(value)
         except StopIteration:
             return
+        if instr.__class__ is not tuple:  # a wait, in microseconds
+            if instr < 0:
+                raise SimError(f"cannot wait a negative time ({instr} us)")
+            self._evseq += 1
+            heapq.heappush(self._heap, (self.now_us + instr, self._evseq, proc))
+            return
         kind = instr[0]
-        if kind == "wait":
-            self._schedule(instr[1], lambda: self._drive(proc, None))
-        elif kind == "hang":
-            pass  # worker leaked on purpose; the process is never resumed
-        elif kind == "call":
+        if kind == "call":
             _kind, target_service, line, payload, timeout_us, parent_span, entry = instr
-            pending = {"done": False}
+            done = []
 
-            def on_resp(resp, pending=pending, proc=proc):
-                if pending["done"]:
-                    return
-                pending["done"] = True
-                self._drive(proc, resp)
+            def resume(value):  # with the response or _TIMEOUT, whichever is first
+                if not done:
+                    done.append(True)
+                    self._drive(proc, value)
 
-            self._admit_call(target_service, line, payload, parent_span, entry, on_resp)
+            self._admit_call(target_service, line, payload, parent_span, entry, resume)
             if timeout_us is not None:
-                def on_timeout(pending=pending, proc=proc):
-                    if pending["done"]:
-                        return
-                    pending["done"] = True
-                    self._drive(proc, _TIMEOUT)
-                self._schedule(timeout_us, on_timeout)
-        else:
+                self._schedule(timeout_us, lambda: resume(_TIMEOUT))
+        elif kind != "hang":  # a hung worker is leaked on purpose, never resumed
             raise SimError(f"unknown instruction {kind!r}")
 
     def _admit_call(self, target_service, line, payload, parent_span, entry,
                     on_resp) -> None:
-        target = self.spec.service(target_service)
-        iface = None
-        for candidate in target.interfaces:
-            if candidate.line == line:
-                iface = candidate
-                break
+        iface = self._interfaces.get((target_service, line))
         if iface is None:
             on_resp(Response(error_status("not_found"), {}))
             return
@@ -399,13 +403,103 @@ class System:
     # -- workflow execution ---------------------------------------------------
 
     def _workflow(self, state: _ServiceState, ctx: _Ctx):
-        yield ("wait", self._jitter(_ENTRY_OVERHEAD_US))
+        """Run every step of `ctx`, with its retries, in this one process."""
+        yield self._jitter(_ENTRY_OVERHEAD_US)
+        service, entry, line = ctx.service, ctx.entry, ctx.iface.line
+        recorder = entry._recorder if entry is not None else None
+        events = self._endpoint_events
         aborted = ""
         for index, step in enumerate(ctx.iface.workflow):
-            status, payload = yield from self._exec_step(ctx, index, step)
+            args = self._render_args(ctx, step)
+            endpoint = step.endpoint()
+            unit = (service, endpoint)
+            timeout = step.timeout_us
+            span = None
+            if recorder is not None:
+                op_name = (f"call {step.target_service} {step.target_line}"
+                           if step.op == OP_CALL else
+                           f"{step.op}.{step.method} {step.table or step.topic}")
+                span = recorder.open_span(
+                    ctx.parent_span["id"] if ctx.parent_span else None,
+                    service, endpoint, op_name, args, self.now_us)
+
+            poison_key = (service, line, index)
+            status, payload, exc = STATUS_OK, {}, ""
+            for _attempt in range(step.retries + 1):
+                start = self.now_us
+                effect = kind = None
+                if poison_key in self._poisoned:
+                    kind = _POISONED
+                else:
+                    armed = self._armed.get(unit)
+                    if armed is not None:
+                        armed.hits.append(start)
+                        effect = armed.fault.effect
+                        kind = effect.kind
+                delay = 0
+                if kind == EFFECT_DELAY:
+                    delay = effect.delay_us
+                    if delay is None:
+                        delay = 2 * timeout if timeout is not None else DEFAULT_DELAY_US
+
+                if kind is _POISONED:
+                    yield _THROW_LATENCY_US
+                    exc = self._poisoned[poison_key]
+                    status, payload = error_status(exc), {}
+                elif kind == EFFECT_THROW:
+                    exc = effect.exception
+                    if exc in HANG_EXCEPTIONS:
+                        if timeout is None:
+                            events[unit].append((start, start, False))
+                            yield _HANG
+                            raise AssertionError("hung process resumed")
+                        yield timeout
+                    else:
+                        yield _THROW_LATENCY_US
+                    status, payload = error_status(exc), {}
+                elif kind == EFFECT_STATUS:
+                    yield self._jitter(_CALL_OVERHEAD_US)
+                    code = effect.status_code
+                    payload = {"status": str(code), "body": effect.body}
+                    exc = f"http_{code}" if code >= 400 else ""
+                    status = error_status(exc) if exc else STATUS_OK
+                elif delay and timeout is not None and timeout < delay:
+                    yield timeout
+                    exc = "OperationTimedOut"
+                    status, payload = error_status(exc), {}
+                else:
+                    if delay:
+                        yield delay  # dependency stalls, then behaves normally
+                    if step.op == OP_CALL:
+                        yield self._jitter(_CALL_OVERHEAD_US)
+                        resp = yield ("call", step.target_service, step.target_line,
+                                      dict(args), timeout, span, entry)
+                        if resp is _TIMEOUT:
+                            exc = "SocketTimeoutException"
+                            status, payload = error_status(exc), {}
+                        elif resp.ok:
+                            status, payload, exc = STATUS_OK, dict(resp.payload), ""
+                        else:
+                            exc = status_code(resp.status)
+                            status, payload = error_status(exc), dict(resp.payload)
+                    else:
+                        yield self._jitter(_BASE_TIME_US[step.op])
+                        status, payload, exc = STATUS_OK, self._apply_leaf(ctx, step, args), ""
+                ok = status == STATUS_OK
+                events[unit].append((self.now_us, start, ok))
+                if ok:
+                    break
+
+            if span is not None:
+                recorder.close_span(span, status, payload, self.now_us)
             ctx.outputs.append(payload)
             if is_ok(status):
                 continue
+            # a no-retry client never re-establishes a dropped connection:
+            # the step keeps failing until the system is restarted
+            if (step.bug == BUG_NO_RETRY and step.retries == 0
+                    and is_connection_exception(exc)):
+                self._poisoned[poison_key] = exc
             if step.on_error == ON_ERROR_PROPAGATE:
                 if ctx.iface.compensate:
                     self._rollback(ctx)
@@ -413,9 +507,9 @@ class System:
                 break
             if step.op == OP_MQ and step.on_error == ON_ERROR_CATCH:
                 # durable retry: the publish is buffered, not lost
-                self._outbox_add(ctx.service, step)
-            elif step.is_write() and not step.best_effort and ctx.entry is not None:
-                ctx.entry._loss_candidates.append(index)
+                self._outbox_add(service, step)
+            elif step.is_write() and not step.best_effort and entry is not None:
+                entry._loss_candidates.append(index)
         if aborted:
             response = Response(aborted, {"status": "error",
                                           "reason": status_code(aborted)})
@@ -448,127 +542,22 @@ class System:
 
     def _render_args(self, ctx: _Ctx, step) -> dict:
         out = {}
-        for name, source in step.args:
-            if source.startswith("req."):
-                out[name] = ctx.payload.get(source[4:], "")
-            elif source.startswith("out:"):
-                ref, _, path = source[4:].partition(".")
-                outputs = ctx.outputs[int(ref)] if int(ref) < len(ctx.outputs) else {}
-                out[name] = outputs.get(path, "")
-            elif source.startswith("lit:"):
-                out[name] = source[4:]
+        for name, ref, value in step.arg_plan:
+            if ref is ARG_REQ:
+                out[name] = ctx.payload.get(value, "")
+            elif ref is ARG_LIT:
+                out[name] = value
+            else:
+                outputs = ctx.outputs[ref] if ref < len(ctx.outputs) else {}
+                out[name] = outputs.get(value, "")
         return out
-
-    def _endpoint_event(self, start_us: int, service: str, endpoint: Endpoint,
-                        ok: bool) -> None:
-        self._endpoint_events[(service, endpoint)].append((start_us, ok))
-
-    def _exec_step(self, ctx: _Ctx, index: int, step):
-        args = self._render_args(ctx, step)
-        endpoint = step.endpoint()
-        recorder = ctx.entry._recorder if ctx.entry is not None else None
-        span = None
-        if recorder is not None:
-            op_name = (f"call {step.target_service} {step.target_line}"
-                       if step.op == OP_CALL else
-                       f"{step.op}.{step.method} {step.table or step.topic}")
-            span = recorder.open_span(
-                ctx.parent_span["id"] if ctx.parent_span else None,
-                ctx.service, endpoint, op_name, args, self.now_us)
-
-        attempts = step.retries + 1
-        status, payload, exception = STATUS_OK, {}, ""
-        for _attempt in range(attempts):
-            status, payload, exception = yield from self._attempt_step(
-                ctx, index, step, endpoint, args, span)
-            if is_ok(status):
-                break
-        if not is_ok(status):
-            # a no-retry client never re-establishes a dropped connection:
-            # the step keeps failing until the system is restarted
-            if (step.bug == BUG_NO_RETRY and step.retries == 0
-                    and is_connection_exception(exception)):
-                self._poisoned[(ctx.service, ctx.iface.line, index)] = exception
-
-        if span is not None and recorder is not None:
-            recorder.close_span(span, status, payload, self.now_us)
-        return status, payload
-
-    def _attempt_step(self, ctx: _Ctx, index: int, step, endpoint, args, span):
-        start = self.now_us
-        poison_key = (ctx.service, ctx.iface.line, index)
-        if poison_key in self._poisoned:
-            yield ("wait", _THROW_LATENCY_US)
-            self._endpoint_event(start, ctx.service, endpoint, ok=False)
-            exc = self._poisoned[poison_key]
-            return error_status(exc), {}, exc
-
-        extra_delay = 0
-        armed = self._armed.get((ctx.service, endpoint))
-        if armed is not None:
-            armed.hits.append(start)
-            effect = armed.fault.effect
-            if effect.kind == EFFECT_THROW:
-                if effect.exception in HANG_EXCEPTIONS:
-                    if step.timeout_us is None:
-                        self._endpoint_event(start, ctx.service, endpoint, ok=False)
-                        yield ("hang",)
-                        raise AssertionError("hung process resumed")
-                    yield ("wait", step.timeout_us)
-                else:
-                    yield ("wait", _THROW_LATENCY_US)
-                self._endpoint_event(start, ctx.service, endpoint, ok=False)
-                return error_status(effect.exception), {}, effect.exception
-            if effect.kind == EFFECT_DELAY:
-                duration = effect.delay_us
-                if duration is None:
-                    duration = (2 * step.timeout_us if step.timeout_us is not None
-                                else DEFAULT_DELAY_US)
-                if step.timeout_us is not None and step.timeout_us < duration:
-                    yield ("wait", step.timeout_us)
-                    self._endpoint_event(start, ctx.service, endpoint, ok=False)
-                    return error_status("OperationTimedOut"), {}, "OperationTimedOut"
-                extra_delay = duration  # dependency stalls, then behaves normally
-            if effect.kind == EFFECT_STATUS:
-                yield ("wait", self._jitter(_CALL_OVERHEAD_US))
-                code = effect.status_code
-                if code >= 400:
-                    self._endpoint_event(start, ctx.service, endpoint, ok=False)
-                    exc = f"http_{code}"
-                    return error_status(exc), {"status": str(code), "body": effect.body}, exc
-                self._endpoint_event(start, ctx.service, endpoint, ok=True)
-                return STATUS_OK, {"status": str(code), "body": effect.body}, ""
-
-        if extra_delay:
-            yield ("wait", extra_delay)
-
-        if step.op == OP_CALL:
-            yield ("wait", self._jitter(_CALL_OVERHEAD_US))
-            resp = yield ("call", step.target_service, step.target_line, dict(args),
-                          step.timeout_us, span, ctx.entry)
-            if resp is _TIMEOUT:
-                self._endpoint_event(start, ctx.service, endpoint, ok=False)
-                return (error_status("SocketTimeoutException"), {},
-                        "SocketTimeoutException")
-            if resp.ok:
-                self._endpoint_event(start, ctx.service, endpoint, ok=True)
-                return STATUS_OK, dict(resp.payload), ""
-            self._endpoint_event(start, ctx.service, endpoint, ok=False)
-            exc = status_code(resp.status)
-            return error_status(exc), dict(resp.payload), exc
-
-        yield ("wait", self._jitter(_BASE_TIME_US[step.op]))
-        payload = self._apply_leaf(ctx, step, args)
-        self._endpoint_event(start, ctx.service, endpoint, ok=True)
-        return STATUS_OK, payload, ""
 
     def _apply_leaf(self, ctx: _Ctx, step, args: dict) -> dict:
         key = (step.table or step.topic, args.get("key", ""))
-        value = args.get("val") or _derive_token("v", f"{key[0]}:{key[1]}")
         if step.op == OP_DB:
-            return self._store_op(self._db, ctx, step, key, value)
+            return self._store_op(self._db, ctx, step, key, args)
         if step.op == OP_CACHE:
-            return self._store_op(self._cache, ctx, step, key, value)
+            return self._store_op(self._cache, ctx, step, key, args)
         if step.op == OP_MQ:
             self._fresh_counter += 1
             msgid = f"m{self._fresh_counter:08d}"
@@ -576,10 +565,10 @@ class System:
             return {"msgid": msgid}
         raise SimError(f"unknown leaf op {step.op!r}")
 
-    def _store_op(self, store: dict, ctx: _Ctx, step, key, value: str) -> dict:
+    def _store_op(self, store: dict, ctx: _Ctx, step, key, args: dict) -> dict:
         if step.method in ("insert", "update", "set"):
             ctx.journal.append((store, key, store.get(key), key in store))
-            store[key] = value
+            store[key] = args.get("val") or _derive_token("v", f"{key[0]}:{key[1]}")
             return {"rows": "1"}
         if step.method == "delete":
             ctx.journal.append((store, key, store.get(key), key in store))
@@ -624,16 +613,16 @@ class System:
         if not entry["pending"]:
             return
         step = entry["step"]
-        endpoint = step.endpoint()
-        armed = self._armed.get((entry["service"], endpoint))
+        unit = (entry["service"], step.endpoint())
+        armed = self._armed.get(unit)
         if armed is not None:
             armed.hits.append(self.now_us)
-            self._endpoint_event(self.now_us, entry["service"], endpoint, ok=False)
+            self._endpoint_events[unit].append((self.now_us, self.now_us, False))
             self._schedule(_OUTBOX_RETRY_US, lambda: self._outbox_retry(entry))
             return
         self._fresh_counter += 1
         self._publish(step.topic, f"m{self._fresh_counter:08d}")
-        self._endpoint_event(self.now_us, entry["service"], endpoint, ok=True)
+        self._endpoint_events[unit].append((self.now_us, self.now_us, True))
         entry["pending"] = False
 
     # -- faults -----------------------------------------------------------------
@@ -680,9 +669,11 @@ class System:
 
     def endpoint_stats(self, service: str, endpoint: Endpoint, window: tuple) -> dict:
         lo, hi = window
+        # a call that started at or after lo also completed at or after it
         invocations = 0
         failures = 0
-        for (start, ok) in self._endpoint_events.get((service, endpoint), ()):
+        events = self._endpoint_events.get((service, endpoint), ())
+        for (_complete, start, ok) in events[bisect_left(events, lo, key=_COMPLETE_US):]:
             if lo <= start < hi:
                 invocations += 1
                 if not ok:

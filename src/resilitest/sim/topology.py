@@ -44,6 +44,10 @@ OPS = (OP_DB, OP_CACHE, OP_MQ, OP_CALL)
 _OP_COMPONENT = {OP_DB: "Database", OP_CACHE: "Cache", OP_MQ: "MQ"}
 CALL_COMPONENTS = ("HTTP", "RPC")
 
+# markers of Step.arg_plan entries that do not read a step output
+ARG_REQ = "req"
+ARG_LIT = "lit"
+
 DEFAULT_TIMEOUT_US = 1_000_000
 DEFAULT_WORKERS = 4
 DEFAULT_QUEUE_LIMIT = 64
@@ -92,10 +96,22 @@ class Step:
     bug: str = ""
 
     def __post_init__(self):
-        # built once; not a field, so equality, hash and repr are unchanged
+        # built once; not fields, so equality, hash and repr are unchanged
         component = _OP_COMPONENT.get(self.op, self.component)
         object.__setattr__(self, "_endpoint",
                            Endpoint(component, self.framework, self.method))
+        # ((name, output index or ARG_REQ/ARG_LIT, path or literal), ...);
+        # a source of no known kind is left out (validate_topology rejects it)
+        plan = []
+        for name, source in self.args:
+            if source.startswith("req."):
+                plan.append((name, ARG_REQ, source[4:]))
+            elif source.startswith("out:"):
+                ref, _, path = source[4:].partition(".")
+                plan.append((name, int(ref), path))
+            elif source.startswith("lit:"):
+                plan.append((name, ARG_LIT, source[4:]))
+        object.__setattr__(self, "arg_plan", tuple(plan))
 
     def endpoint(self) -> Endpoint:
         return self._endpoint
@@ -113,9 +129,9 @@ class InterfaceSpec:
     workflow: tuple = ()
     compensate: bool = False
 
-    @property
-    def line(self) -> str:
-        return f"{self.method} {self.uri_template}"
+    def __post_init__(self):
+        # computed once; not a field, so equality and the codec are unchanged
+        object.__setattr__(self, "line", f"{self.method} {self.uri_template}")
 
     def matches_path(self, path_tokens: list) -> bool:
         template = self.uri_template.split("/")[1:] if self.uri_template != "/" else []
@@ -243,13 +259,11 @@ def validate_topology(spec: TopologySpec) -> None:
                 if "{" in step.target_line:
                     raise TopologyError(f"{loc}: call target must be a concrete line")
             for _, source in step.args:
-                if not (source.startswith("req.") or source.startswith("out:")
-                        or source.startswith("lit:")):
+                if source[:4] not in ("req.", "out:", "lit:"):
                     raise TopologyError(f"{loc}: bad arg source {source!r}")
-                if source.startswith("out:"):
-                    ref = int(source[4:].split(".", 1)[0])
-                    if ref >= idx:
-                        raise TopologyError(f"{loc}: arg references later step {ref}")
+            for _, ref, _ in step.arg_plan:
+                if isinstance(ref, int) and ref >= idx:
+                    raise TopologyError(f"{loc}: arg references later step {ref}")
 
 
 # --- JSON (de)serialization -------------------------------------------------

@@ -5,6 +5,7 @@ module-scoped fixtures that also record their wall-clock cost so the stated
 runtime budgets are asserted against the real work.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -33,6 +34,10 @@ from conftest import make_span, make_trace, root_span
 SEED = 7
 SECOND = 1_000_000
 PHASES = PhaseConfig(12 * SECOND, 12 * SECOND, 12 * SECOND, 5)
+# SHA-256 of the K=all report; a change that alters reports on purpose
+# updates it and says why
+CAMPAIGN_ALL_REPORT_SHA256 = \
+    "2251de35f05a982114cba26ee33b59eb11965b73307fe05bedb63ed01ca9b47f"
 
 
 def _ok(criterion, detail=""):
@@ -441,6 +446,11 @@ def test_criterion_9_determinism(pipeline, campaign_all, sweep, catalog,
     save_report(rerun20, rerun20_path, config={"top_k": "20", "seed": SEED})
     assert rerun20_path.read_bytes() == sweep.extras["reports"][20].read_bytes()
     _ok(9, "(replay, K=all, and K=20 reports byte-identical on rerun)")
+
+
+def test_campaign_all_report_matches_its_pinned_digest(campaign_all):
+    report = campaign_all.extras["report"].read_bytes()
+    assert hashlib.sha256(report).hexdigest() == CAMPAIGN_ALL_REPORT_SHA256
 
 
 def test_criterion_10_oracle_truth_table():

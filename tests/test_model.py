@@ -165,3 +165,16 @@ def test_endpoint_is_hashable_and_orderable():
     assert a == Endpoint("Database", "jdbc", "select")
     assert len({a, b}) == 2
     assert sorted([b, a])[0] == a
+
+
+def test_endpoint_hash_is_the_hash_of_its_fields():
+    a = Endpoint("Cache", "jedis", "get")
+    same = Endpoint("Cache", "jedis", "get")
+    assert a is not same and a == same and hash(a) == hash(same)
+    assert hash(a) == hash(("Cache", "jedis", "get"))
+    index = {a: 1, Endpoint("Cache", "jedis", "set"): 2}
+    assert index[same] == 1 and same in {a}
+    index[same] = 3
+    assert len(index) == 2 and index[a] == 3
+    assert repr(a) == "Endpoint(component='Cache', framework='jedis', method='get')"
+    assert a < Endpoint("Cache", "jedis", "set")

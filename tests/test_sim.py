@@ -363,6 +363,98 @@ def test_disarm_of_a_unit_never_armed_does_nothing(catalog):
     assert not resp.ok
 
 
+def _front_step_replaced(**changes):
+    """The mini topology with the front order workflow's insert step changed."""
+    spec = make_mini_topology()
+    front = spec.services[1]
+    order = front.interfaces[0]
+    steps = (replace(order.workflow[0], **changes),) + order.workflow[1:]
+    front = replace(front, interfaces=(replace(order, workflow=steps),)
+                    + front.interfaces[1:])
+    return replace(spec, services=(spec.services[0], front))
+
+
+@pytest.mark.parametrize("code, ok", [(204, True), (399, True), (400, False),
+                                      (503, False)])
+def test_status_fault_below_400_is_ok_with_its_body(code, ok):
+    fault = parse_catalog(
+        f"st comm_manipulated_response HTTP:*:* status {code} canned body\n").get("st")
+    system = _boot(make_mini_topology(), record=True)
+    call = Endpoint("HTTP", "resttemplate", "post")
+    system.arm_fault("front", call, fault)
+    resp, trace = system.submit_request(_mini_request(system))
+    span = next(s for s in trace.spans if s.endpoint == call)
+    assert span.response_payload == {"status": str(code), "body": "canned body"}
+    assert resp.ok is ok
+    assert span.status == ("ok" if ok else f"error:http_{code}")
+    stats = system.endpoint_stats("front", call, (0, system.now_us + 1))
+    assert stats == {"invocations": 1, "failures": 0 if ok else 1}
+
+
+def test_no_retry_connection_failure_outlives_the_fault_until_restart(catalog):
+    spec = _front_step_replaced(bug="no_retry")
+    insert = Endpoint("Database", "jdbc", "insert")
+    system = _boot(spec)
+    armed = system.arm_fault("front", insert, catalog.get("db-conn-transient"))
+    resp, _ = system.submit_request(_mini_request(system, token="p-1"))
+    assert resp.status == "error:SQLTransientConnectionException"
+    system.disarm_fault("front", insert)
+    for i in range(2):
+        resp, _ = system.submit_request(_mini_request(system, token=f"p-{i + 2}"))
+        assert resp.status == "error:SQLTransientConnectionException"
+    assert len(armed.hits) == 1
+    assert system.endpoint_stats("front", insert, (0, system.now_us + 1)) == \
+        {"invocations": 3, "failures": 3}
+    fresh = _boot(spec)
+    resp, _ = fresh.submit_request(_mini_request(fresh, token="p-4"))
+    assert resp.ok
+
+
+def test_step_with_one_retry_makes_two_attempts_under_a_throw(catalog):
+    system = _boot(_front_step_replaced(retries=1), record=True)
+    insert = Endpoint("Database", "jdbc", "insert")
+    armed = system.arm_fault("front", insert, catalog.get("db-sql-timeout"))
+    resp, trace = system.submit_request(_mini_request(system))
+    assert resp.status == "error:SQLTimeoutException"
+    assert len(armed.hits) == 2 and armed.hits[0] < armed.hits[1]
+    assert system.endpoint_stats("front", insert, (0, system.now_us + 1)) == \
+        {"invocations": 2, "failures": 2}
+    assert sum(1 for s in trace.spans if s.endpoint == insert) == 1
+
+
+def _delayed_insert():
+    """A booted mini system whose front insert stalled 300 ms on one request;
+    returns (system, the insert's start time)."""
+    fault = parse_catalog("slow comm_latency Database:*:* delay 300ms\n").get("slow")
+    system = _boot(make_mini_topology())
+    armed = system.arm_fault("front", Endpoint("Database", "jdbc", "insert"), fault)
+    resp, _ = system.submit_request(_mini_request(system))
+    assert resp.ok
+    (start,) = armed.hits
+    assert system.now_us > start + 300_000
+    return system, start
+
+
+def test_endpoint_stats_leave_out_a_call_started_before_the_window():
+    system, start = _delayed_insert()
+    insert = Endpoint("Database", "jdbc", "insert")
+    # the insert completed inside [start + 1, now], but started before it
+    assert system.endpoint_stats("front", insert, (start + 1, system.now_us + 1)) == \
+        {"invocations": 0, "failures": 0}
+    assert system.endpoint_stats("front", insert, (start, system.now_us + 1)) == \
+        {"invocations": 1, "failures": 0}
+
+
+def test_endpoint_stats_count_a_call_completed_after_the_window():
+    system, start = _delayed_insert()
+    insert = Endpoint("Database", "jdbc", "insert")
+    # the insert started in [start, start + 1) and completed ~300 ms later
+    assert system.endpoint_stats("front", insert, (start, start + 1)) == \
+        {"invocations": 1, "failures": 0}
+    assert system.endpoint_stats("front", insert, (start - 1, start)) == \
+        {"invocations": 0, "failures": 0}
+
+
 def test_conservation_invocations_equal_recorded_spans():
     spec = make_mini_topology()
     workload = make_mini_workload(spec)
