@@ -26,13 +26,14 @@ from .campaign import analyze_corpus, plan_campaign, resolve_k
 from .executor import (FAIL_VERDICTS, ExecutorError, OracleCriteria, PhaseConfig,
                        load_report, run_batch, save_report)
 from .faults import default_catalog, load_catalog
-from .model import dumps_canonical, load_corpus, save_corpus
+from .model import (CorpusMeta, dumps_canonical, load_corpus_selection,
+                    load_corpus_summaries, save_corpus)
 from .planner import PlanConfig, save_plan
 from .scheduler import (History, Run, RunPlan, filter_history, greedy_batch,
                         load_run_plan, save_run_plan)
 from .selection import (ComplexityWeights, SelectionError, load_selection_report,
                         save_selection_report)
-from .sim.engine import record_corpus
+from .sim.engine import record_traces
 from .sim.topology import load_topology
 from .sim.workload import load_workload
 from .templating import ManualVariableRegistry, load_templates, save_templates
@@ -84,14 +85,14 @@ def _load_history(path) -> History:
 def cmd_simulate_record(args) -> int:
     topology = load_topology(args.topology)
     workload = load_workload(args.workload)
-    corpus = record_corpus(topology, workload, seed=args.seed)
-    save_corpus(corpus, args.out)
-    print(f"recorded {len(corpus.traces)} traces -> {args.out}")
+    count = save_corpus(record_traces(topology, workload, seed=args.seed), args.out,
+                        CorpusMeta(args.seed, topology.digest()))
+    print(f"recorded {count} traces -> {args.out}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = load_corpus_summaries(args.corpus)
     registry = ManualVariableRegistry.load(args.registry) if args.registry else None
     analysis = analyze_corpus(corpus, weights=args.weights, registry=registry)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -105,8 +106,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    corpus = load_corpus(args.corpus)
     ranked = load_selection_report(os.path.join(args.analysis, "selection.jsonl"))
+    corpus = load_corpus_selection(args.corpus, {s.trace_id for s in ranked})
     catalog = _load_catalog(args.catalog)
     history = _load_history(args.history) if args.history else None
     plan_config = PlanConfig(n_services=args.n_services, seed=args.seed)

@@ -64,7 +64,7 @@ COMPONENTS = ("Database", "Cache", "MQ", "RPC", "HTTP")
 WRITE_METHODS = frozenset({"update", "insert", "delete", "send", "set", "publish"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     span_id: str
     parent_id: Optional[str]
@@ -82,7 +82,7 @@ class Span:
         return self.start_us + self.duration_us
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     trace_id: str
     spans: tuple
@@ -93,6 +93,32 @@ class Trace:
             if span.span_id == self.root:
                 return span
         raise KeyError(f"trace {self.trace_id}: root span {self.root!r} missing")
+
+    @property
+    def span_count(self) -> int:
+        return len(self.spans)
+
+    @property
+    def diversity(self) -> int:
+        """Distinct services plus distinct (component, framework) pairs."""
+        services = {s.service for s in self.spans}
+        components = {(s.endpoint.component, s.endpoint.framework) for s in self.spans}
+        return len(services) + len(components)
+
+
+@dataclass(frozen=True, slots=True)
+class TraceSummary:
+    """What `analyze` keeps of a trace: its ID, its root span and the two
+    complexity factors that read every span. It reads like a Trace wherever
+    only `trace_id`, `root_span()`, `span_count` and `diversity` are read."""
+
+    trace_id: str
+    entry: Span  # the root span
+    span_count: int
+    diversity: int
+
+    def root_span(self) -> Span:
+        return self.entry
 
 
 @dataclass(frozen=True)
@@ -105,20 +131,30 @@ class CorpusMeta:
 
 @dataclass
 class Corpus:
+    """The traces a stage holds (full Traces, or TraceSummary views for
+    `analyze`) and the meta of the file or recording they come from."""
+
     traces: list = field(default_factory=list)
     meta: CorpusMeta = field(default_factory=lambda: CorpusMeta(0, "0"))
 
     @cached_property
     def endpoint_users(self) -> dict:
-        """Endpoint -> sorted tuple of the distinct services invoking it from
-        a non-root span. Built on first use, so `traces` must not change after."""
-        users = {}
-        for trace in self.traces:
-            for span in trace.spans:
-                if span.span_id != trace.root:
-                    users.setdefault(span.endpoint, set()).add(span.service)
-        return {endpoint: tuple(sorted(services))
-                for endpoint, services in users.items()}
+        """index_endpoint_users of `traces`, built on first use, so `traces`
+        must not change after; load_corpus_selection sets it to the index of
+        the whole file instead."""
+        return index_endpoint_users(self.traces)
+
+
+def index_endpoint_users(traces: Iterable[Trace]) -> dict:
+    """Endpoint -> sorted tuple of the distinct services invoking it from a
+    non-root span of `traces`, an iterable read once."""
+    users = {}
+    for trace in traces:
+        for span in trace.spans:
+            if span.span_id != trace.root:
+                users.setdefault(span.endpoint, set()).add(span.service)
+    return {endpoint: tuple(sorted(services))
+            for endpoint, services in users.items()}
 
 
 def compute_window(traces: Iterable[Trace]) -> tuple:
@@ -146,18 +182,18 @@ class Violation:
         return f"[{self.rule}] span {self.span_id}: {self.detail}"
 
 
-def _is_ancestor(by_id: dict, ancestor: str, span: Span) -> bool:
-    seen = set()
-    cur = span
-    while cur.parent_id is not None and cur.parent_id not in seen:
-        seen.add(cur.parent_id)
-        if cur.parent_id == ancestor:
-            return True
-        nxt = by_id.get(cur.parent_id)
-        if nxt is None:
-            return False
-        cur = nxt
-    return False
+def _ancestor_ids(by_id: dict, span: Span) -> set:
+    """IDs on the parent chain of `span`, followed through `by_id` up to a
+    parentless span, a repeat or an ID `by_id` lacks (which is included)."""
+    ids = set()
+    parent_id = span.parent_id
+    while parent_id is not None and parent_id not in ids:
+        ids.add(parent_id)
+        parent = by_id.get(parent_id)
+        if parent is None:
+            break
+        parent_id = parent.parent_id
+    return ids
 
 
 def validate_trace(trace: Trace) -> list:
@@ -204,11 +240,14 @@ def validate_trace(trace: Trace) -> list:
         if span.parent_id is not None and span.parent_id in positions:
             if positions[span.parent_id] > positions[span.span_id]:
                 violations.append(Violation(span.span_id, "topo-order", "span precedes its parent"))
-    for i, earlier in enumerate(trace.spans):
-        for later in trace.spans[i + 1:]:
-            if _is_ancestor(by_id, earlier.span_id, later) or _is_ancestor(by_id, later.span_id, earlier):
-                continue
-            if earlier.start_us > later.start_us:
+    spans = trace.spans
+    ancestors = [_ancestor_ids(by_id, span) for span in spans]
+    for i, earlier in enumerate(spans):
+        for j in range(i + 1, len(spans)):
+            later = spans[j]
+            if (earlier.start_us > later.start_us
+                    and earlier.span_id not in ancestors[j]
+                    and later.span_id not in ancestors[i]):
                 violations.append(Violation(
                     later.span_id, "start-order",
                     f"starts at {later.start_us} before unrelated earlier span {earlier.span_id} at {earlier.start_us}"))
@@ -248,22 +287,6 @@ def span_to_record(span: Span) -> dict:
     }
 
 
-def span_from_record(rec: dict) -> Span:
-    ep = rec["endpoint"]
-    return Span(
-        span_id=rec["id"],
-        parent_id=rec.get("parent"),
-        service=rec["service"],
-        endpoint=Endpoint(ep["component"], ep["framework"], ep["method"]),
-        operation_name=rec["op"],
-        request_payload=dict(rec.get("req", {})),
-        response_payload=dict(rec.get("resp", {})),
-        status=rec["status"],
-        start_us=int(rec["start_us"]),
-        duration_us=int(rec["dur_us"]),
-    )
-
-
 def trace_to_record(trace: Trace) -> dict:
     return {
         "trace_id": trace.trace_id,
@@ -272,12 +295,27 @@ def trace_to_record(trace: Trace) -> dict:
     }
 
 
-def trace_from_record(rec: dict) -> Trace:
-    return Trace(
-        trace_id=rec["trace_id"],
-        spans=tuple(span_from_record(s) for s in rec["spans"]),
-        root=rec["root"],
-    )
+def _payload(rec: dict, key: str) -> dict:
+    payload = rec[key] if key in rec else {}
+    if payload.__class__ is not dict:
+        raise TypeError(f"{key} payload is {type(payload).__name__}, not an object")
+    return payload
+
+
+def _decode_trace(rec: dict, endpoints: dict) -> Trace:
+    """The Trace of one corpus record; `endpoints` maps each
+    (component, framework, method) seen so far to its one Endpoint."""
+    spans = []
+    for s in rec["spans"]:
+        ep = s["endpoint"]
+        key = (ep["component"], ep["framework"], ep["method"])
+        endpoint = endpoints.get(key)
+        if endpoint is None:
+            endpoint = endpoints[key] = Endpoint(*key)
+        spans.append(Span(s["id"], s.get("parent"), s["service"], endpoint, s["op"],
+                          _payload(s, "req"), _payload(s, "resp"), s["status"],
+                          int(s["start_us"]), int(s["dur_us"])))
+    return Trace(rec["trace_id"], tuple(spans), rec["root"])
 
 
 def dumps_canonical(obj) -> str:
@@ -303,57 +341,117 @@ def atomic_writer(path):
             os.remove(tmp)
 
 
-def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{CORPUS_FORMAT} {CORPUS_VERSION} seed={corpus.meta.seed} "
-                 f"topology={corpus.meta.topology_digest}\n")
-        for trace in corpus.traces:
+def save_corpus(traces: Iterable[Trace], path, meta: CorpusMeta) -> int:
+    """Write `traces`, an iterable read once, under a header with `meta`'s
+    seed and topology digest. `path` is replaced only once the last trace is
+    written, so a failure midway leaves its earlier bytes. Returns the number
+    of traces written."""
+    count = 0
+    with atomic_writer(path) as fh:
+        fh.write(f"{CORPUS_FORMAT} {CORPUS_VERSION} seed={meta.seed} "
+                 f"topology={meta.topology_digest}\n")
+        for trace in traces:
             fh.write(dumps_canonical(trace_to_record(trace)))
             fh.write("\n")
+            count += 1
+    return count
+
+
+def _read_header(fh) -> tuple:
+    header = fh.readline()
+    if not header:
+        raise CorpusParseError(1, "empty file, missing header")
+    parts = header.split()
+    if len(parts) != 4 or parts[0] != CORPUS_FORMAT:
+        raise CorpusParseError(1, f"not a {CORPUS_FORMAT} header: {header.strip()!r}")
+    if parts[1] != CORPUS_VERSION:
+        raise CorpusVersionError(
+            f"incompatible corpus version {parts[1]!r}, this reader supports {CORPUS_VERSION}")
+    try:
+        return int(parts[2].split("=", 1)[1]), parts[3].split("=", 1)[1]
+    except (IndexError, ValueError) as exc:
+        raise CorpusParseError(1, f"malformed header fields: {exc}") from exc
+
+
+class CorpusReader:
+    """One validating pass over a corpus file: the only corpus decoder.
+
+    Iterating yields each trace in file order as soon as its line is decoded
+    and validated, and holds nothing of it after. A line that does not decode,
+    repeats a trace ID or breaks a validate_trace rule raises
+    CorpusParseError naming that line, after the traces before it were
+    yielded; a bad header raises CorpusParseError or CorpusVersionError.
+    `meta` is set once the pass is complete.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.meta: Optional[CorpusMeta] = None
+
+    def __iter__(self):
+        with open(self.path, "r", encoding="utf-8") as fh:
+            seed, digest = _read_header(fh)
+            endpoints = {}
+            seen_ids = set()
+            start = end = None
+            for line_no, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    trace = _decode_trace(json.loads(line), endpoints)
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                    raise CorpusParseError(line_no, f"malformed trace record: {exc}") from exc
+                if trace.trace_id in seen_ids:
+                    raise CorpusParseError(line_no, f"duplicate trace_id {trace.trace_id!r}")
+                violations = validate_trace(trace)
+                if violations:
+                    raise CorpusParseError(line_no, f"trace {trace.trace_id!r}: {violations[0]}")
+                seen_ids.add(trace.trace_id)
+                # a valid trace's spans all lie inside its root: the root is
+                # its whole share of the recording window
+                root = trace.root_span()
+                if start is None or root.start_us < start:
+                    start = root.start_us
+                if end is None or root.end_us > end:
+                    end = root.end_us
+                yield trace
+        if start is None:
+            start = end = 0
+        self.meta = CorpusMeta(seed, digest, start, end)
 
 
 def load_corpus(path) -> Corpus:
-    """Parse a corpus file; raises CorpusParseError / CorpusVersionError,
-    also for a trace that breaks a validate_trace rule."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise CorpusParseError(1, "empty file, missing header")
-        parts = header.split()
-        if len(parts) != 4 or parts[0] != CORPUS_FORMAT:
-            raise CorpusParseError(1, f"not a {CORPUS_FORMAT} header: {header.strip()!r}")
-        if parts[1] != CORPUS_VERSION:
-            raise CorpusVersionError(
-                f"incompatible corpus version {parts[1]!r}, this reader supports {CORPUS_VERSION}")
-        try:
-            seed = int(parts[2].split("=", 1)[1])
-            digest = parts[3].split("=", 1)[1]
-        except (IndexError, ValueError) as exc:
-            raise CorpusParseError(1, f"malformed header fields: {exc}") from exc
+    """Every trace of a corpus file, validated; raises as CorpusReader does."""
+    reader = CorpusReader(path)
+    traces = list(reader)
+    return Corpus(traces=traces, meta=reader.meta)
 
-        traces = []
-        seen_ids = set()
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                trace = trace_from_record(rec)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise CorpusParseError(line_no, f"malformed trace record: {exc}") from exc
-            if trace.trace_id in seen_ids:
-                raise CorpusParseError(line_no, f"duplicate trace_id {trace.trace_id!r}")
-            violations = validate_trace(trace)
-            if violations:
-                raise CorpusParseError(line_no, f"trace {trace.trace_id!r}: {violations[0]}")
-            seen_ids.add(trace.trace_id)
-            traces.append(trace)
 
-    start, end = compute_window(traces)
-    meta = CorpusMeta(seed=seed, topology_digest=digest,
-                      window_start_us=start, window_end_us=end)
-    return Corpus(traces=traces, meta=meta)
+def load_corpus_summaries(path) -> Corpus:
+    """A corpus file's traces as TraceSummary views, in file order."""
+    reader = CorpusReader(path)
+    summaries = [TraceSummary(t.trace_id, t.root_span(), t.span_count, t.diversity)
+                 for t in reader]
+    return Corpus(traces=summaries, meta=reader.meta)
+
+
+def load_corpus_selection(path, trace_ids) -> Corpus:
+    """The traces of a corpus file whose IDs are in `trace_ids`, with the
+    `endpoint_users` index of every trace in the file."""
+    reader = CorpusReader(path)
+    kept = []
+
+    def keep_named():
+        for trace in reader:
+            if trace.trace_id in trace_ids:
+                kept.append(trace)
+            yield trace
+
+    users = index_endpoint_users(keep_named())
+    corpus = Corpus(traces=kept, meta=reader.meta)
+    corpus.endpoint_users = users
+    return corpus
 
 
 def new_corpus(traces: list, seed: int, topology_digest: str) -> Corpus:
@@ -363,9 +461,10 @@ def new_corpus(traces: list, seed: int, topology_digest: str) -> Corpus:
 
 
 __all__ = [
-    "Endpoint", "Span", "Trace", "Corpus", "CorpusMeta", "Violation",
+    "Endpoint", "Span", "Trace", "TraceSummary", "Corpus", "CorpusMeta", "Violation",
     "COMPONENTS", "WRITE_METHODS", "STATUS_OK", "error_status", "is_ok", "status_code",
-    "validate_trace", "save_corpus", "load_corpus", "new_corpus",
-    "compute_window", "dumps_canonical", "trace_to_record", "trace_from_record",
+    "validate_trace", "save_corpus", "CorpusReader", "load_corpus",
+    "load_corpus_summaries", "load_corpus_selection", "index_endpoint_users",
+    "new_corpus", "compute_window", "dumps_canonical", "trace_to_record",
     "CorpusError", "CorpusParseError", "CorpusVersionError",
 ]

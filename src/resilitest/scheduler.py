@@ -38,38 +38,36 @@ class RunPlan:
 def greedy_batch(cases: list) -> RunPlan:
     """Greedy endpoint-coverage batching.
 
-    Ties break on more pending hostable cases, then trace_id. Every input
+    Each pick takes the trace whose coverage holds the most units with a
+    pending case (a picked trace takes every pending case of its units, so
+    no pending unit is covered yet); ties break on more pending hostable
+    cases, then trace_id. A run keeps its cases in input order. Every input
     case lands in exactly one run; run count never exceeds trace count.
     """
     if not cases:
         raise ValueError("no cases to batch")
 
     trace_coverage = {}
-    for case in cases:
-        trace_coverage.setdefault(case.target.trace_id, set()).add(coverage_unit(case))
+    pending = {}  # coverage unit -> input positions of its pending cases
+    for index, case in enumerate(cases):
+        unit = coverage_unit(case)
+        trace_coverage.setdefault(case.target.trace_id, set()).add(unit)
+        pending.setdefault(unit, []).append(index)
+    candidates = sorted(trace_coverage.items())
 
-    pending = list(cases)
-    covered = set()
     runs = []
     while pending:
-        best_trace = None
         best_key = None
-        for trace_id in sorted(trace_coverage):
-            coverage = trace_coverage[trace_id]
-            hostable = [c for c in pending if coverage_unit(c) in coverage]
-            if not hostable:
+        for trace_id, coverage in candidates:
+            units = [unit for unit in coverage if unit in pending]
+            if not units:
                 continue
-            gain = len({coverage_unit(c) for c in hostable} - covered)
-            key = (-gain, -len(hostable), trace_id)
+            key = (-len(units), -sum(len(pending[unit]) for unit in units), trace_id)
             if best_key is None or key < best_key:
-                best_key = key
-                best_trace = trace_id
-        assert best_trace is not None  # every case is hostable by its own trace
-        coverage = trace_coverage[best_trace]
-        run_cases = [c for c in pending if coverage_unit(c) in coverage]
-        pending = [c for c in pending if coverage_unit(c) not in coverage]
-        covered |= coverage
-        runs.append(Run(trace_id=best_trace, cases=run_cases))
+                best_key, best_units = key, units
+        assert best_key is not None  # every case is hostable by its own trace
+        positions = sorted(index for unit in best_units for index in pending.pop(unit))
+        runs.append(Run(trace_id=best_key[2], cases=[cases[i] for i in positions]))
     return RunPlan(runs=runs)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .model import Corpus, Trace, dumps_canonical
+from .model import Corpus, dumps_canonical
 
 WEIGHT_TOLERANCE = 1e-9
 
@@ -46,25 +46,15 @@ class CorpusNorms:
     dur_max: float
 
 
-def span_count(trace: Trace) -> int:
-    return len(trace.spans)
-
-
-def diversity(trace: Trace) -> int:
-    services = {s.service for s in trace.spans}
-    components = {(s.endpoint.component, s.endpoint.framework) for s in trace.spans}
-    return len(services) + len(components)
-
-
-def root_duration(trace: Trace) -> int:
+def root_duration(trace) -> int:
     return trace.root_span().duration_us
 
 
 def compute_norms(corpus: Corpus) -> CorpusNorms:
     if not corpus.traces:
         raise SelectionError("cannot compute norms for an empty corpus")
-    lens = [span_count(t) for t in corpus.traces]
-    divs = [diversity(t) for t in corpus.traces]
+    lens = [t.span_count for t in corpus.traces]
+    divs = [t.diversity for t in corpus.traces]
     durs = [root_duration(t) for t in corpus.traces]
     return CorpusNorms(min(lens), max(lens), min(divs), max(divs),
                        min(durs), max(durs))
@@ -76,10 +66,11 @@ def _norm(value: float, lo: float, hi: float) -> float:
     return (value - lo) / (hi - lo)
 
 
-def trace_complexity(trace: Trace, weights: ComplexityWeights,
+def trace_complexity(trace, weights: ComplexityWeights,
                      norms: CorpusNorms) -> float:
-    return (weights.w_len * _norm(span_count(trace), norms.len_min, norms.len_max)
-            + weights.w_div * _norm(diversity(trace), norms.div_min, norms.div_max)
+    """Score of a Trace or TraceSummary under corpus-wide `norms`."""
+    return (weights.w_len * _norm(trace.span_count, norms.len_min, norms.len_max)
+            + weights.w_div * _norm(trace.diversity, norms.div_min, norms.div_max)
             + weights.w_dur * _norm(root_duration(trace), norms.dur_min, norms.dur_max))
 
 
@@ -172,8 +163,8 @@ def save_selection_report(selected: list, corpus: Corpus, path) -> None:
                 "trace_id": sel.trace_id,
                 "trace_score": sel.trace_score,
                 "factors": {
-                    "span_count": span_count(trace),
-                    "diversity": diversity(trace),
+                    "span_count": trace.span_count,
+                    "diversity": trace.diversity,
                     "root_duration_us": root_duration(trace),
                 },
             }

@@ -26,8 +26,8 @@ from typing import Optional
 
 from ..faults import (DEFAULT_DELAY_US, EFFECT_DELAY, EFFECT_STATUS, EFFECT_THROW,
                       FaultSpec)
-from ..model import (STATUS_OK, Endpoint, Span, Trace, error_status, is_ok,
-                     new_corpus, status_code)
+from ..model import (STATUS_OK, Corpus, Endpoint, Span, Trace, error_status,
+                     is_ok, new_corpus, status_code)
 from ..templating import EntryRequest
 from .topology import (ARG_LIT, ARG_REQ, BUG_NO_RETRY, ON_ERROR_CATCH,
                        ON_ERROR_PROPAGATE, OP_CALL, OP_CACHE, OP_DB, OP_MQ,
@@ -335,6 +335,7 @@ class System:
                                             dict(response.payload), self.now_us)
             root_id = handle._recorder.spans[0]["id"]
             handle.trace = handle._recorder.build(handle.trace_id, root_id, self.now_us)
+        handle._recorder = None  # spans recorded after completion join no trace
 
     # -- service admission ----------------------------------------------------
 
@@ -708,16 +709,21 @@ def replay_traffic(system: System, make_request, rate_per_sec: int,
     return (start_us, start_us + duration_us)
 
 
-def record_corpus(spec: TopologySpec, workload: list, seed: int):
+def record_traces(spec: TopologySpec, workload: list, seed: int):
     """Run the healthy system over (at_us, EntryRequest) workload entries and
-    return the recorded corpus."""
+    yield each recorded trace in submission order, as soon as its request
+    and every earlier-submitted one have completed. A yielded trace is held
+    no longer; the events run in the same order as in one run to idle."""
     system = System(spec, seed, record_traces=True)
-    handles = []
-    for at_us, request in workload:
-        handles.append(system.post_request(request, at_us))
-    system.run_until_idle()
-    traces = []
-    for handle in handles:
-        if handle.trace is not None:
-            traces.append(handle.trace)
-    return new_corpus(traces, seed, spec.digest())
+    handles = deque(system.post_request(request, at_us) for at_us, request in workload)
+    while handles:
+        handle = handles.popleft()
+        system._run_events(math.inf, handle)
+        trace, handle.trace = handle.trace, None  # its deadline event holds the handle
+        if trace is not None:
+            yield trace
+
+
+def record_corpus(spec: TopologySpec, workload: list, seed: int) -> Corpus:
+    """The corpus of every trace record_traces yields."""
+    return new_corpus(list(record_traces(spec, workload, seed)), seed, spec.digest())

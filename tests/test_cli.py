@@ -121,6 +121,33 @@ def test_corpus_with_invalid_trace_exits_2(mini_files, capsys):
     assert expected in capsys.readouterr().err
 
 
+def test_invalid_last_trace_fails_analyze_and_plan_before_any_write(mini_files, capsys):
+    tmp_path, topo, workload = mini_files
+    corpus, analysis, plans, _report, _code = _pipeline(tmp_path, topo, workload)
+    *lines, last = corpus.read_text().splitlines()
+    rec = json.loads(last)
+    rec["spans"][0]["dur_us"] = -1
+    corpus.write_text("\n".join([*lines, json.dumps(rec)]) + "\n")
+    expected = (f"line {len(lines) + 1}: trace {rec['trace_id']!r}: "
+                f"[negative-duration] span {rec['spans'][0]['id']}")
+    written = {p: p.read_bytes() for d in (analysis, plans) for p in d.iterdir()}
+
+    assert main(["analyze", "--corpus", str(corpus), "--out-dir", str(analysis)]) == 2
+    assert expected in capsys.readouterr().err
+    assert main(["analyze", "--corpus", str(corpus),
+                 "--out-dir", str(tmp_path / "analysis2")]) == 2
+    assert expected in capsys.readouterr().err
+    assert main(["plan", "--corpus", str(corpus), "--analysis", str(analysis),
+                 "--out-dir", str(plans)]) == 2
+    assert expected in capsys.readouterr().err
+    assert main(["plan", "--corpus", str(corpus), "--analysis", str(analysis),
+                 "--out-dir", str(tmp_path / "plans2")]) == 2
+    assert expected in capsys.readouterr().err
+    assert {p: p.read_bytes() for d in (analysis, plans) for p in d.iterdir()} == written
+    assert not (tmp_path / "analysis2").exists()
+    assert not (tmp_path / "plans2").exists()
+
+
 @pytest.mark.parametrize("record, message", [
     ('{"type":"test_run","case_id":"x"}',
      "test_run has missing or malformed service, endpoint, fault_id, verdict"),

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilitest.model import (Corpus, CorpusParseError, CorpusVersionError,
-                              Endpoint, load_corpus, new_corpus, save_corpus,
-                              validate_trace)
+from resilitest.model import (Corpus, CorpusParseError, CorpusReader,
+                              CorpusVersionError, Endpoint, Trace, Violation,
+                              dumps_canonical, load_corpus, new_corpus,
+                              save_corpus, trace_to_record, validate_trace)
 
 from conftest import make_span, make_trace
 
@@ -64,6 +65,85 @@ def test_validate_is_pure():
     assert first == second
 
 
+def _is_ancestor_oracle(by_id, ancestor, span):
+    seen = set()
+    cur = span
+    while cur.parent_id is not None and cur.parent_id not in seen:
+        seen.add(cur.parent_id)
+        if cur.parent_id == ancestor:
+            return True
+        nxt = by_id.get(cur.parent_id)
+        if nxt is None:
+            return False
+        cur = nxt
+    return False
+
+
+def _validate_trace_oracle(trace):
+    """validate_trace as it was before ancestor sets: an _is_ancestor walk
+    for every pair of spans."""
+    violations = []
+    by_id = {}
+    for span in trace.spans:
+        if span.span_id in by_id:
+            violations.append(Violation(span.span_id, "unique-id", "duplicate span_id"))
+        else:
+            by_id[span.span_id] = span
+    roots = [s for s in trace.spans if s.parent_id is None]
+    if len(roots) > 1:
+        for span in roots[1:]:
+            violations.append(Violation(span.span_id, "multiple-roots", "more than one span lacks parent_id"))
+    if not roots:
+        violations.append(Violation(trace.root, "missing-root", "no span lacks parent_id"))
+    elif roots[0].span_id != trace.root or trace.root not in by_id:
+        violations.append(Violation(trace.root, "root-mismatch",
+                                    f"declared root {trace.root!r} is not the parentless span"))
+    for span in trace.spans:
+        if span.parent_id is not None and span.parent_id not in by_id:
+            violations.append(Violation(span.span_id, "dangling-parent",
+                                        f"parent {span.parent_id!r} not in trace"))
+        if span.duration_us < 0:
+            violations.append(Violation(span.span_id, "negative-duration", f"duration {span.duration_us}"))
+        parent = by_id.get(span.parent_id) if span.parent_id is not None else None
+        if parent is not None:
+            if span.start_us < parent.start_us or span.end_us > parent.end_us:
+                violations.append(Violation(
+                    span.span_id, "containment",
+                    f"[{span.start_us}, {span.end_us}] outside parent [{parent.start_us}, {parent.end_us}]"))
+    positions = {s.span_id: i for i, s in enumerate(trace.spans)}
+    for span in trace.spans:
+        if span.parent_id is not None and span.parent_id in positions:
+            if positions[span.parent_id] > positions[span.span_id]:
+                violations.append(Violation(span.span_id, "topo-order", "span precedes its parent"))
+    for i, earlier in enumerate(trace.spans):
+        for later in trace.spans[i + 1:]:
+            if (_is_ancestor_oracle(by_id, earlier.span_id, later)
+                    or _is_ancestor_oracle(by_id, later.span_id, earlier)):
+                continue
+            if earlier.start_us > later.start_us:
+                violations.append(Violation(
+                    later.span_id, "start-order",
+                    f"starts at {later.start_us} before unrelated earlier span {earlier.span_id} at {earlier.start_us}"))
+    return violations
+
+
+# few IDs, so that duplicates, cycles, dangling parents and several roots
+# all come up; parents drawn from a wider set than the span IDs dangle
+_SPAN_IDS = st.sampled_from(["a", "b", "c", "d", "e"])
+_SPANS = st.lists(
+    st.builds(make_span, _SPAN_IDS,
+              st.one_of(st.none(), st.sampled_from(["a", "b", "c", "d", "e", "x"])),
+              start=st.integers(0, 30), dur=st.integers(-5, 40)),
+    min_size=1, max_size=8)
+
+
+@given(spans=_SPANS, root=st.sampled_from(["a", "b", "c", "x"]))
+@settings(max_examples=400, deadline=None)
+def test_validate_trace_matches_the_pairwise_walk_oracle(spans, root):
+    trace = Trace(trace_id="t0", spans=tuple(spans), root=root)
+    assert validate_trace(trace) == _validate_trace_oracle(trace)
+
+
 def _random_trace(rng, trace_id):
     n = rng.randint(1, 6)
     spans = [make_span("s0", None, start=0, dur=10_000,
@@ -96,7 +176,7 @@ def _random_trace(rng, trace_id):
 def test_corpus_round_trip_empty(tmp_path):
     corpus = new_corpus([], seed=3, topology_digest="abcd")
     path = tmp_path / "c.txt"
-    save_corpus(corpus, path)
+    save_corpus(corpus.traces, path, corpus.meta)
     assert load_corpus(path) == corpus
 
 
@@ -105,7 +185,7 @@ def test_corpus_round_trip_generated_1000(tmp_path):
     traces = [_random_trace(rng, f"t{i:04d}") for i in range(1000)]
     corpus = new_corpus(traces, seed=17, topology_digest="ff00")
     path = tmp_path / "c.txt"
-    save_corpus(corpus, path)
+    save_corpus(corpus.traces, path, corpus.meta)
     loaded = load_corpus(path)
     assert loaded == corpus
     assert loaded.meta.window_start_us == corpus.meta.window_start_us
@@ -116,7 +196,7 @@ def test_truncated_file_parse_error_names_final_record(tmp_path):
     corpus = new_corpus([_random_trace(rng, f"t{i}") for i in range(5)],
                         seed=1, topology_digest="aa")
     path = tmp_path / "c.txt"
-    save_corpus(corpus, path)
+    save_corpus(corpus.traces, path, corpus.meta)
     data = path.read_bytes()
     path.write_bytes(data[:-20])  # chop the tail of the last record
     with pytest.raises(CorpusParseError) as err:
@@ -143,7 +223,7 @@ def test_duplicate_trace_ids_rejected(tmp_path):
     trace = _random_trace(rng, "dup")
     corpus = Corpus(traces=[trace, trace])
     path = tmp_path / "c.txt"
-    save_corpus(corpus, path)
+    save_corpus(corpus.traces, path, corpus.meta)
     with pytest.raises(CorpusParseError):
         load_corpus(path)
 
@@ -155,7 +235,7 @@ def test_round_trip_property(seed, tmp_path_factory):
     traces = [_random_trace(rng, f"t{i}") for i in range(rng.randint(0, 8))]
     corpus = new_corpus(traces, seed=seed, topology_digest="55aa")
     path = tmp_path_factory.mktemp("prop") / "c.txt"
-    save_corpus(corpus, path)
+    save_corpus(corpus.traces, path, corpus.meta)
     assert load_corpus(path) == corpus
 
 
@@ -178,3 +258,55 @@ def test_endpoint_hash_is_the_hash_of_its_fields():
     assert len(index) == 2 and index[a] == 3
     assert repr(a) == "Endpoint(component='Cache', framework='jedis', method='get')"
     assert a < Endpoint("Cache", "jedis", "set")
+
+
+def test_reader_yields_earlier_traces_before_a_malformed_line(tmp_path):
+    rng = random.Random(8)
+    first = _random_trace(rng, "t0")
+    path = tmp_path / "c.txt"
+    save_corpus([first, _random_trace(rng, "t1")], path, new_corpus([], 1, "aa").meta)
+    header, line2, _line3 = path.read_text().splitlines()
+    path.write_text(f"{header}\n{line2}\n{{broken\n")
+    traces = iter(CorpusReader(path))
+    assert next(traces) == first
+    with pytest.raises(CorpusParseError, match="^line 3: malformed trace record"):
+        next(traces)
+
+
+@pytest.mark.parametrize("payload", [[["k", "v"]], "kv", None])
+def test_non_object_payload_is_rejected(tmp_path, payload):
+    rec = trace_to_record(make_trace("t0", [make_span("s0", None)]))
+    rec["spans"][0]["req"] = payload
+    path = tmp_path / "c.txt"
+    path.write_text(f"resilitest-corpus v1 seed=1 topology=00\n{dumps_canonical(rec)}\n")
+    with pytest.raises(CorpusParseError, match="^line 2: malformed trace record: req payload"):
+        load_corpus(path)
+
+
+def test_decoder_shares_one_endpoint_per_triple(tmp_path):
+    rng = random.Random(9)
+    corpus = new_corpus([_random_trace(rng, f"t{i}") for i in range(20)], 1, "aa")
+    path = tmp_path / "c.txt"
+    save_corpus(corpus.traces, path, corpus.meta)
+    endpoints = {}
+    for trace in load_corpus(path).traces:
+        for span in trace.spans:
+            assert endpoints.setdefault(span.endpoint, span.endpoint) is span.endpoint
+
+
+def test_save_failure_midway_keeps_the_earlier_file(tmp_path):
+    rng = random.Random(10)
+    earlier = new_corpus([_random_trace(rng, f"t{i}") for i in range(3)], 1, "aa")
+    path = tmp_path / "c.txt"
+    save_corpus(earlier.traces, path, earlier.meta)
+    before = path.read_bytes()
+
+    def traces_then_failure():
+        yield _random_trace(rng, "n0")
+        yield _random_trace(rng, "n1")
+        raise RuntimeError("simulator failed")
+
+    with pytest.raises(RuntimeError, match="simulator failed"):
+        save_corpus(traces_then_failure(), path, earlier.meta)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]

@@ -3,11 +3,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilitest.model import Endpoint
 from resilitest.planner import InjectionTarget, TestCase, case_digest
-from resilitest.scheduler import (History, filter_history, greedy_batch,
-                                  load_run_plan, save_run_plan)
+from resilitest.scheduler import (History, Run, RunPlan, coverage_unit,
+                                  filter_history, greedy_batch, load_run_plan,
+                                  save_run_plan)
 
 
 def _case(trace_id, endpoint_name, fault_id="f0", service="svc"):
@@ -105,6 +108,46 @@ def test_greedy_respects_set_cover_bound_and_partition_optimality():
                 endpoint_counter += 1
         plan = greedy_batch(cases)
         assert len(plan.runs) == _brute_force_min_runs(cases)
+
+
+def _greedy_batch_oracle(cases):
+    """greedy_batch as it was before pending cases were grouped by unit: each
+    pick re-tests every pending case against every trace's coverage."""
+    trace_coverage = {}
+    for case in cases:
+        trace_coverage.setdefault(case.target.trace_id, set()).add(coverage_unit(case))
+    pending = list(cases)
+    covered = set()
+    runs = []
+    while pending:
+        best_trace = None
+        best_key = None
+        for trace_id in sorted(trace_coverage):
+            coverage = trace_coverage[trace_id]
+            hostable = [c for c in pending if coverage_unit(c) in coverage]
+            if not hostable:
+                continue
+            gain = len({coverage_unit(c) for c in hostable} - covered)
+            key = (-gain, -len(hostable), trace_id)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_trace = trace_id
+        coverage = trace_coverage[best_trace]
+        run_cases = [c for c in pending if coverage_unit(c) in coverage]
+        pending = [c for c in pending if coverage_unit(c) not in coverage]
+        covered |= coverage
+        runs.append(Run(trace_id=best_trace, cases=run_cases))
+    return RunPlan(runs=runs)
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6), st.integers(0, 2),
+                          st.integers(0, 3)),
+                min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_greedy_batch_matches_the_ungrouped_oracle(specs):
+    cases = [_case(f"t{t}", f"e{e}", fault_id=f"f{f}", service=f"svc{s}")
+             for t, e, s, f in specs]
+    assert greedy_batch(cases) == _greedy_batch_oracle(cases)
 
 
 def test_greedy_rejects_empty_input():

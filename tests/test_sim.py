@@ -4,7 +4,8 @@ import pytest
 
 from resilitest.faults import parse_catalog
 from resilitest.model import Endpoint, trace_to_record, validate_trace
-from resilitest.sim.engine import SimError, System, record_corpus, replay_traffic
+from resilitest.sim.engine import (SimError, System, record_corpus, record_traces,
+                                   replay_traffic)
 from resilitest.sim.topology import (TopologyError, load_topology,
                                      save_topology, topology_from_record,
                                      topology_to_record)
@@ -98,6 +99,21 @@ def test_same_seed_same_recorded_traces():
     second = record_corpus(spec, workload, seed=5)
     assert [trace_to_record(t) for t in first.traces] == \
         [trace_to_record(t) for t in second.traces]
+
+
+def test_streamed_traces_equal_one_run_to_idle():
+    # 1 ms apart, requests overlap and complete out of submission order
+    spec = make_mini_topology()
+    workload = make_mini_workload(spec, per_interface=6, gap_us=1_000)
+    system = System(spec, 5, record_traces=True)
+    handles = [system.post_request(request, at_us) for at_us, request in workload]
+    system.run_until_idle()
+    submitted_in_completion_order = [submitted for _done, submitted, _ok in system._entry_log]
+    assert submitted_in_completion_order != sorted(submitted_in_completion_order)
+    expected = [trace_to_record(h.trace) for h in handles if h.trace is not None]
+    streamed = [trace_to_record(t) for t in record_traces(spec, workload, seed=5)]
+    assert streamed == expected
+    assert [t["trace_id"] for t in streamed] == sorted(t["trace_id"] for t in streamed)
 
 
 def test_handle_usable_immediately():
