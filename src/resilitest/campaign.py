@@ -105,8 +105,6 @@ def run_campaign(topology: TopologySpec, analysis: Analysis,
                  criteria: Optional[OracleCriteria] = None, seed: int = 0,
                  entry_only: bool = False,
                  history: Optional[History] = None) -> CampaignResult:
-    if not cases:
-        return CampaignResult(test_runs=[], startup_count=0, initial_runs=0)
     criteria = criteria or OracleCriteria()
     plan = greedy_batch(cases)
     return run_batch(plan, topology, list(analysis.templates.values()), catalog,
@@ -117,7 +115,6 @@ def run_campaign(topology: TopologySpec, analysis: Analysis,
 @dataclass
 class ReplayCheck:
     interface_ok: dict = field(default_factory=dict)  # interface_id -> bool
-    failures: dict = field(default_factory=dict)      # interface_id -> status
 
     @property
     def success_fraction(self) -> float:
@@ -148,7 +145,6 @@ def replay_check(topology: TopologySpec, analysis: Analysis,
             response, _trace = system.submit_request(request)
             if not response.ok:
                 ok = False
-                check.failures[interface_id] = response.status
                 break
         check.interface_ok[interface_id] = ok
     return check

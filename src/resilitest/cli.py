@@ -26,8 +26,8 @@ from .campaign import analyze_corpus, plan_campaign, resolve_k
 from .executor import (FAIL_VERDICTS, ExecutorError, OracleCriteria, PhaseConfig,
                        load_report, run_batch, save_report)
 from .faults import default_catalog, load_catalog
-from .model import (CorpusMeta, dumps_canonical, load_corpus_selection,
-                    load_corpus_summaries, save_corpus)
+from .model import (CorpusError, CorpusMeta, dumps_canonical,
+                    load_corpus_selection, load_corpus_summaries, save_corpus)
 from .planner import PlanConfig, save_plan
 from .scheduler import (History, Run, RunPlan, filter_history, greedy_batch,
                         load_run_plan, save_run_plan)
@@ -115,10 +115,7 @@ def cmd_plan(args) -> int:
                                     plan_config, history=history)
     os.makedirs(args.out_dir, exist_ok=True)
     save_plan(cases, os.path.join(args.out_dir, "plan.txt"))
-    if cases:
-        save_run_plan(greedy_batch(cases), os.path.join(args.out_dir, "runplan.txt"))
-    else:
-        open(os.path.join(args.out_dir, "runplan.txt"), "w").close()
+    save_run_plan(greedy_batch(cases), os.path.join(args.out_dir, "runplan.txt"))
     k = resolve_k(args.top_k, len(ranked))
     print(f"selected {len(selected)}/{k} interfaces, {len(cases)} cases -> {args.out_dir}")
     return 0
@@ -266,6 +263,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except CorpusError as exc:  # only `analyze` and `plan` read a corpus
+        print(f"error: corpus {args.corpus}: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

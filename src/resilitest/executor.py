@@ -5,9 +5,9 @@ startup phase, then executes its batched cases sequentially: arm the case's
 fault for the injection phase, disarm for the recovery phase, and verdict
 the collected metrics. The oracle checks entry metrics against phase-based
 criteria and, at the granular level, the armed endpoint's hit and failure
-counters plus the downstream effect (lost writes, undelivered messages).
-Fail-fast: the first non-PASS verdict halts the run and the remaining cases
-are rescheduled onto fresh systems.
+counters plus the downstream effect (lost writes, publishes left in the
+outbox). Fail-fast: the first non-PASS verdict halts the run and the
+remaining cases are rescheduled onto fresh systems.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 from .faults import FaultCatalog
 from .model import Endpoint, atomic_writer, dumps_canonical
 from .scheduler import VERDICT_PASS, History, Run, RunPlan, greedy_batch
-from .sim.engine import System, replay_traffic
+from .sim.engine import PhaseMetrics, System, replay_traffic
 from .sim.topology import TopologySpec
 from .templating import SequentialIdSource, TraceTemplate, instantiate
 
@@ -124,26 +124,6 @@ def _check_thresholds(rec, where: str, extra: tuple = ()) -> None:
             raise ExecutorError(f"{where}: {key} must be a number, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PhaseMetrics:
-    samples: int
-    success_rate: Optional[float]
-    p50_us: Optional[int]
-    p95_us: Optional[int]
-    throughput_rps: float
-
-    @classmethod
-    def from_dict(cls, rec: dict) -> "PhaseMetrics":
-        return cls(samples=rec["samples"], success_rate=rec["success_rate"],
-                   p50_us=rec["p50_us"], p95_us=rec["p95_us"],
-                   throughput_rps=rec["throughput_rps"])
-
-    def to_dict(self) -> dict:
-        return {"samples": self.samples, "success_rate": self.success_rate,
-                "p50_us": self.p50_us, "p95_us": self.p95_us,
-                "throughput_rps": self.throughput_rps}
-
-
 @dataclass
 class TestRun:
     __test__ = False  # not a pytest class, despite the name
@@ -223,7 +203,7 @@ def execute_run(run: Run, topology: TopologySpec, template: TraceTemplate,
     startup_window = replay_traffic(system, make_request, phases.rate_per_sec,
                                     cursor, phases.startup_us)
     cursor += phases.startup_us
-    startup = PhaseMetrics.from_dict(system.entry_metrics(startup_window))
+    startup = system.entry_metrics(startup_window)
     startup_ok = _rate(startup) >= effective.startup_min
 
     results = []
@@ -251,8 +231,8 @@ def execute_run(run: Run, topology: TopologySpec, template: TraceTemplate,
         cursor += phases.recover_us
 
         case_window = (inject_window[0], recover_window[1])
-        base.inject = PhaseMetrics.from_dict(system.entry_metrics(inject_window))
-        base.recover = PhaseMetrics.from_dict(system.entry_metrics(recover_window))
+        base.inject = system.entry_metrics(inject_window)
+        base.recover = system.entry_metrics(recover_window)
         base.injection_hits = armed.hits_in(inject_window)
         base.inject_endpoint_failures = system.endpoint_stats(
             case.target.service, case.target.endpoint, inject_window)["failures"]
@@ -316,7 +296,7 @@ def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
             results.extend(run_results)
             deferred.extend(run_deferred)
             startup_count += 1
-        queue = greedy_batch(deferred).runs if deferred else []
+        queue = greedy_batch(deferred).runs
         wave += 1
     if history is not None:
         for tr in results:

@@ -307,15 +307,23 @@ def _decode_trace(rec: dict, endpoints: dict) -> Trace:
     (component, framework, method) seen so far to its one Endpoint."""
     spans = []
     for s in rec["spans"]:
+        span_id, parent = s["id"], s.get("parent")
+        if span_id.__class__ is not str:
+            raise TypeError(f"span id {span_id!r} is not a string")
+        if parent is not None and parent.__class__ is not str:
+            raise TypeError(f"span parent {parent!r} is neither a string nor null")
         ep = s["endpoint"]
         key = (ep["component"], ep["framework"], ep["method"])
         endpoint = endpoints.get(key)
         if endpoint is None:
             endpoint = endpoints[key] = Endpoint(*key)
-        spans.append(Span(s["id"], s.get("parent"), s["service"], endpoint, s["op"],
+        spans.append(Span(span_id, parent, s["service"], endpoint, s["op"],
                           _payload(s, "req"), _payload(s, "resp"), s["status"],
                           int(s["start_us"]), int(s["dur_us"])))
-    return Trace(rec["trace_id"], tuple(spans), rec["root"])
+    trace_id, root = rec["trace_id"], rec["root"]
+    if trace_id.__class__ is not str or root.__class__ is not str:
+        raise TypeError(f"trace_id {trace_id!r} and root {root!r} must be strings")
+    return Trace(trace_id, tuple(spans), root)
 
 
 def dumps_canonical(obj) -> str:

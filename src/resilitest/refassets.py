@@ -59,9 +59,10 @@ _TRIVIA = [
 
 
 def _pool(field: str, service: str) -> list:
-    # larger than the per-interface instance count, so recorded instances
-    # never re-read a store key an earlier instance wrote (incidental reads
-    # of stored values would fake producer-consumer data flows)
+    # six values: up to six instances per interface (the shipped workload
+    # has five) never re-read a store key an earlier instance wrote, since
+    # incidental reads of stored values would fake producer-consumer data
+    # flows; larger workloads cycle the values and do re-read
     if field in _SHORT_POOLS:
         return [f"{field[0]}{i}" for i in range(6)]
     return [f"{field}-{service}-{i:02d}x" for i in range(6)]
@@ -360,10 +361,8 @@ def _medium_a(svc: str) -> InterfaceSpec:
     steps.append(_db(svc, "select", f"{svc}_main", "req.q"))
     if svc in ("product", "notify"):
         # healthy insert coverage for the tuple dropped from the bug trace
-        steps.append(_db(svc, "insert", f"{svc}_archive" if svc == "notify" else "product_items",
-                         "req.q", "req.tag"))
-        if svc == "notify":
-            steps[-1] = _db("notify", "insert", "notify_log", "req.q", "req.tag")
+        table = "notify_log" if svc == "notify" else "product_items"
+        steps.append(_db(svc, "insert", table, "req.q", "req.tag"))
     return InterfaceSpec(
         method="GET", uri_template=f"/{svc}/search/query/{{q}}",
         fields=_std_fields(svc, "q", "tag"),

@@ -42,11 +42,9 @@ def greedy_batch(cases: list) -> RunPlan:
     pending case (a picked trace takes every pending case of its units, so
     no pending unit is covered yet); ties break on more pending hostable
     cases, then trace_id. A run keeps its cases in input order. Every input
-    case lands in exactly one run; run count never exceeds trace count.
+    case lands in exactly one run, so no cases give no runs; run count never
+    exceeds trace count.
     """
-    if not cases:
-        raise ValueError("no cases to batch")
-
     trace_coverage = {}
     pending = {}  # coverage unit -> input positions of its pending cases
     for index, case in enumerate(cases):

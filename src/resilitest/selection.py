@@ -136,12 +136,21 @@ def load_selection_report(path) -> list:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            where = f"selection {path} line {line_no}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             missing = [k for k in SELECTION_FIELDS
                        if not isinstance(rec, dict) or k not in rec]
             if missing:
-                raise ValueError(f"selection {path} line {line_no}: "
-                                 f"missing {', '.join(missing)}")
+                raise ValueError(f"{where}: missing {', '.join(missing)}")
+            for key in ("interface_id", "trace_id"):
+                if not isinstance(rec[key], str):
+                    raise ValueError(f"{where}: {key} {rec[key]!r} is not a string")
+            for key in ("aggregate_score", "trace_score"):
+                if isinstance(rec[key], bool) or not isinstance(rec[key], (int, float)):
+                    raise ValueError(f"{where}: {key} {rec[key]!r} is not a number")
             ranked.append(SelectedInterface(
                 interface_id=rec["interface_id"],
                 aggregate_score=rec["aggregate_score"],

@@ -7,8 +7,8 @@ a given (topology, seed, workload). The generator runs all of its steps and
 retries itself; to wait it yields a plain number of microseconds, and the
 loop puts the suspended generator on the event heap to resume it then.
 Services have fixed worker pools and bounded queues, which is what makes
-thread-exhaustion cascades expressible; stores, broker queues, and armed
-faults are plain in-memory state that vanishes with the system handle.
+thread-exhaustion cascades expressible; stores, the publish outbox and
+armed faults are plain in-memory state that vanishes with the system handle.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ _BASE_TIME_US = {OP_DB: 2000, OP_CACHE: 400, OP_MQ: 600}
 _CALL_OVERHEAD_US = 800
 _ENTRY_OVERHEAD_US = 300
 _THROW_LATENCY_US = 100
-_DELIVERY_DELAY_US = 200_000
 _OUTBOX_RETRY_US = 500_000
 
 # "No response from the dependency": with a timeout the client errors at the
@@ -71,12 +70,27 @@ class Response:
         return is_ok(self.status)
 
 
+@dataclass(frozen=True)
+class PhaseMetrics:
+    """Entry-request outcomes of one window: the oracle's phase metrics."""
+
+    samples: int
+    success_rate: Optional[float]
+    p50_us: Optional[int]
+    p95_us: Optional[int]
+    throughput_rps: float
+
+    def to_dict(self) -> dict:
+        return {"samples": self.samples, "success_rate": self.success_rate,
+                "p50_us": self.p50_us, "p95_us": self.p95_us,
+                "throughput_rps": self.throughput_rps}
+
+
 @dataclass
 class ArmedFault:
     service: str
     endpoint: Endpoint
     fault: FaultSpec
-    active: bool = True
     hits: list = field(default_factory=list)  # interception times (us)
 
     def hits_in(self, window: tuple) -> int:
@@ -180,7 +194,6 @@ class System:
         self._services = {s.name: _ServiceState(s) for s in spec.services}
         self._db = {}
         self._cache = {}
-        self._topics = {}  # topic -> {"queued": [...], "delivered": [...]}
         self._outbox = []  # pending durable-retry publishes
         self._armed = {}  # (service, endpoint) -> active ArmedFault
         self._poisoned = {}  # (service, line, step idx) -> exception name
@@ -561,9 +574,7 @@ class System:
             return self._store_op(self._cache, ctx, step, key, args)
         if step.op == OP_MQ:
             self._fresh_counter += 1
-            msgid = f"m{self._fresh_counter:08d}"
-            self._publish(step.topic, msgid)
-            return {"msgid": msgid}
+            return {"msgid": f"m{self._fresh_counter:08d}"}
         raise SimError(f"unknown leaf op {step.op!r}")
 
     def _store_op(self, store: dict, ctx: _Ctx, step, key, args: dict) -> dict:
@@ -589,20 +600,7 @@ class System:
                 store.pop(key, None)
         ctx.journal.clear()
 
-    # -- broker ----------------------------------------------------------------
-
-    def _topic(self, name: str) -> dict:
-        return self._topics.setdefault(name, {"queued": [], "delivered": []})
-
-    def _publish(self, topic_name: str, msgid: str) -> None:
-        topic = self._topic(topic_name)
-        topic["queued"].append(msgid)
-
-        def deliver():
-            if msgid in topic["queued"]:
-                topic["queued"].remove(msgid)
-                topic["delivered"].append(msgid)
-        self._schedule(_DELIVERY_DELAY_US, deliver)
+    # -- outbox ----------------------------------------------------------------
 
     def _outbox_add(self, service: str, step) -> None:
         entry = {"service": service, "step": step, "created_us": self.now_us,
@@ -621,8 +619,6 @@ class System:
             self._endpoint_events[unit].append((self.now_us, self.now_us, False))
             self._schedule(_OUTBOX_RETRY_US, lambda: self._outbox_retry(entry))
             return
-        self._fresh_counter += 1
-        self._publish(step.topic, f"m{self._fresh_counter:08d}")
         self._endpoint_events[unit].append((self.now_us, self.now_us, True))
         entry["pending"] = False
 
@@ -639,13 +635,11 @@ class System:
         return armed
 
     def disarm_fault(self, service: str, endpoint: Endpoint) -> None:
-        armed = self._armed.pop((service, endpoint), None)
-        if armed is not None:
-            armed.active = False
+        self._armed.pop((service, endpoint), None)
 
     # -- metrics ----------------------------------------------------------------
 
-    def entry_metrics(self, window: tuple) -> dict:
+    def entry_metrics(self, window: tuple) -> PhaseMetrics:
         lo, hi = window
         if hi > self.now_us + 1:
             raise SimError(f"window [{lo}, {hi}) beyond elapsed virtual time {self.now_us}")
@@ -653,20 +647,18 @@ class System:
         done = log[bisect_left(log, lo, key=_COMPLETE_US):
                    bisect_left(log, hi, key=_COMPLETE_US)]
         if not done:
-            return {"samples": 0, "success_rate": None, "p50_us": None,
-                    "p95_us": None, "throughput_rps": 0.0}
+            return PhaseMetrics(samples=0, success_rate=None, p50_us=None,
+                                p95_us=None, throughput_rps=0.0)
         latencies = sorted(c - s for (c, s, _ok) in done)
         n = len(latencies)
-        p50 = latencies[max(0, (n * 50 + 99) // 100 - 1)]  # nearest-rank
-        p95 = latencies[max(0, (n * 95 + 99) // 100 - 1)]
         ok_count = sum(1 for (_c, _s, ok) in done if ok)
-        return {
-            "samples": n,
-            "success_rate": ok_count / n,
-            "p50_us": p50,
-            "p95_us": p95,
-            "throughput_rps": n / ((hi - lo) / SECOND_US),
-        }
+        return PhaseMetrics(
+            samples=n,
+            success_rate=ok_count / n,
+            p50_us=latencies[max(0, (n * 50 + 99) // 100 - 1)],  # nearest-rank
+            p95_us=latencies[max(0, (n * 95 + 99) // 100 - 1)],
+            throughput_rps=n / ((hi - lo) / SECOND_US),
+        )
 
     def endpoint_stats(self, service: str, endpoint: Endpoint, window: tuple) -> dict:
         lo, hi = window
@@ -689,10 +681,6 @@ class System:
         lo, hi = window
         return sum(1 for e in self._outbox
                    if e["pending"] and lo <= e["created_us"] < hi)
-
-    def topic_counts(self, topic_name: str) -> dict:
-        topic = self._topic(topic_name)
-        return {"queued": len(topic["queued"]), "delivered": len(topic["delivered"])}
 
 
 def replay_traffic(system: System, make_request, rate_per_sec: int,

@@ -267,6 +267,79 @@ def test_plan_rejects_selection_record_without_trace_id(planned_files, tmp_path,
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("interface_id", 3, "interface_id 3 is not a string"),
+    ("trace_id", ["x"], "trace_id ['x'] is not a string"),
+    ("aggregate_score", "high", "aggregate_score 'high' is not a number"),
+    ("trace_score", True, "trace_score True is not a number"),
+], ids=["interface-id-number", "trace-id-list", "score-string", "score-bool"])
+def test_plan_rejects_selection_field_of_wrong_type(planned_files, tmp_path, capsys,
+                                                    field, value, message):
+    planned, _topo = planned_files
+    analysis = tmp_path / "analysis"
+    analysis.mkdir()
+    first = json.loads((planned / "analysis" / "selection.jsonl").read_text().splitlines()[0])
+    first[field] = value
+    selection = analysis / "selection.jsonl"
+    selection.write_text(json.dumps(first) + "\n")
+    assert main(["plan", "--corpus", str(planned / "corpus.txt"), "--analysis",
+                 str(analysis), "--out-dir", str(tmp_path / "plans")]) == 2
+    assert f"error: selection {selection} line 1: {message}" in capsys.readouterr().err
+
+
+def test_plan_rejects_selection_line_that_is_not_json(planned_files, tmp_path, capsys):
+    planned, _topo = planned_files
+    analysis = tmp_path / "analysis"
+    analysis.mkdir()
+    selection = analysis / "selection.jsonl"
+    selection.write_text("{broken\n")
+    assert main(["plan", "--corpus", str(planned / "corpus.txt"), "--analysis",
+                 str(analysis), "--out-dir", str(tmp_path / "plans")]) == 2
+    assert f"error: selection {selection} line 1: Expecting property name" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("trace_id", ["x"], "trace_id ['x'] and root 's0' must be strings"),
+    ("span id", ["s1"], "span id ['s1'] is not a string"),
+    ("span parent", ["s0"], "span parent ['s0'] is neither a string nor null"),
+], ids=["trace-id-list", "span-id-list", "parent-list"])
+def test_analyze_rejects_corpus_id_of_wrong_type(planned_files, tmp_path, capsys,
+                                                 where, value, message):
+    planned, _topo = planned_files
+    header, first, *_rest = (planned / "corpus.txt").read_text().splitlines()
+    rec = json.loads(first)
+    assert rec["root"] == "s0" and rec["spans"][1]["parent"] == "s0"
+    if where == "trace_id":
+        rec["trace_id"] = value
+    else:
+        rec["spans"][1]["id" if where == "span id" else "parent"] = value
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"{header}\n{json.dumps(rec)}\n")
+    assert main(["analyze", "--corpus", str(corpus),
+                 "--out-dir", str(tmp_path / "analysis")]) == 2
+    assert (f"error: corpus {corpus}: line 2: malformed trace record: {message}"
+            in capsys.readouterr().err)
+
+
+def test_catalog_matching_no_endpoint_plans_and_runs_no_case(planned_files, tmp_path,
+                                                             capsys):
+    planned, topo = planned_files
+    catalog = tmp_path / "faults.txt"
+    catalog.write_text("slow comm_latency Database:nodriver:select delay auto\n")
+    plans = tmp_path / "plans"
+    assert main(["plan", "--corpus", str(planned / "corpus.txt"), "--analysis",
+                 str(planned / "analysis"), "--catalog", str(catalog),
+                 "--out-dir", str(plans)]) == 0
+    assert (plans / "runplan.txt").read_bytes() == b""
+    report = tmp_path / "report.jsonl"
+    assert main(["run", "--run-plan", str(plans / "runplan.txt"), "--topology", str(topo),
+                 "--templates", str(planned / "analysis" / "templates.jsonl"),
+                 "--catalog", str(catalog), "--out", str(report)]) == 0
+    assert main(["report", str(report)]) == 0
+    assert "cases:             0" in capsys.readouterr().out
+
+
 def test_plan_rejects_selection_trace_missing_from_corpus(planned_files, tmp_path, capsys):
     planned, _topo = planned_files
     analysis = tmp_path / "analysis"

@@ -150,9 +150,8 @@ def test_greedy_batch_matches_the_ungrouped_oracle(specs):
     assert greedy_batch(cases) == _greedy_batch_oracle(cases)
 
 
-def test_greedy_rejects_empty_input():
-    with pytest.raises(ValueError):
-        greedy_batch([])
+def test_greedy_empty_input_gives_empty_plan():
+    assert greedy_batch([]) == RunPlan(runs=[])
 
 
 def test_filter_history_empty_history_keeps_all():
