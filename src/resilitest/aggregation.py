@@ -20,7 +20,7 @@ SIMILARITY_THRESHOLD = 0.5
 MAX_CHILDREN = 100
 
 
-class RequestLineError(Exception):
+class RequestLineError(ValueError):
     pass
 
 

@@ -1,10 +1,9 @@
 """End-to-end campaign orchestration: analyze, select, plan, execute.
 
-This is the glue the CLI subcommands and the acceptance suite share. History
-awareness lives here: when a history is supplied, ranked interfaces whose
-every case already passed in the current epoch are skipped, so successive
-small-K campaigns progressively explore new interfaces instead of re-testing
-passed ones.
+This is the glue the CLI subcommands and the acceptance suite share.
+Selection is history-aware: ranked interfaces whose every case already passed
+in the current epoch are skipped, so successive small-K campaigns
+progressively explore new interfaces instead of re-testing passed ones.
 """
 
 from __future__ import annotations
@@ -65,38 +64,30 @@ def resolve_k(k, available: int) -> int:
 def plan_campaign(ranked: list, corpus: Corpus, catalog: FaultCatalog, k,
                   plan_config: PlanConfig,
                   history: Optional[History] = None) -> tuple:
-    """Select the top-K of the `ranked` interfaces and plan their cases.
+    """Select the first K ranked interfaces that have a case not passed in
+    the current epoch, and plan those cases.
 
-    Without history this is the plain two-level selection. With history,
-    ranked interfaces whose entire case set is skippable (all PASS in the
-    current epoch, or nothing to test) are passed over until K contributing
-    interfaces are found.
+    An interface with nothing to test, or whose every case passed, is passed
+    over; no history means an empty one.
     """
+    history = history or History()
     traces = {t.trace_id: t for t in corpus.traces}
     for s in ranked:
         if s.trace_id not in traces:
             raise ValueError(f"selection names trace {s.trace_id!r} for interface "
                              f"{s.interface_id}, which the corpus does not hold")
     k = resolve_k(k, len(ranked))
-    if history is None:
-        selected = ranked[:k]
-        cases = plan_targets([(s.interface_id, traces[s.trace_id]) for s in selected],
-                             corpus, catalog, plan_config)
-        return selected, cases
-
     selected = []
     cases = []
     for candidate in ranked:
         if len(selected) >= k:
             break
-        interface_cases = plan_targets(
+        pending = filter_history(plan_targets(
             [(candidate.interface_id, traces[candidate.trace_id])],
-            corpus, catalog, plan_config)
-        pending, _skipped = filter_history(interface_cases, history)
-        if not pending:
-            continue
-        selected.append(candidate)
-        cases.extend(pending)
+            corpus, catalog, plan_config), history)
+        if pending:
+            selected.append(candidate)
+            cases.extend(pending)
     return selected, cases
 
 

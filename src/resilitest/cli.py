@@ -16,7 +16,6 @@ unless --fail-on-vulnerability is set.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -29,8 +28,7 @@ from .faults import default_catalog, load_catalog
 from .model import (CorpusError, CorpusMeta, dumps_canonical,
                     load_corpus_selection, load_corpus_summaries, save_corpus)
 from .planner import PlanConfig, save_plan
-from .scheduler import (History, Run, RunPlan, filter_history, greedy_batch,
-                        load_run_plan, save_run_plan)
+from .scheduler import History, greedy_batch, load_run_plan, save_run_plan
 from .selection import (ComplexityWeights, SelectionError, load_selection_report,
                         save_selection_report)
 from .sim.engine import record_traces
@@ -109,7 +107,7 @@ def cmd_plan(args) -> int:
     ranked = load_selection_report(os.path.join(args.analysis, "selection.jsonl"))
     corpus = load_corpus_selection(args.corpus, {s.trace_id for s in ranked})
     catalog = _load_catalog(args.catalog)
-    history = _load_history(args.history) if args.history else None
+    history = _load_history(args.history)
     plan_config = PlanConfig(n_services=args.n_services, seed=args.seed)
     selected, cases = plan_campaign(ranked, corpus, catalog, args.top_k,
                                     plan_config, history=history)
@@ -130,16 +128,9 @@ def cmd_run(args) -> int:
     history = _load_history(args.history)
     if args.reset_history:
         history.reset()
-
-    # drop cases that already passed in the current epoch, then empty runs
-    kept_runs = []
-    for run in plan.runs:
-        pending, _skipped = filter_history(run.cases, history)
-        if pending:
-            kept_runs.append(Run(trace_id=run.trace_id, cases=pending))
-    result = run_batch(RunPlan(runs=kept_runs), topology, templates, catalog,
-                       args.phases, criteria, seed=args.seed,
-                       entry_only=args.entry_only_oracle, history=history)
+    result = run_batch(plan, topology, templates, catalog, args.phases, criteria,
+                       seed=args.seed, entry_only=args.entry_only_oracle,
+                       history=history)
     config = {
         "seed": args.seed,
         "entry_only_oracle": args.entry_only_oracle,
@@ -266,14 +257,9 @@ def main(argv=None) -> int:
     except CorpusError as exc:  # only `analyze` and `plan` read a corpus
         print(f"error: corpus {args.corpus}: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # every domain error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # domain errors carry their own context
-        if type(exc).__module__.startswith("resilitest"):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        raise
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ from typing import Optional
 
 from .faults import FaultCatalog
 from .model import Endpoint, atomic_writer, dumps_canonical
-from .scheduler import VERDICT_PASS, History, Run, RunPlan, greedy_batch
+from .scheduler import (VERDICT_PASS, History, Run, RunPlan, filter_history,
+                        greedy_batch)
 from .sim.engine import PhaseMetrics, System, replay_traffic
 from .sim.topology import TopologySpec
 from .templating import SequentialIdSource, TraceTemplate, instantiate
@@ -35,7 +36,7 @@ FAIL_VERDICTS = (VERDICT_NO_RECOVERY, VERDICT_SILENT, VERDICT_NO_IMPACT)
 SECOND_US = 1_000_000
 
 
-class ExecutorError(Exception):
+class ExecutorError(ValueError):
     pass
 
 
@@ -276,13 +277,21 @@ def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
               criteria: OracleCriteria, seed: int = 0,
               entry_only: bool = False,
               history: Optional[History] = None) -> CampaignResult:
-    """Execute every planned case exactly once, rescheduling deferred cases
-    from fail-fast halts into fresh greedily-batched runs."""
+    """Execute every planned case not passed in the history's current epoch
+    exactly once, rescheduling deferred cases from fail-fast halts into fresh
+    greedily-batched runs, and record every verdict in the history (no
+    history means an empty one). Passed cases, and the runs they leave
+    empty, are dropped before wave 0."""
+    history = history or History()
     by_trace = {t.trace_id: t for t in templates}
     results = []
     startup_count = 0
     wave = 0
-    queue = list(plan.runs)
+    queue = []
+    for run in plan.runs:
+        pending = filter_history(run.cases, history)
+        if pending:
+            queue.append(Run(trace_id=run.trace_id, cases=pending))
     initial_runs = len(queue)
     while queue:
         for run in queue:
@@ -298,9 +307,8 @@ def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
             startup_count += 1
         queue = greedy_batch(deferred).runs
         wave += 1
-    if history is not None:
-        for tr in results:
-            history.record_outcome(tr.case_id, tr.verdict)
+    for tr in results:
+        history.record_outcome(tr.case_id, tr.verdict)
     return CampaignResult(test_runs=results, startup_count=startup_count,
                           initial_runs=initial_runs)
 

@@ -36,7 +36,7 @@ DEFAULT_DELAY_US = 5_000_000  # when the target step has no configured timeout
 WILDCARD = "*"
 
 
-class CatalogError(Exception):
+class CatalogError(ValueError):
     pass
 
 

@@ -254,7 +254,7 @@ def validate_trace(trace: Trace) -> list:
     return violations
 
 
-class CorpusError(Exception):
+class CorpusError(ValueError):
     """Base class for corpus file problems."""
 
 
@@ -466,13 +466,3 @@ def new_corpus(traces: list, seed: int, topology_digest: str) -> Corpus:
     start, end = compute_window(traces)
     return Corpus(traces=list(traces),
                   meta=CorpusMeta(seed, topology_digest, start, end))
-
-
-__all__ = [
-    "Endpoint", "Span", "Trace", "TraceSummary", "Corpus", "CorpusMeta", "Violation",
-    "COMPONENTS", "WRITE_METHODS", "STATUS_OK", "error_status", "is_ok", "status_code",
-    "validate_trace", "save_corpus", "CorpusReader", "load_corpus",
-    "load_corpus_summaries", "load_corpus_selection", "index_endpoint_users",
-    "new_corpus", "compute_window", "dumps_canonical", "trace_to_record",
-    "CorpusError", "CorpusParseError", "CorpusVersionError",
-]

@@ -195,8 +195,6 @@ def plan_targets(selected: list, corpus: Corpus, catalog: FaultCatalog,
                  config: PlanConfig = PlanConfig()) -> list:
     """Full pruning pipeline over selected (interface_id, Trace) pairs,
     cross-producted with applicable faults. Deterministic under a fixed seed."""
-    if not selected:
-        raise ValueError("selection must not be empty")
     cases = []
     for _interface_id, trace in selected:
         for target in plan_trace_targets(trace):

@@ -129,11 +129,9 @@ def _history_int(where: str, name: str, text: str) -> int:
         raise ValueError(f"{where}: {name} {text!r} is not an integer") from None
 
 
-def filter_history(cases: list, history: History) -> tuple:
-    """Split cases into (new, skipped): skipped iff PASS in the current epoch."""
-    new = [c for c in cases if not history.passed(c.case_id)]
-    skipped = [c for c in cases if history.passed(c.case_id)]
-    return new, skipped
+def filter_history(cases: list, history: History) -> list:
+    """The cases still to run: all but those that PASSed in the current epoch."""
+    return [c for c in cases if not history.passed(c.case_id)]
 
 
 def save_run_plan(plan: RunPlan, path) -> None:

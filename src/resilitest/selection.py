@@ -17,7 +17,7 @@ from .model import Corpus, dumps_canonical
 WEIGHT_TOLERANCE = 1e-9
 
 
-class SelectionError(Exception):
+class SelectionError(ValueError):
     pass
 
 

@@ -56,7 +56,7 @@ def is_connection_exception(name: str) -> bool:
     return "Connection" in name or name == "DisconnectException"
 
 
-class SimError(Exception):
+class SimError(ValueError):
     pass
 
 
@@ -362,8 +362,6 @@ class System:
             ctx.on_complete(Response(error_status("overload"), {"status": "overload"}))
 
     def _start_work(self, state: _ServiceState, ctx: _Ctx) -> None:
-        if ctx.is_entry and ctx.entry.completed:
-            return  # expired in queue
         state.busy += 1
         self._drive(self._workflow(state, ctx))
 

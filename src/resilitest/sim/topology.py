@@ -56,7 +56,7 @@ DEFAULT_ENTRY_DEADLINE_US = 5_000_000
 DEFAULT_VALIDATION_SKEW_US = 30_000_000
 
 
-class TopologyError(Exception):
+class TopologyError(ValueError):
     pass
 
 
@@ -213,8 +213,19 @@ class TopologySpec:
         return replace(self, name=f"{self.name}-bugfree", services=tuple(services))
 
 
+def _check_count(where: str, name: str, value, least: int) -> None:
+    if type(value) is not int or value < least:  # bools are not counts
+        raise TopologyError(f"{where}: {name} must be an integer >= {least}, got {value!r}")
+
+
 def validate_topology(spec: TopologySpec) -> None:
     """Reject invariant violations with their locations."""
+    for name, least in (("boot_us", 0), ("entry_deadline_us", 1),
+                        ("validation_skew_us", 0)):
+        _check_count(f"topology {spec.name}", name, getattr(spec, name), least)
+    for svc in spec.services:
+        _check_count(svc.name, "workers", svc.workers, 1)
+        _check_count(svc.name, "queue_limit", svc.queue_limit, 0)
     names = [s.name for s in spec.services]
     if len(names) != len(set(names)):
         dupes = sorted({n for n in names if names.count(n) > 1})
@@ -240,6 +251,9 @@ def validate_topology(spec: TopologySpec) -> None:
                 raise TopologyError(f"{loc}: unknown op {step.op!r}")
             if step.on_error not in ON_ERRORS:
                 raise TopologyError(f"{loc}: unknown on_error {step.on_error!r}")
+            _check_count(loc, "retries", step.retries, 0)
+            if step.timeout_us is not None:
+                _check_count(loc, "timeout_us", step.timeout_us, 1)
             if step.bug and step.bug not in BUG_FLAGS:
                 raise TopologyError(f"{loc}: unknown bug flag {step.bug!r}")
             if step.async_step and step.on_error == ON_ERROR_PROPAGATE:

@@ -30,7 +30,7 @@ KIND_TIMESTAMP = "timestamp"
 KINDS = (KIND_FRESH_ID, KIND_TIMESTAMP)
 
 
-class TemplatingError(Exception):
+class TemplatingError(ValueError):
     pass
 
 

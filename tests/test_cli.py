@@ -340,6 +340,48 @@ def test_catalog_matching_no_endpoint_plans_and_runs_no_case(planned_files, tmp_
     assert "cases:             0" in capsys.readouterr().out
 
 
+def _exits_2_with_error_line(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+
+
+def test_simulate_record_rejects_bad_topology_number(planned_files, tmp_path, capsys):
+    _planned, topo = planned_files
+    rec = json.loads(topo.read_text())
+    rec["services"][1]["interfaces"][0]["workflow"][1]["retries"] = -1
+    bad = tmp_path / "topology.json"
+    bad.write_text(json.dumps(rec))
+    _exits_2_with_error_line(
+        capsys, ["simulate-record", "--topology", str(bad), "--workload",
+                 str(tmp_path / "unread.jsonl"), "--out", str(tmp_path / "corpus.txt")],
+        "front POST /front/orders/place/{item} step 1: retries must be an integer >= 0")
+    assert not (tmp_path / "corpus.txt").exists()
+
+
+def test_plan_rejects_bad_catalog_line(planned_files, tmp_path, capsys):
+    planned, _topo = planned_files
+    catalog = tmp_path / "faults.txt"
+    catalog.write_text("slow comm_latency Database:jdbc:select delay 5x\n")
+    _exits_2_with_error_line(
+        capsys, ["plan", "--corpus", str(planned / "corpus.txt"), "--analysis",
+                 str(planned / "analysis"), "--catalog", str(catalog),
+                 "--out-dir", str(tmp_path / "plans")],
+        "line 1: bad delay '5x'")
+
+
+def test_analyze_rejects_malformed_root_request_line(planned_files, tmp_path, capsys):
+    planned, _topo = planned_files
+    header, first, *_rest = (planned / "corpus.txt").read_text().splitlines()
+    rec = json.loads(first)
+    rec["spans"][0]["op"] = "nonsense"
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"{header}\n{json.dumps(rec)}\n")
+    _exits_2_with_error_line(
+        capsys, ["analyze", "--corpus", str(corpus), "--out-dir", str(tmp_path / "analysis")],
+        "malformed request line 'nonsense': expected 'METHOD /path'")
+
+
 def test_plan_rejects_selection_trace_missing_from_corpus(planned_files, tmp_path, capsys):
     planned, _topo = planned_files
     analysis = tmp_path / "analysis"

@@ -242,6 +242,18 @@ def test_history_records_outcomes(mini_setup):
     assert all(history.executed.get(c.case_id) for c in cases)
 
 
+def test_run_batch_skips_cases_passed_in_the_history(mini_setup):
+    spec, corpus, analysis, catalog = mini_setup
+    cases = _mini_cases(analysis, corpus, catalog)[:4]
+    history = History()
+    history.record_outcome(cases[0].case_id, "PASS")
+    result = run_batch(greedy_batch(cases), spec, list(analysis.templates.values()),
+                       catalog, FAST, OracleCriteria(), seed=4, history=history)
+    assert sorted(tr.case_id for tr in result.test_runs) == sorted(
+        c.case_id for c in cases[1:])
+    assert all(history.executed.get(c.case_id) for c in cases)
+
+
 def test_report_round_trip(tmp_path, mini_setup):
     spec, corpus, analysis, catalog = mini_setup
     cases = _mini_cases(analysis, corpus, catalog)[:4]

@@ -1,11 +1,17 @@
+import hashlib
 import random
+from importlib import resources
 
-from resilitest.faults import faults_for_endpoint
+import pytest
+
+from resilitest.campaign import plan_campaign
+from resilitest.faults import faults_for_endpoint, parse_catalog
 from resilitest.model import Endpoint, new_corpus
 from resilitest.planner import (PlanConfig, detect_dual_write,
                                 detect_producer_consumer, extract_endpoints,
                                 last_invocation_targets, parse_case_line,
                                 plan_targets, sample_services, save_plan)
+from resilitest.scheduler import History
 
 from conftest import make_span, make_trace, root_span
 
@@ -374,3 +380,39 @@ def test_coverage_preserved_on_reference_corpus(ref_corpus, ref_analysis, catalo
             if target.service in sampled:
                 sampled_endpoints.add(target.endpoint)
     assert planned_endpoints == sampled_endpoints
+
+
+def test_plan_targets_of_no_selection_is_no_case(catalog):
+    assert plan_targets([], new_corpus([_simple_trace()], 0, "00"), catalog) == []
+
+
+def test_no_history_selects_as_an_empty_history(ref_analysis):
+    """Interfaces that yield no case are passed over with or without a
+    history: the MQ-only catalog gives most ranked interfaces nothing."""
+    text = resources.files("resilitest.assets").joinpath("default_faults.txt").read_text("utf-8")
+    mq_only = parse_catalog("\n".join(line for line in text.splitlines() if " MQ:" in line))
+    config = PlanConfig(n_services=3, seed=7)
+    plain = plan_campaign(ref_analysis.ranked, ref_analysis.corpus, mq_only, 5, config)
+    empty = plan_campaign(ref_analysis.ranked, ref_analysis.corpus, mq_only, 5, config,
+                          history=History())
+    assert plain == empty
+    assert len(plain[0]) == 5 and len(plain[1]) == 7
+
+
+# SHA-256 of plan.txt on the reference analysis at PlanConfig(3, 7); a change
+# that alters plans on purpose updates them and says why
+PLAN_SHA256 = {
+    5: "78d005022aac349e0ddf904e17b6dca4c5fdab51839ce619533e014e6bbaf07d",
+    20: "0fd0914af7b44e4086588f378f3256bdc09675d05f755f06c06530fabb81a67d",
+    40: "50c2b9ad8aea99890672fd000feba324ee0b80308189c462c8d9aeb8d9e7e193",
+    "all": "2d5fba3ff757b3619ee2dfa02ef6289503f3f42990ea19f3038fcb968cf07813",
+}
+
+
+@pytest.mark.parametrize("k", list(PLAN_SHA256))
+def test_reference_plan_file_is_pinned(tmp_path, ref_analysis, catalog, k):
+    _selected, cases = plan_campaign(ref_analysis.ranked, ref_analysis.corpus, catalog,
+                                     k, PlanConfig(n_services=3, seed=7))
+    path = tmp_path / "plan.txt"
+    save_plan(cases, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PLAN_SHA256[k]

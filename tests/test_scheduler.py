@@ -156,8 +156,7 @@ def test_greedy_empty_input_gives_empty_plan():
 
 def test_filter_history_empty_history_keeps_all():
     cases = [_case("t1", "a"), _case("t1", "b", "f1")]
-    new, skipped = filter_history(cases, History())
-    assert new == cases and skipped == []
+    assert filter_history(cases, History()) == cases
 
 
 def test_filter_history_skips_passed_and_keeps_failed():
@@ -165,21 +164,18 @@ def test_filter_history_skips_passed_and_keeps_failed():
     history = History()
     history.record_outcome(cases[0].case_id, "PASS")
     history.record_outcome(cases[1].case_id, "FAIL_SILENT")
-    new, skipped = filter_history(cases, history)
-    assert [c.case_id for c in skipped] == [cases[0].case_id]
-    assert [c.case_id for c in new] == [cases[1].case_id]
+    assert [c.case_id for c in filter_history(cases, history)] == [cases[1].case_id]
 
 
 def test_reset_clears_skips_and_increments_epoch():
     cases = [_case("t1", "a")]
     history = History()
     history.record_outcome(cases[0].case_id, "PASS")
-    assert filter_history(cases, history)[1] != []
+    assert filter_history(cases, history) == []
     epoch_before = history.epoch
     history.reset()
     assert history.epoch == epoch_before + 1
-    new, skipped = filter_history(cases, history)
-    assert skipped == [] and new == cases
+    assert filter_history(cases, history) == cases
 
 
 def test_last_write_wins():

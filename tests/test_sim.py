@@ -72,6 +72,33 @@ def test_async_step_cannot_propagate():
         topology_from_record(rec)
 
 
+@pytest.mark.parametrize("where, key, value, least", [
+    ("step", "retries", -1, 0),
+    ("step", "retries", "1", 0),
+    ("step", "retries", True, 0),
+    ("step", "timeout_us", 0, 1),
+    ("step", "timeout_us", 1.5, 1),
+    ("service", "workers", 0, 1),
+    ("service", "queue_limit", -1, 0),
+    ("topology", "boot_us", -1, 0),
+    ("topology", "entry_deadline_us", -1, 1),
+    ("topology", "entry_deadline_us", 0, 1),
+    ("topology", "validation_skew_us", -1, 0),
+])
+def test_topology_number_out_of_range_rejected(where, key, value, least):
+    rec = topology_to_record(make_mini_topology())
+    front = rec["services"][1]
+    target = {"step": front["interfaces"][0]["workflow"][1], "service": front,
+              "topology": rec}[where]
+    target[key] = value
+    location = {"step": "front POST /front/orders/place/{item} step 1",
+                "service": "front", "topology": "topology mini"}[where]
+    with pytest.raises(TopologyError) as excinfo:
+        topology_from_record(rec)
+    assert str(excinfo.value) == (f"{location}: {key} must be an integer >= {least}, "
+                                  f"got {value!r}")
+
+
 def test_malformed_topology_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
