@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .model import Corpus
+from .model import Corpus, write_lines
 
 WILDCARD = "<*>"
 
@@ -154,7 +154,5 @@ def cluster_interfaces(corpus: Corpus) -> list:
 
 
 def save_cluster_report(clusters: list, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for cluster in clusters:
-            fh.write(f"{cluster.interface_id} {cluster.template_string()} "
-                     f"{len(cluster.member_trace_ids)}\n")
+    write_lines(path, (f"{cluster.interface_id} {cluster.template_string()} "
+                       f"{len(cluster.member_trace_ids)}" for cluster in clusters))

@@ -25,8 +25,8 @@ from .campaign import analyze_corpus, plan_campaign, resolve_k
 from .executor import (FAIL_VERDICTS, ExecutorError, OracleCriteria, PhaseConfig,
                        load_report, run_batch, save_report)
 from .faults import default_catalog, load_catalog
-from .model import (CorpusError, CorpusMeta, dumps_canonical,
-                    load_corpus_selection, load_corpus_summaries, save_corpus)
+from .model import (CorpusMeta, dumps_canonical, load_corpus_selection,
+                    load_corpus_summaries, save_corpus)
 from .planner import PlanConfig, save_plan
 from .scheduler import History, greedy_batch, load_run_plan, save_run_plan
 from .selection import (ComplexityWeights, SelectionError, load_selection_report,
@@ -254,9 +254,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CorpusError as exc:  # only `analyze` and `plan` read a corpus
-        print(f"error: corpus {args.corpus}: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:  # every domain error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .faults import FaultCatalog
-from .model import Endpoint, atomic_writer, dumps_canonical
+from .model import Endpoint, dumps_canonical, read_records, write_lines
 from .scheduler import (VERDICT_PASS, History, Run, RunPlan, filter_history,
                         greedy_batch)
 from .sim.engine import PhaseMetrics, System, replay_traffic
@@ -93,9 +93,12 @@ class OracleCriteria:
         keys and an `interfaces` map from interface ID to an object of
         overrides of those keys. Every resolved set is checked here, so a bad
         file fails before any case runs."""
-        with open(path, "r", encoding="utf-8") as fh:
-            rec = json.load(fh)
         where = f"criteria {path}"
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                rec = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ExecutorError(f"{where}: {exc}") from None
         _check_thresholds(rec, where, extra=("interfaces",))
         overrides = rec.get("interfaces", {})
         if not isinstance(overrides, dict):
@@ -249,6 +252,7 @@ def execute_run(run: Run, topology: TopologySpec, template: TraceTemplate,
         if base.verdict != VERDICT_PASS:
             deferred.extend(run.cases[position + 1:])
             break
+    system.close()
     return results, deferred
 
 
@@ -342,11 +346,10 @@ def test_run_to_record(tr: TestRun) -> dict:
 
 
 def save_report(result: CampaignResult, path, config: Optional[dict] = None) -> None:
-    with atomic_writer(path) as fh:
+    def lines():
         for tr in result.test_runs:
-            fh.write(dumps_canonical(test_run_to_record(tr)))
-            fh.write("\n")
-        summary = {
+            yield dumps_canonical(test_run_to_record(tr))
+        yield dumps_canonical({
             "type": "summary",
             "cases": len(result.test_runs),
             "verdicts": result.verdict_counts(),
@@ -355,9 +358,9 @@ def save_report(result: CampaignResult, path, config: Optional[dict] = None) -> 
             "initial_runs": result.initial_runs,
             "reschedules": result.reschedules,
             "config": config or {},
-        }
-        fh.write(dumps_canonical(summary))
-        fh.write("\n")
+        })
+
+    write_lines(path, lines())
 
 
 REPORT_RUN_FIELDS = ("case_id", "service", "endpoint", "fault_id", "verdict")
@@ -376,33 +379,24 @@ def load_report(path) -> tuple:
     """
     runs = []
     summary = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"report {path} line {line_no}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ExecutorError(f"{where}: {exc}") from None
-            if not isinstance(rec, dict) or rec.get("type") not in ("test_run", "summary"):
-                raise ExecutorError(f"{where}: expected a test_run or summary object")
-            if rec["type"] == "test_run":
-                bad = [k for k in REPORT_RUN_FIELDS if not isinstance(rec.get(k), str)]
-                runs.append(rec)
-            else:
-                verdicts = rec.get("verdicts")
-                bad = [k for k in REPORT_COUNTERS if not _is_count(rec.get(k))]
-                if not (isinstance(verdicts, dict)
-                        and all(_is_count(v) for v in verdicts.values())):
-                    bad.append("verdicts")
-                if not isinstance(rec.get("config", {}), dict):
-                    bad.append("config")
-                summary = rec
-            if bad:
-                raise ExecutorError(f"{where}: {rec['type']} has missing or "
-                                    f"malformed {', '.join(bad)}")
+    for where, rec in read_records(path, "report"):
+        if not isinstance(rec, dict) or rec.get("type") not in ("test_run", "summary"):
+            raise ExecutorError(f"{where}: expected a test_run or summary object")
+        if rec["type"] == "test_run":
+            bad = [k for k in REPORT_RUN_FIELDS if not isinstance(rec.get(k), str)]
+            runs.append(rec)
+        else:
+            verdicts = rec.get("verdicts")
+            bad = [k for k in REPORT_COUNTERS if not _is_count(rec.get(k))]
+            if not (isinstance(verdicts, dict)
+                    and all(_is_count(v) for v in verdicts.values())):
+                bad.append("verdicts")
+            if not isinstance(rec.get("config", {}), dict):
+                bad.append("config")
+            summary = rec
+        if bad:
+            raise ExecutorError(f"{where}: {rec['type']} has missing or "
+                                f"malformed {', '.join(bad)}")
     if summary is None:
         raise ExecutorError(f"report {path} has no summary record")
     return runs, summary

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .model import COMPONENTS, Endpoint
+from .model import COMPONENTS, Endpoint, read_lines
 
 CATEGORY_PLATFORM = "platform_exception"
 CATEGORY_LATENCY = "comm_latency"
@@ -90,14 +90,14 @@ def faults_for_endpoint(catalog: FaultCatalog, endpoint: Endpoint) -> list:
     return hits
 
 
-def _parse_effect(kind: str, args: list, line_no: int) -> Effect:
+def _parse_effect(kind: str, args: list, where: str) -> Effect:
     if kind == EFFECT_THROW:
         if len(args) != 1:
-            raise CatalogError(f"line {line_no}: throw expects an exception name")
+            raise CatalogError(f"{where}: throw expects an exception name")
         return Effect(kind=EFFECT_THROW, exception=args[0])
     if kind == EFFECT_DELAY:
         if len(args) != 1:
-            raise CatalogError(f"line {line_no}: delay expects a duration or 'auto'")
+            raise CatalogError(f"{where}: delay expects a duration or 'auto'")
         if args[0] == DELAY_AUTO:
             return Effect(kind=EFFECT_DELAY, delay_us=None)
         try:
@@ -108,50 +108,54 @@ def _parse_effect(kind: str, args: list, line_no: int) -> Effect:
             else:
                 delay = int(args[0])
         except ValueError:
-            raise CatalogError(f"line {line_no}: bad delay {args[0]!r}") from None
+            raise CatalogError(f"{where}: bad delay {args[0]!r}") from None
         return Effect(kind=EFFECT_DELAY, delay_us=delay)
     if kind == EFFECT_STATUS:
         if not args:
-            raise CatalogError(f"line {line_no}: status expects a code")
+            raise CatalogError(f"{where}: status expects a code")
         try:
             code = int(args[0])
         except ValueError:
-            raise CatalogError(f"line {line_no}: bad status code {args[0]!r}") from None
+            raise CatalogError(f"{where}: bad status code {args[0]!r}") from None
         return Effect(kind=EFFECT_STATUS, status_code=code, body=" ".join(args[1:]))
-    raise CatalogError(f"line {line_no}: unknown effect kind {kind!r}")
+    raise CatalogError(f"{where}: unknown effect kind {kind!r}")
 
 
 def parse_catalog(text: str) -> FaultCatalog:
+    return _catalog_from_lines((f"line {n}", line) for n, line in enumerate(text.splitlines(), 1))
+
+
+def _catalog_from_lines(lines) -> FaultCatalog:
+    """The catalog of (where, line) pairs, each error prefixed by its `where`."""
     faults = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for where, raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) < 4:
-            raise CatalogError(f"line {line_no}: expected 'id category matcher effect ...'")
+            raise CatalogError(f"{where}: expected 'id category matcher effect ...'")
         fault_id, category, matcher_text, effect_kind = parts[:4]
         if category not in CATEGORIES:
-            raise CatalogError(f"line {line_no}: unknown category {category!r}")
+            raise CatalogError(f"{where}: unknown category {category!r}")
         triple = matcher_text.split(":")
         if len(triple) != 3 or not all(triple):
-            raise CatalogError(f"line {line_no}: matcher must be component:framework:method")
+            raise CatalogError(f"{where}: matcher must be component:framework:method")
         if triple[0] != WILDCARD and triple[0] not in COMPONENTS:
-            raise CatalogError(f"line {line_no}: unknown component {triple[0]!r}")
-        effect = _parse_effect(effect_kind, parts[4:], line_no)
+            raise CatalogError(f"{where}: unknown component {triple[0]!r}")
+        effect = _parse_effect(effect_kind, parts[4:], where)
         if effect.kind != _CATEGORY_EFFECTS[category]:
             raise CatalogError(
-                f"line {line_no}: effect {effect.kind!r} inconsistent with category {category!r}")
+                f"{where}: effect {effect.kind!r} inconsistent with category {category!r}")
         if fault_id in faults:
-            raise CatalogError(f"line {line_no}: duplicate fault id {fault_id!r}")
+            raise CatalogError(f"{where}: duplicate fault id {fault_id!r}")
         faults[fault_id] = FaultSpec(fault_id, category,
                                      EndpointMatcher(*triple), effect)
     return FaultCatalog(faults=faults)
 
 
 def load_catalog(path) -> FaultCatalog:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_catalog(fh.read())
+    return _catalog_from_lines(read_lines(path, "catalog"))
 
 
 def default_catalog() -> FaultCatalog:

@@ -7,9 +7,9 @@ Payloads are flattened key-path -> scalar-string maps (nested documents use
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
@@ -254,17 +254,11 @@ def validate_trace(trace: Trace) -> list:
     return violations
 
 
-class CorpusError(ValueError):
-    """Base class for corpus file problems."""
+class CorpusParseError(ValueError):
+    """A corpus line that does not decode or breaks a trace rule."""
 
 
-class CorpusParseError(CorpusError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
-class CorpusVersionError(CorpusError):
+class CorpusVersionError(ValueError):
     pass
 
 
@@ -331,54 +325,73 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-@contextmanager
-def atomic_writer(path):
-    """Text handle whose contents replace `path` only once fully written.
-
-    Writes go to `<path>.tmp`, which `os.replace` moves over `path` when the
-    block exits normally; on an exception the temp file is removed and `path`
-    keeps its earlier bytes.
-    """
+def write_lines(path, lines: Iterable[str]) -> int:
+    """Write each string of `lines`, an iterable read once, as one line of
+    `path` and return how many were written: the artifact writer. The lines go
+    to `<path>.tmp`, which `os.replace` moves over `path` at the end; on an
+    exception the temp file is removed and `path` keeps its earlier bytes."""
     tmp = f"{os.fspath(path)}.tmp"
+    count = 0
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
+            for count, line in enumerate(lines, start=1):
+                fh.write(line)
+                fh.write("\n")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # only left behind by an exception
             os.remove(tmp)
+    return count
+
+
+def read_lines(path, what: str):
+    """(where, line) for each non-blank line of `path`, stripped, in file
+    order: the artifact line reader. `where`, `<what> <path> line <n>`,
+    prefixes each error about the line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                yield f"{what} {path} line {line_no}", line
+
+
+def read_records(path, what: str):
+    """(where, record) for each non-blank line of `path`, decoded as JSON; a
+    line that is not JSON raises ValueError at its `where`."""
+    for where, line in read_lines(path, what):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        yield where, record
 
 
 def save_corpus(traces: Iterable[Trace], path, meta: CorpusMeta) -> int:
     """Write `traces`, an iterable read once, under a header with `meta`'s
-    seed and topology digest. `path` is replaced only once the last trace is
-    written, so a failure midway leaves its earlier bytes. Returns the number
-    of traces written."""
-    count = 0
-    with atomic_writer(path) as fh:
-        fh.write(f"{CORPUS_FORMAT} {CORPUS_VERSION} seed={meta.seed} "
-                 f"topology={meta.topology_digest}\n")
-        for trace in traces:
-            fh.write(dumps_canonical(trace_to_record(trace)))
-            fh.write("\n")
-            count += 1
-    return count
+    seed and topology digest; `path` is replaced as write_lines does.
+    Returns the number of traces written."""
+    header = (f"{CORPUS_FORMAT} {CORPUS_VERSION} seed={meta.seed} "
+              f"topology={meta.topology_digest}")
+    records = (dumps_canonical(trace_to_record(trace)) for trace in traces)
+    return write_lines(path, itertools.chain([header], records)) - 1
 
 
-def _read_header(fh) -> tuple:
-    header = fh.readline()
-    if not header:
-        raise CorpusParseError(1, "empty file, missing header")
+def _read_header(lines, first: str) -> tuple:
+    """Seed and topology digest of the header, the line of `lines` at `first`."""
+    where, header = next(lines, (first, None))
+    if header is None:
+        raise CorpusParseError(f"{first}: empty file, missing header")
+    header = header if where == first else ""  # line 1 is blank
     parts = header.split()
     if len(parts) != 4 or parts[0] != CORPUS_FORMAT:
-        raise CorpusParseError(1, f"not a {CORPUS_FORMAT} header: {header.strip()!r}")
+        raise CorpusParseError(f"{first}: not a {CORPUS_FORMAT} header: {header!r}")
     if parts[1] != CORPUS_VERSION:
-        raise CorpusVersionError(
-            f"incompatible corpus version {parts[1]!r}, this reader supports {CORPUS_VERSION}")
+        raise CorpusVersionError(f"{first}: incompatible corpus version {parts[1]!r}, "
+                                 f"this reader supports {CORPUS_VERSION}")
     try:
         return int(parts[2].split("=", 1)[1]), parts[3].split("=", 1)[1]
     except (IndexError, ValueError) as exc:
-        raise CorpusParseError(1, f"malformed header fields: {exc}") from exc
+        raise CorpusParseError(f"{first}: malformed header fields: {exc}") from exc
 
 
 class CorpusReader:
@@ -387,7 +400,7 @@ class CorpusReader:
     Iterating yields each trace in file order as soon as its line is decoded
     and validated, and holds nothing of it after. A line that does not decode,
     repeats a trace ID or breaks a validate_trace rule raises
-    CorpusParseError naming that line, after the traces before it were
+    CorpusParseError naming the file and line, after the traces before it were
     yielded; a bad header raises CorpusParseError or CorpusVersionError.
     `meta` is set once the pass is complete.
     """
@@ -397,33 +410,30 @@ class CorpusReader:
         self.meta: Optional[CorpusMeta] = None
 
     def __iter__(self):
-        with open(self.path, "r", encoding="utf-8") as fh:
-            seed, digest = _read_header(fh)
-            endpoints = {}
-            seen_ids = set()
-            start = end = None
-            for line_no, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    trace = _decode_trace(json.loads(line), endpoints)
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise CorpusParseError(line_no, f"malformed trace record: {exc}") from exc
-                if trace.trace_id in seen_ids:
-                    raise CorpusParseError(line_no, f"duplicate trace_id {trace.trace_id!r}")
-                violations = validate_trace(trace)
-                if violations:
-                    raise CorpusParseError(line_no, f"trace {trace.trace_id!r}: {violations[0]}")
-                seen_ids.add(trace.trace_id)
-                # a valid trace's spans all lie inside its root: the root is
-                # its whole share of the recording window
-                root = trace.root_span()
-                if start is None or root.start_us < start:
-                    start = root.start_us
-                if end is None or root.end_us > end:
-                    end = root.end_us
-                yield trace
+        lines = read_lines(self.path, "corpus")
+        seed, digest = _read_header(lines, f"corpus {self.path} line 1")
+        endpoints = {}
+        seen_ids = set()
+        start = end = None
+        for where, line in lines:
+            try:
+                trace = _decode_trace(json.loads(line), endpoints)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorpusParseError(f"{where}: malformed trace record: {exc}") from exc
+            if trace.trace_id in seen_ids:
+                raise CorpusParseError(f"{where}: duplicate trace_id {trace.trace_id!r}")
+            violations = validate_trace(trace)
+            if violations:
+                raise CorpusParseError(f"{where}: trace {trace.trace_id!r}: {violations[0]}")
+            seen_ids.add(trace.trace_id)
+            # a valid trace's spans all lie inside its root: the root is
+            # its whole share of the recording window
+            root = trace.root_span()
+            if start is None or root.start_us < start:
+                start = root.start_us
+            if end is None or root.end_us > end:
+                end = root.end_us
+            yield trace
         if start is None:
             start = end = 0
         self.meta = CorpusMeta(seed, digest, start, end)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .faults import FaultCatalog, faults_for_endpoint
-from .model import WRITE_METHODS, Corpus, Endpoint, Trace
+from .model import WRITE_METHODS, Corpus, Endpoint, Trace, write_lines
 
 RATIONALE_LAST = "last_invocation"
 RATIONALE_PRODUCER = "producer"
@@ -223,17 +223,19 @@ def parse_case_line(line: str, where: str) -> TestCase:
     if len(parts) != 7:
         raise ValueError(f"{where}: expected 7 fields")
     case_id, trace_id, pos, triple, service, fault_id, rationale = parts
-    component, framework, method = triple.split(":")
+    endpoint = triple.split(":")
+    if len(endpoint) != 3:
+        raise ValueError(f"{where}: endpoint {triple!r} is not component:framework:method")
+    if not pos.isdecimal():
+        raise ValueError(f"{where}: span position {pos!r} is not an integer")
     return TestCase(
         case_id=case_id,
         target=InjectionTarget(trace_id=trace_id, span_position=int(pos),
-                               endpoint=Endpoint(component, framework, method),
+                               endpoint=Endpoint(*endpoint),
                                service=service, rationale=rationale),
         fault_id=fault_id,
     )
 
 
 def save_plan(cases: list, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for case in cases:
-            fh.write(format_case_line(case) + "\n")
+    write_lines(path, map(format_case_line, cases))

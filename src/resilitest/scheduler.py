@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import atomic_writer
+from .model import read_lines, write_lines
 from .planner import format_case_line, parse_case_line
 
 VERDICT_PASS = "PASS"
@@ -93,32 +93,26 @@ class History:
         return self.executed.get(case_id) == VERDICT_PASS
 
     def save(self, path) -> None:
-        with atomic_writer(path) as fh:
-            for epoch, case_id, verdict, seq in self._records:
-                fh.write(f"{epoch} {case_id} {verdict} {seq}\n")
+        write_lines(path, (f"{epoch} {case_id} {verdict} {seq}"
+                           for epoch, case_id, verdict, seq in self._records))
 
     @classmethod
     def load(cls, path) -> "History":
         history = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                where = f"history {path} line {line_no}"
-                if len(parts) != 4:
-                    raise ValueError(f"{where}: expected 4 fields")
-                epoch = _history_int(where, "epoch", parts[0])
-                case_id, verdict = parts[1], parts[2]
-                seq = _history_int(where, "sequence number", parts[3])
-                if epoch > history.epoch:
-                    history.epoch = epoch
-                    history.executed = {}
-                if case_id != HISTORY_RESET_MARKER:
-                    history.executed[case_id] = verdict
-                history._records.append((epoch, case_id, verdict, seq))
-                history._seq = max(history._seq, seq)
+        for where, line in read_lines(path, "history"):
+            parts = line.split()
+            if len(parts) != 4:
+                raise ValueError(f"{where}: expected 4 fields")
+            epoch = _history_int(where, "epoch", parts[0])
+            case_id, verdict = parts[1], parts[2]
+            seq = _history_int(where, "sequence number", parts[3])
+            if epoch > history.epoch:
+                history.epoch = epoch
+                history.executed = {}
+            if case_id != HISTORY_RESET_MARKER:
+                history.executed[case_id] = verdict
+            history._records.append((epoch, case_id, verdict, seq))
+            history._seq = max(history._seq, seq)
         return history
 
 
@@ -135,26 +129,25 @@ def filter_history(cases: list, history: History) -> list:
 
 
 def save_run_plan(plan: RunPlan, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    def lines():
         for index, run in enumerate(plan.runs):
-            fh.write(f"run {index} trace={run.trace_id} cases={len(run.cases)}\n")
+            yield f"run {index} trace={run.trace_id} cases={len(run.cases)}"
             for case in run.cases:
-                fh.write(f"  {format_case_line(case)}\n")
+                yield f"  {format_case_line(case)}"
+
+    write_lines(path, lines())
 
 
 def load_run_plan(path) -> RunPlan:
     runs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            if raw.startswith("run "):
-                fields = dict(part.split("=", 1) for part in raw.split()[2:] if "=" in part)
-                if "trace" not in fields:
-                    raise ValueError(f"run-plan {path} line {line_no}: run header without trace=")
-                runs.append(Run(trace_id=fields["trace"], cases=[]))
-                continue
-            if not runs:
-                raise ValueError(f"run-plan line {line_no}: case before any run header")
-            runs[-1].cases.append(parse_case_line(raw, f"run-plan line {line_no}"))
+    for where, line in read_lines(path, "run-plan"):
+        if line.startswith("run "):
+            fields = dict(part.split("=", 1) for part in line.split()[2:] if "=" in part)
+            if "trace" not in fields:
+                raise ValueError(f"{where}: run header without trace=")
+            runs.append(Run(trace_id=fields["trace"], cases=[]))
+            continue
+        if not runs:
+            raise ValueError(f"{where}: case before any run header")
+        runs[-1].cases.append(parse_case_line(line, where))
     return RunPlan(runs=runs)

@@ -9,10 +9,9 @@ interfaces each contribute their single highest-scoring trace.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .model import Corpus, dumps_canonical
+from .model import Corpus, dumps_canonical, read_records, write_lines
 
 WEIGHT_TOLERANCE = 1e-9
 
@@ -131,41 +130,33 @@ SELECTION_FIELDS = ("interface_id", "aggregate_score", "trace_id", "trace_score"
 
 def load_selection_report(path) -> list:
     ranked = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"selection {path} line {line_no}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            missing = [k for k in SELECTION_FIELDS
-                       if not isinstance(rec, dict) or k not in rec]
-            if missing:
-                raise ValueError(f"{where}: missing {', '.join(missing)}")
-            for key in ("interface_id", "trace_id"):
-                if not isinstance(rec[key], str):
-                    raise ValueError(f"{where}: {key} {rec[key]!r} is not a string")
-            for key in ("aggregate_score", "trace_score"):
-                if isinstance(rec[key], bool) or not isinstance(rec[key], (int, float)):
-                    raise ValueError(f"{where}: {key} {rec[key]!r} is not a number")
-            ranked.append(SelectedInterface(
-                interface_id=rec["interface_id"],
-                aggregate_score=rec["aggregate_score"],
-                trace_id=rec["trace_id"],
-                trace_score=rec["trace_score"],
-            ))
+    for where, rec in read_records(path, "selection"):
+        missing = [k for k in SELECTION_FIELDS
+                   if not isinstance(rec, dict) or k not in rec]
+        if missing:
+            raise ValueError(f"{where}: missing {', '.join(missing)}")
+        for key in ("interface_id", "trace_id"):
+            if not isinstance(rec[key], str):
+                raise ValueError(f"{where}: {key} {rec[key]!r} is not a string")
+        for key in ("aggregate_score", "trace_score"):
+            if isinstance(rec[key], bool) or not isinstance(rec[key], (int, float)):
+                raise ValueError(f"{where}: {key} {rec[key]!r} is not a number")
+        ranked.append(SelectedInterface(
+            interface_id=rec["interface_id"],
+            aggregate_score=rec["aggregate_score"],
+            trace_id=rec["trace_id"],
+            trace_score=rec["trace_score"],
+        ))
     return ranked
 
 
 def save_selection_report(selected: list, corpus: Corpus, path) -> None:
     by_id = {t.trace_id: t for t in corpus.traces}
-    with open(path, "w", encoding="utf-8") as fh:
+
+    def lines():
         for rank, sel in enumerate(selected, start=1):
             trace = by_id[sel.trace_id]
-            rec = {
+            yield dumps_canonical({
                 "rank": rank,
                 "interface_id": sel.interface_id,
                 "aggregate_score": sel.aggregate_score,
@@ -176,6 +167,6 @@ def save_selection_report(selected: list, corpus: Corpus, path) -> None:
                     "diversity": trace.diversity,
                     "root_duration_us": root_duration(trace),
                 },
-            }
-            fh.write(dumps_canonical(rec))
-            fh.write("\n")
+            })
+
+    write_lines(path, lines())

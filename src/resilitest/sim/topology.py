@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..model import WRITE_METHODS, Endpoint, dumps_canonical
+from ..model import WRITE_METHODS, Endpoint, dumps_canonical, write_lines
 
 ON_ERROR_PROPAGATE = "propagate"
 ON_ERROR_CATCH = "catch_and_degrade"
@@ -47,6 +48,7 @@ CALL_COMPONENTS = ("HTTP", "RPC")
 # markers of Step.arg_plan entries that do not read a step output
 ARG_REQ = "req"
 ARG_LIT = "lit"
+ARG_SOURCE = re.compile(r"req\.|lit:|out:[0-9]+(\.|$)")
 
 DEFAULT_TIMEOUT_US = 1_000_000
 DEFAULT_WORKERS = 4
@@ -101,12 +103,12 @@ class Step:
         object.__setattr__(self, "_endpoint",
                            Endpoint(component, self.framework, self.method))
         # ((name, output index or ARG_REQ/ARG_LIT, path or literal), ...);
-        # a source of no known kind is left out (validate_topology rejects it)
+        # a source ARG_SOURCE does not match is left out (validate_topology rejects it)
         plan = []
         for name, source in self.args:
             if source.startswith("req."):
                 plan.append((name, ARG_REQ, source[4:]))
-            elif source.startswith("out:"):
+            elif source.startswith("out:") and ARG_SOURCE.match(source):
                 ref, _, path = source[4:].partition(".")
                 plan.append((name, int(ref), path))
             elif source.startswith("lit:"):
@@ -273,7 +275,7 @@ def validate_topology(spec: TopologySpec) -> None:
                 if "{" in step.target_line:
                     raise TopologyError(f"{loc}: call target must be a concrete line")
             for _, source in step.args:
-                if source[:4] not in ("req.", "out:", "lit:"):
+                if not ARG_SOURCE.match(source):
                     raise TopologyError(f"{loc}: bad arg source {source!r}")
             for _, ref, _ in step.arg_plan:
                 if isinstance(ref, int) and ref >= idx:
@@ -353,30 +355,49 @@ def topology_to_record(spec: TopologySpec) -> dict:
     }
 
 
+def _objects(rec: dict, key: str) -> list:
+    """The list of objects under `key` of `rec` (none if absent)."""
+    items = rec.get(key, [])
+    if type(items) is not list or any(type(item) is not dict for item in items):
+        raise TopologyError(f"{key} must be a list of objects")
+    return items
+
+
 def topology_from_record(rec: dict) -> TopologySpec:
-    if rec.get("format") != "resilitest-topology":
+    if type(rec) is not dict or rec.get("format") != "resilitest-topology":
         raise TopologyError("not a resilitest topology document")
     if rec.get("version") != 1:
         raise TopologyError(f"unsupported topology version {rec.get('version')!r}")
     services = []
-    for svc in rec.get("services", []):
-        interfaces = []
-        for i in svc.get("interfaces", []):
-            interfaces.append(InterfaceSpec(
-                method=i["method"],
-                uri_template=i["uri"],
-                compensate=i.get("compensate", False),
-                fields=tuple(FieldSpec(path=f["path"], kind=f.get("kind", "data"),
-                                       validate=f.get("validate", VALIDATE_NONE),
-                                       echo=f.get("echo", False), value=f.get("value", ""))
-                             for f in i.get("fields", [])),
-                resp_fields=tuple(RespField(path=r["path"], source=r["source"])
-                                  for r in i.get("resp", [])),
-                workflow=tuple(_step_from(s) for s in i.get("workflow", [])),
-            ))
-        services.append(ServiceSpec(name=svc["name"], interfaces=tuple(interfaces),
-                                    workers=svc.get("workers", DEFAULT_WORKERS),
-                                    queue_limit=svc.get("queue_limit", DEFAULT_QUEUE_LIMIT)))
+    records = _objects(rec, "services")
+    try:
+        for n, svc in enumerate(records):
+            where = f"services[{n}]"  # the service, interface or step being read
+            name = where = svc["name"]
+            interfaces = []
+            for i in _objects(svc, "interfaces"):
+                where = line = f"{name} {i['method']} {i['uri']}"
+                fields = tuple(FieldSpec(path=f["path"], kind=f.get("kind", "data"),
+                                         validate=f.get("validate", VALIDATE_NONE),
+                                         echo=f.get("echo", False), value=f.get("value", ""))
+                               for f in _objects(i, "fields"))
+                resp_fields = tuple(RespField(path=r["path"], source=r["source"])
+                                    for r in _objects(i, "resp"))
+                workflow = []
+                for idx, step in enumerate(_objects(i, "workflow")):
+                    where = f"{line} step {idx}"
+                    workflow.append(_step_from(step))
+                interfaces.append(InterfaceSpec(
+                    method=i["method"], uri_template=i["uri"],
+                    compensate=i.get("compensate", False), fields=fields,
+                    resp_fields=resp_fields, workflow=tuple(workflow)))
+            services.append(ServiceSpec(name=name, interfaces=tuple(interfaces),
+                                        workers=svc.get("workers", DEFAULT_WORKERS),
+                                        queue_limit=svc.get("queue_limit", DEFAULT_QUEUE_LIMIT)))
+    except KeyError as exc:
+        raise TopologyError(f"{where}: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise TopologyError(f"{where}: {exc}") from None
     spec = TopologySpec(
         name=rec.get("name", "unnamed"),
         seed=rec.get("seed", 0),
@@ -390,15 +411,14 @@ def topology_from_record(rec: dict) -> TopologySpec:
 
 
 def save_topology(spec: TopologySpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(topology_to_record(spec), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_lines(path, [json.dumps(topology_to_record(spec), indent=1, sort_keys=True)])
 
 
 def load_topology(path) -> TopologySpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            rec = json.load(fh)
+            return topology_from_record(json.load(fh))
         except json.JSONDecodeError as exc:
-            raise TopologyError(f"{path}: malformed JSON: {exc}") from exc
-    return topology_from_record(rec)
+            raise TopologyError(f"topology {path}: malformed JSON: {exc}") from None
+        except TopologyError as exc:
+            raise TopologyError(f"topology {path}: {exc}") from None

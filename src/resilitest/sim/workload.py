@@ -2,31 +2,22 @@
 
 from __future__ import annotations
 
-import json
-
-from ..model import dumps_canonical
+from ..model import dumps_canonical, read_records, write_lines
 from ..templating import EntryRequest
 
 
 def save_workload(entries: list, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for at_us, request in entries:
-            fh.write(dumps_canonical({"at_us": at_us, "line": request.line,
-                                      "payload": request.payload}))
-            fh.write("\n")
+    write_lines(path, (dumps_canonical({"at_us": at_us, "line": request.line,
+                                        "payload": request.payload})
+                       for at_us, request in entries))
 
 
 def load_workload(path) -> list:
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                rec = json.loads(raw)
-                entries.append((int(rec["at_us"]),
-                                EntryRequest(rec["line"], dict(rec["payload"]))))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"workload line {line_no}: {exc}") from exc
+    for where, rec in read_records(path, "workload"):
+        try:
+            entries.append((int(rec["at_us"]),
+                            EntryRequest(rec["line"], dict(rec["payload"]))))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     return entries

@@ -16,11 +16,10 @@ computed signatures).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .model import Span, dumps_canonical
+from .model import Span, dumps_canonical, read_lines, read_records, write_lines
 from .selection import representative_key
 
 REQ = "req"
@@ -91,29 +90,28 @@ class ManualVariableRegistry:
         return sorted(hits, key=lambda e: (e.key_path, e.kind))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in sorted(self.entries,
-                                key=lambda e: (e.interface_id, e.key_path, e.kind)):
-                note = self.provenance.get(entry, "")
-                suffix = f"  # {note}" if note else ""
-                fh.write(f"{entry.interface_id} {REQ} {entry.key_path} {entry.kind}{suffix}\n")
+        suffixes = {e: f"  # {note}" for e, note in self.provenance.items() if note}
+        write_lines(path, (f"{e.interface_id} {REQ} {e.key_path} {e.kind}{suffixes.get(e, '')}"
+                           for e in sorted(self.entries,
+                                           key=lambda e: (e.interface_id, e.key_path, e.kind))))
 
     @classmethod
     def load(cls, path) -> "ManualVariableRegistry":
         reg = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                note = raw.split("#", 1)[1].strip() if "#" in raw else ""
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 4:
-                    raise TemplatingError(f"registry line {line_no}: expected 4 fields, got {len(parts)}")
-                if parts[1] != REQ:
-                    raise TemplatingError(f"registry line {line_no}: invalid payload side "
-                                          f"{parts[1]!r}, only {REQ!r} is replayed")
-                reg.register(parts[0], parts[2], parts[3], note)
+        for where, line in read_lines(path, "registry"):
+            fields, _, note = line.partition("#")
+            parts = fields.split()
+            if not parts:
+                continue
+            if len(parts) != 4:
+                raise TemplatingError(f"{where}: expected 4 fields, got {len(parts)}")
+            if parts[1] != REQ:
+                raise TemplatingError(f"{where}: invalid payload side "
+                                      f"{parts[1]!r}, only {REQ!r} is replayed")
+            try:
+                reg.register(parts[0], parts[2], parts[3], note.strip())
+            except TemplatingError as exc:
+                raise TemplatingError(f"{where}: {exc}") from None
         return reg
 
 
@@ -240,13 +238,10 @@ TEMPLATE_FIELDS = ("interface_id", "line", "payload", "placeholders", "trace_id"
 
 
 def save_templates(templates: list, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in templates:
-            fh.write(dumps_canonical({
-                "interface_id": t.interface_id, "trace_id": t.trace_id,
-                "line": t.request.line, "payload": t.request.payload,
-                "placeholders": t.placeholders}))
-            fh.write("\n")
+    write_lines(path, (dumps_canonical({
+        "interface_id": t.interface_id, "trace_id": t.trace_id,
+        "line": t.request.line, "payload": t.request.payload,
+        "placeholders": t.placeholders}) for t in templates))
 
 
 def _template_from_record(rec) -> TraceTemplate:
@@ -272,13 +267,9 @@ def load_templates(path) -> list:
     """Templates of a templates.jsonl file, one record per line; a record
     that is not exactly what save_templates writes names the file and line."""
     templates = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                templates.append(_template_from_record(json.loads(line)))
-            except (json.JSONDecodeError, TemplatingError) as exc:
-                raise TemplatingError(f"templates {path} line {line_no}: {exc}") from None
+    for where, rec in read_records(path, "templates"):
+        try:
+            templates.append(_template_from_record(rec))
+        except TemplatingError as exc:
+            raise TemplatingError(f"{where}: {exc}") from None
     return templates

@@ -190,9 +190,10 @@ def planned_files(tmp_path_factory):
     ('{"interfaces": {"ifx": {"inject_max_success": 0.9}}}',
      "interface ifx: criteria must satisfy"),
     ('{"inject_max_success": 0.9}', "globals: criteria must satisfy"),
+    ("{broken", "Expecting property name"),
 ], ids=["list", "string-value", "bool-value", "unknown-key", "interfaces-list",
         "override-not-object", "unknown-override-key", "override-order",
-        "global-order"])
+        "global-order", "not-json"])
 def test_run_rejects_bad_criteria_before_any_case(planned_files, capsys, text, message):
     tmp_path, topo = planned_files
     criteria = tmp_path / "criteria.json"
@@ -250,7 +251,7 @@ def test_analyze_rejects_resp_registry_side(planned_files, tmp_path, capsys):
     registry.write_text("0123abcd resp chain.token timestamp\n")
     assert main(["analyze", "--corpus", str(planned / "corpus.txt"), "--registry",
                  str(registry), "--out-dir", str(tmp_path / "analysis")]) == 2
-    assert "registry line 1: invalid payload side 'resp'" in capsys.readouterr().err
+    assert f"registry {registry} line 1: invalid payload side 'resp'" in capsys.readouterr().err
 
 
 def test_plan_rejects_selection_record_without_trace_id(planned_files, tmp_path, capsys):
@@ -318,7 +319,7 @@ def test_analyze_rejects_corpus_id_of_wrong_type(planned_files, tmp_path, capsys
     corpus.write_text(f"{header}\n{json.dumps(rec)}\n")
     assert main(["analyze", "--corpus", str(corpus),
                  "--out-dir", str(tmp_path / "analysis")]) == 2
-    assert (f"error: corpus {corpus}: line 2: malformed trace record: {message}"
+    assert (f"error: corpus {corpus} line 2: malformed trace record: {message}"
             in capsys.readouterr().err)
 
 
@@ -355,8 +356,42 @@ def test_simulate_record_rejects_bad_topology_number(planned_files, tmp_path, ca
     _exits_2_with_error_line(
         capsys, ["simulate-record", "--topology", str(bad), "--workload",
                  str(tmp_path / "unread.jsonl"), "--out", str(tmp_path / "corpus.txt")],
-        "front POST /front/orders/place/{item} step 1: retries must be an integer >= 0")
+        f"topology {bad}: front POST /front/orders/place/{{item}} step 1: "
+        "retries must be an integer >= 0")
     assert not (tmp_path / "corpus.txt").exists()
+
+
+_DROP = object()
+PLACE_STEP = ("services", 1, "interfaces", 0, "workflow", 1)
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    ((*PLACE_STEP, "op"), _DROP,
+     "front POST /front/orders/place/{item} step 1: missing field 'op'"),
+    (("services", 1, "interfaces"), 3, "front: interfaces must be a list of objects"),
+    (("services",), {"front": {}}, "services must be a list of objects"),
+    (("services", 1, "name"), _DROP, "services[1]: missing field 'name'"),
+    ((*PLACE_STEP, "args", 0, 1), "out:abc.x",
+     "front POST /front/orders/place/{item} step 1: bad arg source 'out:abc.x'"),
+], ids=["step-without-op", "interfaces-number", "services-object",
+        "service-without-name", "arg-source-not-a-step"])
+def test_simulate_record_names_the_place_of_a_malformed_topology_record(
+        planned_files, tmp_path, capsys, keys, value, message):
+    _planned, topo = planned_files
+    rec = json.loads(topo.read_text())
+    holder = rec
+    for key in keys[:-1]:
+        holder = holder[key]
+    if value is _DROP:
+        del holder[keys[-1]]
+    else:
+        holder[keys[-1]] = value
+    bad = tmp_path / "topology.json"
+    bad.write_text(json.dumps(rec))
+    _exits_2_with_error_line(
+        capsys, ["simulate-record", "--topology", str(bad), "--workload",
+                 str(tmp_path / "unread.jsonl"), "--out", str(tmp_path / "corpus.txt")],
+        f"topology {bad}: {message}")
 
 
 def test_plan_rejects_bad_catalog_line(planned_files, tmp_path, capsys):
@@ -367,7 +402,7 @@ def test_plan_rejects_bad_catalog_line(planned_files, tmp_path, capsys):
         capsys, ["plan", "--corpus", str(planned / "corpus.txt"), "--analysis",
                  str(planned / "analysis"), "--catalog", str(catalog),
                  "--out-dir", str(tmp_path / "plans")],
-        "line 1: bad delay '5x'")
+        f"catalog {catalog} line 1: bad delay '5x'")
 
 
 def test_analyze_rejects_malformed_root_request_line(planned_files, tmp_path, capsys):
@@ -420,6 +455,24 @@ def test_run_rejects_run_header_without_trace(planned_files, tmp_path, capsys):
                  "--out", str(tmp_path / "report.jsonl")]) == 2
     assert f"error: run-plan {run_plan} line 1: run header without trace=" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case_line, message", [
+    ("c0 t000000 x Database:jdbc:select backend db-sql-timeout r",
+     "span position 'x' is not an integer"),
+    ("c0 t000000 1 Database:jdbc backend db-sql-timeout r",
+     "endpoint 'Database:jdbc' is not component:framework:method"),
+], ids=["position", "endpoint"])
+def test_run_rejects_malformed_case_line(planned_files, tmp_path, capsys,
+                                         case_line, message):
+    planned, topo = planned_files
+    run_plan = tmp_path / "runplan.txt"
+    run_plan.write_text(f"run 0 trace=t000000 cases=1\n  {case_line}\n")
+    _exits_2_with_error_line(
+        capsys, ["run", "--run-plan", str(run_plan), "--topology", str(topo),
+                 "--templates", str(planned / "analysis" / "templates.jsonl"),
+                 "--out", str(tmp_path / "report.jsonl")],
+        f"run-plan {run_plan} line 2: {message}")
 
 
 def test_seed_determinism_byte_identical_files(tmp_path):

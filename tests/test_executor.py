@@ -1,16 +1,20 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resilitest import executor
 from resilitest.executor import (EffectiveCriteria, ExecutorError,
                                  OracleCriteria, PhaseConfig, PhaseMetrics,
-                                 evaluate, load_report, run_batch, save_report)
+                                 evaluate, execute_run, load_report, run_batch,
+                                 save_report)
 from resilitest.faults import default_catalog
 from resilitest.planner import PlanConfig, plan_targets
 from resilitest.scheduler import History, Run, RunPlan, greedy_batch
-from resilitest.sim.engine import record_corpus
+from resilitest.sim.engine import System, record_corpus
 from resilitest.campaign import analyze_corpus, run_campaign
 
 from conftest import make_mini_topology, make_mini_workload
@@ -288,6 +292,29 @@ def test_report_save_interrupted_keeps_earlier_file(tmp_path, mini_setup):
         save_report(broken, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["report.jsonl"]
+
+
+def test_finished_run_frees_its_system_without_the_collector(mini_setup, monkeypatch):
+    spec, corpus, analysis, catalog = mini_setup
+    case = _mini_cases(analysis, corpus, catalog)[0]
+    template = next(t for t in analysis.templates.values()
+                    if t.trace_id == case.target.trace_id)
+    systems = []
+
+    def tracked_system(*args):
+        system = System(*args)
+        systems.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(executor, "System", tracked_system)
+    gc.collect()
+    gc.disable()
+    try:
+        execute_run(Run(case.target.trace_id, [case]), spec, template, catalog, FAST,
+                    OracleCriteria(), run_seed=3)
+        assert len(systems) == 1 and systems[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_empty_campaign_is_empty_report(tmp_path, mini_setup):

@@ -1,15 +1,27 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resilitest.aggregation import save_cluster_report
+from resilitest.campaign import analyze_corpus
+from resilitest.executor import CampaignResult, TestRun, save_report
+from resilitest.faults import default_catalog
 from resilitest.model import (Corpus, CorpusParseError, CorpusReader,
                               CorpusVersionError, Endpoint, Trace, Violation,
                               dumps_canonical, load_corpus, new_corpus,
                               save_corpus, trace_to_record, validate_trace)
+from resilitest.planner import PlanConfig, plan_targets, save_plan
+from resilitest.scheduler import History, Run, RunPlan, save_run_plan
+from resilitest.selection import save_selection_report
+from resilitest.sim.engine import record_corpus
+from resilitest.sim.topology import save_topology
+from resilitest.sim.workload import save_workload
+from resilitest.templating import ManualVariableRegistry, save_templates
 
-from conftest import make_span, make_trace
+from conftest import make_mini_topology, make_mini_workload, make_span, make_trace
 
 
 def test_minimal_valid_trace_has_empty_report():
@@ -201,7 +213,7 @@ def test_truncated_file_parse_error_names_final_record(tmp_path):
     path.write_bytes(data[:-20])  # chop the tail of the last record
     with pytest.raises(CorpusParseError) as err:
         load_corpus(path)
-    assert err.value.line_no == 6  # header + 5 records
+    assert str(err.value).startswith(f"corpus {path} line 6: ")  # header + 5 records
 
 
 def test_version_mismatch_is_explicit(tmp_path):
@@ -269,8 +281,9 @@ def test_reader_yields_earlier_traces_before_a_malformed_line(tmp_path):
     path.write_text(f"{header}\n{line2}\n{{broken\n")
     traces = iter(CorpusReader(path))
     assert next(traces) == first
-    with pytest.raises(CorpusParseError, match="^line 3: malformed trace record"):
+    with pytest.raises(CorpusParseError) as err:
         next(traces)
+    assert str(err.value).startswith(f"corpus {path} line 3: malformed trace record")
 
 
 @pytest.mark.parametrize("payload", [[["k", "v"]], "kv", None])
@@ -279,8 +292,9 @@ def test_non_object_payload_is_rejected(tmp_path, payload):
     rec["spans"][0]["req"] = payload
     path = tmp_path / "c.txt"
     path.write_text(f"resilitest-corpus v1 seed=1 topology=00\n{dumps_canonical(rec)}\n")
-    with pytest.raises(CorpusParseError, match="^line 2: malformed trace record: req payload"):
+    with pytest.raises(CorpusParseError) as err:
         load_corpus(path)
+    assert str(err.value).startswith(f"corpus {path} line 2: malformed trace record: req payload")
 
 
 def test_decoder_shares_one_endpoint_per_triple(tmp_path):
@@ -310,3 +324,70 @@ def test_save_failure_midway_keeps_the_earlier_file(tmp_path):
         save_corpus(traces_then_failure(), path, earlier.meta)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
+
+
+class _Unwritable:
+    """A record whose serialisation fails: reading any attribute or
+    iterating over it raises."""
+
+    def __getattr__(self, name):
+        raise RuntimeError("unwritable record")
+
+    def __iter__(self):
+        raise RuntimeError("unwritable record")
+
+
+@pytest.fixture(scope="module")
+def mini_artifacts():
+    """Real records of every artifact kind, from a recorded mini corpus."""
+    spec = make_mini_topology()
+    corpus = record_corpus(spec, make_mini_workload(spec), seed=5)
+    analysis = analyze_corpus(corpus)
+    selected = [(s.interface_id, next(t for t in corpus.traces if t.trace_id == s.trace_id))
+                for s in analysis.ranked]
+    cases = plan_targets(selected, corpus, default_catalog(), PlanConfig(3, 5))
+    return spec, corpus, analysis, cases
+
+
+def _writers(spec, corpus, analysis, cases, bad):
+    """name -> a call of that artifact writer whose second record is `bad`."""
+    registry = ManualVariableRegistry()
+    registry.register("if0", "sig", "fresh_id")
+    registry.entries.add(bad)
+    history = History()
+    history.record_outcome(cases[0].case_id, "PASS")
+    history._records.append(bad)
+    first_run = TestRun(case_id="c0", trace_id="t0", host_trace_id="t0",
+                        interface_id="if0", service="svc",
+                        endpoint=Endpoint("Database", "jdbc", "select"),
+                        fault_id="f0", rationale="r", verdict="PASS")
+    return {
+        "save_corpus": lambda p: save_corpus([corpus.traces[0], bad], p, corpus.meta),
+        "save_cluster_report": lambda p: save_cluster_report([analysis.clusters[0], bad], p),
+        "save_selection_report": lambda p: save_selection_report(
+            [analysis.ranked[0], bad], corpus, p),
+        "save_templates": lambda p: save_templates(
+            [next(iter(analysis.templates.values())), bad], p),
+        "ManualVariableRegistry.save": lambda p: registry.save(p),
+        "save_plan": lambda p: save_plan([cases[0], bad], p),
+        "save_run_plan": lambda p: save_run_plan(
+            RunPlan([Run(cases[0].target.trace_id, [cases[0], bad])]), p),
+        "save_workload": lambda p: save_workload([make_mini_workload(spec)[0], bad], p),
+        "save_topology": lambda p: save_topology(
+            replace(spec, services=(spec.services[0], bad)), p),
+        "History.save": lambda p: history.save(p),
+        "save_report": lambda p: save_report(CampaignResult([first_run, bad], 1, 1), p),
+    }
+
+
+@pytest.mark.parametrize("writer", [
+    "save_corpus", "save_cluster_report", "save_selection_report", "save_templates",
+    "ManualVariableRegistry.save", "save_plan", "save_run_plan", "save_workload",
+    "save_topology", "History.save", "save_report"])
+def test_writer_failing_midway_keeps_the_earlier_file(mini_artifacts, tmp_path, writer):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"earlier bytes\n")
+    with pytest.raises(RuntimeError, match="unwritable record"):
+        _writers(*mini_artifacts, _Unwritable())[writer](path)
+    assert path.read_bytes() == b"earlier bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
