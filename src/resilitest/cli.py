@@ -124,6 +124,11 @@ def cmd_run(args) -> int:
     plan = load_run_plan(args.run_plan)
     templates = load_templates(args.templates)
     catalog = _load_catalog(args.catalog)
+    for run in plan.runs:  # a case's fault must not fail after earlier cases ran
+        for case in run.cases:
+            if case.fault_id not in catalog.faults:
+                raise ValueError(f"run-plan {args.run_plan}: case {case.case_id}: "
+                                 f"unknown fault {case.fault_id!r}")
     criteria = OracleCriteria.load(args.criteria) if args.criteria else OracleCriteria()
     history = _load_history(args.history)
     if args.reset_history:

@@ -224,6 +224,7 @@ def execute_run(run: Run, topology: TopologySpec, template: TraceTemplate,
             deferred.extend(run.cases[position + 1:])
             break
 
+        system.forget_before(cursor)  # only this case's windows are read from here
         fault = catalog.get(case.fault_id)
         armed = system.arm_fault(case.target.service, case.target.endpoint, fault)
         inject_window = replay_traffic(system, make_request, phases.rate_per_sec,

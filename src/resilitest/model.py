@@ -446,10 +446,29 @@ def load_corpus(path) -> Corpus:
     return Corpus(traces=traces, meta=reader.meta)
 
 
+def _compact_root(span: Span, strings: dict) -> Span:
+    """`span` holding, for each of its strings and payload keys and string
+    values, the one equal string in `strings` (a dict mapping each to
+    itself). Other payload values are kept as they are: `1`, `1.0` and
+    `true` compare equal but are different values."""
+    share = strings.setdefault
+    request = {share(key, key): share(value, value) if value.__class__ is str else value
+               for key, value in span.request_payload.items()}
+    response = {share(key, key): share(value, value) if value.__class__ is str else value
+                for key, value in span.response_payload.items()}
+    return Span(share(span.span_id, span.span_id), span.parent_id,
+                share(span.service, span.service), span.endpoint,
+                share(span.operation_name, span.operation_name), request, response,
+                share(span.status, span.status), span.start_us, span.duration_us)
+
+
 def load_corpus_summaries(path) -> Corpus:
-    """A corpus file's traces as TraceSummary views, in file order."""
+    """A corpus file's traces as TraceSummary views, in file order; the
+    strings of their root spans are shared across traces."""
     reader = CorpusReader(path)
-    summaries = [TraceSummary(t.trace_id, t.root_span(), t.span_count, t.diversity)
+    strings = {}
+    summaries = [TraceSummary(t.trace_id, _compact_root(t.root_span(), strings),
+                              t.span_count, t.diversity)
                  for t in reader]
     return Corpus(traces=summaries, meta=reader.meta)
 

@@ -103,9 +103,9 @@ class History:
             parts = line.split()
             if len(parts) != 4:
                 raise ValueError(f"{where}: expected 4 fields")
-            epoch = _history_int(where, "epoch", parts[0])
+            epoch = _int(where, "epoch", parts[0])
             case_id, verdict = parts[1], parts[2]
-            seq = _history_int(where, "sequence number", parts[3])
+            seq = _int(where, "sequence number", parts[3])
             if epoch > history.epoch:
                 history.epoch = epoch
                 history.executed = {}
@@ -116,7 +116,7 @@ class History:
         return history
 
 
-def _history_int(where: str, name: str, text: str) -> int:
+def _int(where: str, name: str, text: str) -> int:
     try:
         return int(text)
     except ValueError:
@@ -139,15 +139,23 @@ def save_run_plan(plan: RunPlan, path) -> None:
 
 
 def load_run_plan(path) -> RunPlan:
-    runs = []
+    """The runs of a run-plan file. Each run header's `cases=` count must
+    match the case lines under it, so a file cut inside a run is rejected."""
+    headed = []  # (where, cases=, Run) of each run header
     for where, line in read_lines(path, "run-plan"):
         if line.startswith("run "):
             fields = dict(part.split("=", 1) for part in line.split()[2:] if "=" in part)
-            if "trace" not in fields:
-                raise ValueError(f"{where}: run header without trace=")
-            runs.append(Run(trace_id=fields["trace"], cases=[]))
+            for key in ("trace", "cases"):
+                if key not in fields:
+                    raise ValueError(f"{where}: run header without {key}=")
+            headed.append((where, _int(where, "cases=", fields["cases"]),
+                           Run(trace_id=fields["trace"], cases=[])))
             continue
-        if not runs:
+        if not headed:
             raise ValueError(f"{where}: case before any run header")
-        runs[-1].cases.append(parse_case_line(line, where))
-    return RunPlan(runs=runs)
+        headed[-1][2].cases.append(parse_case_line(line, where))
+    for where, count, run in headed:
+        if len(run.cases) != count:
+            raise ValueError(f"{where}: run header says cases={count}, but "
+                             f"{len(run.cases)} case lines follow it")
+    return RunPlan(runs=[run for _where, _count, run in headed])

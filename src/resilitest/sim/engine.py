@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import math
 import random
 from bisect import bisect_left
@@ -50,6 +51,11 @@ _TIMEOUT = object()  # sentinel resuming a caller whose call timed out
 _POISONED = object()  # marks a step attempt that fails without running
 _HANG = ("hang",)  # instruction: the worker is leaked, never resumed
 _COMPLETE_US = itemgetter(0)  # of an entry-log or endpoint-event record
+# Entry i of a workload posted lazily in time order (post_request's `index`)
+# takes the sequence numbers 2i+1 and 2i+2 above this base: below every other
+# event's, as if the whole workload were posted before any other event.
+_WORKLOAD_SEQ_BASE = -(1 << 62)
+_FORGET_EVERY = 1024  # workload entries between record_traces' forget_before calls
 
 
 def is_connection_exception(name: str) -> bool:
@@ -205,6 +211,7 @@ class System:
         # completion order, so sorted by complete_us like the entry log
         self._endpoint_events = defaultdict(list)
         self._loss_events = []  # entry-ok responses that hid a failed effect
+        self._kept_from_us = -math.inf  # forget_before dropped the records before
         self._fresh_counter = 0
         self._trace_counter = 0
         self._route_cache = {}
@@ -216,11 +223,13 @@ class System:
     def _schedule(self, delay_us: int, fn) -> None:
         self._schedule_at(self.now_us + delay_us, fn)
 
-    def _schedule_at(self, at_us: int, fn) -> None:
+    def _schedule_at(self, at_us: int, fn, seq: Optional[int] = None) -> None:
         if at_us < self.now_us:
             raise SimError(f"cannot schedule into the past ({at_us} < {self.now_us})")
-        self._evseq += 1
-        heapq.heappush(self._heap, (at_us, self._evseq, fn))
+        if seq is None:
+            self._evseq += 1
+            seq = self._evseq
+        heapq.heappush(self._heap, (at_us, seq, fn))
 
     def _run_events(self, until_us, handle: Optional[EntryHandle] = None) -> None:
         """Resume the suspended workflow or call the callable of each event
@@ -252,15 +261,24 @@ class System:
 
     # -- request intake -------------------------------------------------------
 
-    def post_request(self, request: EntryRequest, at_us: Optional[int] = None) -> EntryHandle:
+    def post_request(self, request: EntryRequest, at_us: Optional[int] = None,
+                     index: Optional[int] = None) -> EntryHandle:
+        """Schedule the arrival of `request` at `at_us` (now by default, never
+        before now) and its entry deadline. `index` marks the request as
+        entry `index` of a workload posted lazily in time order: its two
+        events then sort as if the whole workload had been posted first."""
         at = self.now_us if at_us is None else max(at_us, self.now_us)
         handle = EntryHandle(request, at, f"t{self._trace_counter:06d}")
         self._trace_counter += 1
         if self.record_traces:
             handle._recorder = _Recorder()
-        self._schedule_at(at, lambda: self._accept_entry(handle))
+        accept_seq = deadline_seq = None
+        if index is not None:
+            accept_seq = _WORKLOAD_SEQ_BASE + 2 * index + 1
+            deadline_seq = accept_seq + 1
+        self._schedule_at(at, lambda: self._accept_entry(handle), accept_seq)
         self._schedule_at(at + self.spec.entry_deadline_us,
-                          lambda: self._deadline_entry(handle))
+                          lambda: self._deadline_entry(handle), deadline_seq)
         return handle
 
     def submit_request(self, request: EntryRequest) -> tuple:
@@ -644,8 +662,26 @@ class System:
 
     # -- metrics ----------------------------------------------------------------
 
+    def forget_before(self, t_us: int) -> None:
+        """Drop the entry-log, endpoint-event and loss records completed
+        before `t_us`, and the outbox entries no longer pending. A metric
+        query for a window that starts before `t_us` then raises SimError."""
+        log = self._entry_log
+        del log[:bisect_left(log, t_us, key=_COMPLETE_US)]
+        for events in self._endpoint_events.values():
+            del events[:bisect_left(events, t_us, key=_COMPLETE_US)]
+        del self._loss_events[:bisect_left(self._loss_events, t_us)]
+        self._outbox = [entry for entry in self._outbox if entry["pending"]]
+        self._kept_from_us = max(self._kept_from_us, t_us)
+
+    def _check_kept(self, lo: int) -> None:
+        if lo < self._kept_from_us:
+            raise SimError(f"window from {lo} starts before {self._kept_from_us}, "
+                           f"the records before which were dropped")
+
     def entry_metrics(self, window: tuple) -> PhaseMetrics:
         lo, hi = window
+        self._check_kept(lo)
         if hi > self.now_us + 1:
             raise SimError(f"window [{lo}, {hi}) beyond elapsed virtual time {self.now_us}")
         log = self._entry_log
@@ -667,6 +703,7 @@ class System:
 
     def endpoint_stats(self, service: str, endpoint: Endpoint, window: tuple) -> dict:
         lo, hi = window
+        self._check_kept(lo)
         # a call that started at or after lo also completed at or after it
         invocations = 0
         failures = 0
@@ -680,10 +717,12 @@ class System:
 
     def losses_in(self, window: tuple) -> int:
         lo, hi = window
+        self._check_kept(lo)
         return sum(1 for t in self._loss_events if lo <= t < hi)
 
     def outbox_pending_from(self, window: tuple) -> int:
         lo, hi = window
+        self._check_kept(lo)
         return sum(1 for e in self._outbox
                    if e["pending"] and lo <= e["created_us"] < hi)
 
@@ -702,20 +741,43 @@ def replay_traffic(system: System, make_request, rate_per_sec: int,
     return (start_us, start_us + duration_us)
 
 
-def record_traces(spec: TopologySpec, workload: list, seed: int):
-    """Run the healthy system over (at_us, EntryRequest) workload entries and
-    yield each recorded trace in submission order, as soon as its request
-    and every earlier-submitted one have completed. A yielded trace is held
-    no longer; the events run in the same order as in one run to idle."""
+def record_traces(spec: TopologySpec, workload, seed: int):
+    """Run the healthy system over (at_us, EntryRequest) workload entries, an
+    iterable in time order (no at_us before the previous one) read once, and
+    yield each recorded trace in submission order, as soon as its request and
+    every earlier-submitted one have completed.
+
+    Entry i is read once entry i-1 is posted, and posted (as post_request's
+    `index` i) once every event before its at_us has run, so the events run
+    in the same order as in one run to idle with the whole workload posted
+    first. An entry or a trace is held only while its request is in flight,
+    and the system's metric logs, which nothing reads here, are dropped as
+    the recording goes.
+    """
     system = System(spec, seed, record_traces=True)
-    handles = deque(system.post_request(request, at_us) for at_us, request in workload)
-    while handles:
-        handle = handles.popleft()
-        system._run_events(math.inf, handle)
-        trace, handle.trace = handle.trace, None  # its deadline event holds the handle
-        if trace is not None:
-            yield trace
-    system.close()
+    handles = deque()
+    last_us = -math.inf
+    # the end marker at infinity runs the system to idle, which completes
+    # every request: the last handles then all yield
+    entries = itertools.chain(workload, [(math.inf, None)])
+    try:
+        for index, (at_us, request) in enumerate(entries):
+            if at_us < last_us:
+                raise SimError(f"workload entry {index} at {at_us} us is before "
+                               f"the previous one at {last_us} us")
+            last_us = at_us
+            system._run_events(at_us - 1)  # every event before it (times are integers)
+            while handles and handles[0].completed:
+                handle = handles.popleft()
+                trace, handle.trace = handle.trace, None  # its deadline event holds the handle
+                if trace is not None:
+                    yield trace
+            if request is not None:
+                handles.append(system.post_request(request, at_us, index))
+            if index % _FORGET_EVERY == 0:  # no query reads a recording system's logs
+                system.forget_before(system.now_us)
+    finally:
+        system.close()
 
 
 def record_corpus(spec: TopologySpec, workload: list, seed: int) -> Corpus:

@@ -12,12 +12,20 @@ def save_workload(entries: list, path) -> None:
                        for at_us, request in entries))
 
 
-def load_workload(path) -> list:
-    entries = []
+def load_workload(path):
+    """(at_us, EntryRequest) for each entry of a workload file, read one line
+    at a time. The entries must be in time order: one whose at_us is before
+    the previous entry's raises ValueError at its line, as a malformed one
+    does."""
+    last_us = None
     for where, rec in read_records(path, "workload"):
         try:
-            entries.append((int(rec["at_us"]),
-                            EntryRequest(rec["line"], dict(rec["payload"]))))
+            at_us = int(rec["at_us"])
+            request = EntryRequest(rec["line"], dict(rec["payload"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{where}: {exc}") from exc
-    return entries
+        if last_us is not None and at_us < last_us:
+            raise ValueError(f"{where}: at_us {at_us} is before the previous "
+                             f"entry's {last_us}; entries must be in time order")
+        last_us = at_us
+        yield at_us, request

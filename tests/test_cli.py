@@ -417,6 +417,45 @@ def test_analyze_rejects_malformed_root_request_line(planned_files, tmp_path, ca
         "malformed request line 'nonsense': expected 'METHOD /path'")
 
 
+def _analyze_one_root_per_interface(planned, tmp_path, key, values):
+    """Analyze the first trace of each of the corpus's interfaces, the
+    root request of the i-th holding `values[i]` at `key`; the templates'
+    values at `key`, in trace order, as JSON text."""
+    header, *lines = (planned / "corpus.txt").read_text().splitlines()
+    firsts = {}
+    for line in lines:
+        rec = json.loads(line)
+        firsts.setdefault(rec["spans"][0]["op"].rsplit("/", 1)[0], rec)
+    records = sorted(firsts.values(), key=lambda rec: rec["trace_id"])
+    assert len(records) == len(values)
+    for rec, value in zip(records, values):
+        rec["spans"][0]["req"][key] = value
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"{json.dumps(rec)}\n" for rec in records)
+                      .join([f"{header}\n", ""]))
+    analysis = tmp_path / "analysis"
+    assert main(["analyze", "--corpus", str(corpus), "--out-dir", str(analysis)]) == 0
+    templates = [json.loads(line)
+                 for line in (analysis / "templates.jsonl").read_text().splitlines()]
+    return [json.dumps(t["payload"][key])
+            for t in sorted(templates, key=lambda t: t["trace_id"])]
+
+
+def test_analyze_keeps_equal_payload_values_of_different_types(planned_files, tmp_path):
+    # 1, true and 1.0 compare equal in Python, but are three JSON values
+    planned, _topo = planned_files
+    assert _analyze_one_root_per_interface(planned, tmp_path, "flag", [1, True, 1.0]) \
+        == ["1", "true", "1.0"]
+
+
+def test_analyze_takes_a_container_payload_value_in_a_singleton_cluster(planned_files,
+                                                                        tmp_path):
+    planned, _topo = planned_files
+    values = [[1, 2], {"a": [3]}, "text"]
+    assert _analyze_one_root_per_interface(planned, tmp_path, "extra", values) \
+        == [json.dumps(value) for value in values]
+
+
 def test_plan_rejects_selection_trace_missing_from_corpus(planned_files, tmp_path, capsys):
     planned, _topo = planned_files
     analysis = tmp_path / "analysis"
@@ -473,6 +512,100 @@ def test_run_rejects_malformed_case_line(planned_files, tmp_path, capsys,
                  "--templates", str(planned / "analysis" / "templates.jsonl"),
                  "--out", str(tmp_path / "report.jsonl")],
         f"run-plan {run_plan} line 2: {message}")
+
+
+def _cut_last_case(lines):
+    return lines[:-1]
+
+
+def _bad_run_header(lines):
+    return [lines[0].replace(" cases=", " count="), *lines[1:]]
+
+
+def _count_not_integer(lines):
+    return [lines[0].split(" cases=")[0] + " cases=x", *lines[1:]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_cut_last_case, "line 1: run header says cases={n}, but {m} case lines follow it"),
+    (_bad_run_header, "line 1: run header without cases="),
+    (_count_not_integer, "line 1: cases= 'x' is not an integer"),
+], ids=["cut", "no-count", "count-not-integer"])
+def test_run_rejects_a_run_plan_cut_inside_a_run(planned_files, tmp_path, capsys,
+                                                 edit, message):
+    planned, topo = planned_files
+    lines = (planned / "plans" / "runplan.txt").read_text().splitlines()
+    first_run = [lines[0]]
+    for line in lines[1:]:
+        if line.startswith("run "):
+            break
+        first_run.append(line)
+    n = len(first_run) - 1
+    run_plan = tmp_path / "runplan.txt"
+    run_plan.write_text("\n".join(edit(first_run)) + "\n")
+    _exits_2_with_error_line(
+        capsys, ["run", "--run-plan", str(run_plan), "--topology", str(topo),
+                 "--templates", str(planned / "analysis" / "templates.jsonl"),
+                 "--out", str(tmp_path / "report.jsonl")],
+        f"run-plan {run_plan} " + message.format(n=n, m=n - 1))
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+def test_run_rejects_an_unknown_fault_before_any_case_runs(planned_files, tmp_path,
+                                                           capsys, monkeypatch):
+    from resilitest import executor
+
+    planned, topo = planned_files
+    lines = (planned / "plans" / "runplan.txt").read_text().splitlines()
+    fields = lines[-1].split()
+    fields[5] = "no-such-fault"
+    lines[-1] = "  " + " ".join(fields)
+    run_plan = tmp_path / "runplan.txt"
+    run_plan.write_text("\n".join(lines) + "\n")
+    started = []
+    execute_run = executor.execute_run
+    monkeypatch.setattr(executor, "execute_run",
+                        lambda *args, **kwargs: started.append(args[0].trace_id)
+                        or execute_run(*args, **kwargs))
+    _exits_2_with_error_line(
+        capsys, ["run", "--run-plan", str(run_plan), "--topology", str(topo),
+                 "--templates", str(planned / "analysis" / "templates.jsonl"),
+                 "--out", str(tmp_path / "report.jsonl")],
+        f"run-plan {run_plan}: case {fields[0]}: unknown fault 'no-such-fault'")
+    assert started == []
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+def _back_in_time(lines):
+    return [lines[0], lines[2], lines[1], *lines[3:]]
+
+
+def _malformed_middle(lines):
+    return [lines[0], lines[1], '{"at_us": 1}', *lines[3:]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_back_in_time, "line 3: at_us {at1} is before the previous entry's {at2}; "
+                    "entries must be in time order"),
+    (_malformed_middle, "line 3: 'line'"),
+], ids=["back-in-time", "malformed"])
+def test_simulate_record_rejects_a_bad_workload_line_and_keeps_the_corpus(
+        mini_files, capsys, edit, message):
+    tmp_path, topo, workload = mini_files
+    corpus = tmp_path / "corpus.txt"
+    argv = ["simulate-record", "--topology", str(topo), "--workload", str(workload),
+            "--out", str(corpus)]
+    assert main(argv) == 0
+    recorded = corpus.read_bytes()
+    lines = workload.read_text().splitlines()
+    at1, at2 = (json.loads(lines[i])["at_us"] for i in (1, 2))
+    workload.write_text("\n".join(edit(lines)) + "\n")
+    capsys.readouterr()
+    _exits_2_with_error_line(capsys, argv, f"workload {workload} "
+                             + message.format(at1=at1, at2=at2))
+    assert corpus.read_bytes() == recorded
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["corpus.txt", "topology.json", "workload.jsonl"]
 
 
 def test_seed_determinism_byte_identical_files(tmp_path):

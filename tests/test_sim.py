@@ -143,6 +143,52 @@ def test_streamed_traces_equal_one_run_to_idle():
     assert [t["trace_id"] for t in streamed] == sorted(t["trace_id"] for t in streamed)
 
 
+def _order_request(at_us, token):
+    return EntryRequest("POST /front/orders/place/item-zz99",
+                        {"ts": str(at_us), "token": token, "item": "item-zz99",
+                         "note": "note-qq88"})
+
+
+def test_streamed_workload_event_tied_with_a_simulator_event_keeps_its_order():
+    # a workload entry on the very microsecond a simulator event resumes a
+    # workflow: only the sequence numbers order the two events
+    spec = make_mini_topology()
+    workload = make_mini_workload(spec)
+    first = next(t for t in record_traces(spec, workload, seed=5) if len(t.spans) > 1)
+    index = int(first.trace_id[1:])
+    tie_us = first.spans[1].start_us
+    assert workload[index][0] < tie_us < workload[index + 1][0]
+    workload.insert(index + 1, (tie_us, _order_request(tie_us, "tk-tie")))
+    system = System(spec, 5, record_traces=True)
+    handles = [system.post_request(request, at_us) for at_us, request in workload]
+    system.run_until_idle()
+    expected = [trace_to_record(h.trace) for h in handles if h.trace is not None]
+    streamed = [trace_to_record(t) for t in record_traces(spec, workload, seed=5)]
+    assert streamed == expected
+
+
+def test_record_traces_reads_the_workload_as_it_goes():
+    spec = make_mini_topology()
+    workload = make_mini_workload(spec)
+    read = []
+
+    def counting():
+        for entry in workload:
+            read.append(entry)
+            yield entry
+
+    next(record_traces(spec, counting(), seed=5))
+    assert len(read) <= 3 < len(workload)
+
+
+def test_record_traces_rejects_a_workload_out_of_time_order():
+    spec = make_mini_topology()
+    workload = make_mini_workload(spec)
+    workload[1], workload[2] = workload[2], workload[1]
+    with pytest.raises(SimError, match="entry 2 .* before the previous one"):
+        list(record_traces(spec, workload, seed=5))
+
+
 def test_handle_usable_immediately():
     system = _boot(make_mini_topology())
     resp, _ = system.submit_request(_mini_request(system))
@@ -505,6 +551,31 @@ def test_endpoint_stats_count_a_call_completed_after_the_window():
         {"invocations": 0, "failures": 0}
 
 
+def test_forget_before_keeps_later_windows_and_rejects_earlier_ones():
+    spec = make_mini_topology()
+    system = _boot(spec)
+    insert = Endpoint("Database", "jdbc", "insert")
+
+    def make_request(at_us):
+        return _order_request(at_us, f"tk-{at_us}")
+
+    first = replay_traffic(system, make_request, 5, spec.boot_us, SECOND)
+    second = replay_traffic(system, make_request, 5, first[1], SECOND)
+    queries = (system.entry_metrics, system.losses_in, system.outbox_pending_from,
+               lambda window: system.endpoint_stats("front", insert, window))
+    kept = [query(second) for query in queries]
+    logged = len(system._entry_log)
+    system.forget_before(second[0])
+    assert len(system._entry_log) < logged
+    assert [query(second) for query in queries] == kept
+    assert kept[0].samples == 5 and kept[3]["invocations"] == 5
+    for query in queries:
+        with pytest.raises(SimError, match="records before which were dropped"):
+            query(first)
+        with pytest.raises(SimError, match="records before which were dropped"):
+            query((second[0] - 1, second[1]))
+
+
 def test_conservation_invocations_equal_recorded_spans():
     spec = make_mini_topology()
     workload = make_mini_workload(spec)
@@ -531,7 +602,7 @@ def test_workload_file_round_trip(tmp_path):
     workload = make_mini_workload(spec)
     path = tmp_path / "workload.jsonl"
     save_workload(workload, path)
-    assert load_workload(path) == workload
+    assert list(load_workload(path)) == workload
 
 
 def test_shipped_assets_match_their_builders(tmp_path):
