@@ -1,6 +1,8 @@
-"""End-to-end campaign orchestration: analyze, select, plan, execute.
+"""The `analyze` and `plan` stages, and a replay check of the templates.
 
-This is the glue the CLI subcommands and the acceptance suite share.
+`analyze_corpus` clusters, scores, ranks and templates a corpus;
+`plan_campaign` selects the interfaces and plans their cases. The `run` stage
+is `executor.run_batch` on the run plan that `scheduler.greedy_batch` makes.
 Selection is history-aware: ranked interfaces whose every case already passed
 in the current epoch are skipped, so successive small-K campaigns
 progressively explore new interfaces instead of re-testing passed ones.
@@ -12,11 +14,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .aggregation import cluster_interfaces
-from .executor import (CampaignResult, OracleCriteria, PhaseConfig, run_batch)
 from .faults import FaultCatalog
 from .model import Corpus
 from .planner import PlanConfig, plan_targets
-from .scheduler import History, filter_history, greedy_batch
+from .scheduler import History, filter_history
 from .selection import ComplexityWeights, score_corpus, select_top_k
 from .sim.engine import System
 from .sim.topology import TopologySpec
@@ -89,18 +90,6 @@ def plan_campaign(ranked: list, corpus: Corpus, catalog: FaultCatalog, k,
             selected.append(candidate)
             cases.extend(pending)
     return selected, cases
-
-
-def run_campaign(topology: TopologySpec, analysis: Analysis,
-                 catalog: FaultCatalog, cases: list, phases: PhaseConfig,
-                 criteria: Optional[OracleCriteria] = None, seed: int = 0,
-                 entry_only: bool = False,
-                 history: Optional[History] = None) -> CampaignResult:
-    criteria = criteria or OracleCriteria()
-    plan = greedy_batch(cases)
-    return run_batch(plan, topology, list(analysis.templates.values()), catalog,
-                     phases, criteria, seed=seed, entry_only=entry_only,
-                     history=history)
 
 
 @dataclass

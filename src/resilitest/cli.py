@@ -258,7 +258,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed output pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading (`| head`): a normal end of output; the
+        # unwritten rest goes to devnull so the exit-time flush fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (OSError, ValueError) as exc:  # every domain error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,6 +49,7 @@ CALL_COMPONENTS = ("HTTP", "RPC")
 ARG_REQ = "req"
 ARG_LIT = "lit"
 ARG_SOURCE = re.compile(r"req\.|lit:|out:[0-9]+(\.|$)")
+RESP_SOURCE = re.compile(r"(lit|echo|derive):|token\Z")
 
 DEFAULT_TIMEOUT_US = 1_000_000
 DEFAULT_WORKERS = 4
@@ -247,6 +248,10 @@ def validate_topology(spec: TopologySpec) -> None:
                 raise TopologyError(f"{where}: field {fs.path!r} has unknown kind {fs.kind!r}")
             if fs.validate not in VALIDATIONS:
                 raise TopologyError(f"{where}: field {fs.path!r} has unknown validation {fs.validate!r}")
+        for rf in iface.resp_fields:
+            if not (isinstance(rf.source, str) and RESP_SOURCE.match(rf.source)):
+                raise TopologyError(f"{where}: response field {rf.path!r} has unknown "
+                                    f"source {rf.source!r}")
         for idx, step in enumerate(iface.workflow):
             loc = f"{where} step {idx}"
             if step.op not in OPS:

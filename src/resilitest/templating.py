@@ -115,17 +115,25 @@ class ManualVariableRegistry:
         return reg
 
 
+def _scalar(value) -> bool:
+    # a list or object payload value is never a dynamic variable
+    return not isinstance(value, (list, dict))
+
+
 def find_intraspan_candidates(span: Span) -> set:
-    """Stage 1: request key-paths whose value appears verbatim among response values."""
-    resp_values = set(span.response_payload.values())
-    return {path for path, value in span.request_payload.items() if value in resp_values}
+    """Stage 1: request key-paths whose value appears verbatim among response
+    values. A list or object value is no candidate."""
+    resp_values = {v for v in span.response_payload.values() if _scalar(v)}
+    return {path for path, value in span.request_payload.items()
+            if _scalar(value) and value in resp_values}
 
 
 def confirm_dynamic_variables(spans: list) -> set:
     """Stage 2: keep intra-span candidates whose value is not constant across spans.
 
     Candidates are the union of per-span stage-1 results; a candidate missing
-    from some span's request is skipped (no evidence either way).
+    from some span's request is skipped (no evidence either way), and so is
+    one that holds a list or object value in some span's request.
     """
     if len(spans) < 2:
         raise InsufficientEvidenceError(f"need at least 2 spans, got {len(spans)}")
@@ -136,7 +144,7 @@ def confirm_dynamic_variables(spans: list) -> set:
     for path in candidates:
         values = []
         for span in spans:
-            if path not in span.request_payload:
+            if path not in span.request_payload or not _scalar(span.request_payload[path]):
                 break
             values.append(span.request_payload[path])
         else:

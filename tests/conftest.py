@@ -1,32 +1,39 @@
+import os
+
 import pytest
 
 from resilitest.campaign import analyze_corpus
 from resilitest.faults import default_catalog
 from resilitest.model import Endpoint, Span, Trace
-from resilitest.refassets import (build_reference_topology,
-                                  build_reference_workload,
-                                  build_signature_registry)
 from resilitest.sim.engine import record_corpus
 from resilitest.sim.topology import (FieldSpec, InterfaceSpec, RespField,
                                      ServiceSpec, Step, TopologySpec,
-                                     validate_topology)
+                                     load_topology, validate_topology)
+from resilitest.sim.workload import load_workload
+from resilitest.templating import ManualVariableRegistry
 
 REF_SEED = 7
+ASSETS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "src", "resilitest", "assets")
+REF_TOPOLOGY = os.path.join(ASSETS, "reference_topology.json")
+REF_TOPOLOGY_BUGFREE = os.path.join(ASSETS, "reference_topology_bugfree.json")
+REF_WORKLOAD = os.path.join(ASSETS, "reference_workload.jsonl")
+REF_REGISTRY = os.path.join(ASSETS, "reference_registry.txt")
 
 
 @pytest.fixture(scope="session")
 def ref_topology():
-    return build_reference_topology()
+    return load_topology(REF_TOPOLOGY)
 
 
 @pytest.fixture(scope="session")
-def ref_topology_bugfree(ref_topology):
-    return ref_topology.bug_free()
+def ref_topology_bugfree():
+    return load_topology(REF_TOPOLOGY_BUGFREE)
 
 
 @pytest.fixture(scope="session")
-def ref_workload(ref_topology):
-    return build_reference_workload(ref_topology)
+def ref_workload():
+    return list(load_workload(REF_WORKLOAD))
 
 
 @pytest.fixture(scope="session")
@@ -35,8 +42,8 @@ def ref_corpus(ref_topology, ref_workload):
 
 
 @pytest.fixture(scope="session")
-def ref_registry(ref_topology):
-    return build_signature_registry(ref_topology)
+def ref_registry():
+    return ManualVariableRegistry.load(REF_REGISTRY)
 
 
 @pytest.fixture(scope="session")

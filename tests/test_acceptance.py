@@ -1,8 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Heavy artifacts (recorded corpus, campaigns, sweeps) are built once in
-module-scoped fixtures that also record their wall-clock cost so the stated
-runtime budgets are asserted against the real work.
+The campaigns run the shipped CLI stages on the shipped reference assets, in
+files, as a user runs them: `simulate-record`, `analyze`, `plan` and `run`
+through `resilitest.cli.main`, with the arguments the benchmark uses, and the
+verdicts are read back from the report. Heavy artifacts (the recorded corpus
+and analysis, campaigns, sweeps) are built once in module-scoped fixtures that
+also record their wall-clock cost, so the stated runtime budgets are asserted
+against the real work.
 """
 
 import hashlib
@@ -10,34 +14,42 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
-from resilitest.campaign import (analyze_corpus, plan_campaign, replay_check,
-                                 run_campaign)
+from resilitest.campaign import analyze_corpus, replay_check
+from resilitest.cli import main
 from resilitest.executor import (EffectiveCriteria, FAIL_VERDICTS,
                                  OracleCriteria, PhaseConfig, PhaseMetrics,
-                                 evaluate, run_batch, save_report)
+                                 evaluate, load_report, run_batch)
 from resilitest.faults import faults_for_endpoint
-from resilitest.model import compute_window, dumps_canonical, new_corpus
+from resilitest.model import (compute_window, dumps_canonical,
+                              load_corpus_selection, new_corpus)
 from resilitest.planner import PlanConfig, plan_targets, sample_services
-from resilitest.refassets import (build_reference_topology,
-                                  build_reference_workload,
-                                  build_signature_registry)
-from resilitest.scheduler import History, Run, RunPlan, greedy_batch
+from resilitest.scheduler import Run, RunPlan, greedy_batch, load_run_plan
+from resilitest.selection import load_selection_report
 from resilitest.sim.engine import record_corpus
-from resilitest.templating import ManualVariableRegistry, build_template
+from resilitest.sim.topology import load_topology
+from resilitest.sim.workload import load_workload
+from resilitest.templating import (ManualVariableRegistry, build_template,
+                                   load_templates)
 
-from conftest import make_span, make_trace, root_span
+from conftest import (REF_REGISTRY, REF_TOPOLOGY, REF_TOPOLOGY_BUGFREE,
+                      REF_WORKLOAD, make_span, make_trace, root_span)
+from reference_system import expected_interface_id
 
 SEED = 7
 SECOND = 1_000_000
 PHASES = PhaseConfig(12 * SECOND, 12 * SECOND, 12 * SECOND, 5)
+N_SERVICES = 3
+SETUP_ARTIFACTS = ("corpus.txt", "analysis/clusters.txt", "analysis/selection.jsonl",
+                   "analysis/templates.jsonl")
 # SHA-256 of the K=all report; a change that alters reports on purpose
 # updates it and says why
 CAMPAIGN_ALL_REPORT_SHA256 = \
-    "2251de35f05a982114cba26ee33b59eb11965b73307fe05bedb63ed01ca9b47f"
+    "fa4e9ea6ba7baed74a6a7ba1ef4da17a82c521fa2ea0a2cc7164a93933d18fa5"
 
 
 def _ok(criterion, detail=""):
@@ -48,7 +60,48 @@ def _ok(criterion, detail=""):
 class Timed:
     value: object
     seconds: float
-    extras: dict = field(default_factory=dict)
+
+
+def _cli(*argv):
+    argv = [str(arg) for arg in argv]
+    assert main(argv) == 0, argv
+
+
+def cli_setup(out, topology=REF_TOPOLOGY):
+    """`simulate-record` and `analyze` (with the signature registry) on the
+    reference workload, into directory `out`; returns `out`."""
+    out.mkdir(parents=True, exist_ok=True)
+    _cli("simulate-record", "--topology", topology, "--workload", REF_WORKLOAD,
+         "--seed", SEED, "--out", out / "corpus.txt")
+    _cli("analyze", "--corpus", out / "corpus.txt", "--registry", REF_REGISTRY,
+         "--out-dir", out / "analysis")
+    return out
+
+
+def cli_campaign(out, top_k="all", topology=REF_TOPOLOGY, setup=None, history=None):
+    """Run a campaign through the CLI into directory `out`, with the
+    arguments of the benchmark's campaign; returns the report's path.
+
+    The set-up stages run into `out` too, unless `setup` names a directory
+    where `cli_setup` already ran. `history` is passed to `plan` and `run`
+    when given.
+    """
+    setup = setup or cli_setup(out, topology)
+    history_args = ("--history", history) if history else ()
+    _cli("plan", "--corpus", setup / "corpus.txt", "--analysis", setup / "analysis",
+         "--top-k", top_k, "--n-services", N_SERVICES, "--seed", SEED,
+         "--out-dir", out / "plans", *history_args)
+    _cli("run", "--run-plan", out / "plans" / "runplan.txt", "--topology", topology,
+         "--templates", setup / "analysis" / "templates.jsonl", "--seed", SEED,
+         "--phases", "12,12,12,5", "--top-k", top_k, "--out", out / "report.jsonl",
+         *history_args)
+    return out / "report.jsonl"
+
+
+def _planned_cases(report):
+    """How many cases the run plan next to `report` holds."""
+    plan = load_run_plan(report.parent / "plans" / "runplan.txt")
+    return sum(len(run.cases) for run in plan.runs)
 
 
 def _bug_units(topology):
@@ -59,77 +112,45 @@ def _bug_units(topology):
                 continue
             for iface in svc.interfaces:
                 if iface.line == line:
-                    units[(svc_name, iface.workflow[idx].endpoint())] = flag
+                    units[(svc_name, iface.workflow[idx].endpoint().triple())] = flag
     return units
 
 
-def _detected_bugs(topology, test_runs):
+def _detected_bugs(topology, records):
+    """The seeded-bug units with a verdict other than PASS in `records`."""
     units = _bug_units(topology)
-    hit = set()
-    for tr in test_runs:
-        if tr.verdict != "PASS" and (tr.service, tr.endpoint) in units:
-            hit.add((tr.service, tr.endpoint))
-    return {units[u] for u in hit}, hit
+    return {(rec["service"], rec["endpoint"]) for rec in records
+            if rec["verdict"] != "PASS" and (rec["service"], rec["endpoint"]) in units}
 
 
 @pytest.fixture(scope="module")
-def pipeline():
-    """Recorded corpus + analysis with the signature registry applied."""
-    t0 = time.monotonic()
-    topology = build_reference_topology()
-    workload = build_reference_workload(topology)
-    corpus = record_corpus(topology, workload, seed=SEED)
-    registry = build_signature_registry(topology)
-    analysis = analyze_corpus(corpus, registry=registry)
-    return Timed((topology, workload, corpus, registry, analysis),
-                 time.monotonic() - t0)
+def pipeline(tmp_path_factory):
+    """The set-up directory of the seeded reference system."""
+    return cli_setup(tmp_path_factory.mktemp("pipeline"))
 
 
 @pytest.fixture(scope="module")
-def campaign_all(pipeline, catalog, tmp_path_factory):
-    topology, _workload, _corpus, _registry, analysis = pipeline.value
+def campaign_all(pipeline, tmp_path_factory):
     t0 = time.monotonic()
-    _selected, cases = plan_campaign(analysis.ranked, analysis.corpus, catalog,
-                                     "all", PlanConfig(n_services=3, seed=SEED))
-    result = run_campaign(topology, analysis, catalog, cases, PHASES,
-                          OracleCriteria(), seed=SEED)
-    seconds = time.monotonic() - t0
-    path = tmp_path_factory.mktemp("reports") / "campaign_all.jsonl"
-    save_report(result, path, config={"top_k": "all", "seed": SEED})
-    return Timed(result, seconds, extras={"cases": cases, "report": path})
+    report = cli_campaign(tmp_path_factory.mktemp("campaign_all"), setup=pipeline)
+    return Timed(report, time.monotonic() - t0)
 
 
 @pytest.fixture(scope="module")
-def campaign_all_bugfree(catalog):
+def campaign_all_bugfree(tmp_path_factory):
     t0 = time.monotonic()
-    topology = build_reference_topology(bugs=False)
-    workload = build_reference_workload(topology)
-    corpus = record_corpus(topology, workload, seed=SEED)
-    analysis = analyze_corpus(corpus, registry=build_signature_registry(
-        build_reference_topology()))
-    _selected, cases = plan_campaign(analysis.ranked, analysis.corpus, catalog,
-                                     "all", PlanConfig(n_services=3, seed=SEED))
-    result = run_campaign(topology, analysis, catalog, cases, PHASES,
-                          OracleCriteria(), seed=SEED)
-    return Timed(result, time.monotonic() - t0)
+    report = cli_campaign(tmp_path_factory.mktemp("campaign_all_bugfree"),
+                          topology=REF_TOPOLOGY_BUGFREE)
+    return Timed(report, time.monotonic() - t0)
 
 
 @pytest.fixture(scope="module")
-def sweep(pipeline, catalog, tmp_path_factory):
-    topology, _workload, _corpus, _registry, analysis = pipeline.value
+def sweep(pipeline, tmp_path_factory):
     t0 = time.monotonic()
-    out = {}
-    reports = {}
     directory = tmp_path_factory.mktemp("sweep")
-    for k in (5, 10, 20, 40):
-        _sel, cases = plan_campaign(analysis.ranked, analysis.corpus, catalog,
-                                    k, PlanConfig(n_services=3, seed=SEED))
-        result = run_campaign(topology, analysis, catalog, cases, PHASES,
-                              OracleCriteria(), seed=SEED)
-        out[k] = (len(cases), result)
-        reports[k] = directory / f"report_k{k}.jsonl"
-        save_report(result, reports[k], config={"top_k": str(k), "seed": SEED})
-    return Timed(out, time.monotonic() - t0, extras={"reports": reports})
+    reports = {k: cli_campaign(directory / f"k{k}", k, setup=pipeline)
+               for k in (5, 10, 20, 40)}
+    return Timed(reports, time.monotonic() - t0)
 
 
 def test_criterion_1_session_token_templating():
@@ -154,8 +175,8 @@ def test_criterion_1_session_token_templating():
 
 def test_criterion_2_replayability(tmp_path):
     t0 = time.monotonic()
-    topology = build_reference_topology()
-    workload = build_reference_workload(topology)
+    topology = load_topology(REF_TOPOLOGY)
+    workload = list(load_workload(REF_WORKLOAD))
     corpus = record_corpus(topology, workload, seed=SEED)
     assert len({c.interface_id for c in analyze_corpus(corpus).clusters}) >= 200
 
@@ -165,14 +186,13 @@ def test_criterion_2_replayability(tmp_path):
     assert fraction >= 0.98
 
     # the residual failures are exactly the seeded signature-token interfaces
-    from resilitest.refassets import expected_interface_id
     signature_ids = {expected_interface_id(iface)
                      for _svc, iface in topology.interfaces()
                      if any(f.kind == "signature" for f in iface.fields)}
     failed_ids = {iid for iid, ok in check.interface_ok.items() if not ok}
     assert failed_ids == signature_ids
 
-    registered = analyze_corpus(corpus, registry=build_signature_registry(topology))
+    registered = analyze_corpus(corpus, registry=ManualVariableRegistry.load(REF_REGISTRY))
     check_registered = replay_check(topology, registered, seed=SEED)
     elapsed = time.monotonic() - t0
     assert check_registered.success_fraction == 1.0
@@ -180,48 +200,50 @@ def test_criterion_2_replayability(tmp_path):
     _ok(2, f"({fraction:.4f} unregistered, 1.0000 registered, {elapsed:.1f}s)")
 
 
-def test_criterion_3_seeded_bug_detection(pipeline, campaign_all,
+def test_criterion_3_seeded_bug_detection(ref_topology, campaign_all,
                                           campaign_all_bugfree):
-    topology = pipeline.value[0]
-    _flags, units = _detected_bugs(topology, campaign_all.value.test_runs)
-    bug_count = len(units)
+    records, _summary = load_report(campaign_all.value)
+    bug_count = len(_detected_bugs(ref_topology, records))
     assert bug_count >= 9, f"only {bug_count}/10 seeded bugs detected"
 
-    bugfree = campaign_all_bugfree.value
-    counts = bugfree.verdict_counts()
+    bugfree, _summary = load_report(campaign_all_bugfree.value)
+    counts = Counter(rec["verdict"] for rec in bugfree)
     false_fails = sum(counts[v] for v in FAIL_VERDICTS)
     assert false_fails == 0, f"{false_fails} false FAIL verdicts on bug-free variant"
     assert counts["STARTUP_FAILURE"] == 0
 
     elapsed = campaign_all.seconds + campaign_all_bugfree.seconds
     assert elapsed < 300.0
-    _ok(3, f"({bug_count}/10 bugs, 0 false FAILs, {elapsed:.0f}s)")
+    _ok(3, f"({bug_count}/10 bugs, 0 false FAILs in {len(bugfree)} cases, {elapsed:.0f}s)")
 
 
-def test_criterion_4_granular_oracle_differential(pipeline, catalog):
-    topology, _workload, corpus, _registry, analysis = pipeline.value
-    units = {unit: flag for unit, flag in _bug_units(topology).items()
+def test_criterion_4_granular_oracle_differential(pipeline, ref_topology, catalog):
+    units = {unit: flag for unit, flag in _bug_units(ref_topology).items()
              if flag == "fire_and_forget"}
     assert len(units) == 2
+    # what `plan` and `run` read of the set-up artifacts
+    ranked = load_selection_report(pipeline / "analysis" / "selection.jsonl")
+    corpus = load_corpus_selection(pipeline / "corpus.txt",
+                                   {sel.trace_id for sel in ranked})
+    templates = load_templates(pipeline / "analysis" / "templates.jsonl")
     traces = {t.trace_id: t for t in corpus.traces}
-    templates = list(analysis.templates.values())
     checked = 0
     for (service, endpoint) in sorted(units, key=lambda u: u[0]):
         case = None
-        for sel in analysis.ranked:
+        for sel in ranked:
             trace = traces[sel.trace_id]
             for c in plan_targets([(sel.interface_id, trace)], corpus, catalog,
-                                  PlanConfig(n_services=3, seed=SEED)):
-                if (c.target.service, c.target.endpoint) == (service, endpoint) \
+                                  PlanConfig(n_services=N_SERVICES, seed=SEED)):
+                if (c.target.service, c.target.endpoint.triple()) == (service, endpoint) \
                         and c.fault_id == "mq-disconnect":
                     case = c
             if case:
                 break
         assert case is not None, f"no planned case for {service}"
         plan = RunPlan(runs=[Run(trace_id=case.target.trace_id, cases=[case])])
-        dual, = run_batch(plan, topology, templates, catalog, PHASES,
+        dual, = run_batch(plan, ref_topology, templates, catalog, PHASES,
                           OracleCriteria(), seed=SEED).test_runs
-        naive, = run_batch(plan, topology, templates, catalog, PHASES,
+        naive, = run_batch(plan, ref_topology, templates, catalog, PHASES,
                            OracleCriteria(), seed=SEED, entry_only=True).test_runs
         assert dual.verdict == "FAIL_SILENT", (service, dual.verdict)
         assert naive.verdict == "PASS", (service, naive.verdict)
@@ -352,49 +374,34 @@ def test_criterion_6_pruning_equivalence(catalog):
     _ok(6, f"({total_traces} random traces match the exhaustive oracle)")
 
 
-def test_criterion_7_sensitivity_curves(pipeline, campaign_all, sweep):
-    topology = pipeline.value[0]
-    counts = {k: sweep.value[k][0] for k in (5, 10, 20, 40)}
-    counts["all"] = len(campaign_all.extras["cases"])
+def test_criterion_7_sensitivity_curves(ref_topology, campaign_all, sweep):
+    reports = {**sweep.value, "all": campaign_all.value}
     ks = [5, 10, 20, 40, "all"]
-    series = [counts[k] for k in ks]
+    series = [_planned_cases(reports[k]) for k in ks]
     assert all(b >= a for a, b in zip(series, series[1:])), series
     increments = [b - a for a, b in zip(series, series[1:])]
     assert increments[-1] < increments[-2], increments
 
-    coverage = {}
-    for k in (5, 10, 20, 40):
-        flags, units = _detected_bugs(topology, sweep.value[k][1].test_runs)
-        coverage[k] = len(units)
-    _flags, units = _detected_bugs(topology, campaign_all.value.test_runs)
-    coverage["all"] = len(units)
-    curve = [coverage[k] for k in ks]
+    curve = [len(_detected_bugs(ref_topology, load_report(reports[k])[0])) for k in ks]
     assert all(b >= a for a, b in zip(curve, curve[1:])), curve
-    assert coverage["all"] == len(_bug_units(topology))
+    assert curve[-1] == len(_bug_units(ref_topology))
 
     elapsed = sweep.seconds + campaign_all.seconds
     assert elapsed < 600.0
     _ok(7, f"(cases {series}, bug coverage {curve}, {elapsed:.0f}s)")
 
 
-def test_criterion_8_history_cumulative_coverage(pipeline, catalog):
-    topology, _workload, _corpus, _registry, analysis = pipeline.value
-    history = History()
-    plan_config = PlanConfig(n_services=3, seed=SEED)
+def test_criterion_8_history_cumulative_coverage(pipeline, tmp_path):
+    history = tmp_path / "history.txt"
+    first, _summary = load_report(cli_campaign(tmp_path / "first", 10,
+                                               setup=pipeline, history=history))
+    pass1 = {rec["case_id"] for rec in first if rec["verdict"] == "PASS"}
+    coverage1 = {(rec["endpoint"], rec["service"]) for rec in first}
 
-    _sel1, cases1 = plan_campaign(analysis.ranked, analysis.corpus, catalog,
-                                  10, plan_config, history=history)
-    first = run_campaign(topology, analysis, catalog, cases1, PHASES,
-                         OracleCriteria(), seed=SEED, history=history)
-    pass1 = {tr.case_id for tr in first.test_runs if tr.verdict == "PASS"}
-    coverage1 = first.coverage()
-
-    _sel2, cases2 = plan_campaign(analysis.ranked, analysis.corpus, catalog,
-                                  10, plan_config, history=history)
-    second = run_campaign(topology, analysis, catalog, cases2, PHASES,
-                          OracleCriteria(), seed=SEED, history=history)
-    pass2 = {tr.case_id for tr in second.test_runs if tr.verdict == "PASS"}
-    coverage2 = second.coverage()
+    second, _summary = load_report(cli_campaign(tmp_path / "second", 10,
+                                                setup=pipeline, history=history))
+    pass2 = {rec["case_id"] for rec in second if rec["verdict"] == "PASS"}
+    coverage2 = {(rec["endpoint"], rec["service"]) for rec in second}
 
     assert not (pass1 & pass2), "PASS-case sets overlap"
     total = len(coverage1 | coverage2)
@@ -402,54 +409,34 @@ def test_criterion_8_history_cumulative_coverage(pipeline, catalog):
     _ok(8, f"(disjoint PASS sets, coverage {len(coverage1)} -> {total})")
 
 
-def test_criterion_9_determinism(pipeline, campaign_all, sweep, catalog,
-                                 tmp_path):
-    topology, workload, _corpus, registry, _analysis = pipeline.value
+def _replay_report(topology, workload):
+    corpus = record_corpus(topology, workload, seed=SEED)
+    check = replay_check(topology, analyze_corpus(corpus), seed=SEED)  # no registry
+    return "".join(dumps_canonical({"interface_id": interface_id, "ok": ok}) + "\n"
+                   for interface_id, ok in sorted(check.interface_ok.items()))
 
-    # fresh end-to-end repetition with the same seed
-    corpus2 = record_corpus(topology, workload, seed=SEED)
-    analysis2 = analyze_corpus(corpus2, registry=registry)
 
-    # criterion 2 analog: replay report
-    bare2 = analyze_corpus(corpus2)
-    check2 = replay_check(topology, bare2, seed=SEED)
-    replay_report_2 = tmp_path / "replay2.jsonl"
-    with open(replay_report_2, "w") as fh:
-        for interface_id in sorted(check2.interface_ok):
-            fh.write(dumps_canonical({"interface_id": interface_id,
-                                      "ok": check2.interface_ok[interface_id]}) + "\n")
-    corpus1 = record_corpus(topology, workload, seed=SEED)
-    bare1 = analyze_corpus(corpus1)
-    check1 = replay_check(topology, bare1, seed=SEED)
-    replay_report_1 = tmp_path / "replay1.jsonl"
-    with open(replay_report_1, "w") as fh:
-        for interface_id in sorted(check1.interface_ok):
-            fh.write(dumps_canonical({"interface_id": interface_id,
-                                      "ok": check1.interface_ok[interface_id]}) + "\n")
-    assert replay_report_1.read_bytes() == replay_report_2.read_bytes()
+def test_criterion_9_determinism(pipeline, campaign_all, sweep, ref_topology,
+                                 ref_workload, tmp_path):
+    # criterion 2 analog: two replay reports from two recordings
+    assert _replay_report(ref_topology, ref_workload) == \
+        _replay_report(ref_topology, ref_workload)
 
-    # criterion 3 campaign repeated
-    _sel, cases2_all = plan_campaign(analysis2.ranked, analysis2.corpus, catalog,
-                                     "all", PlanConfig(n_services=3, seed=SEED))
-    rerun = run_campaign(topology, analysis2, catalog, cases2_all, PHASES,
-                         OracleCriteria(), seed=SEED)
-    rerun_path = tmp_path / "campaign_all_rerun.jsonl"
-    save_report(rerun, rerun_path, config={"top_k": "all", "seed": SEED})
-    assert rerun_path.read_bytes() == campaign_all.extras["report"].read_bytes()
+    # criterion 3 campaign repeated end to end, set-up included
+    rerun = cli_campaign(tmp_path / "all")
+    for name in SETUP_ARTIFACTS:
+        assert (tmp_path / "all" / name).read_bytes() == \
+            (pipeline / name).read_bytes(), name
+    assert rerun.read_bytes() == campaign_all.value.read_bytes()
 
-    # criterion 7 sweep point repeated (K=20)
-    _sel, cases_k20 = plan_campaign(analysis2.ranked, analysis2.corpus, catalog,
-                                    20, PlanConfig(n_services=3, seed=SEED))
-    rerun20 = run_campaign(topology, analysis2, catalog, cases_k20, PHASES,
-                           OracleCriteria(), seed=SEED)
-    rerun20_path = tmp_path / "k20_rerun.jsonl"
-    save_report(rerun20, rerun20_path, config={"top_k": "20", "seed": SEED})
-    assert rerun20_path.read_bytes() == sweep.extras["reports"][20].read_bytes()
-    _ok(9, "(replay, K=all, and K=20 reports byte-identical on rerun)")
+    # criterion 7 sweep point repeated (K=20) on the repeated set-up
+    rerun20 = cli_campaign(tmp_path / "k20", 20, setup=tmp_path / "all")
+    assert rerun20.read_bytes() == sweep.value[20].read_bytes()
+    _ok(9, "(replay, set-up, K=all, and K=20 artifacts byte-identical on rerun)")
 
 
 def test_campaign_all_report_matches_its_pinned_digest(campaign_all):
-    report = campaign_all.extras["report"].read_bytes()
+    report = campaign_all.value.read_bytes()
     assert hashlib.sha256(report).hexdigest() == CAMPAIGN_ALL_REPORT_SHA256
 
 

@@ -1,6 +1,7 @@
-"""The benchmark's tracer patches program functions by name, and its checks
-call the program's loaders and replay check; a rename must fail here rather
-than only when the benchmark runs."""
+"""The benchmark's tracer patches program functions by name, its checks call
+the program's loaders and replay check, and its runner generates workloads
+with the program's workload generator; a rename must fail here rather than
+only when the benchmark runs."""
 
 import os
 
@@ -51,3 +52,12 @@ def test_setup_check_passes_on_the_reference_campaign(monkeypatch, tmp_path):
     assert main(["analyze", "--corpus", str(tmp_path / "corpus.txt"), "--registry",
                  cfg["registry"], "--out-dir", str(tmp_path / "analysis")]) == 0
     assert check_setup(str(tmp_path), Truth(cfg["topology"]), cfg) == []
+
+
+def test_runner_generates_the_corpus_scale_workload(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from run import prepare
+
+    cfg = prepare("corpus-scale", str(tmp_path), False, 1.0)
+    with open(cfg["workload"], "r", encoding="utf-8") as fh:
+        assert sum(1 for _line in fh) == 20_400  # 100 requests for each of 204 interfaces

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import resilitest
 from resilitest.cli import main
+from resilitest.executor import CampaignResult, save_report
 from resilitest.model import load_corpus
 from resilitest.sim.topology import save_topology
 from resilitest.sim.workload import save_workload
@@ -158,6 +163,24 @@ def test_report_rejects_malformed_record(tmp_path, capsys, record, message):
     report.write_text(record + "\n")
     assert main(["report", str(report)]) == 2
     assert f"error: report {report} line 1: {message}" in capsys.readouterr().err
+
+
+def test_report_ends_quietly_on_a_closed_output_pipe(tmp_path):
+    # `resilitest report r.jsonl | head -1`, with the reader gone before any
+    # output is written: a normal end of output, not an error
+    report = tmp_path / "report.jsonl"
+    save_report(CampaignResult(test_runs=[], startup_count=0, initial_runs=0), report)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(resilitest.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "resilitest.cli", "report", str(report)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr.decode()) == (0, "")
 
 
 @pytest.fixture(scope="module")
@@ -373,8 +396,15 @@ PLACE_STEP = ("services", 1, "interfaces", 0, "workflow", 1)
     (("services", 1, "name"), _DROP, "services[1]: missing field 'name'"),
     ((*PLACE_STEP, "args", 0, 1), "out:abc.x",
      "front POST /front/orders/place/{item} step 1: bad arg source 'out:abc.x'"),
+    (("services", 1, "interfaces", 0, "resp", 0, "source"), "lti:oops",
+     "front POST /front/orders/place/{item}: response field 'order_ref' has unknown "
+     "source 'lti:oops'"),
+    (("services", 1, "interfaces", 0, "resp", 0, "source"), "tokens",
+     "front POST /front/orders/place/{item}: response field 'order_ref' has unknown "
+     "source 'tokens'"),
 ], ids=["step-without-op", "interfaces-number", "services-object",
-        "service-without-name", "arg-source-not-a-step"])
+        "service-without-name", "arg-source-not-a-step", "response-source-unknown",
+        "response-source-not-token"])
 def test_simulate_record_names_the_place_of_a_malformed_topology_record(
         planned_files, tmp_path, capsys, keys, value, message):
     _planned, topo = planned_files
@@ -454,6 +484,47 @@ def test_analyze_takes_a_container_payload_value_in_a_singleton_cluster(planned_
     values = [[1, 2], {"a": [3]}, "text"]
     assert _analyze_one_root_per_interface(planned, tmp_path, "extra", values) \
         == [json.dumps(value) for value in values]
+
+
+def _analyze_with_root_values(planned, tmp_path, key, values):
+    """Analyze the corpus with `values[trace_id]` set at `key` in the root
+    request of each named trace; returns the analysis directory."""
+    header, *lines = (planned / "corpus.txt").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    for rec in records:
+        if rec["trace_id"] in values:
+            rec["spans"][0]["req"][key] = values[rec["trace_id"]]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"{json.dumps(rec)}\n" for rec in records)
+                      .join([f"{header}\n", ""]))
+    analysis = tmp_path / "analysis"
+    assert main(["analyze", "--corpus", str(corpus), "--out-dir", str(analysis)]) == 0
+    return analysis
+
+
+def test_analyze_takes_a_container_payload_value_in_a_cluster(planned_files, tmp_path):
+    # a list is never a dynamic variable: in a root that is not its cluster's
+    # base trace it changes no template
+    planned, _topo = planned_files
+    analysis = _analyze_with_root_values(planned, tmp_path, "weird", {"t000000": [1, 2]})
+    assert (analysis / "templates.jsonl").read_bytes() == \
+        (planned / "analysis" / "templates.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("listed", ["t000004", "t000007"], ids=["member", "base"])
+def test_analyze_keeps_a_key_holding_a_list_in_one_root_verbatim(planned_files, tmp_path,
+                                                                 listed):
+    # the four roots of the order interface hold distinct echoed tokens, so
+    # `token` is a placeholder; a list in one of them makes it none, and the
+    # base trace t000007's value stays in the template as it is
+    planned, _topo = planned_files
+    analysis = _analyze_with_root_values(planned, tmp_path, "token", {listed: ["tk-x"]})
+    template, = [json.loads(line)
+                 for line in (analysis / "templates.jsonl").read_text().splitlines()
+                 if "/orders/" in line]
+    assert template["trace_id"] == "t000007"
+    assert template["placeholders"] == {"ts": "timestamp"}
+    assert template["payload"]["token"] == (["tk-x"] if listed == "t000007" else "tk-000008")
 
 
 def test_plan_rejects_selection_trace_missing_from_corpus(planned_files, tmp_path, capsys):
@@ -584,11 +655,32 @@ def _malformed_middle(lines):
     return [lines[0], lines[1], '{"at_us": 1}', *lines[3:]]
 
 
+def _edited_middle(edit):
+    """Workload edit applying `edit` to the decoded record of line 3."""
+    def edited(lines):
+        rec = json.loads(lines[2])
+        edit(rec)
+        return [lines[0], lines[1], json.dumps(rec), *lines[3:]]
+    return edited
+
+
 @pytest.mark.parametrize("edit, message", [
     (_back_in_time, "line 3: at_us {at1} is before the previous entry's {at2}; "
                     "entries must be in time order"),
     (_malformed_middle, "line 3: 'line'"),
-], ids=["back-in-time", "malformed"])
+    (_edited_middle(lambda rec: rec.update(line=5)), "line 3: line must be a string, got 5"),
+    (_edited_middle(lambda rec: rec.update(at_us=rec["at_us"] + 0.5)),
+     "line 3: at_us must be an integer, got {at2}.5"),
+    (_edited_middle(lambda rec: rec.update(at_us=True)),
+     "line 3: at_us must be an integer, got True"),
+    (_edited_middle(lambda rec: rec.update(payload=[["key", "k"]])),
+     "line 3: payload must be an object, got [['key', 'k']]"),
+    (_edited_middle(lambda rec: rec["payload"].update(key=[1, 2])),
+     "line 3: payload value of 'key' must not be a list or object, got [1, 2]"),
+    (_edited_middle(lambda rec: rec["payload"].update(token={"a": 1})),
+     "line 3: payload value of 'token' must not be a list or object, got {{'a': 1}}"),
+], ids=["back-in-time", "malformed", "line-not-string", "float-time", "bool-time",
+        "payload-not-object", "list-value", "object-value"])
 def test_simulate_record_rejects_a_bad_workload_line_and_keeps_the_corpus(
         mini_files, capsys, edit, message):
     tmp_path, topo, workload = mini_files

@@ -15,7 +15,7 @@ from resilitest.faults import default_catalog
 from resilitest.planner import PlanConfig, plan_targets
 from resilitest.scheduler import History, Run, RunPlan, greedy_batch
 from resilitest.sim.engine import System, record_corpus
-from resilitest.campaign import analyze_corpus, run_campaign
+from resilitest.campaign import analyze_corpus
 
 from conftest import make_mini_topology, make_mini_workload
 
@@ -319,5 +319,6 @@ def test_finished_run_frees_its_system_without_the_collector(mini_setup, monkeyp
 
 def test_empty_campaign_is_empty_report(tmp_path, mini_setup):
     spec, corpus, analysis, catalog = mini_setup
-    result = run_campaign(spec, analysis, catalog, [], FAST)
+    result = run_batch(greedy_batch([]), spec, list(analysis.templates.values()),
+                       catalog, FAST, OracleCriteria())
     assert result.test_runs == [] and result.startup_count == 0

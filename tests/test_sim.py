@@ -611,10 +611,23 @@ def test_shipped_assets_match_their_builders(tmp_path):
     import filecmp
     from importlib import resources
 
-    from resilitest.refassets import write_reference_assets
+    from reference_system import write_reference_assets
 
     paths = write_reference_assets(tmp_path)
     assets = resources.files("resilitest.assets")
     for _name, path in sorted(paths.items()):
         committed = assets.joinpath(path.split("/")[-1])
         assert filecmp.cmp(path, str(committed), shallow=False), path
+
+
+def test_shipped_assets_load_as_the_builders_output(ref_topology, ref_topology_bugfree,
+                                                     ref_workload, ref_registry):
+    # the suite's fixtures load the shipped files; they are the builder's objects
+    from reference_system import build_reference_topology, build_signature_registry
+    from resilitest.refassets import build_reference_workload
+
+    built = build_reference_topology()
+    assert ref_topology == built
+    assert ref_topology_bugfree == built.bug_free()
+    assert ref_workload == build_reference_workload(built)
+    assert ref_registry.entries == build_signature_registry(built).entries
