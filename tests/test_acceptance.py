@@ -44,12 +44,22 @@ SEED = 7
 SECOND = 1_000_000
 PHASES = PhaseConfig(12 * SECOND, 12 * SECOND, 12 * SECOND, 5)
 N_SERVICES = 3
-SETUP_ARTIFACTS = ("corpus.txt", "analysis/clusters.txt", "analysis/selection.jsonl",
-                   "analysis/templates.jsonl")
 # SHA-256 of the K=all report; a change that alters reports on purpose
 # updates it and says why
 CAMPAIGN_ALL_REPORT_SHA256 = \
     "fa4e9ea6ba7baed74a6a7ba1ef4da17a82c521fa2ea0a2cc7164a93933d18fa5"
+# SHA-256 of the set-up artifacts and of the K=all run plan; the same rule
+SETUP_SHA256 = {
+    "corpus.txt": "00648eb0d4e18747a500e5bdda829754a1b15d2e3742dade37091102f1f349a0",
+    "analysis/clusters.txt":
+        "f4163a23f7a68e1249cfc6a3e0d6282b3e223a143afa65528ab13f6e18ba2c2a",
+    "analysis/selection.jsonl":
+        "2b6ab6f2bd0e23cba8d9d2b3f8c6b23b7a8dcea798d3a187d1ff8661c806eef6",
+    "analysis/templates.jsonl":
+        "205c263ddcca779757aa8fbab71aff1e489339fd0c53cbe9db27301f398b5e92",
+}
+CAMPAIGN_ALL_RUNPLAN_SHA256 = \
+    "5ca54e231898d28bef2d68c72a5437663662284b0d50e096e50a07e6fb3aad6d"
 
 
 def _ok(criterion, detail=""):
@@ -424,7 +434,7 @@ def test_criterion_9_determinism(pipeline, campaign_all, sweep, ref_topology,
 
     # criterion 3 campaign repeated end to end, set-up included
     rerun = cli_campaign(tmp_path / "all")
-    for name in SETUP_ARTIFACTS:
+    for name in SETUP_SHA256:
         assert (tmp_path / "all" / name).read_bytes() == \
             (pipeline / name).read_bytes(), name
     assert rerun.read_bytes() == campaign_all.value.read_bytes()
@@ -438,6 +448,14 @@ def test_criterion_9_determinism(pipeline, campaign_all, sweep, ref_topology,
 def test_campaign_all_report_matches_its_pinned_digest(campaign_all):
     report = campaign_all.value.read_bytes()
     assert hashlib.sha256(report).hexdigest() == CAMPAIGN_ALL_REPORT_SHA256
+
+
+def test_set_up_artifacts_and_run_plan_match_their_pinned_digests(pipeline, campaign_all):
+    got = {name: hashlib.sha256((pipeline / name).read_bytes()).hexdigest()
+           for name in SETUP_SHA256}
+    assert got == SETUP_SHA256
+    runplan = campaign_all.value.parent / "plans" / "runplan.txt"
+    assert hashlib.sha256(runplan.read_bytes()).hexdigest() == CAMPAIGN_ALL_RUNPLAN_SHA256
 
 
 def test_criterion_10_oracle_truth_table():
