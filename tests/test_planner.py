@@ -10,7 +10,8 @@ from resilitest.model import Endpoint, new_corpus
 from resilitest.planner import (PlanConfig, detect_dual_write,
                                 detect_producer_consumer, extract_endpoints,
                                 last_invocation_targets, parse_case_line,
-                                plan_targets, sample_services, save_plan)
+                                plan_targets, plan_trace_targets,
+                                sample_services, save_plan)
 from resilitest.scheduler import History
 
 from conftest import make_span, make_trace, root_span
@@ -211,6 +212,34 @@ def test_plan_keeps_only_secondary_write(catalog):
     assert 2 in positions and 1 not in positions
     assert all(c.target.rationale == "dual_write_secondary"
                for c in cases if c.target.span_position == 2)
+
+
+def _svc_span(i, component, method, req=None, resp=None):
+    return make_span(f"s{i}", "s0", service="svc", component=component,
+                     framework="f", method=method, op=f"op{i}", req=req,
+                     resp=resp, start=i * 10, dur=5)
+
+
+@pytest.mark.parametrize("spans, expected", [
+    # s1/s2 share token A, s2/s3 token B: s2 is a non-secondary of the later group
+    ([_svc_span(1, "Database", "update", req={"k": "tokn-AAAA"}),
+      _svc_span(2, "Cache", "set", req={"k": "tokn-AAAA", "v": "tokn-BBBB"}),
+      _svc_span(3, "MQ", "publish", req={"v": "tokn-BBBB"})],
+     [(3, "dual_write_secondary")]),
+    # s2 is the secondary of s1/s2 and produces what s3 consumes
+    ([_svc_span(1, "Database", "update", req={"k": "tokn-AAAA"}),
+      _svc_span(2, "Cache", "set", req={"k": "tokn-AAAA"}, resp={"out": "tokn-CCCC"}),
+      _svc_span(3, "HTTP", "post", req={"in": "tokn-CCCC"})],
+     [(2, "producer")]),
+    # chain s1 -> s2 -> s3: s2 produces too, but it is a consumer
+    ([_svc_span(1, "HTTP", "post", resp={"out": "tokn-AAAA"}),
+      _svc_span(2, "HTTP", "get", req={"in": "tokn-AAAA"}, resp={"out": "tokn-BBBB"}),
+      _svc_span(3, "HTTP", "put", req={"in": "tokn-BBBB"})],
+     [(1, "producer")]),
+], ids=["overlapping-dual-writes", "secondary-that-produces", "producer-chain"])
+def test_rule_precedence_pruning_then_producer_then_secondary(spans, expected):
+    trace = make_trace("t0", [root_span("s0", "POST /svc/a/b", service="svc"), *spans])
+    assert [(t.span_position, t.rationale) for t in plan_trace_targets(trace)] == expected
 
 
 def test_sample_services_deterministic_and_bounded():
