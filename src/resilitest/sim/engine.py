@@ -574,8 +574,12 @@ class System:
 
     def _jitter(self, base_us: int) -> int:
         spread = base_us // 4
-        # what randrange(-spread, spread + 1) computes: the same random stream
-        return base_us - spread + self._rng._randbelow(2 * spread + 1)
+        n = 2 * spread + 1
+        # randrange(-spread, spread + 1)'s draw: the same rejection loop on getrandbits
+        r = self._rng.getrandbits(n.bit_length())
+        while r >= n:
+            r = self._rng.getrandbits(n.bit_length())
+        return base_us - spread + r
 
     def _render_args(self, ctx: _Ctx, step) -> dict:
         out = {}

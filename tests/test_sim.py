@@ -1,10 +1,13 @@
+import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from resilitest.faults import parse_catalog
 from resilitest.model import Endpoint, trace_to_record, validate_trace
-from resilitest.sim.engine import (SimError, System, record_corpus, record_traces,
+from resilitest.sim.engine import (_BASE_TIME_US, _CALL_OVERHEAD_US, _ENTRY_OVERHEAD_US,
+                                   SimError, System, record_corpus, record_traces,
                                    replay_traffic)
 from resilitest.sim.topology import (TopologyError, load_topology,
                                      save_topology, topology_from_record,
@@ -631,3 +634,14 @@ def test_shipped_assets_load_as_the_builders_output(ref_topology, ref_topology_b
     assert ref_topology_bugfree == built.bug_free()
     assert ref_workload == build_reference_workload(built)
     assert ref_registry.entries == build_signature_registry(built).entries
+
+
+@pytest.mark.parametrize("base_us", [*_BASE_TIME_US.values(), _CALL_OVERHEAD_US,
+                                     _ENTRY_OVERHEAD_US])
+def test_jitter_draws_what_randrange_draws(base_us):
+    spread = base_us // 4
+    owner = SimpleNamespace(_rng=random.Random(f"jitter:{base_us}"))
+    reference = random.Random(f"jitter:{base_us}")
+    got = [System._jitter(owner, base_us) for _ in range(5000)]
+    assert got == [base_us + reference.randrange(-spread, spread + 1)
+                   for _ in range(5000)]
