@@ -42,15 +42,15 @@ def analyze_corpus(corpus: Corpus, weights: Optional[ComplexityWeights] = None,
     registry = registry or ManualVariableRegistry()
     clusters = cluster_interfaces(corpus)
     scores = score_corpus(corpus, weights)
-    ranked = select_top_k(clusters, scores, k=len(clusters))
+    ranked = select_top_k(clusters, scores)
     by_id = {t.trace_id: t for t in corpus.traces}
+    members = {c.interface_id: c.member_trace_ids for c in clusters}
     window = (corpus.meta.window_start_us, corpus.meta.window_end_us)
     templates = {}
-    for cluster in clusters:
-        members = [by_id[tid] for tid in cluster.member_trace_ids]
-        templates[cluster.interface_id] = build_template(
-            members, registry, interface_id=cluster.interface_id,
-            window=window, scores=scores)
+    for sel in ranked:
+        templates[sel.interface_id] = build_template(
+            [by_id[tid] for tid in members[sel.interface_id]], registry,
+            interface_id=sel.interface_id, window=window, trace_id=sel.trace_id)
     return Analysis(corpus=corpus, clusters=clusters, scores=scores,
                     ranked=ranked, templates=templates)
 
@@ -83,9 +83,8 @@ def plan_campaign(ranked: list, corpus: Corpus, catalog: FaultCatalog, k,
     for candidate in ranked:
         if len(selected) >= k:
             break
-        pending = filter_history(plan_targets(
-            [(candidate.interface_id, traces[candidate.trace_id])],
-            corpus, catalog, plan_config), history)
+        pending = filter_history(plan_targets([traces[candidate.trace_id]], corpus,
+                                              catalog, plan_config), history)
         if pending:
             selected.append(candidate)
             cases.extend(pending)

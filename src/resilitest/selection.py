@@ -9,6 +9,7 @@ interfaces each contribute their single highest-scoring trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import Corpus, dumps_canonical, read_records, write_lines
@@ -28,7 +29,7 @@ class ComplexityWeights:
 
     def __post_init__(self):
         for w in (self.w_len, self.w_div, self.w_dur):
-            if w < 0 or w > 1:
+            if not 0 <= w <= 1:  # false for NaN too
                 raise SelectionError(f"weight {w} outside [0, 1]")
         total = self.w_len + self.w_div + self.w_dur
         if abs(total - 1.0) > WEIGHT_TOLERANCE:
@@ -88,12 +89,6 @@ def interface_score(cluster, per_trace_scores: dict) -> float:
     return sum(per_trace_scores[tid] for tid in members) / len(members)
 
 
-def representative_key(score: float, trace_id: str) -> tuple:
-    """Sort key under which an interface's representative trace is the
-    minimum: highest score first, ties to the lowest trace ID."""
-    return (-score, trace_id)
-
-
 @dataclass(frozen=True)
 class SelectedInterface:
     interface_id: str
@@ -102,27 +97,26 @@ class SelectedInterface:
     trace_score: float
 
 
-def select_top_k(clusters: list, per_trace_scores: dict, k: int) -> list:
-    """Top-k interfaces by aggregate score, each with its best member trace.
+def select_top_k(clusters: list, per_trace_scores: dict) -> list:
+    """Every interface, best first by aggregate score, each with its
+    representative: its highest-scoring member trace.
 
-    Ties break by interface_id, the representative's ties by trace_id. A k
-    beyond the cluster count truncates to all clusters.
+    Ties break by interface_id, the representative's ties by trace_id.
+    `plan_campaign` takes its K interfaces from this ranking, in order.
     """
-    if k < 1:
-        raise SelectionError(f"k must be >= 1, got {k}")
-    ranked = sorted(clusters,
-                    key=lambda c: (-interface_score(c, per_trace_scores), c.interface_id))
-    out = []
-    for cluster in ranked[:k]:
+    ranked = []
+    for cluster in clusters:
+        aggregate = interface_score(cluster, per_trace_scores)
         best = min(cluster.member_trace_ids,
-                   key=lambda tid: representative_key(per_trace_scores[tid], tid))
-        out.append(SelectedInterface(
+                   key=lambda tid: (-per_trace_scores[tid], tid))
+        ranked.append(SelectedInterface(
             interface_id=cluster.interface_id,
-            aggregate_score=interface_score(cluster, per_trace_scores),
+            aggregate_score=aggregate,
             trace_id=best,
             trace_score=per_trace_scores[best],
         ))
-    return out
+    ranked.sort(key=lambda s: (-s.aggregate_score, s.interface_id))
+    return ranked
 
 
 SELECTION_FIELDS = ("interface_id", "aggregate_score", "trace_id", "trace_score")
@@ -141,6 +135,8 @@ def load_selection_report(path) -> list:
         for key in ("aggregate_score", "trace_score"):
             if isinstance(rec[key], bool) or not isinstance(rec[key], (int, float)):
                 raise ValueError(f"{where}: {key} {rec[key]!r} is not a number")
+            if isinstance(rec[key], float) and not math.isfinite(rec[key]):
+                raise ValueError(f"{where}: {key} {rec[key]!r} is not finite")
         ranked.append(SelectedInterface(
             interface_id=rec["interface_id"],
             aggregate_score=rec["aggregate_score"],

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .model import Span, dumps_canonical, read_lines, read_records, write_lines
-from .selection import representative_key
 
 REQ = "req"
 
@@ -31,10 +30,6 @@ KINDS = (KIND_FRESH_ID, KIND_TIMESTAMP)
 
 class TemplatingError(ValueError):
     pass
-
-
-class InsufficientEvidenceError(TemplatingError):
-    """Fewer than two spans: inter-span variability cannot be assessed."""
 
 
 @dataclass(frozen=True)
@@ -133,10 +128,9 @@ def confirm_dynamic_variables(spans: list) -> set:
 
     Candidates are the union of per-span stage-1 results; a candidate missing
     from some span's request is skipped (no evidence either way), and so is
-    one that holds a list or object value in some span's request.
+    one that holds a list or object value in some span's request. Fewer than
+    two spans show no variability, so they confirm nothing.
     """
-    if len(spans) < 2:
-        raise InsufficientEvidenceError(f"need at least 2 spans, got {len(spans)}")
     candidates = set()
     for span in spans:
         candidates |= find_intraspan_candidates(span)
@@ -173,30 +167,24 @@ def _infer_kind(values: Iterable[str], window: tuple) -> str:
 
 
 def build_template(cluster_traces: list, registry: ManualVariableRegistry,
-                   interface_id: str, window: tuple, scores: dict) -> TraceTemplate:
+                   interface_id: str, window: tuple, trace_id: str) -> TraceTemplate:
     """Build the replay template for one interface cluster.
 
-    The base trace is the member with the highest complexity score in
-    `scores` (0.0 when absent), ties to the lowest trace ID: the trace
-    selection picks for the interface. Its root request is what replay
-    sends. `window` is the corpus recording window that timestamp values are
-    inferred against. Placeholders are the two-stage heuristic's paths over
-    the members' root spans; registry entries for this interface override
-    them, for the keys present in the base root request.
+    The base trace is the member `trace_id`, the trace selection picks for
+    the interface. Its root request is what replay sends. `window` is the
+    corpus recording window that timestamp values are inferred against.
+    Placeholders are the two-stage heuristic's paths over the members' root
+    spans; registry entries for this interface override them, for the keys
+    present in the base root request.
     """
-    if not cluster_traces:
-        raise TemplatingError("cannot build a template from zero traces")
+    base = next((t for t in cluster_traces if t.trace_id == trace_id), None)
+    if base is None:
+        raise TemplatingError(f"trace {trace_id!r} is not a member of {interface_id}")
 
-    base = min(cluster_traces, key=lambda t: representative_key(
-        scores.get(t.trace_id, 0.0), t.trace_id))
     placeholders = {}
     roots = [t.root_span() for t in cluster_traces]
     if _spans_comparable(roots):
-        try:
-            confirmed = confirm_dynamic_variables(roots)
-        except InsufficientEvidenceError:
-            confirmed = set()
-        for path in confirmed:
+        for path in confirm_dynamic_variables(roots):
             placeholders[path] = _infer_kind((s.request_payload[path] for s in roots), window)
 
     root = base.root_span()

@@ -175,7 +175,7 @@ def test_criterion_1_session_token_templating():
     traces = [make_trace("t0", [span("s0", "f7k9q2")]),
               make_trace("t1", [span("s1", "r4m8p1")])]
     template = build_template(traces, ManualVariableRegistry(), interface_id="sessions",
-                              window=compute_window(traces), scores={})
+                              window=compute_window(traces), trace_id="t0")
     parameterized = set(template.placeholders)
     elapsed = time.monotonic() - t0
     assert parameterized == {"session_id"}
@@ -242,7 +242,7 @@ def test_criterion_4_granular_oracle_differential(pipeline, ref_topology, catalo
         case = None
         for sel in ranked:
             trace = traces[sel.trace_id]
-            for c in plan_targets([(sel.interface_id, trace)], corpus, catalog,
+            for c in plan_targets([trace], corpus, catalog,
                                   PlanConfig(n_services=N_SERVICES, seed=SEED)):
                 if (c.target.service, c.target.endpoint.triple()) == (service, endpoint) \
                         and c.fault_id == "mq-disconnect":
@@ -345,7 +345,7 @@ def _random_recorded_trace(rng, trace_id):
 
 
 def test_criterion_6_pruning_equivalence(catalog):
-    from resilitest.planner import detect_dual_write, detect_producer_consumer
+    from resilitest.planner import dual_write_groups, producer_consumer_pairs
 
     rng = random.Random(606)
     total_traces = 0
@@ -354,23 +354,21 @@ def test_criterion_6_pruning_equivalence(catalog):
                   for i in range(rng.randint(1, 6))]
         total_traces += len(traces)
         corpus = new_corpus(traces, 0, "00")
-        selected = [(f"if{i}", t) for i, t in enumerate(traces)]
         config = PlanConfig(n_services=2, seed=total_traces)
         got = [(c.target.trace_id, c.target.span_position, c.fault_id)
-               for c in plan_targets(selected, corpus, catalog, config)]
+               for c in plan_targets(traces, corpus, catalog, config)]
 
         expected = []
-        for _iface, trace in selected:
+        for trace in traces:
             pairs = [(pos, span) for pos, span in enumerate(trace.spans)
                      if span.span_id != trace.root]
             last = {}
             for pos, span in pairs:
                 last[span.endpoint] = pos
             keep = {pos for pos, span in pairs if last[span.endpoint] == pos}
-            keep -= {e.consumer_position
-                     for e in detect_producer_consumer(trace)}
-            for e in detect_dual_write(trace):
-                keep -= set(e.write_positions) - {e.secondary_position}
+            keep -= {j for _i, j in producer_consumer_pairs(trace)}
+            for group in dual_write_groups(trace):
+                keep -= set(group[:-1])
             for pos, span in pairs:
                 if pos not in keep:
                     continue

@@ -237,7 +237,9 @@ def test_run_rejects_bad_criteria_before_any_case(planned_files, capsys, text, m
       "--phases", "0,1,1,5"], "argument --phases: phase durations must be positive"),
     (["analyze", "--corpus", "c", "--out-dir", "a", "--weights", "0.5,0.5,0.5"],
      "argument --weights: weights must sum to 1"),
-], ids=["zero-phase", "weights-sum"])
+    (["analyze", "--corpus", "c", "--out-dir", "a", "--weights", "nan,0.5,0.5"],
+     "argument --weights: weight nan outside [0, 1]"),
+], ids=["zero-phase", "weights-sum", "weights-nan"])
 def test_rejected_argument_values_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
@@ -296,7 +298,8 @@ def test_plan_rejects_selection_record_without_trace_id(planned_files, tmp_path,
     ("trace_id", ["x"], "trace_id ['x'] is not a string"),
     ("aggregate_score", "high", "aggregate_score 'high' is not a number"),
     ("trace_score", True, "trace_score True is not a number"),
-], ids=["interface-id-number", "trace-id-list", "score-string", "score-bool"])
+    ("aggregate_score", float("nan"), "aggregate_score nan is not finite"),
+], ids=["interface-id-number", "trace-id-list", "score-string", "score-bool", "score-nan"])
 def test_plan_rejects_selection_field_of_wrong_type(planned_files, tmp_path, capsys,
                                                     field, value, message):
     planned, _topo = planned_files

@@ -154,7 +154,7 @@ def mini_setup():
 
 def _mini_cases(analysis, corpus, catalog, n_services=3, seed=5):
     traces = {t.trace_id: t for t in corpus.traces}
-    selected = [(s.interface_id, traces[s.trace_id]) for s in analysis.ranked]
+    selected = [traces[s.trace_id] for s in analysis.ranked]
     return plan_targets(selected, corpus, catalog, PlanConfig(n_services, seed))
 
 

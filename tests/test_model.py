@@ -343,7 +343,7 @@ def mini_artifacts():
     spec = make_mini_topology()
     corpus = record_corpus(spec, make_mini_workload(spec), seed=5)
     analysis = analyze_corpus(corpus)
-    selected = [(s.interface_id, next(t for t in corpus.traces if t.trace_id == s.trace_id))
+    selected = [next(t for t in corpus.traces if t.trace_id == s.trace_id)
                 for s in analysis.ranked]
     cases = plan_targets(selected, corpus, default_catalog(), PlanConfig(3, 5))
     return spec, corpus, analysis, cases

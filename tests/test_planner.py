@@ -7,11 +7,10 @@ import pytest
 from resilitest.campaign import plan_campaign
 from resilitest.faults import faults_for_endpoint, parse_catalog
 from resilitest.model import Endpoint, new_corpus
-from resilitest.planner import (PlanConfig, detect_dual_write,
-                                detect_producer_consumer, extract_endpoints,
-                                last_invocation_targets, parse_case_line,
+from resilitest.planner import (PlanConfig, dual_write_groups, parse_case_line,
                                 plan_targets, plan_trace_targets,
-                                sample_services, save_plan)
+                                producer_consumer_pairs, sample_services,
+                                save_plan)
 from resilitest.scheduler import History
 
 from conftest import make_span, make_trace, root_span
@@ -27,14 +26,14 @@ def _simple_trace():
 
 
 def test_extract_endpoints_direct_mapping():
-    got = extract_endpoints(_simple_trace())
+    got = [(t.span_position, t.endpoint) for t in plan_trace_targets(_simple_trace())]
     assert got == [(1, Endpoint("Database", "sqlclient", "update")),
                    (2, Endpoint("Cache", "kvclient", "get"))]
 
 
 def test_extract_endpoints_root_only_trace():
     trace = make_trace("t0", [root_span("s0", "GET /a/b/c")])
-    assert extract_endpoints(trace) == []
+    assert plan_trace_targets(trace) == []
 
 
 def test_last_invocation_repeated_endpoint():
@@ -45,18 +44,18 @@ def test_last_invocation_repeated_endpoint():
                        framework="kvclient", method="get"),
              make_span("s3", "s0", start=20, dur=1, **db)]
     trace = make_trace("t0", spans)
-    targets = last_invocation_targets(trace)
+    targets = plan_trace_targets(trace)
     # brute force over occurrences
     expected = {}
-    for pos, ep in extract_endpoints(trace):
-        expected[ep] = pos
+    for pos, span in enumerate(trace.spans[1:], start=1):
+        expected[span.endpoint] = pos
     assert {t.span_position for t in targets} == set(expected.values()) == {2, 3}
     assert all(t.rationale == "last_invocation" for t in targets)
 
 
 def test_last_invocation_unique_endpoints_targets_every_span():
     trace = _simple_trace()
-    targets = last_invocation_targets(trace)
+    targets = plan_trace_targets(trace)
     assert [t.span_position for t in targets] == [1, 2]
 
 
@@ -65,7 +64,7 @@ def test_last_invocation_five_repeats_single_target():
     spans = [root_span("s0", "GET /x/y/z", dur=10_000)]
     for i in range(1, 6):
         spans.append(make_span(f"s{i}", "s0", start=i, dur=1, **db))
-    targets = last_invocation_targets(make_trace("t0", spans))
+    targets = plan_trace_targets(make_trace("t0", spans))
     assert [t.span_position for t in targets] == [5]
 
 
@@ -87,16 +86,11 @@ def _address_flow_trace():
 
 
 def test_address_flow_producer_consumer_edge():
-    edges = detect_producer_consumer(_address_flow_trace())
-    assert len(edges) == 1
-    edge = edges[0]
-    assert edge.producer_position == 1
-    assert edge.consumer_position == 2
-    assert "geo-77ab21cd" in edge.shared_tokens
+    assert producer_consumer_pairs(_address_flow_trace()) == {(1, 2)}
 
 
 def test_disjoint_payloads_no_edges():
-    assert detect_producer_consumer(_simple_trace()) == []
+    assert producer_consumer_pairs(_simple_trace()) == set()
 
 
 def test_chain_of_three_yields_two_edges():
@@ -115,9 +109,7 @@ def test_chain_of_three_yields_two_edges():
                   req={"in": "token-bbbb"}, resp={"done": "ok"},
                   start=40, dur=10),
     ]
-    edges = detect_producer_consumer(make_trace("t0", spans))
-    pairs = {(e.producer_position, e.consumer_position) for e in edges}
-    assert pairs == {(1, 2), (2, 3)}
+    assert producer_consumer_pairs(make_trace("t0", spans)) == {(1, 2), (2, 3)}
 
 
 def test_short_tokens_ignored():
@@ -128,7 +120,7 @@ def test_short_tokens_ignored():
         make_span("s2", "s0", service="svc", component="HTTP",
                   framework="h", method="post", req={"v": "ab"}, start=3, dur=1),
     ]
-    assert detect_producer_consumer(make_trace("t0", spans)) == []
+    assert producer_consumer_pairs(make_trace("t0", spans)) == set()
 
 
 def _price_dual_write_trace():
@@ -146,12 +138,8 @@ def _price_dual_write_trace():
 
 
 def test_update_then_cache_delete_marks_cache_secondary():
-    edges = detect_dual_write(_price_dual_write_trace())
-    assert len(edges) == 1
-    edge = edges[0]
-    assert edge.write_positions == (1, 2)
-    assert edge.secondary_position == 2
-    assert "prod-9912" in edge.shared_tokens
+    # the last position of a group is its secondary write
+    assert dual_write_groups(_price_dual_write_trace()) == {(1, 2)}
 
 
 def test_dual_write_nothing_shared():
@@ -164,7 +152,7 @@ def test_dual_write_nothing_shared():
                   framework="c", method="delete", req={"key": "bbbb2222"},
                   start=3, dur=1),
     ]
-    assert detect_dual_write(make_trace("t0", spans)) == []
+    assert dual_write_groups(make_trace("t0", spans)) == set()
 
 
 def test_dual_write_db_plus_mq_secondary_is_later_write():
@@ -178,7 +166,7 @@ def test_dual_write_db_plus_mq_secondary_is_later_write():
                   start=3, dur=1),
     ]
     # the later write, the MQ publish, is the secondary
-    assert detect_dual_write(make_trace("t0", spans))[0].secondary_position == 2
+    assert [group[-1] for group in dual_write_groups(make_trace("t0", spans))] == [2]
 
 
 def test_same_component_writes_do_not_group():
@@ -191,13 +179,13 @@ def test_same_component_writes_do_not_group():
                   framework="d", method="update", req={"key": "tok-1234"},
                   start=3, dur=1),
     ]
-    assert detect_dual_write(make_trace("t0", spans)) == []
+    assert dual_write_groups(make_trace("t0", spans)) == set()
 
 
 def test_plan_keeps_producer_drops_consumer(catalog):
     trace = _address_flow_trace()
     corpus = new_corpus([trace], 0, "00")
-    cases = plan_targets([("if0", trace)], corpus, catalog, PlanConfig(seed=1))
+    cases = plan_targets([trace], corpus, catalog, PlanConfig(seed=1))
     positions = {c.target.span_position for c in cases}
     assert 1 in positions and 2 not in positions
     producer_cases = [c for c in cases if c.target.span_position == 1]
@@ -207,7 +195,7 @@ def test_plan_keeps_producer_drops_consumer(catalog):
 def test_plan_keeps_only_secondary_write(catalog):
     trace = _price_dual_write_trace()
     corpus = new_corpus([trace], 0, "00")
-    cases = plan_targets([("if0", trace)], corpus, catalog, PlanConfig(seed=1))
+    cases = plan_targets([trace], corpus, catalog, PlanConfig(seed=1))
     positions = {c.target.span_position for c in cases}
     assert 2 in positions and 1 not in positions
     assert all(c.target.rationale == "dual_write_secondary"
@@ -307,11 +295,8 @@ def _random_recorded_trace(rng, trace_id):
 def _oracle_plan(selected, corpus, catalog, config):
     """Independent exhaustive oracle: enumerate all (span, fault) pairs, then
     apply each pruning rule as a separate filter."""
-    from resilitest.planner import (detect_dual_write as ddw,
-                                    detect_producer_consumer as dpc)
-
     out = []
-    for _iface, trace in selected:
+    for trace in selected:
         pairs = []
         for pos, span in enumerate(trace.spans):
             if span.span_id == trace.root:
@@ -325,12 +310,12 @@ def _oracle_plan(selected, corpus, catalog, config):
             last[span.endpoint] = max(last.get(span.endpoint, -1), pos)
         pairs = [(p, s, f) for p, s, f in pairs if last[s.endpoint] == p]
         # rule 2: consumers covered by a producer edge
-        consumers = {e.consumer_position for e in dpc(trace)}
+        consumers = {j for _i, j in producer_consumer_pairs(trace)}
         pairs = [(p, s, f) for p, s, f in pairs if p not in consumers]
         # rule 3: only secondary writes of dual-write groups
         dropped = set()
-        for e in ddw(trace):
-            dropped |= set(e.write_positions) - {e.secondary_position}
+        for group in dual_write_groups(trace):
+            dropped |= set(group[:-1])
         pairs = [(p, s, f) for p, s, f in pairs if p not in dropped]
         # rule 4: cross-service sampling
         pairs = [(p, s, f) for p, s, f in pairs
@@ -347,20 +332,18 @@ def test_plan_matches_exhaustive_oracle_on_random_traces(catalog):
         traces = [_random_recorded_trace(rng, f"t{round_no}_{i}")
                   for i in range(rng.randint(1, 6))]
         corpus = new_corpus(traces, 0, "00")
-        selected = [(f"if{i}", t) for i, t in enumerate(traces)]
         config = PlanConfig(n_services=2, seed=round_no)
-        cases = plan_targets(selected, corpus, catalog, config)
+        cases = plan_targets(traces, corpus, catalog, config)
         got = [(c.target.trace_id, c.target.span_position, c.fault_id)
                for c in cases]
-        assert got == _oracle_plan(selected, corpus, catalog, config)
+        assert got == _oracle_plan(traces, corpus, catalog, config)
 
 
 def test_plan_soundness_no_duplicate_cases(catalog):
     rng = random.Random(123)
     traces = [_random_recorded_trace(rng, f"t{i}") for i in range(6)]
     corpus = new_corpus(traces, 0, "00")
-    cases = plan_targets([(f"i{i}", t) for i, t in enumerate(traces)],
-                         corpus, catalog, PlanConfig(seed=3))
+    cases = plan_targets(traces, corpus, catalog, PlanConfig(seed=3))
     keys = [(c.target.trace_id, c.target.span_position, c.fault_id) for c in cases]
     assert len(keys) == len(set(keys))
     assert len({c.case_id for c in cases}) == len(cases)
@@ -374,16 +357,15 @@ def test_plan_deterministic_under_seed(catalog):
     rng = random.Random(5)
     traces = [_random_recorded_trace(rng, f"t{i}") for i in range(4)]
     corpus = new_corpus(traces, 0, "00")
-    selected = [(f"i{i}", t) for i, t in enumerate(traces)]
-    a = plan_targets(selected, corpus, catalog, PlanConfig(seed=42))
-    b = plan_targets(selected, corpus, catalog, PlanConfig(seed=42))
+    a = plan_targets(traces, corpus, catalog, PlanConfig(seed=42))
+    b = plan_targets(traces, corpus, catalog, PlanConfig(seed=42))
     assert a == b
 
 
 def test_plan_file_round_trip(tmp_path, catalog):
     trace = _price_dual_write_trace()
     corpus = new_corpus([trace], 0, "00")
-    cases = plan_targets([("if0", trace)], corpus, catalog, PlanConfig(seed=1))
+    cases = plan_targets([trace], corpus, catalog, PlanConfig(seed=1))
     assert cases
     path = tmp_path / "plan.txt"
     save_plan(cases, path)
@@ -396,18 +378,20 @@ def test_coverage_preserved_on_reference_corpus(ref_corpus, ref_analysis, catalo
     """Pruning removes redundancy, never whole endpoint types (designed into
     the reference corpus)."""
     traces = {t.trace_id: t for t in ref_corpus.traces}
-    selected = [(s.interface_id, traces[s.trace_id]) for s in ref_analysis.ranked]
+    selected = [traces[s.trace_id] for s in ref_analysis.ranked]
     config = PlanConfig(n_services=3, seed=7)
     cases = plan_targets(selected, ref_corpus, catalog, config)
     planned_endpoints = {c.target.endpoint for c in cases}
 
     sampled_endpoints = set()
-    for _iface, trace in selected:
-        for target in last_invocation_targets(trace):
-            sampled = sample_services(ref_corpus, target.endpoint,
+    for trace in selected:
+        # the last invocation of each endpoint, before rules 2 and 3
+        last = {s.endpoint: s for s in trace.spans if s.span_id != trace.root}
+        for span in last.values():
+            sampled = sample_services(ref_corpus, span.endpoint,
                                       config.n_services, config.seed)
-            if target.service in sampled:
-                sampled_endpoints.add(target.endpoint)
+            if span.service in sampled:
+                sampled_endpoints.add(span.endpoint)
     assert planned_endpoints == sampled_endpoints
 
 

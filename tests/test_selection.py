@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilitest.aggregation import InterfaceCluster, cluster_interfaces
+from resilitest.campaign import resolve_k
 from resilitest.model import new_corpus
 from resilitest.selection import (ComplexityWeights, SelectionError,
                                   compute_norms, interface_score,
@@ -100,21 +101,14 @@ def test_interface_score_mean_and_permutation_invariance():
 def test_top_k_basic():
     scores = {"ta": 0.9, "tb": 0.1}
     clusters = [_cluster("A", ["ta"]), _cluster("B", ["tb"])]
-    out = select_top_k(clusters, scores, 1)
-    assert len(out) == 1
-    assert out[0].interface_id == "A"
-    assert out[0].trace_id == "ta"
+    out = select_top_k(clusters, scores)
+    assert [(s.interface_id, s.trace_id) for s in out] == [("A", "ta"), ("B", "tb")]
 
 
 def test_top_k_beyond_cluster_count_truncates():
     scores = {"ta": 0.9, "tb": 0.1}
     clusters = [_cluster("A", ["ta"]), _cluster("B", ["tb"])]
-    assert len(select_top_k(clusters, scores, 150)) == 2
-
-
-def test_top_k_rejects_nonpositive_k():
-    with pytest.raises(SelectionError):
-        select_top_k([_cluster("A", ["t"])], {"t": 0.5}, 0)
+    assert resolve_k(150, len(select_top_k(clusters, scores))) == 2
 
 
 def test_top_k_matches_sort_oracle_on_random_corpora():
@@ -129,7 +123,7 @@ def test_top_k_matches_sort_oracle_on_random_corpora():
                 scores[m] = rng.random()
             clusters.append(_cluster(f"c{c:02d}", members))
         k = rng.randint(1, n_clusters + 3)
-        got = select_top_k(clusters, scores, k)
+        got = select_top_k(clusters, scores)[:k]
 
         # independent oracle: sort then take k, same tie rules
         def aggregate(cluster):
@@ -147,22 +141,21 @@ def test_top_k_matches_sort_oracle_on_random_corpora():
 def test_selection_deterministic_across_runs(ref_corpus):
     clusters = cluster_interfaces(ref_corpus)
     scores = score_corpus(ref_corpus)
-    first = select_top_k(clusters, scores, 20)
-    second = select_top_k(cluster_interfaces(ref_corpus),
-                          score_corpus(ref_corpus), 20)
+    first = select_top_k(clusters, scores)
+    second = select_top_k(cluster_interfaces(ref_corpus), score_corpus(ref_corpus))
     assert first == second
 
 
 def test_top_150_on_reference_corpus(ref_analysis):
-    got = select_top_k(ref_analysis.clusters, ref_analysis.scores, 150)
+    got = select_top_k(ref_analysis.clusters, ref_analysis.scores)[:150]
     assert len(got) == 150
     assert len({s.interface_id for s in got}) == 150
     assert len({s.trace_id for s in got}) == 150  # one representative each
 
 
 def test_template_trace_is_the_selected_trace(ref_analysis):
-    # score ties break the same way in selection and templating, so every
-    # planned host trace has a template
+    # templating builds on the trace ranking picks, so every planned host
+    # trace has a template
     mismatched = [s.interface_id for s in ref_analysis.ranked
                   if ref_analysis.templates[s.interface_id].trace_id != s.trace_id]
     assert mismatched == []
@@ -186,5 +179,5 @@ def test_planted_deep_traces_concentrate_selection():
     for i in range(15):
         clusters.append(_cluster(f"flat{i:02d}", [f"flat{i}_{j}" for j in range(3)]))
     scores = score_corpus(corpus)
-    top = select_top_k(clusters, scores, 5)
+    top = select_top_k(clusters, scores)[:5]
     assert {s.interface_id for s in top} == {f"deep{i}" for i in range(5)}
