@@ -239,7 +239,9 @@ def test_run_rejects_bad_criteria_before_any_case(planned_files, capsys, text, m
      "argument --weights: weights must sum to 1"),
     (["analyze", "--corpus", "c", "--out-dir", "a", "--weights", "nan,0.5,0.5"],
      "argument --weights: weight nan outside [0, 1]"),
-], ids=["zero-phase", "weights-sum", "weights-nan"])
+    (["plan", "--corpus", "c", "--analysis", "a", "--out-dir", "p", "--top-k", "0"],
+     "argument --top-k: --top-k must be >= 1 or 'all'"),
+], ids=["zero-phase", "weights-sum", "weights-nan", "top-k-zero"])
 def test_rejected_argument_values_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
