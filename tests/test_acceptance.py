@@ -60,6 +60,10 @@ SETUP_SHA256 = {
 }
 CAMPAIGN_ALL_RUNPLAN_SHA256 = \
     "5ca54e231898d28bef2d68c72a5437663662284b0d50e096e50a07e6fb3aad6d"
+# SHA-256 of the bug-free K=all report, the only campaign here that rolls
+# back writes and buffers publishes; the same rule
+CAMPAIGN_ALL_BUGFREE_REPORT_SHA256 = \
+    "24ba5539ea3a17e3556505d0997295b74502a88adfb42c0a77f2ba7c179db3d7"
 
 
 def _ok(criterion, detail=""):
@@ -446,6 +450,11 @@ def test_criterion_9_determinism(pipeline, campaign_all, sweep, ref_topology,
 def test_campaign_all_report_matches_its_pinned_digest(campaign_all):
     report = campaign_all.value.read_bytes()
     assert hashlib.sha256(report).hexdigest() == CAMPAIGN_ALL_REPORT_SHA256
+
+
+def test_campaign_all_bugfree_report_matches_its_pinned_digest(campaign_all_bugfree):
+    report = campaign_all_bugfree.value.read_bytes()
+    assert hashlib.sha256(report).hexdigest() == CAMPAIGN_ALL_BUGFREE_REPORT_SHA256
 
 
 def test_set_up_artifacts_and_run_plan_match_their_pinned_digests(pipeline, campaign_all):
