@@ -7,8 +7,10 @@ a given (topology, seed, workload). The generator runs all of its steps and
 retries itself; to wait it yields a plain number of microseconds, and the
 loop puts the suspended generator on the event heap to resume it then.
 Services have fixed worker pools and bounded queues, which is what makes
-thread-exhaustion cascades expressible; stores, the publish outbox and
-armed faults are plain in-memory state that vanishes with the system handle.
+thread-exhaustion cascades expressible. A buffered publish is a process of
+its own that retries until its endpoint takes it. Stores, the outbox of
+pending publishes and armed faults are plain in-memory state that vanishes
+with the system handle.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from types import GeneratorType
 from typing import Optional
 
 from ..faults import (DEFAULT_DELAY_US, EFFECT_DELAY, EFFECT_STATUS, EFFECT_THROW,
-                      FaultSpec)
+                      Effect, FaultSpec)
 from ..model import (STATUS_OK, Corpus, Endpoint, Span, Trace, error_status,
                      is_ok, new_corpus, status_code)
 from ..templating import EntryRequest
@@ -48,7 +50,6 @@ _OUTBOX_RETRY_US = 500_000
 HANG_EXCEPTIONS = frozenset({"SocketTimeoutException"})
 
 _TIMEOUT = object()  # sentinel resuming a caller whose call timed out
-_POISONED = object()  # marks a step attempt that fails without running
 _HANG = ("hang",)  # instruction: the worker is leaked, never resumed
 _COMPLETE_US = itemgetter(0)  # of an entry-log or endpoint-event record
 # Entry i of a workload posted lazily in time order (post_request's `index`)
@@ -200,9 +201,9 @@ class System:
         self._services = {s.name: _ServiceState(s) for s in spec.services}
         self._db = {}
         self._cache = {}
-        self._outbox = []  # pending durable-retry publishes
+        self._outbox = []  # creation times of the publishes not yet delivered
         self._armed = {}  # (service, endpoint) -> active ArmedFault
-        self._poisoned = {}  # (service, line, step idx) -> exception name
+        self._poisoned = {}  # (service, line, step idx) -> throw Effect
         self._single_use_seen = set()
         # (complete_us, submitted_us, ok), appended in completion order, so
         # sorted by complete_us since now_us never goes down
@@ -219,9 +220,6 @@ class System:
                             for svc, iface in spec.interfaces()}
 
     # -- event loop -----------------------------------------------------------
-
-    def _schedule(self, delay_us: int, fn) -> None:
-        self._schedule_at(self.now_us + delay_us, fn)
 
     def _schedule_at(self, at_us: int, fn, seq: Optional[int] = None) -> None:
         if at_us < self.now_us:
@@ -422,7 +420,7 @@ class System:
 
             self._admit_call(target_service, line, payload, parent_span, entry, resume)
             if timeout_us is not None:
-                self._schedule(timeout_us, lambda: resume(_TIMEOUT))
+                self._schedule_at(self.now_us + timeout_us, lambda: resume(_TIMEOUT))
         elif kind != "hang":  # a hung worker is leaked on purpose, never resumed
             raise SimError(f"unknown instruction {kind!r}")
 
@@ -440,12 +438,13 @@ class System:
     # -- workflow execution ---------------------------------------------------
 
     def _workflow(self, state: _ServiceState, ctx: _Ctx):
-        """Run every step of `ctx`, with its retries, in this one process."""
+        """Run every step of `ctx`, with its retries, in this one process.
+        Each attempt ends in a failure code `exc` ("" for success) and a
+        payload."""
         yield self._jitter(_ENTRY_OVERHEAD_US)
         service, entry, line = ctx.service, ctx.entry, ctx.iface.line
-        recorder = entry._recorder if entry is not None else None
+        recorder = entry._recorder
         events = self._endpoint_events
-        aborted = ""
         for index, step in enumerate(ctx.iface.workflow):
             args = self._render_args(ctx, step)
             endpoint = step.endpoint()
@@ -461,30 +460,24 @@ class System:
                     service, endpoint, op_name, args, self.now_us)
 
             poison_key = (service, line, index)
-            status, payload, exc = STATUS_OK, {}, ""
             for _attempt in range(step.retries + 1):
                 start = self.now_us
-                effect = kind = None
-                if poison_key in self._poisoned:
-                    kind = _POISONED
-                else:
+                # a poisoned step fails before the armed fault sees it
+                effect = self._poisoned.get(poison_key)
+                if effect is None:
                     armed = self._armed.get(unit)
                     if armed is not None:
                         armed.hits.append(start)
                         effect = armed.fault.effect
-                        kind = effect.kind
+                kind = effect.kind if effect is not None else None
                 delay = 0
                 if kind == EFFECT_DELAY:
                     delay = effect.delay_us
                     if delay is None:
                         delay = 2 * timeout if timeout is not None else DEFAULT_DELAY_US
 
-                if kind is _POISONED:
-                    yield _THROW_LATENCY_US
-                    exc = self._poisoned[poison_key]
-                    status, payload = error_status(exc), {}
-                elif kind == EFFECT_THROW:
-                    exc = effect.exception
+                if kind == EFFECT_THROW:
+                    exc, payload = effect.exception, {}
                     if exc in HANG_EXCEPTIONS:
                         if timeout is None:
                             events[unit].append((start, start, False))
@@ -493,17 +486,14 @@ class System:
                         yield timeout
                     else:
                         yield _THROW_LATENCY_US
-                    status, payload = error_status(exc), {}
                 elif kind == EFFECT_STATUS:
                     yield self._jitter(_CALL_OVERHEAD_US)
                     code = effect.status_code
-                    payload = {"status": str(code), "body": effect.body}
                     exc = f"http_{code}" if code >= 400 else ""
-                    status = error_status(exc) if exc else STATUS_OK
+                    payload = {"status": str(code), "body": effect.body}
                 elif delay and timeout is not None and timeout < delay:
                     yield timeout
-                    exc = "OperationTimedOut"
-                    status, payload = error_status(exc), {}
+                    exc, payload = "OperationTimedOut", {}
                 else:
                     if delay:
                         yield delay  # dependency stalls, then behaves normally
@@ -512,44 +502,37 @@ class System:
                         resp = yield ("call", step.target_service, step.target_line,
                                       dict(args), timeout, span, entry)
                         if resp is _TIMEOUT:
-                            exc = "SocketTimeoutException"
-                            status, payload = error_status(exc), {}
-                        elif resp.ok:
-                            status, payload, exc = STATUS_OK, dict(resp.payload), ""
+                            exc, payload = "SocketTimeoutException", {}
                         else:
-                            exc = status_code(resp.status)
-                            status, payload = error_status(exc), dict(resp.payload)
+                            exc, payload = status_code(resp.status), dict(resp.payload)
                     else:
                         yield self._jitter(_BASE_TIME_US[step.op])
-                        status, payload, exc = STATUS_OK, self._apply_leaf(ctx, step, args), ""
-                ok = status == STATUS_OK
-                events[unit].append((self.now_us, start, ok))
-                if ok:
+                        exc, payload = "", self._apply_leaf(ctx, step, args)
+                events[unit].append((self.now_us, start, not exc))
+                if not exc:
                     break
 
             if span is not None:
-                recorder.close_span(span, status, payload, self.now_us)
+                recorder.close_span(span, error_status(exc) if exc else STATUS_OK,
+                                    payload, self.now_us)
             ctx.outputs.append(payload)
-            if is_ok(status):
+            if not exc:
                 continue
             # a no-retry client never re-establishes a dropped connection:
             # the step keeps failing until the system is restarted
             if (step.bug == BUG_NO_RETRY and step.retries == 0
                     and is_connection_exception(exc)):
-                self._poisoned[poison_key] = exc
+                self._poisoned[poison_key] = Effect(EFFECT_THROW, exception=exc)
             if step.on_error == ON_ERROR_PROPAGATE:
                 if ctx.iface.compensate:
                     self._rollback(ctx)
-                aborted = status
+                response = Response(error_status(exc), {"status": "error", "reason": exc})
                 break
             if step.op == OP_MQ and step.on_error == ON_ERROR_CATCH:
                 # durable retry: the publish is buffered, not lost
-                self._outbox_add(service, step)
-            elif step.is_write() and not step.best_effort and entry is not None:
+                self._drive(self._publish(unit))
+            elif step.is_write() and not step.best_effort:
                 entry._loss_candidates.append(index)
-        if aborted:
-            response = Response(aborted, {"status": "error",
-                                          "reason": status_code(aborted)})
         else:
             response = Response(STATUS_OK, self._render_response(ctx))
         ctx.on_complete(response)
@@ -627,27 +610,20 @@ class System:
                 store.pop(key, None)
         ctx.journal.clear()
 
-    # -- outbox ----------------------------------------------------------------
-
-    def _outbox_add(self, service: str, step) -> None:
-        entry = {"service": service, "step": step, "created_us": self.now_us,
-                 "pending": True}
-        self._outbox.append(entry)
-        self._schedule(_OUTBOX_RETRY_US, lambda: self._outbox_retry(entry))
-
-    def _outbox_retry(self, entry: dict) -> None:
-        if not entry["pending"]:
-            return
-        step = entry["step"]
-        unit = (entry["service"], step.endpoint())
-        armed = self._armed.get(unit)
-        if armed is not None:
+    def _publish(self, unit: tuple):
+        """A buffered publish to `unit`: pending in the outbox, and retried
+        every _OUTBOX_RETRY_US while a fault is armed there."""
+        created = self.now_us
+        self._outbox.append(created)
+        while True:
+            yield _OUTBOX_RETRY_US
+            armed = self._armed.get(unit)
+            if armed is None:
+                break
             armed.hits.append(self.now_us)
             self._endpoint_events[unit].append((self.now_us, self.now_us, False))
-            self._schedule(_OUTBOX_RETRY_US, lambda: self._outbox_retry(entry))
-            return
         self._endpoint_events[unit].append((self.now_us, self.now_us, True))
-        entry["pending"] = False
+        self._outbox.remove(created)
 
     # -- faults -----------------------------------------------------------------
 
@@ -668,14 +644,13 @@ class System:
 
     def forget_before(self, t_us: int) -> None:
         """Drop the entry-log, endpoint-event and loss records completed
-        before `t_us`, and the outbox entries no longer pending. A metric
-        query for a window that starts before `t_us` then raises SimError."""
+        before `t_us`. A metric query for a window that starts before `t_us`
+        then raises SimError."""
         log = self._entry_log
         del log[:bisect_left(log, t_us, key=_COMPLETE_US)]
         for events in self._endpoint_events.values():
             del events[:bisect_left(events, t_us, key=_COMPLETE_US)]
         del self._loss_events[:bisect_left(self._loss_events, t_us)]
-        self._outbox = [entry for entry in self._outbox if entry["pending"]]
         self._kept_from_us = max(self._kept_from_us, t_us)
 
     def _check_kept(self, lo: int) -> None:
@@ -727,8 +702,7 @@ class System:
     def outbox_pending_from(self, window: tuple) -> int:
         lo, hi = window
         self._check_kept(lo)
-        return sum(1 for e in self._outbox
-                   if e["pending"] and lo <= e["created_us"] < hi)
+        return sum(1 for created in self._outbox if lo <= created < hi)
 
 
 def replay_traffic(system: System, make_request, rate_per_sec: int,

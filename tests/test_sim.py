@@ -285,6 +285,22 @@ def test_healthy_catch_and_degrade_publish_is_durably_retried(catalog):
     assert system.losses_in(window) == 0
 
 
+def test_buffered_publish_retries_while_armed_and_is_delivered_once(catalog):
+    spec = make_mini_topology()
+    system = _boot(spec)
+    mq = Endpoint("MQ", "kafka", "send")
+    armed = system.arm_fault("front", mq, catalog.get("mq-disconnect"))
+    assert system.submit_request(_mini_request(system))[0].ok
+    system.run_until(system.now_us + 1_200_000)  # two retries, 0.5 s apart, both fail
+    assert len(armed.hits) == 3
+    assert system.outbox_pending_from((0, system.now_us + 1)) == 1
+    system.disarm_fault("front", mq)
+    window = (system.now_us, system.now_us + SECOND)
+    system.run_until(window[1])
+    assert system.endpoint_stats("front", mq, window) == {"invocations": 1, "failures": 0}
+    assert system.outbox_pending_from((0, system.now_us)) == 0
+
+
 # --- arm/disarm --------------------------------------------------------------
 
 def test_delay_fault_exceeding_timeout_fails_request(catalog):
