@@ -298,10 +298,11 @@ def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
         if pending:
             queue.append(Run(trace_id=run.trace_id, cases=pending))
     initial_runs = len(queue)
+    for run in queue:  # a deferred case is re-hosted on its own trace
+        for trace_id in (run.trace_id, *(case.target.trace_id for case in run.cases)):
+            if trace_id not in by_trace:
+                raise ExecutorError(f"no template for trace {trace_id}")
     while queue:
-        for run in queue:
-            if run.trace_id not in by_trace:
-                raise ExecutorError(f"no template for trace {run.trace_id}")
         deferred = []
         for run in queue:
             run_results, run_deferred = execute_run(

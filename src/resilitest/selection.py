@@ -123,7 +123,10 @@ SELECTION_FIELDS = ("interface_id", "aggregate_score", "trace_id", "trace_score"
 
 
 def load_selection_report(path) -> list:
+    """The ranked records of a selection file; a record with a missing,
+    mistyped or repeated field names the file and line."""
     ranked = []
+    seen = {"interface_id": set(), "trace_id": set()}
     for where, rec in read_records(path, "selection"):
         missing = [k for k in SELECTION_FIELDS
                    if not isinstance(rec, dict) or k not in rec]
@@ -132,6 +135,9 @@ def load_selection_report(path) -> list:
         for key in ("interface_id", "trace_id"):
             if not isinstance(rec[key], str):
                 raise ValueError(f"{where}: {key} {rec[key]!r} is not a string")
+            if rec[key] in seen[key]:
+                raise ValueError(f"{where}: repeated {key} {rec[key]!r}")
+            seen[key].add(rec[key])
         for key in ("aggregate_score", "trace_score"):
             if isinstance(rec[key], bool) or not isinstance(rec[key], (int, float)):
                 raise ValueError(f"{where}: {key} {rec[key]!r} is not a number")

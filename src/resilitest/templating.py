@@ -93,6 +93,7 @@ class ManualVariableRegistry:
     @classmethod
     def load(cls, path) -> "ManualVariableRegistry":
         reg = cls()
+        listed = set()  # (interface_id, key-path) of each entry so far
         for where, line in read_lines(path, "registry"):
             fields, _, note = line.partition("#")
             parts = fields.split()
@@ -103,6 +104,10 @@ class ManualVariableRegistry:
             if parts[1] != REQ:
                 raise TemplatingError(f"{where}: invalid payload side "
                                       f"{parts[1]!r}, only {REQ!r} is replayed")
+            if (parts[0], parts[2]) in listed:
+                raise TemplatingError(f"{where}: key-path {parts[2]!r} listed twice "
+                                      f"for interface {parts[0]}")
+            listed.add((parts[0], parts[2]))
             try:
                 reg.register(parts[0], parts[2], parts[3], note.strip())
             except TemplatingError as exc:
@@ -261,11 +266,18 @@ def _template_from_record(rec) -> TraceTemplate:
 
 def load_templates(path) -> list:
     """Templates of a templates.jsonl file, one record per line; a record
-    that is not exactly what save_templates writes names the file and line."""
+    that is not exactly what save_templates writes, or that repeats an
+    interface_id or trace_id, names the file and line."""
     templates = []
+    seen = {"interface_id": set(), "trace_id": set()}
     for where, rec in read_records(path, "templates"):
         try:
-            templates.append(_template_from_record(rec))
+            template = _template_from_record(rec)
+            for key, ids in seen.items():
+                if rec[key] in ids:
+                    raise TemplatingError(f"repeated {key} {rec[key]!r}")
+                ids.add(rec[key])
         except TemplatingError as exc:
             raise TemplatingError(f"{where}: {exc}") from None
+        templates.append(template)
     return templates

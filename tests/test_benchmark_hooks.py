@@ -8,8 +8,10 @@ import os
 from resilitest import campaign
 from resilitest.campaign import analyze_corpus
 from resilitest.cli import main
+from resilitest.executor import OracleCriteria, PhaseConfig, run_batch
 from resilitest.faults import default_catalog
 from resilitest.planner import PlanConfig
+from resilitest.scheduler import greedy_batch
 from resilitest.sim.engine import record_corpus
 
 from conftest import make_mini_topology, make_mini_workload
@@ -37,6 +39,29 @@ def test_tracer_spans_planning(monkeypatch):
     for name in ("campaign.plan_campaign", "planner.plan_targets",
                  "planner.sample_services"):
         assert calls[name] > 0, name
+
+
+def test_tracer_counts_the_run_stage(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from tracer import Tracer
+
+    spec = make_mini_topology()
+    analysis = analyze_corpus(record_corpus(spec, make_mini_workload(spec), seed=5))
+    catalog = default_catalog()
+    _selected, cases = campaign.plan_campaign(
+        analysis.ranked, analysis.corpus, catalog, 1, PlanConfig())
+    phases = PhaseConfig(2_000_000, 2_000_000, 2_000_000, 5)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        result = run_batch(greedy_batch(cases[:2]), spec, list(analysis.templates.values()),
+                           catalog, phases, OracleCriteria())
+    finally:
+        tracer.uninstall()
+    assert result.test_runs
+    for name in ("sim.systems_started", "sim.requests_posted", "sim.virtual_us",
+                 "executor.cases"):
+        assert tracer.counts[name] > 0, name
 
 
 def test_setup_check_passes_on_the_reference_campaign(monkeypatch, tmp_path):

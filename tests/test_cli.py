@@ -272,6 +272,58 @@ def test_run_rejects_malformed_templates(planned_files, tmp_path, capsys, record
     assert not report.exists()
 
 
+def _repeat_key(records, key):
+    """The first two records, the second taking the first's `key`."""
+    return [records[0], {**records[1], key: records[0][key]}]
+
+
+@pytest.mark.parametrize("key", ["interface_id", "trace_id"])
+def test_run_rejects_templates_repeating_a_key(planned_files, tmp_path, capsys, key):
+    planned, topo = planned_files
+    lines = (planned / "analysis" / "templates.jsonl").read_text().splitlines()
+    records = _repeat_key([json.loads(line) for line in lines], key)
+    templates = tmp_path / "templates.jsonl"
+    templates.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    report = tmp_path / "report.jsonl"
+    assert main(["run", "--run-plan", str(planned / "plans" / "runplan.txt"),
+                 "--topology", str(topo), "--templates", str(templates),
+                 "--phases", "6,6,6,5", "--out", str(report)]) == 2
+    assert (f"error: templates {templates} line 2: repeated {key} {records[0][key]!r}"
+            in capsys.readouterr().err)
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("key", ["interface_id", "trace_id"])
+def test_plan_rejects_selection_repeating_a_key(planned_files, tmp_path, capsys, key):
+    planned, _topo = planned_files
+    analysis = tmp_path / "analysis"
+    analysis.mkdir()
+    lines = (planned / "analysis" / "selection.jsonl").read_text().splitlines()
+    records = _repeat_key([json.loads(line) for line in lines], key)
+    selection = analysis / "selection.jsonl"
+    selection.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    assert main(["plan", "--corpus", str(planned / "corpus.txt"), "--analysis",
+                 str(analysis), "--top-k", "all", "--out-dir", str(tmp_path / "plans")]) == 2
+    assert (f"error: selection {selection} line 2: repeated {key} {records[0][key]!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "plans").exists()
+
+
+@pytest.mark.parametrize("kinds", [("fresh_id", "timestamp"), ("timestamp", "fresh_id"),
+                                   ("fresh_id", "fresh_id")],
+                         ids=["fresh-then-timestamp", "timestamp-then-fresh", "same-kind"])
+def test_analyze_rejects_a_key_path_listed_twice_for_one_interface(planned_files, tmp_path,
+                                                                   capsys, kinds):
+    planned, _topo = planned_files
+    registry = tmp_path / "registry.txt"
+    registry.write_text("".join(f"ifx req sig {kind}\n" for kind in kinds))
+    assert main(["analyze", "--corpus", str(planned / "corpus.txt"), "--registry",
+                 str(registry), "--out-dir", str(tmp_path / "analysis")]) == 2
+    assert (f"error: registry {registry} line 2: key-path 'sig' listed twice for "
+            f"interface ifx" in capsys.readouterr().err)
+    assert not (tmp_path / "analysis").exists()
+
+
 def test_analyze_rejects_resp_registry_side(planned_files, tmp_path, capsys):
     planned, _topo = planned_files
     registry = tmp_path / "registry.txt"

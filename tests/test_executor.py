@@ -246,6 +246,19 @@ def test_history_records_outcomes(mini_setup):
     assert all(history.executed.get(c.case_id) for c in cases)
 
 
+def test_run_batch_checks_every_case_trace_before_any_case_runs(mini_setup, monkeypatch):
+    # the stray case would be deferred onto its own trace, which has no template
+    spec, corpus, analysis, catalog = mini_setup
+    case = _mini_cases(analysis, corpus, catalog)[0]
+    stray = replace(case, case_id="stray", target=replace(case.target, trace_id="t999999"))
+    plan = RunPlan(runs=[Run(trace_id=case.target.trace_id, cases=[case, stray])])
+    monkeypatch.setattr(executor, "execute_run",
+                        lambda *args, **kwargs: pytest.fail("a case ran"))
+    with pytest.raises(ExecutorError, match="no template for trace t999999"):
+        run_batch(plan, spec, list(analysis.templates.values()), catalog, FAST,
+                  OracleCriteria())
+
+
 def test_run_batch_skips_cases_passed_in_the_history(mini_setup):
     spec, corpus, analysis, catalog = mini_setup
     cases = _mini_cases(analysis, corpus, catalog)[:4]
