@@ -489,8 +489,8 @@ class System:
                 elif kind == EFFECT_STATUS:
                     yield self._jitter(_CALL_OVERHEAD_US)
                     code = effect.status_code
-                    exc = f"http_{code}" if code >= 400 else ""
                     payload = {"status": str(code), "body": effect.body}
+                    exc = f"http_{code}" if code >= 400 else ""
                 elif delay and timeout is not None and timeout < delay:
                     yield timeout
                     exc, payload = "OperationTimedOut", {}
