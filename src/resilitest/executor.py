@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .faults import FaultCatalog
-from .model import Endpoint, dumps_canonical, read_records, write_lines
+from .model import (COUNT, NUMBER, OBJECT, STRING, Endpoint, check_fields,
+                    check_kind, dumps_canonical, read_records, write_lines)
 from .scheduler import (VERDICT_PASS, History, Run, RunPlan, filter_history,
                         greedy_batch)
 from .sim.engine import PhaseMetrics, System, replay_traffic
@@ -69,7 +70,8 @@ class EffectiveCriteria:
                 f"{self.recover_min})")
 
 
-CRITERIA_KEYS = ("startup_min_success", "inject_max_success", "recover_min_success")
+THRESHOLDS = dict.fromkeys(
+    ("startup_min_success", "inject_max_success", "recover_min_success"), NUMBER)
 
 
 @dataclass
@@ -96,36 +98,21 @@ class OracleCriteria:
         where = f"criteria {path}"
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                rec = json.load(fh)
-            except json.JSONDecodeError as exc:
+                rec = check_fields(json.load(fh), {}, {**THRESHOLDS, "interfaces": OBJECT},
+                                   closed=True)
+            except ValueError as exc:
                 raise ExecutorError(f"{where}: {exc}") from None
-        _check_thresholds(rec, where, extra=("interfaces",))
         overrides = rec.get("interfaces", {})
-        if not isinstance(overrides, dict):
-            raise ExecutorError(f"{where}: interfaces must be a JSON object")
-        for interface_id, entry in overrides.items():
-            _check_thresholds(entry, f"{where}: interface {interface_id}")
         criteria = cls(per_interface=dict(overrides),
-                       **{k: rec[k] for k in CRITERIA_KEYS if k in rec})
+                       **{k: rec[k] for k in THRESHOLDS if k in rec})
         for interface_id in (None, *overrides):  # None resolves the globals
+            label = "globals" if interface_id is None else f"interface {interface_id}"
             try:
+                check_fields(overrides.get(interface_id, {}), {}, THRESHOLDS, closed=True)
                 criteria.resolve(interface_id)
-            except ExecutorError as exc:
-                label = "globals" if interface_id is None else f"interface {interface_id}"
+            except ValueError as exc:
                 raise ExecutorError(f"{where}: {label}: {exc}") from None
         return criteria
-
-
-def _check_thresholds(rec, where: str, extra: tuple = ()) -> None:
-    if not isinstance(rec, dict):
-        raise ExecutorError(f"{where}: expected a JSON object")
-    unknown = sorted(set(rec) - set(CRITERIA_KEYS) - set(extra))
-    if unknown:
-        raise ExecutorError(f"{where}: unknown key(s) {', '.join(unknown)}")
-    for key in CRITERIA_KEYS:
-        value = rec.get(key, 0.0)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ExecutorError(f"{where}: {key} must be a number, got {value!r}")
 
 
 @dataclass
@@ -365,12 +352,10 @@ def save_report(result: CampaignResult, path, config: Optional[dict] = None) -> 
     write_lines(path, lines())
 
 
-REPORT_RUN_FIELDS = ("case_id", "service", "endpoint", "fault_id", "verdict")
-REPORT_COUNTERS = ("cases", "endpoint_coverage", "startup_count", "reschedules")
-
-
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
+REPORT_RUN_FIELDS = dict.fromkeys(
+    ("case_id", "service", "endpoint", "fault_id", "verdict"), STRING)
+REPORT_SUMMARY_FIELDS = {"cases": COUNT, "endpoint_coverage": COUNT, "startup_count": COUNT,
+                         "reschedules": COUNT, "verdicts": OBJECT}
 
 
 def load_report(path) -> tuple:
@@ -381,24 +366,18 @@ def load_report(path) -> tuple:
     """
     runs = []
     summary = None
-    for where, rec in read_records(path, "report"):
-        if not isinstance(rec, dict) or rec.get("type") not in ("test_run", "summary"):
-            raise ExecutorError(f"{where}: expected a test_run or summary object")
-        if rec["type"] == "test_run":
-            bad = [k for k in REPORT_RUN_FIELDS if not isinstance(rec.get(k), str)]
-            runs.append(rec)
-        else:
-            verdicts = rec.get("verdicts")
-            bad = [k for k in REPORT_COUNTERS if not _is_count(rec.get(k))]
-            if not (isinstance(verdicts, dict)
-                    and all(_is_count(v) for v in verdicts.values())):
-                bad.append("verdicts")
-            if not isinstance(rec.get("config", {}), dict):
-                bad.append("config")
-            summary = rec
-        if bad:
-            raise ExecutorError(f"{where}: {rec['type']} has missing or "
-                                f"malformed {', '.join(bad)}")
+    for where, rec in read_records(path, "report", {"type": STRING}):
+        try:
+            if rec["type"] == "test_run":
+                runs.append(check_fields(rec, REPORT_RUN_FIELDS))
+            elif rec["type"] == "summary":
+                summary = check_fields(rec, REPORT_SUMMARY_FIELDS, {"config": OBJECT})
+                for verdict, count in rec["verdicts"].items():
+                    check_kind(f"verdicts {verdict}", count, COUNT)
+            else:
+                raise ValueError(f"type must be 'test_run' or 'summary', got {rec['type']!r}")
+        except ValueError as exc:
+            raise ExecutorError(f"{where}: {exc}") from None
     if summary is None:
         raise ExecutorError(f"report {path} has no summary record")
     return runs, summary

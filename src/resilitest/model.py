@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -355,13 +356,55 @@ def read_lines(path, what: str):
                 yield f"{what} {path} line {line_no}", line
 
 
-def read_records(path, what: str):
-    """(where, record) for each non-blank line of `path`, decoded as JSON; a
-    line that is not JSON raises ValueError at its `where`."""
+# The kinds of a record field: (name in messages, test). No kind holds a
+# bool, although JSON's true and false decode to a subclass of int.
+STRING = ("a string", lambda v: v.__class__ is str)
+OBJECT = ("an object", lambda v: v.__class__ is dict)
+INTEGER = ("an integer", lambda v: v.__class__ is int)
+COUNT = ("an integer >= 0", lambda v: v.__class__ is int and v >= 0)
+NUMBER = ("a finite number",
+          lambda v: v.__class__ is int or (v.__class__ is float and math.isfinite(v)))
+
+
+def check_kind(key: str, value, kind: tuple) -> None:
+    """Raise ValueError unless `value`, the value of field `key`, is of `kind`."""
+    if not kind[1](value):
+        raise ValueError(f"{key} must be {kind[0]}, got {value!r}")
+
+
+def check_fields(rec, fields: dict, optional: dict = {}, closed: bool = False):
+    """`rec`, once it is a JSON object holding each key of `fields` (and any
+    key of `optional`) with a value of the kind the key maps to, and, if
+    `closed`, no other key; else ValueError names the first field at fault."""
+    if rec.__class__ is not dict:
+        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+    for key, kind in fields.items():
+        if key not in rec:
+            raise ValueError(f"missing {key}")
+        check_kind(key, rec[key], kind)
+    for key, kind in optional.items():
+        if key in rec:
+            check_kind(key, rec[key], kind)
+    unknown = closed and sorted(rec.keys() - fields.keys() - optional.keys())
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)}")
+    return rec
+
+
+def read_records(path, what: str, fields: dict, closed: bool = False,
+                 unique: tuple = ()):
+    """(where, record) for each non-blank line of `path`, decoded as JSON and
+    checked by check_fields; no two records may hold the same value of a key
+    in `unique`. A line that breaks a rule raises ValueError at its `where`."""
+    seen = {key: set() for key in unique}
     for where, line in read_lines(path, what):
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            record = check_fields(json.loads(line), fields, closed=closed)
+            for key, values in seen.items():
+                if record[key] in values:
+                    raise ValueError(f"repeated {key} {record[key]!r}")
+                values.add(record[key])
+        except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         yield where, record
 

@@ -9,10 +9,10 @@ interfaces each contribute their single highest-scoring trace.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .model import Corpus, dumps_canonical, read_records, write_lines
+from .model import (NUMBER, STRING, Corpus, dumps_canonical, read_records,
+                    write_lines)
 
 WEIGHT_TOLERANCE = 1e-9
 
@@ -119,37 +119,16 @@ def select_top_k(clusters: list, per_trace_scores: dict) -> list:
     return ranked
 
 
-SELECTION_FIELDS = ("interface_id", "aggregate_score", "trace_id", "trace_score")
+SELECTION_FIELDS = {"interface_id": STRING, "aggregate_score": NUMBER,
+                    "trace_id": STRING, "trace_score": NUMBER}
 
 
 def load_selection_report(path) -> list:
     """The ranked records of a selection file; a record with a missing,
     mistyped or repeated field names the file and line."""
-    ranked = []
-    seen = {"interface_id": set(), "trace_id": set()}
-    for where, rec in read_records(path, "selection"):
-        missing = [k for k in SELECTION_FIELDS
-                   if not isinstance(rec, dict) or k not in rec]
-        if missing:
-            raise ValueError(f"{where}: missing {', '.join(missing)}")
-        for key in ("interface_id", "trace_id"):
-            if not isinstance(rec[key], str):
-                raise ValueError(f"{where}: {key} {rec[key]!r} is not a string")
-            if rec[key] in seen[key]:
-                raise ValueError(f"{where}: repeated {key} {rec[key]!r}")
-            seen[key].add(rec[key])
-        for key in ("aggregate_score", "trace_score"):
-            if isinstance(rec[key], bool) or not isinstance(rec[key], (int, float)):
-                raise ValueError(f"{where}: {key} {rec[key]!r} is not a number")
-            if isinstance(rec[key], float) and not math.isfinite(rec[key]):
-                raise ValueError(f"{where}: {key} {rec[key]!r} is not finite")
-        ranked.append(SelectedInterface(
-            interface_id=rec["interface_id"],
-            aggregate_score=rec["aggregate_score"],
-            trace_id=rec["trace_id"],
-            trace_score=rec["trace_score"],
-        ))
-    return ranked
+    return [SelectedInterface(**{key: rec[key] for key in SELECTION_FIELDS})
+            for _where, rec in read_records(path, "selection", SELECTION_FIELDS,
+                                            unique=("interface_id", "trace_id"))]
 
 
 def save_selection_report(selected: list, corpus: Corpus, path) -> None:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from ..model import dumps_canonical, read_records, write_lines
+from ..model import (INTEGER, OBJECT, STRING, dumps_canonical, read_records,
+                     write_lines)
 from ..templating import EntryRequest
 
 
@@ -12,19 +13,7 @@ def save_workload(entries: list, path) -> None:
                        for at_us, request in entries))
 
 
-def _entry(rec) -> tuple:
-    at_us, line, payload = rec["at_us"], rec["line"], rec["payload"]
-    if type(at_us) is not int:  # a bool is no time, a float would be cut
-        raise ValueError(f"at_us must be an integer, got {at_us!r}")
-    if not isinstance(line, str):
-        raise ValueError(f"line must be a string, got {line!r}")
-    if not isinstance(payload, dict):
-        raise ValueError(f"payload must be an object, got {payload!r}")
-    for key, value in payload.items():
-        if isinstance(value, (list, dict)):
-            raise ValueError(f"payload value of {key!r} must not be a list or "
-                             f"object, got {value!r}")
-    return at_us, EntryRequest(line, payload)
+WORKLOAD_FIELDS = {"at_us": INTEGER, "line": STRING, "payload": OBJECT}
 
 
 def load_workload(path):
@@ -34,13 +23,14 @@ def load_workload(path):
     be in time order: one whose at_us is before the previous entry's raises
     ValueError at its line, as a malformed one does."""
     last_us = None
-    for where, rec in read_records(path, "workload"):
-        try:
-            at_us, request = _entry(rec)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: {exc}") from exc
+    for where, rec in read_records(path, "workload", WORKLOAD_FIELDS):
+        at_us, payload = rec["at_us"], rec["payload"]
+        for key, value in payload.items():
+            if isinstance(value, (list, dict)):
+                raise ValueError(f"{where}: payload value of {key!r} must not be "
+                                 f"a list or object, got {value!r}")
         if last_us is not None and at_us < last_us:
             raise ValueError(f"{where}: at_us {at_us} is before the previous "
                              f"entry's {last_us}; entries must be in time order")
         last_us = at_us
-        yield at_us, request
+        yield at_us, EntryRequest(rec["line"], payload)

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .model import Span, dumps_canonical, read_lines, read_records, write_lines
+from .model import (OBJECT, STRING, Span, dumps_canonical, read_lines, read_records,
+                    write_lines)
 
 REQ = "req"
 
@@ -235,7 +236,8 @@ def instantiate(template: TraceTemplate, now_us: int, id_source: Callable) -> En
     return EntryRequest(line=template.request.line, payload=payload)
 
 
-TEMPLATE_FIELDS = ("interface_id", "line", "payload", "placeholders", "trace_id")
+TEMPLATE_FIELDS = {"interface_id": STRING, "trace_id": STRING, "line": STRING,
+                   "payload": OBJECT, "placeholders": OBJECT}
 
 
 def save_templates(templates: list, path) -> None:
@@ -245,39 +247,19 @@ def save_templates(templates: list, path) -> None:
         "placeholders": t.placeholders}) for t in templates))
 
 
-def _template_from_record(rec) -> TraceTemplate:
-    if not isinstance(rec, dict) or sorted(rec) != list(TEMPLATE_FIELDS):
-        got = ", ".join(sorted(rec)) if isinstance(rec, dict) else type(rec).__name__
-        raise TemplatingError(f"expected an object with fields "
-                              f"{', '.join(TEMPLATE_FIELDS)}; got {got}")
-    bad = [k for k in ("interface_id", "trace_id", "line") if not isinstance(rec[k], str)]
-    bad += [k for k in ("payload", "placeholders") if not isinstance(rec[k], dict)]
-    if bad:
-        raise TemplatingError(f"malformed {', '.join(bad)}")
-    for key, kind in sorted(rec["placeholders"].items()):
-        if kind not in KINDS:
-            raise TemplatingError(f"unknown placeholder kind {kind!r} for {key!r}")
-        if key not in rec["payload"]:
-            raise TemplatingError(f"placeholder {key!r} is not a payload key")
-    return TraceTemplate(interface_id=rec["interface_id"], trace_id=rec["trace_id"],
-                         request=EntryRequest(rec["line"], rec["payload"]),
-                         placeholders=rec["placeholders"])
-
-
 def load_templates(path) -> list:
     """Templates of a templates.jsonl file, one record per line; a record
     that is not exactly what save_templates writes, or that repeats an
     interface_id or trace_id, names the file and line."""
     templates = []
-    seen = {"interface_id": set(), "trace_id": set()}
-    for where, rec in read_records(path, "templates"):
-        try:
-            template = _template_from_record(rec)
-            for key, ids in seen.items():
-                if rec[key] in ids:
-                    raise TemplatingError(f"repeated {key} {rec[key]!r}")
-                ids.add(rec[key])
-        except TemplatingError as exc:
-            raise TemplatingError(f"{where}: {exc}") from None
-        templates.append(template)
+    for where, rec in read_records(path, "templates", TEMPLATE_FIELDS, closed=True,
+                                   unique=("interface_id", "trace_id")):
+        for key, kind in sorted(rec["placeholders"].items()):
+            if kind not in KINDS:
+                raise TemplatingError(f"{where}: unknown placeholder kind {kind!r} for {key!r}")
+            if key not in rec["payload"]:
+                raise TemplatingError(f"{where}: placeholder {key!r} is not a payload key")
+        templates.append(TraceTemplate(rec["interface_id"], rec["trace_id"],
+                                       EntryRequest(rec["line"], rec["payload"]),
+                                       rec["placeholders"]))
     return templates

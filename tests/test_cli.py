@@ -154,9 +154,8 @@ def test_invalid_last_trace_fails_analyze_and_plan_before_any_write(mini_files, 
 
 
 @pytest.mark.parametrize("record, message", [
-    ('{"type":"test_run","case_id":"x"}',
-     "test_run has missing or malformed service, endpoint, fault_id, verdict"),
-    ("[1,2]", "expected a test_run or summary object"),
+    ('{"type":"test_run","case_id":"x"}', "missing service"),
+    ("[1,2]", "expected a JSON object, got list"),
 ], ids=["test-run-missing-fields", "not-an-object"])
 def test_report_rejects_malformed_record(tmp_path, capsys, record, message):
     report = tmp_path / "report.jsonl"
@@ -202,12 +201,12 @@ def planned_files(tmp_path_factory):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("[1, 2]", "expected a JSON object"),
-    ('{"startup_min_success": "x"}', "startup_min_success must be a number"),
-    ('{"startup_min_success": true}', "startup_min_success must be a number"),
+    ("[1, 2]", "expected a JSON object, got list"),
+    ('{"startup_min_success": "x"}', "startup_min_success must be a finite number, got 'x'"),
+    ('{"startup_min_success": true}', "startup_min_success must be a finite number, got True"),
     ('{"recover_min": 0.1}', "unknown key(s) recover_min"),
-    ('{"interfaces": [1]}', "interfaces must be a JSON object"),
-    ('{"interfaces": {"ifx": 0.5}}', "interface ifx: expected a JSON object"),
+    ('{"interfaces": [1]}', "interfaces must be an object, got [1]"),
+    ('{"interfaces": {"ifx": 0.5}}', "interface ifx: expected a JSON object, got float"),
     ('{"interfaces": {"ifx": {"recover_min": 0.1}}}',
      "interface ifx: unknown key(s) recover_min"),
     ('{"interfaces": {"ifx": {"inject_max_success": 0.9}}}',
@@ -254,8 +253,7 @@ OLD_FORMAT_TEMPLATE = {"interface_id": "if0", "base_trace": {"trace_id": "t00000
 
 
 @pytest.mark.parametrize("record, message", [
-    (OLD_FORMAT_TEMPLATE, "expected an object with fields interface_id, line, "
-     "payload, placeholders, trace_id"),
+    (OLD_FORMAT_TEMPLATE, "missing trace_id"),
     ({"interface_id": "if0", "trace_id": "t000000", "line": "GET /a/b/c",
       "payload": {"k": "v"}, "placeholders": {"k": "opaque_copy"}},
      "unknown placeholder kind 'opaque_copy' for 'k'"),
@@ -348,11 +346,11 @@ def test_plan_rejects_selection_record_without_trace_id(planned_files, tmp_path,
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("interface_id", 3, "interface_id 3 is not a string"),
-    ("trace_id", ["x"], "trace_id ['x'] is not a string"),
-    ("aggregate_score", "high", "aggregate_score 'high' is not a number"),
-    ("trace_score", True, "trace_score True is not a number"),
-    ("aggregate_score", float("nan"), "aggregate_score nan is not finite"),
+    ("interface_id", 3, "interface_id must be a string, got 3"),
+    ("trace_id", ["x"], "trace_id must be a string, got ['x']"),
+    ("aggregate_score", "high", "aggregate_score must be a finite number, got 'high'"),
+    ("trace_score", True, "trace_score must be a finite number, got True"),
+    ("aggregate_score", float("nan"), "aggregate_score must be a finite number, got nan"),
 ], ids=["interface-id-number", "trace-id-list", "score-string", "score-bool", "score-nan"])
 def test_plan_rejects_selection_field_of_wrong_type(planned_files, tmp_path, capsys,
                                                     field, value, message):
@@ -724,7 +722,7 @@ def _edited_middle(edit):
 @pytest.mark.parametrize("edit, message", [
     (_back_in_time, "line 3: at_us {at1} is before the previous entry's {at2}; "
                     "entries must be in time order"),
-    (_malformed_middle, "line 3: 'line'"),
+    (_malformed_middle, "line 3: missing line"),
     (_edited_middle(lambda rec: rec.update(line=5)), "line 3: line must be a string, got 5"),
     (_edited_middle(lambda rec: rec.update(at_us=rec["at_us"] + 0.5)),
      "line 3: at_us must be an integer, got {at2}.5"),
