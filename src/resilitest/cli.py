@@ -58,6 +58,13 @@ def _parse_top_k(text: str):
     return value
 
 
+def _parse_n_services(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"--n-services must be >= 1, got {value}")
+    return value
+
+
 def _parse_phases(text: str) -> PhaseConfig:
     parts = [int(p) for p in text.split(",")]
     if len(parts) != 4:
@@ -223,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory written by `analyze` (ranking is read from it)")
     p.add_argument("--catalog", help="fault catalog file (default: built-in)")
     p.add_argument("--top-k", type=_parse_top_k, default="all")
-    p.add_argument("--n-services", type=int, default=3)
+    p.add_argument("--n-services", type=_parse_n_services, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--history", help="skip cases that passed in the current epoch")
     p.add_argument("--out-dir", required=True)

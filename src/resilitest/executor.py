@@ -362,22 +362,33 @@ def load_report(path) -> tuple:
     """(test-run records, summary record) of a report file, as dicts.
 
     Checks the fields `resilitest report` reads: the five string fields of
-    each test run, and the summary's counters, verdict counts and config.
+    each test run, and the summary's counters, verdict counts and config. A
+    report holds one summary, whose `cases` counts its test runs, and no case
+    ID twice.
     """
-    runs = []
-    summary = None
+    runs = {}  # case_id -> test-run record
+    summary = summary_where = None
     for where, rec in read_records(path, "report", {"type": STRING}):
         try:
             if rec["type"] == "test_run":
-                runs.append(check_fields(rec, REPORT_RUN_FIELDS))
-            elif rec["type"] == "summary":
-                summary = check_fields(rec, REPORT_SUMMARY_FIELDS, {"config": OBJECT})
+                check_fields(rec, REPORT_RUN_FIELDS)
+                if rec["case_id"] in runs:
+                    raise ValueError(f"repeated case_id {rec['case_id']!r}")
+                runs[rec["case_id"]] = rec
+            elif rec["type"] != "summary":
+                raise ValueError(f"type must be 'test_run' or 'summary', got {rec['type']!r}")
+            elif summary is not None:
+                raise ValueError("repeated type 'summary'")
+            else:
+                summary, summary_where = check_fields(
+                    rec, REPORT_SUMMARY_FIELDS, {"config": OBJECT}), where
                 for verdict, count in rec["verdicts"].items():
                     check_kind(f"verdicts {verdict}", count, COUNT)
-            else:
-                raise ValueError(f"type must be 'test_run' or 'summary', got {rec['type']!r}")
         except ValueError as exc:
             raise ExecutorError(f"{where}: {exc}") from None
     if summary is None:
         raise ExecutorError(f"report {path} has no summary record")
-    return runs, summary
+    if summary["cases"] != len(runs):
+        raise ExecutorError(f"{summary_where}: cases is {summary['cases']}, but the "
+                            f"report holds {len(runs)} test_run records")
+    return list(runs.values()), summary

@@ -140,8 +140,10 @@ def save_run_plan(plan: RunPlan, path) -> None:
 
 def load_run_plan(path) -> RunPlan:
     """The runs of a run-plan file. Each run header's `cases=` count must
-    match the case lines under it, so a file cut inside a run is rejected."""
+    match the case lines under it, so a file cut inside a run is rejected,
+    and no case ID may be listed twice."""
     headed = []  # (where, cases=, Run) of each run header
+    case_ids = set()
     for where, line in read_lines(path, "run-plan"):
         if line.startswith("run "):
             fields = dict(part.split("=", 1) for part in line.split()[2:] if "=" in part)
@@ -153,7 +155,11 @@ def load_run_plan(path) -> RunPlan:
             continue
         if not headed:
             raise ValueError(f"{where}: case before any run header")
-        headed[-1][2].cases.append(parse_case_line(line, where))
+        case = parse_case_line(line, where)
+        if case.case_id in case_ids:
+            raise ValueError(f"{where}: repeated case_id {case.case_id!r}")
+        case_ids.add(case.case_id)
+        headed[-1][2].cases.append(case)
     for where, count, run in headed:
         if len(run.cases) != count:
             raise ValueError(f"{where}: run header says cases={count}, but "

@@ -29,8 +29,8 @@ from typing import Optional
 
 from ..faults import (DEFAULT_DELAY_US, EFFECT_DELAY, EFFECT_STATUS, EFFECT_THROW,
                       Effect, FaultSpec)
-from ..model import (STATUS_OK, Corpus, Endpoint, Span, Trace, error_status,
-                     is_ok, new_corpus, status_code)
+from ..model import (STATUS_OK, Corpus, Endpoint, Span, Trace, dumps_canonical,
+                     error_status, is_ok, new_corpus, status_code)
 from ..templating import EntryRequest
 from .topology import (ARG_LIT, ARG_REQ, BUG_NO_RETRY, ON_ERROR_CATCH,
                        ON_ERROR_PROPAGATE, OP_CALL, OP_CACHE, OP_DB, OP_MQ,
@@ -183,7 +183,11 @@ class _Ctx:
         self.is_entry = is_entry
 
 
-def _derive_token(prefix: str, value: str) -> str:
+def _derive_token(prefix: str, value) -> str:
+    """A token derived from a payload value; a value that is not a string
+    derives from its JSON text."""
+    if value.__class__ is not str:
+        value = dumps_canonical(value)
     return prefix + hashlib.sha1(value.encode("utf-8")).hexdigest()[:10]
 
 
@@ -336,7 +340,7 @@ class System:
                 value = payload.get(fs.path)
                 try:
                     ts = int(value)
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):  # inf overflows
                     return f"bad_timestamp_{fs.path}"
                 if abs(ts - self.now_us) > self.spec.validation_skew_us:
                     return f"stale_{fs.path}"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..model import (INTEGER, OBJECT, STRING, dumps_canonical, read_records,
                      write_lines)
-from ..templating import EntryRequest
+from ..templating import EntryRequest, check_entry_payload
 
 
 def save_workload(entries: list, path) -> None:
@@ -25,10 +25,10 @@ def load_workload(path):
     last_us = None
     for where, rec in read_records(path, "workload", WORKLOAD_FIELDS):
         at_us, payload = rec["at_us"], rec["payload"]
-        for key, value in payload.items():
-            if isinstance(value, (list, dict)):
-                raise ValueError(f"{where}: payload value of {key!r} must not be "
-                                 f"a list or object, got {value!r}")
+        try:
+            check_entry_payload(payload)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         if last_us is not None and at_us < last_us:
             raise ValueError(f"{where}: at_us {at_us} is before the previous "
                              f"entry's {last_us}; entries must be in time order")

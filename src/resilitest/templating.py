@@ -33,6 +33,15 @@ class TemplatingError(ValueError):
     pass
 
 
+def check_entry_payload(payload: dict) -> None:
+    """Raise ValueError if a value of an entry request's payload is a list or
+    an object: the simulator keys its stores by payload values."""
+    for key, value in payload.items():
+        if isinstance(value, (list, dict)):
+            raise ValueError(f"payload value of {key!r} must not be a list or "
+                             f"object, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EntryRequest:
     """A replayable entry request: the request line plus its payload."""
@@ -254,11 +263,15 @@ def load_templates(path) -> list:
     templates = []
     for where, rec in read_records(path, "templates", TEMPLATE_FIELDS, closed=True,
                                    unique=("interface_id", "trace_id")):
-        for key, kind in sorted(rec["placeholders"].items()):
-            if kind not in KINDS:
-                raise TemplatingError(f"{where}: unknown placeholder kind {kind!r} for {key!r}")
-            if key not in rec["payload"]:
-                raise TemplatingError(f"{where}: placeholder {key!r} is not a payload key")
+        try:
+            check_entry_payload(rec["payload"])
+            for key, kind in sorted(rec["placeholders"].items()):
+                if kind not in KINDS:
+                    raise ValueError(f"unknown placeholder kind {kind!r} for {key!r}")
+                if key not in rec["payload"]:
+                    raise ValueError(f"placeholder {key!r} is not a payload key")
+        except ValueError as exc:
+            raise TemplatingError(f"{where}: {exc}") from None
         templates.append(TraceTemplate(rec["interface_id"], rec["trace_id"],
                                        EntryRequest(rec["line"], rec["payload"]),
                                        rec["placeholders"]))

@@ -153,15 +153,29 @@ def test_invalid_last_trace_fails_analyze_and_plan_before_any_write(mini_files, 
     assert not (tmp_path / "plans2").exists()
 
 
-@pytest.mark.parametrize("record, message", [
-    ('{"type":"test_run","case_id":"x"}', "missing service"),
-    ("[1,2]", "expected a JSON object, got list"),
-], ids=["test-run-missing-fields", "not-an-object"])
-def test_report_rejects_malformed_record(tmp_path, capsys, record, message):
+_RUN_C1 = {"type": "test_run", "case_id": "c1", "service": "s", "endpoint": "e",
+           "fault_id": "f", "verdict": "PASS"}
+_SUMMARY = {"type": "summary", "verdicts": {"PASS": 1}, "endpoint_coverage": 1,
+            "startup_count": 1, "reschedules": 0}
+
+
+@pytest.mark.parametrize("records, message", [
+    ([{"type": "test_run", "case_id": "x"}], "line 1: missing service"),
+    ([[1, 2]], "line 1: expected a JSON object, got list"),
+    ([_RUN_C1, {**_RUN_C1, "verdict": "FAIL_SILENT"}, {**_SUMMARY, "cases": 2}],
+     "line 2: repeated case_id 'c1'"),
+    ([_RUN_C1, {**_SUMMARY, "cases": 1}, {**_SUMMARY, "cases": 1}],
+     "line 3: repeated type 'summary'"),
+    ([_RUN_C1, {**_SUMMARY, "cases": 5}],
+     "line 2: cases is 5, but the report holds 1 test_run records"),
+    ([_RUN_C1, _RUN_C1, {**_SUMMARY, "cases": 1}, {**_SUMMARY, "cases": 5}],
+     "line 2: repeated case_id 'c1'"),
+], ids=["test-run-missing-fields", "not-an-object", "repeated-case", "second-summary",
+        "count-differs", "repeats-and-two-summaries"])
+def test_report_rejects_malformed_record(tmp_path, capsys, records, message):
     report = tmp_path / "report.jsonl"
-    report.write_text(record + "\n")
-    assert main(["report", str(report)]) == 2
-    assert f"error: report {report} line 1: {message}" in capsys.readouterr().err
+    report.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    _exits_2_with_error_line(capsys, ["report", str(report)], f"report {report} {message}")
 
 
 def test_report_ends_quietly_on_a_closed_output_pipe(tmp_path):
@@ -240,7 +254,9 @@ def test_run_rejects_bad_criteria_before_any_case(planned_files, capsys, text, m
      "argument --weights: weight nan outside [0, 1]"),
     (["plan", "--corpus", "c", "--analysis", "a", "--out-dir", "p", "--top-k", "0"],
      "argument --top-k: --top-k must be >= 1 or 'all'"),
-], ids=["zero-phase", "weights-sum", "weights-nan", "top-k-zero"])
+    (["plan", "--corpus", "c", "--analysis", "a", "--out-dir", "p", "--n-services", "0"],
+     "argument --n-services: --n-services must be >= 1, got 0"),
+], ids=["zero-phase", "weights-sum", "weights-nan", "top-k-zero", "n-services-zero"])
 def test_rejected_argument_values_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
@@ -257,7 +273,10 @@ OLD_FORMAT_TEMPLATE = {"interface_id": "if0", "base_trace": {"trace_id": "t00000
     ({"interface_id": "if0", "trace_id": "t000000", "line": "GET /a/b/c",
       "payload": {"k": "v"}, "placeholders": {"k": "opaque_copy"}},
      "unknown placeholder kind 'opaque_copy' for 'k'"),
-], ids=["old-format", "unknown-kind"])
+    ({"interface_id": "if0", "trace_id": "t000000", "line": "GET /a/b/c",
+      "payload": {"item": [1]}, "placeholders": {}},
+     "payload value of 'item' must not be a list or object, got [1]"),
+], ids=["old-format", "unknown-kind", "list-value"])
 def test_run_rejects_malformed_templates(planned_files, tmp_path, capsys, record, message):
     planned, topo = planned_files
     templates = tmp_path / "templates.jsonl"
@@ -674,6 +693,21 @@ def test_run_rejects_a_run_plan_cut_inside_a_run(planned_files, tmp_path, capsys
                  "--templates", str(planned / "analysis" / "templates.jsonl"),
                  "--out", str(tmp_path / "report.jsonl")],
         f"run-plan {run_plan} " + message.format(n=n, m=n - 1))
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+def test_run_rejects_a_case_listed_twice_in_a_run_plan(planned_files, tmp_path, capsys):
+    planned, topo = planned_files
+    header, first_case, *rest = (planned / "plans" / "runplan.txt").read_text().splitlines()
+    count = int(header.rsplit("cases=", 1)[1])
+    run_plan = tmp_path / "runplan.txt"
+    run_plan.write_text("\n".join([header.replace(f"cases={count}", f"cases={count + 1}"),
+                                   first_case, first_case, *rest]) + "\n")
+    _exits_2_with_error_line(
+        capsys, ["run", "--run-plan", str(run_plan), "--topology", str(topo),
+                 "--templates", str(planned / "analysis" / "templates.jsonl"),
+                 "--out", str(tmp_path / "report.jsonl")],
+        f"run-plan {run_plan} line 3: repeated case_id {first_case.split()[0]!r}")
     assert not (tmp_path / "report.jsonl").exists()
 
 
