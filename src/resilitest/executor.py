@@ -380,8 +380,8 @@ def load_report(path) -> tuple:
             elif summary is not None:
                 raise ValueError("repeated type 'summary'")
             else:
-                summary, summary_where = check_fields(
-                    rec, REPORT_SUMMARY_FIELDS, {"config": OBJECT}), where
+                summary = check_fields(rec, REPORT_SUMMARY_FIELDS, {"config": OBJECT})
+                summary_where = where
                 for verdict, count in rec["verdicts"].items():
                     check_kind(f"verdicts {verdict}", count, COUNT)
         except ValueError as exc:
