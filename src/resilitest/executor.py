@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -289,21 +292,82 @@ def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
         for trace_id in (run.trace_id, *(case.target.trace_id for case in run.cases)):
             if trace_id not in by_trace:
                 raise ExecutorError(f"no template for trace {trace_id}")
-    while queue:
-        deferred = []
-        for run in queue:
-            run_results, run_deferred = execute_run(
-                run, topology, by_trace[run.trace_id], catalog, phases, criteria,
-                run_seed_for(seed, run.trace_id, wave), entry_only=entry_only)
-            results.extend(run_results)
-            deferred.extend(run_deferred)
-            startup_count += 1
-        queue = greedy_batch(deferred).runs
+    while queue:  # the runs of a wave share nothing
+        outcomes = _run_wave(queue, lambda run: execute_run(
+            run, topology, by_trace[run.trace_id], catalog, phases, criteria,
+            run_seed_for(seed, run.trace_id, wave), entry_only=entry_only))
+        results.extend(tr for run_results, _deferred in outcomes for tr in run_results)
+        startup_count += len(queue)
+        queue = greedy_batch([case for _results, deferred in outcomes for case in deferred]).runs
         wave += 1
     for tr in results:
         history.record_outcome(tr.case_id, tr.verdict)
     return CampaignResult(test_runs=results, startup_count=startup_count,
                           initial_runs=initial_runs)
+
+
+def _run_wave(runs: list, work) -> list:
+    """[work(run) for run in runs] on min(CPUs, runs) processes: the parent
+    and children it forks, each taking the next position in the order of
+    case count, largest first, from a four-byte token in one pipe. A child
+    sends back {index: outcome or exception} and leaves through os._exit,
+    never flushing the parent's stdio. As in serial, the lowest failing
+    run's exception is raised; every child is reaped on every path."""
+    order = sorted(range(len(runs)), key=lambda index: -len(runs[index].cases))
+    token_read, token_write = os.pipe()
+
+    def claim() -> int:
+        position = int.from_bytes(os.read(token_read, 4), "little")
+        os.write(token_write, (position + 1).to_bytes(4, "little"))
+        return position
+
+    def take(position: int) -> dict:
+        taken = {}
+        while position < len(order):
+            index = order[position]
+            try:
+                taken[index] = work(runs[index])
+            except Exception as exc:  # raised in run order once every run is done
+                taken[index] = exc
+            position = claim()
+        return taken
+
+    children = {}  # pid -> read end of the pipe its outcomes come back on
+    try:
+        os.write(token_write, (1).to_bytes(4, "little"))  # the parent takes position 0
+        for _ in range(min(len(os.sched_getaffinity(0)), len(runs)) - 1):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(write_end, "wb") as fh:
+                        pickle.dump(take(claim()), fh)
+                    os._exit(0)
+                finally:  # reached only on an error
+                    os._exit(70)
+            os.close(write_end)
+            children[pid] = read_end
+        outcomes = take(0)
+        for pid in list(children):
+            with open(children[pid], "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if status != 0:
+                raise ExecutorError(f"run worker process {pid} exited with status "
+                                    f"{status} before sending its results")
+            outcomes.update(pickle.loads(data))
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for end in (token_read, token_write, *children.values()):
+            os.close(end)
+    ordered = [outcomes[index] for index in range(len(runs))]
+    for outcome in ordered:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return ordered
 
 
 # --- report file -------------------------------------------------------------

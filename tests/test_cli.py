@@ -908,6 +908,63 @@ def test_history_across_runs_skips_passed_cases(mini_files):
     assert _count_cases(report4) == first_cases
 
 
+def _five_run_plan(tmp_path, topo, workload):
+    """The mini campaign's 15 cases, planned as one run, re-split into runs of
+    1 to 5 cases on the same trace, so that the waves of `run` hold several
+    runs; the run-plan and templates paths."""
+    _corpus, analysis, plans, _report, _code = _pipeline(tmp_path, topo, workload)
+    header, *cases = (plans / "runplan.txt").read_text().splitlines()
+    assert header.endswith(" cases=15")
+    trace = header.split()[2]
+    lines = []
+    for index, size in enumerate(range(1, 6)):
+        lines += [f"run {index} {trace} cases={size}", *cases[:size]]
+        del cases[:size]
+    run_plan = tmp_path / "five-runs.txt"
+    run_plan.write_text("".join(f"{line}\n" for line in lines))
+    return run_plan, analysis / "templates.jsonl"
+
+
+def test_report_and_history_do_not_depend_on_the_cpu_count(mini_files, monkeypatch):
+    tmp_path, topo, workload = mini_files
+    run_plan, templates = _five_run_plan(tmp_path, topo, workload)
+    outputs = set()
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, n=cpus: set(range(n)))
+        out = tmp_path / f"cpus-{cpus}"
+        assert main(["run", "--run-plan", str(run_plan), "--topology", str(topo),
+                     "--templates", str(templates), "--seed", "7", "--phases", "6,6,6,5",
+                     "--history", f"{out}-history.txt", "--out", f"{out}-report.jsonl"]) == 0
+        outputs.add((open(f"{out}-report.jsonl", "rb").read(),
+                     open(f"{out}-history.txt", "rb").read()))
+    assert len(outputs) == 1
+    summary = json.loads(outputs.pop()[0].splitlines()[-1])
+    assert (summary["initial_runs"], summary["reschedules"] > 0) == (5, True)
+
+
+def test_run_workers_never_flush_the_parents_stdout(mini_files):
+    # output buffered at the fork must reach the file once, from the parent
+    tmp_path, topo, workload = mini_files
+    run_plan, templates = _five_run_plan(tmp_path, topo, workload)
+    argv = ["run", "--run-plan", str(run_plan), "--topology", str(topo),
+            "--templates", str(templates), "--phases", "6,6,6,5",
+            "--out", str(tmp_path / "report2.jsonl")]
+    script = ("import os, sys\n"
+              "from resilitest.cli import main\n"
+              "os.sched_getaffinity = lambda _pid: {0, 1}\n"
+              "print('before run')\n"
+              f"sys.exit(main({argv!r}))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(resilitest.__file__)))
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with open(tmp_path / "stdout.txt", "wb") as out:
+        done = subprocess.run([sys.executable, "-c", script], stdout=out,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    assert (done.returncode, done.stderr.decode()) == (0, "")
+    lines = (tmp_path / "stdout.txt").read_text().splitlines()
+    assert len(lines) == 2 and lines[0] == "before run" and " cases, startups=" in lines[1]
+
+
 def _count_cases(report_path):
     count = 0
     for line in report_path.read_text().splitlines():

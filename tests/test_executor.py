@@ -1,6 +1,10 @@
 import gc
+import os
+import select
+import time
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +16,12 @@ from resilitest.executor import (EffectiveCriteria, ExecutorError,
                                  evaluate, execute_run, load_report, run_batch,
                                  save_report)
 from resilitest.faults import default_catalog
-from resilitest.planner import PlanConfig, plan_targets
+from resilitest.model import Endpoint
+from resilitest.planner import InjectionTarget, PlanConfig, TestCase, plan_targets
 from resilitest.scheduler import History, Run, RunPlan, greedy_batch
 from resilitest.sim.engine import System, record_corpus
 from resilitest.campaign import analyze_corpus
+from resilitest.templating import EntryRequest, TraceTemplate
 
 from conftest import make_mini_topology, make_mini_workload
 
@@ -335,3 +341,92 @@ def test_empty_campaign_is_empty_report(tmp_path, mini_setup):
     result = run_batch(greedy_batch([]), spec, list(analysis.templates.values()),
                        catalog, FAST, OracleCriteria())
     assert result.test_runs == [] and result.startup_count == 0
+
+
+def _run_wave_of(monkeypatch, cpus, n, fake):
+    """run_batch over one wave of n runs, run i on trace t<i> with i % 3 + 1
+    cases, on `cpus` CPUs, with `fake` in place of execute_run."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
+    monkeypatch.setattr(executor, "execute_run", fake)
+    endpoint = Endpoint("HTTP", "server", "get")
+    runs = [Run(f"t{i}", [TestCase(f"c{i}.{j}", InjectionTarget(f"t{i}", 0, endpoint, "s", ""),
+                                   "http-500") for j in range(i % 3 + 1)])
+            for i in range(n)]
+    templates = [TraceTemplate("if", f"t{i}", EntryRequest("GET /a", {}), {})
+                 for i in range(n)]
+    return run_batch(RunPlan(runs), None, templates, None, FAST, OracleCriteria())
+
+
+def _passes(run, *_args, **_kwargs):
+    return [SimpleNamespace(case_id=case.case_id, verdict="PASS") for case in run.cases], []
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_run_batch_merges_the_runs_of_a_wave_in_run_order(monkeypatch, cpus):
+    # runs are handed out largest first, t2 and t5 before t0
+    result = _run_wave_of(monkeypatch, cpus, 6, _passes)
+    assert [tr.case_id for tr in result.test_runs] == [
+        f"c{i}.{j}" for i in range(6) for j in range(i % 3 + 1)]
+    assert result.startup_count == 6
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_run_batch_raises_the_error_of_the_lowest_failing_run(monkeypatch, cpus):
+    def fake(run, *args, **kwargs):
+        if run.trace_id in ("t3", "t5"):  # t5 has more cases, so it is taken first
+            raise ExecutorError(f"boom {run.trace_id[1:]}")
+        return _passes(run)
+
+    with pytest.raises(ExecutorError) as caught:
+        _run_wave_of(monkeypatch, cpus, 6, fake)
+    assert (type(caught.value), str(caught.value)) == (ExecutorError, "boom 3")
+    _assert_no_child_left()
+
+
+def test_a_worker_that_dies_is_an_error_naming_its_status(monkeypatch):
+    parent = os.getpid()
+    died_read, died_write = os.pipe()
+
+    def fake(run, *args, **kwargs):
+        if os.getpid() != parent:
+            os.write(died_write, b"x")
+            os._exit(9)
+        if run.trace_id == "t2":  # the parent's first run: wait for a child to take one
+            select.select([died_read], [], [], 30)
+        return _passes(run)
+
+    try:
+        with pytest.raises(ExecutorError, match="exited with status 9 before sending"):
+            _run_wave_of(monkeypatch, 2, 6, fake)
+    finally:
+        os.close(died_read)
+        os.close(died_write)
+    _assert_no_child_left()
+
+
+def test_an_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch):
+    parent = os.getpid()
+
+    def fake(run, *args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _run_wave_of(monkeypatch, 2, 6, fake)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_wave_of_more_runs_than_a_pipe_holds_finishes(monkeypatch, cpus):
+    result = _run_wave_of(monkeypatch, cpus, 20_000, lambda *args, **kwargs: ([], []))
+    assert result.startup_count == 20_000
+    _assert_no_child_left()
