@@ -34,7 +34,8 @@ from .selection import (ComplexityWeights, SelectionError, load_selection_report
 from .sim.engine import record_traces
 from .sim.topology import load_topology
 from .sim.workload import load_workload
-from .templating import ManualVariableRegistry, load_templates, save_templates
+from .templating import (ManualVariableRegistry, check_entry_payload, load_templates,
+                         save_templates)
 
 SECOND_US = 1_000_000
 
@@ -100,11 +101,16 @@ def cmd_analyze(args) -> int:
     corpus = load_corpus_summaries(args.corpus)
     registry = ManualVariableRegistry.load(args.registry) if args.registry else None
     analysis = analyze_corpus(corpus, weights=args.weights, registry=registry)
+    ordered = [analysis.templates[c.interface_id] for c in analysis.clusters]
+    for template in ordered:  # what `run` reads back must pass its checks
+        try:
+            check_entry_payload(template.request.payload)
+        except ValueError as exc:
+            raise ValueError(f"corpus {args.corpus}: trace {template.trace_id}: {exc}") from None
     os.makedirs(args.out_dir, exist_ok=True)
     save_cluster_report(analysis.clusters, os.path.join(args.out_dir, "clusters.txt"))
     save_selection_report(analysis.ranked, corpus,
                           os.path.join(args.out_dir, "selection.jsonl"))
-    ordered = [analysis.templates[c.interface_id] for c in analysis.clusters]
     save_templates(ordered, os.path.join(args.out_dir, "templates.jsonl"))
     print(f"{len(analysis.clusters)} interfaces -> {args.out_dir}")
     return 0

@@ -552,14 +552,6 @@ def test_analyze_keeps_equal_payload_values_of_different_types(planned_files, tm
         == ["1", "true", "1.0"]
 
 
-def test_analyze_takes_a_container_payload_value_in_a_singleton_cluster(planned_files,
-                                                                        tmp_path):
-    planned, _topo = planned_files
-    values = [[1, 2], {"a": [3]}, "text"]
-    assert _analyze_one_root_per_interface(planned, tmp_path, "extra", values) \
-        == [json.dumps(value) for value in values]
-
-
 def _analyze_with_root_values(planned, tmp_path, key, values):
     """Analyze the corpus with `values[trace_id]` set at `key` in the root
     request of each named trace; returns the analysis directory."""
@@ -585,7 +577,7 @@ def test_analyze_takes_a_container_payload_value_in_a_cluster(planned_files, tmp
         (planned / "analysis" / "templates.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("listed", ["t000004", "t000007"], ids=["member", "base"])
+@pytest.mark.parametrize("listed", ["t000004"], ids=["member"])
 def test_analyze_keeps_a_key_holding_a_list_in_one_root_verbatim(planned_files, tmp_path,
                                                                  listed):
     # the four roots of the order interface hold distinct echoed tokens, so
@@ -598,7 +590,37 @@ def test_analyze_keeps_a_key_holding_a_list_in_one_root_verbatim(planned_files, 
                  if "/orders/" in line]
     assert template["trace_id"] == "t000007"
     assert template["placeholders"] == {"ts": "timestamp"}
-    assert template["payload"]["token"] == (["tk-x"] if listed == "t000007" else "tk-000008")
+    assert template["payload"]["token"] == "tk-000008"
+
+
+@pytest.mark.parametrize("case", ["every-representative", "base-trace", "singleton-cluster"])
+def test_analyze_rejects_a_container_payload_value_in_a_representative_root(
+        planned_files, tmp_path, capsys, case):
+    # `run` would refuse the template: the simulator keys its stores by payload values
+    planned, _topo = planned_files
+    header, *lines = (planned / "corpus.txt").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    representatives = [json.loads(line)["trace_id"] for line in
+                       (planned / "analysis" / "templates.jsonl").read_text().splitlines()]
+    if case == "every-representative":
+        key, value, named, listed = "extra", [1, 2], representatives[0], representatives
+    elif case == "base-trace":  # t000007 represents the order interface
+        key, value, named, listed = "token", ["tk-x"], "t000007", ["t000007"]
+    else:  # a trace alone in the corpus represents its interface
+        records = records[:1]
+        key, value, named = "extra", {"a": [3]}, records[0]["trace_id"]
+        listed = [named]
+    for rec in records:
+        if rec["trace_id"] in listed:
+            rec["spans"][0]["req"][key] = value
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"{json.dumps(rec)}\n" for rec in records)
+                      .join([f"{header}\n", ""]))
+    _exits_2_with_error_line(
+        capsys, ["analyze", "--corpus", str(corpus), "--out-dir", str(tmp_path / "analysis")],
+        f"corpus {corpus}: trace {named}: payload value of {key!r} must not be a list "
+        f"or object, got {value!r}")
+    assert not (tmp_path / "analysis").exists()
 
 
 def test_plan_rejects_selection_trace_missing_from_corpus(planned_files, tmp_path, capsys):
