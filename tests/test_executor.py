@@ -1,6 +1,7 @@
 import gc
 import os
 import select
+import signal
 import time
 import weakref
 from dataclasses import replace
@@ -343,6 +344,19 @@ def test_empty_campaign_is_empty_report(tmp_path, mini_setup):
     assert result.test_runs == [] and result.startup_count == 0
 
 
+@pytest.fixture()
+def deadline():
+    """Fail a test that runs over 60 s instead of letting a deadlock hang the suite."""
+    def expire(_signum, _frame):
+        raise TimeoutError("over 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 def _run_wave_of(monkeypatch, cpus, n, fake):
     """run_batch over one wave of n runs, run i on trace t<i> with i % 3 + 1
     cases, on `cpus` CPUs, with `fake` in place of execute_run."""
@@ -367,7 +381,7 @@ def _assert_no_child_left():
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_run_batch_merges_the_runs_of_a_wave_in_run_order(monkeypatch, cpus):
+def test_run_batch_merges_the_runs_of_a_wave_in_run_order(monkeypatch, deadline, cpus):
     # runs are handed out largest first, t2 and t5 before t0
     result = _run_wave_of(monkeypatch, cpus, 6, _passes)
     assert [tr.case_id for tr in result.test_runs] == [
@@ -377,7 +391,8 @@ def test_run_batch_merges_the_runs_of_a_wave_in_run_order(monkeypatch, cpus):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_run_batch_raises_the_error_of_the_lowest_failing_run(monkeypatch, cpus):
+def test_run_batch_raises_the_error_of_the_lowest_failing_run(monkeypatch, deadline,
+                                                             cpus):
     def fake(run, *args, **kwargs):
         if run.trace_id in ("t3", "t5"):  # t5 has more cases, so it is taken first
             raise ExecutorError(f"boom {run.trace_id[1:]}")
@@ -389,7 +404,7 @@ def test_run_batch_raises_the_error_of_the_lowest_failing_run(monkeypatch, cpus)
     _assert_no_child_left()
 
 
-def test_a_worker_that_dies_is_an_error_naming_its_status(monkeypatch):
+def test_a_worker_that_dies_is_an_error_naming_its_status(monkeypatch, deadline):
     parent = os.getpid()
     died_read, died_write = os.pipe()
 
@@ -410,7 +425,7 @@ def test_a_worker_that_dies_is_an_error_naming_its_status(monkeypatch):
     _assert_no_child_left()
 
 
-def test_an_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch):
+def test_an_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch, deadline):
     parent = os.getpid()
 
     def fake(run, *args, **kwargs):
@@ -418,15 +433,13 @@ def test_an_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch):
             time.sleep(60)
         raise KeyboardInterrupt
 
-    start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         _run_wave_of(monkeypatch, 2, 6, fake)
-    assert time.monotonic() - start < 30
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_a_wave_of_more_runs_than_a_pipe_holds_finishes(monkeypatch, cpus):
+def test_a_wave_of_more_runs_than_a_pipe_holds_finishes(monkeypatch, deadline, cpus):
     result = _run_wave_of(monkeypatch, cpus, 20_000, lambda *args, **kwargs: ([], []))
     assert result.startup_count == 20_000
     _assert_no_child_left()
