@@ -953,12 +953,11 @@ def test_report_and_history_do_not_depend_on_the_cpu_count(mini_files, monkeypat
     outputs = set()
     for cpus in (1, 2, 4):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, n=cpus: set(range(n)))
-        out = tmp_path / f"cpus-{cpus}"
+        report, history = tmp_path / f"report-{cpus}.jsonl", tmp_path / f"history-{cpus}.txt"
         assert main(["run", "--run-plan", str(run_plan), "--topology", str(topo),
                      "--templates", str(templates), "--seed", "7", "--phases", "6,6,6,5",
-                     "--history", f"{out}-history.txt", "--out", f"{out}-report.jsonl"]) == 0
-        outputs.add((open(f"{out}-report.jsonl", "rb").read(),
-                     open(f"{out}-history.txt", "rb").read()))
+                     "--history", str(history), "--out", str(report)]) == 0
+        outputs.add((report.read_bytes(), history.read_bytes()))
     assert len(outputs) == 1
     summary = json.loads(outputs.pop()[0].splitlines()[-1])
     assert (summary["initial_runs"], summary["reschedules"] > 0) == (5, True)
