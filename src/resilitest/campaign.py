@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .aggregation import cluster_interfaces
-from .faults import FaultCatalog
 from .model import Corpus
 from .planner import PlanConfig, plan_targets
 from .scheduler import History, filter_history
@@ -62,7 +61,7 @@ def resolve_k(k, available: int) -> int:
     return min(k, available)
 
 
-def plan_campaign(ranked: list, corpus: Corpus, catalog: FaultCatalog, k,
+def plan_campaign(ranked: list, corpus: Corpus, catalog: dict, k,
                   plan_config: PlanConfig,
                   history: Optional[History] = None) -> tuple:
     """Select the first K ranked interfaces that have a case not passed in

@@ -20,7 +20,6 @@ import signal
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .faults import FaultCatalog
 from .model import (COUNT, NUMBER, OBJECT, STRING, Endpoint, check_fields,
                     check_kind, dumps_canonical, read_records, write_lines)
 from .scheduler import (VERDICT_PASS, History, Run, RunPlan, filter_history,
@@ -179,7 +178,7 @@ def run_seed_for(campaign_seed: int, trace_id: str, wave: int) -> int:
 
 
 def execute_run(run: Run, topology: TopologySpec, template: TraceTemplate,
-                catalog: FaultCatalog, phases: PhaseConfig,
+                catalog: dict, phases: PhaseConfig,
                 criteria: OracleCriteria, run_seed: int,
                 entry_only: bool = False) -> tuple:
     """One fresh system, one shared startup, batched cases with fail-fast.
@@ -215,7 +214,7 @@ def execute_run(run: Run, topology: TopologySpec, template: TraceTemplate,
             break
 
         system.forget_before(cursor)  # only this case's windows are read from here
-        fault = catalog.get(case.fault_id)
+        fault = catalog[case.fault_id]
         armed = system.arm_fault(case.target.service, case.target.endpoint, fault)
         inject_window = replay_traffic(system, make_request, phases.rate_per_sec,
                                        cursor, phases.inject_us)
@@ -268,7 +267,7 @@ class CampaignResult:
 
 
 def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
-              catalog: FaultCatalog, phases: PhaseConfig,
+              catalog: dict, phases: PhaseConfig,
               criteria: OracleCriteria, seed: int = 0,
               entry_only: bool = False,
               history: Optional[History] = None) -> CampaignResult:

@@ -69,23 +69,10 @@ class FaultSpec:
     effect: Effect
 
 
-@dataclass
-class FaultCatalog:
-    faults: dict  # fault_id -> FaultSpec
-
-    def get(self, fault_id: str) -> FaultSpec:
-        try:
-            return self.faults[fault_id]
-        except KeyError:
-            raise CatalogError(f"unknown fault {fault_id!r}") from None
-
-    def __len__(self) -> int:
-        return len(self.faults)
-
-
-def faults_for_endpoint(catalog: FaultCatalog, endpoint: Endpoint) -> list:
-    """All faults whose matcher matches, ordered by fault_id."""
-    hits = [f for f in catalog.faults.values() if f.matcher.matches(endpoint)]
+def faults_for_endpoint(catalog: dict, endpoint: Endpoint) -> list:
+    """All faults of `catalog` (fault_id -> FaultSpec) whose matcher matches,
+    ordered by fault_id."""
+    hits = [f for f in catalog.values() if f.matcher.matches(endpoint)]
     hits.sort(key=lambda f: f.fault_id)
     return hits
 
@@ -121,12 +108,13 @@ def _parse_effect(kind: str, args: list, where: str) -> Effect:
     raise CatalogError(f"{where}: unknown effect kind {kind!r}")
 
 
-def parse_catalog(text: str) -> FaultCatalog:
+def parse_catalog(text: str) -> dict:
     return _catalog_from_lines((f"line {n}", line) for n, line in enumerate(text.splitlines(), 1))
 
 
-def _catalog_from_lines(lines) -> FaultCatalog:
-    """The catalog of (where, line) pairs, each error prefixed by its `where`."""
+def _catalog_from_lines(lines) -> dict:
+    """The catalog, fault_id -> FaultSpec, of (where, line) pairs, each error
+    prefixed by its `where`."""
     faults = {}
     for where, raw in lines:
         line = raw.split("#", 1)[0].strip()
@@ -151,14 +139,14 @@ def _catalog_from_lines(lines) -> FaultCatalog:
             raise CatalogError(f"{where}: duplicate fault id {fault_id!r}")
         faults[fault_id] = FaultSpec(fault_id, category,
                                      EndpointMatcher(*triple), effect)
-    return FaultCatalog(faults=faults)
+    return faults
 
 
-def load_catalog(path) -> FaultCatalog:
+def load_catalog(path) -> dict:
     return _catalog_from_lines(read_lines(path, "catalog"))
 
 
-def default_catalog() -> FaultCatalog:
+def default_catalog() -> dict:
     """The shipped fault library (covers every endpoint type the reference
     simulator topology emits)."""
     text = resources.files("resilitest.assets").joinpath("default_faults.txt").read_text("utf-8")

@@ -21,22 +21,9 @@ CORPUS_VERSION = "v1"
 STATUS_OK = "ok"
 
 
-def error_status(code: str) -> str:
-    """Build the error-status string for a failure code."""
-    return f"error:{code}"
-
-
-def is_ok(status: str) -> bool:
-    return status == STATUS_OK
-
-
-def status_code(status: str) -> str:
-    """Extract the failure code from an error status ("" for ok)."""
-    if status == STATUS_OK:
-        return ""
-    if status.startswith("error:"):
-        return status[len("error:"):]
-    return status
+def span_status(exc: str) -> str:
+    """The status a span records for failure code `exc` ("" for success)."""
+    return f"error:{exc}" if exc else STATUS_OK
 
 
 @dataclass(frozen=True, order=True)

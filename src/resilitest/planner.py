@@ -15,7 +15,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .faults import FaultCatalog, faults_for_endpoint
+from .faults import faults_for_endpoint
 from .model import WRITE_METHODS, Corpus, Endpoint, Trace, write_lines
 
 RATIONALE_LAST = "last_invocation"
@@ -124,7 +124,7 @@ def plan_trace_targets(trace: Trace) -> list:
     return targets
 
 
-def plan_targets(traces: list, corpus: Corpus, catalog: FaultCatalog,
+def plan_targets(traces: list, corpus: Corpus, catalog: dict,
                  config: PlanConfig = PlanConfig()) -> list:
     """Full pruning pipeline over the selected traces, cross-producted with
     applicable faults. Deterministic under a fixed seed."""

@@ -29,8 +29,8 @@ from typing import Optional
 
 from ..faults import (DEFAULT_DELAY_US, EFFECT_DELAY, EFFECT_STATUS, EFFECT_THROW,
                       Effect, FaultSpec)
-from ..model import (STATUS_OK, Corpus, Endpoint, Span, Trace, dumps_canonical,
-                     error_status, is_ok, new_corpus, status_code)
+from ..model import (Corpus, Endpoint, Span, Trace, dumps_canonical, new_corpus,
+                     span_status)
 from ..templating import EntryRequest
 from .topology import (ARG_LIT, ARG_REQ, BUG_NO_RETRY, ON_ERROR_CATCH,
                        ON_ERROR_PROPAGATE, OP_CALL, OP_CACHE, OP_DB, OP_MQ,
@@ -69,12 +69,16 @@ class SimError(ValueError):
 
 @dataclass
 class Response:
-    status: str
+    exc: str  # the failure code, "" for success
     payload: dict
 
     @property
     def ok(self) -> bool:
-        return is_ok(self.status)
+        return not self.exc
+
+    @property
+    def status(self) -> str:
+        return span_status(self.exc)
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,7 @@ class EntryHandle:
     """Completion state of one submitted entry request."""
 
     __slots__ = ("request", "submitted_us", "completed", "response", "trace",
-                 "trace_id", "_recorder", "_loss_candidates")
+                 "trace_id", "_recorder", "losses")
 
     def __init__(self, request: EntryRequest, submitted_us: int, trace_id: str):
         self.request = request
@@ -119,7 +123,7 @@ class EntryHandle:
         self.trace: Optional[Trace] = None
         self.trace_id = trace_id
         self._recorder = None
-        self._loss_candidates = []
+        self.losses = 0  # failed non-best-effort writes an ok answer would hide
 
 
 class _Recorder:
@@ -146,7 +150,7 @@ class _Recorder:
         spans = []
         for rec in self.spans:
             dur = rec["dur"] if rec["dur"] is not None else now_us - rec["start"]
-            status = rec["status"] if rec["status"] is not None else error_status("incomplete")
+            status = rec["status"] if rec["status"] is not None else span_status("incomplete")
             spans.append(Span(
                 span_id=rec["id"], parent_id=rec["parent"], service=rec["service"],
                 endpoint=rec["endpoint"], operation_name=rec["op"],
@@ -209,13 +213,12 @@ class System:
         self._armed = {}  # (service, endpoint) -> active ArmedFault
         self._poisoned = {}  # (service, line, step idx) -> throw Effect
         self._single_use_seen = set()
-        # (complete_us, submitted_us, ok), appended in completion order, so
-        # sorted by complete_us since now_us never goes down
+        # (complete_us, submitted_us, ok, silent losses), appended in
+        # completion order, so sorted by complete_us since now_us never goes down
         self._entry_log = []
         # (service, endpoint) -> [(complete_us, start_us, ok), ...] in
         # completion order, so sorted by complete_us like the entry log
         self._endpoint_events = defaultdict(list)
-        self._loss_events = []  # entry-ok responses that hid a failed effect
         self._kept_from_us = -math.inf  # forget_before dropped the records before
         self._fresh_counter = 0
         self._trace_counter = 0
@@ -313,13 +316,12 @@ class System:
             return
         route = self._route(handle.request.line)
         if route is None:
-            self._finish_entry(handle, Response(error_status("not_found"),
-                                                {"status": "not_found"}), None)
+            self._finish_entry(handle, Response("not_found", {"status": "not_found"}), None)
             return
         service_name, iface = route
         reject = self._validate_entry(iface, handle.request.payload)
         if reject:
-            self._finish_entry(handle, Response(error_status(f"validation_{reject}"),
+            self._finish_entry(handle, Response(f"validation_{reject}",
                                                 {"status": "rejected", "reason": reject}), None)
             return
         root_span = None
@@ -355,7 +357,7 @@ class System:
 
     def _deadline_entry(self, handle: EntryHandle) -> None:
         if not handle.completed:
-            self._finish_entry(handle, Response(error_status("deadline_exceeded"),
+            self._finish_entry(handle, Response("deadline_exceeded",
                                                 {"status": "timeout"}), None)
 
     def _finish_entry(self, handle: EntryHandle, response: Response,
@@ -364,11 +366,9 @@ class System:
             return
         handle.completed = True
         handle.response = response
-        self._entry_log.append((self.now_us, handle.submitted_us, response.ok))
-        if response.ok:
-            # an ok answer that hid failed non-best-effort writes is a silent loss
-            for _ in handle._loss_candidates:
-                self._loss_events.append(self.now_us)
+        # an ok answer that hid failed non-best-effort writes is a silent loss
+        self._entry_log.append((self.now_us, handle.submitted_us, response.ok,
+                                handle.losses if response.ok else 0))
         if handle._recorder is not None and handle._recorder.spans:
             if root_span is not None:
                 handle._recorder.close_span(root_span, response.status,
@@ -386,7 +386,7 @@ class System:
         elif len(state.queue) < state.spec.queue_limit:
             state.queue.append(ctx)
         else:
-            ctx.on_complete(Response(error_status("overload"), {"status": "overload"}))
+            ctx.on_complete(Response("overload", {"status": "overload"}))
 
     def _start_work(self, state: _ServiceState, ctx: _Ctx) -> None:
         state.busy += 1
@@ -432,7 +432,7 @@ class System:
                     on_resp) -> None:
         iface = self._interfaces.get((target_service, line))
         if iface is None:
-            on_resp(Response(error_status("not_found"), {}))
+            on_resp(Response("not_found", {}))
             return
         # internal calls share the entry's recorder and loss accounting
         ctx = _Ctx(service=target_service, iface=iface, payload=payload, entry=entry,
@@ -508,7 +508,7 @@ class System:
                         if resp is _TIMEOUT:
                             exc, payload = "SocketTimeoutException", {}
                         else:
-                            exc, payload = status_code(resp.status), dict(resp.payload)
+                            exc, payload = resp.exc, dict(resp.payload)
                     else:
                         yield self._jitter(_BASE_TIME_US[step.op])
                         exc, payload = "", self._apply_leaf(ctx, step, args)
@@ -517,8 +517,7 @@ class System:
                     break
 
             if span is not None:
-                recorder.close_span(span, error_status(exc) if exc else STATUS_OK,
-                                    payload, self.now_us)
+                recorder.close_span(span, span_status(exc), payload, self.now_us)
             ctx.outputs.append(payload)
             if not exc:
                 continue
@@ -530,15 +529,15 @@ class System:
             if step.on_error == ON_ERROR_PROPAGATE:
                 if ctx.iface.compensate:
                     self._rollback(ctx)
-                response = Response(error_status(exc), {"status": "error", "reason": exc})
+                response = Response(exc, {"status": "error", "reason": exc})
                 break
             if step.op == OP_MQ and step.on_error == ON_ERROR_CATCH:
                 # durable retry: the publish is buffered, not lost
                 self._drive(self._publish(unit))
             elif step.is_write() and not step.best_effort:
-                entry._loss_candidates.append(index)
+                entry.losses += 1
         else:
-            response = Response(STATUS_OK, self._render_response(ctx))
+            response = Response("", self._render_response(ctx))
         ctx.on_complete(response)
         self._release(state)
 
@@ -647,14 +646,13 @@ class System:
     # -- metrics ----------------------------------------------------------------
 
     def forget_before(self, t_us: int) -> None:
-        """Drop the entry-log, endpoint-event and loss records completed
-        before `t_us`. A metric query for a window that starts before `t_us`
+        """Drop the entry-log and endpoint-event records completed before
+        `t_us`. A metric query for a window that starts before `t_us`
         then raises SimError."""
         log = self._entry_log
         del log[:bisect_left(log, t_us, key=_COMPLETE_US)]
         for events in self._endpoint_events.values():
             del events[:bisect_left(events, t_us, key=_COMPLETE_US)]
-        del self._loss_events[:bisect_left(self._loss_events, t_us)]
         self._kept_from_us = max(self._kept_from_us, t_us)
 
     def _check_kept(self, lo: int) -> None:
@@ -662,20 +660,25 @@ class System:
             raise SimError(f"window from {lo} starts before {self._kept_from_us}, "
                            f"the records before which were dropped")
 
-    def entry_metrics(self, window: tuple) -> PhaseMetrics:
+    def _entries_in(self, window: tuple) -> list:
+        """The entry-log records completed in `window`."""
         lo, hi = window
         self._check_kept(lo)
+        log = self._entry_log
+        return log[bisect_left(log, lo, key=_COMPLETE_US):
+                   bisect_left(log, hi, key=_COMPLETE_US)]
+
+    def entry_metrics(self, window: tuple) -> PhaseMetrics:
+        lo, hi = window
+        done = self._entries_in(window)
         if hi > self.now_us + 1:
             raise SimError(f"window [{lo}, {hi}) beyond elapsed virtual time {self.now_us}")
-        log = self._entry_log
-        done = log[bisect_left(log, lo, key=_COMPLETE_US):
-                   bisect_left(log, hi, key=_COMPLETE_US)]
         if not done:
             return PhaseMetrics(samples=0, success_rate=None, p50_us=None,
                                 p95_us=None, throughput_rps=0.0)
-        latencies = sorted(c - s for (c, s, _ok) in done)
+        latencies = sorted(c - s for (c, s, _ok, _lost) in done)
         n = len(latencies)
-        ok_count = sum(1 for (_c, _s, ok) in done if ok)
+        ok_count = sum(1 for (_c, _s, ok, _lost) in done if ok)
         return PhaseMetrics(
             samples=n,
             success_rate=ok_count / n,
@@ -699,9 +702,7 @@ class System:
         return {"invocations": invocations, "failures": failures}
 
     def losses_in(self, window: tuple) -> int:
-        lo, hi = window
-        self._check_kept(lo)
-        return sum(1 for t in self._loss_events if lo <= t < hi)
+        return sum(lost for (_c, _s, _ok, lost) in self._entries_in(window))
 
     def outbox_pending_from(self, window: tuple) -> int:
         lo, hi = window

@@ -33,11 +33,16 @@ class TemplatingError(ValueError):
     pass
 
 
+def _scalar(value) -> bool:
+    # a list or object payload value is never a dynamic variable
+    return not isinstance(value, (list, dict))
+
+
 def check_entry_payload(payload: dict) -> None:
     """Raise ValueError if a value of an entry request's payload is a list or
     an object: the simulator keys its stores by payload values."""
     for key, value in payload.items():
-        if isinstance(value, (list, dict)):
+        if not _scalar(value):
             raise ValueError(f"payload value of {key!r} must not be a list or "
                              f"object, got {value!r}")
 
@@ -61,13 +66,6 @@ class TraceTemplate:
     placeholders: dict  # request key-path -> kind
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    interface_id: str
-    key_path: str
-    kind: str
-
-
 @dataclass
 class ManualVariableRegistry:
     """Operator-maintained list of variables invisible to the heuristic.
@@ -76,8 +74,8 @@ class ManualVariableRegistry:
     Only entry requests are replayed, so `req` is the only payload side.
     """
 
-    entries: set = field(default_factory=set)
-    provenance: dict = field(default_factory=dict)
+    entries: dict = field(default_factory=dict)  # interface_id -> {key-path: kind}
+    provenance: dict = field(default_factory=dict)  # (interface_id, key-path) -> note
 
     def register(self, interface_id: str, key_path: str, kind: str,
                  note: str = "") -> None:
@@ -85,25 +83,20 @@ class ManualVariableRegistry:
             raise TemplatingError(f"invalid placeholder kind {kind!r}")
         if not key_path:
             raise TemplatingError("empty key-path")
-        entry = RegistryEntry(interface_id, key_path, kind)
-        self.entries.add(entry)
+        self.entries.setdefault(interface_id, {})[key_path] = kind
         if note:
-            self.provenance[entry] = note
-
-    def for_interface(self, interface_id: str) -> list:
-        hits = [e for e in self.entries if e.interface_id == interface_id]
-        return sorted(hits, key=lambda e: (e.key_path, e.kind))
+            self.provenance[(interface_id, key_path)] = note
 
     def save(self, path) -> None:
-        suffixes = {e: f"  # {note}" for e, note in self.provenance.items() if note}
-        write_lines(path, (f"{e.interface_id} {REQ} {e.key_path} {e.kind}{suffixes.get(e, '')}"
-                           for e in sorted(self.entries,
-                                           key=lambda e: (e.interface_id, e.key_path, e.kind))))
+        notes = {key: f"  # {note}" for key, note in self.provenance.items()}
+        write_lines(path, (f"{interface_id} {REQ} {key_path} {kinds[key_path]}"
+                           f"{notes.get((interface_id, key_path), '')}"
+                           for interface_id, kinds in sorted(self.entries.items())
+                           for key_path in sorted(kinds)))
 
     @classmethod
     def load(cls, path) -> "ManualVariableRegistry":
         reg = cls()
-        listed = set()  # (interface_id, key-path) of each entry so far
         for where, line in read_lines(path, "registry"):
             fields, _, note = line.partition("#")
             parts = fields.split()
@@ -114,20 +107,14 @@ class ManualVariableRegistry:
             if parts[1] != REQ:
                 raise TemplatingError(f"{where}: invalid payload side "
                                       f"{parts[1]!r}, only {REQ!r} is replayed")
-            if (parts[0], parts[2]) in listed:
+            if parts[2] in reg.entries.get(parts[0], ()):
                 raise TemplatingError(f"{where}: key-path {parts[2]!r} listed twice "
                                       f"for interface {parts[0]}")
-            listed.add((parts[0], parts[2]))
             try:
                 reg.register(parts[0], parts[2], parts[3], note.strip())
             except TemplatingError as exc:
                 raise TemplatingError(f"{where}: {exc}") from None
         return reg
-
-
-def _scalar(value) -> bool:
-    # a list or object payload value is never a dynamic variable
-    return not isinstance(value, (list, dict))
 
 
 def find_intraspan_candidates(span: Span) -> set:
@@ -203,9 +190,9 @@ def build_template(cluster_traces: list, registry: ManualVariableRegistry,
             placeholders[path] = _infer_kind((s.request_payload[path] for s in roots), window)
 
     root = base.root_span()
-    for entry in registry.for_interface(interface_id):
-        if entry.key_path in root.request_payload:
-            placeholders[entry.key_path] = entry.kind
+    for key_path, kind in registry.entries.get(interface_id, {}).items():
+        if key_path in root.request_payload:
+            placeholders[key_path] = kind
         # otherwise the entry does not apply to this interface's payload shape
 
     return TraceTemplate(interface_id=interface_id, trace_id=base.trace_id,

@@ -11,14 +11,14 @@ from resilitest.model import Endpoint
 def test_default_catalog_loads_with_all_categories():
     catalog = default_catalog()
     assert len(catalog) >= 12
-    categories = {f.category for f in catalog.faults.values()}
+    categories = {f.category for f in catalog.values()}
     assert categories == {"platform_exception", "comm_latency",
                           "comm_protocol_error", "comm_manipulated_response"}
 
 
 def test_default_catalog_carries_named_exceptions():
     catalog = default_catalog()
-    thrown = {f.effect.exception for f in catalog.faults.values()
+    thrown = {f.effect.exception for f in catalog.values()
               if f.effect.kind == "throw"}
     for name in ("SQLTimeoutException", "SerializationException",
                  "RedisConnectionException", "SocketTimeoutException",

@@ -353,7 +353,7 @@ def _writers(spec, corpus, analysis, cases, bad):
     """name -> a call of that artifact writer whose second record is `bad`."""
     registry = ManualVariableRegistry()
     registry.register("if0", "sig", "fresh_id")
-    registry.entries.add(bad)
+    registry.entries["if1"] = bad
     history = History()
     history.record_outcome(cases[0].case_id, "PASS")
     history._records.append(bad)

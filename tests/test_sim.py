@@ -138,7 +138,7 @@ def test_streamed_traces_equal_one_run_to_idle():
     system = System(spec, 5, record_traces=True)
     handles = [system.post_request(request, at_us) for at_us, request in workload]
     system.run_until_idle()
-    submitted_in_completion_order = [submitted for _done, submitted, _ok in system._entry_log]
+    submitted_in_completion_order = [submitted for _done, submitted, _ok, _lost in system._entry_log]
     assert submitted_in_completion_order != sorted(submitted_in_completion_order)
     expected = [trace_to_record(h.trace) for h in handles if h.trace is not None]
     streamed = [trace_to_record(t) for t in record_traces(spec, workload, seed=5)]
