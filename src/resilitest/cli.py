@@ -23,7 +23,7 @@ from . import __version__
 from .aggregation import save_cluster_report
 from .campaign import analyze_corpus, plan_campaign, resolve_k
 from .executor import (FAIL_VERDICTS, ExecutorError, OracleCriteria, PhaseConfig,
-                       load_report, run_batch, save_report)
+                       check_run_plan, load_report, run_batch, save_report)
 from .faults import default_catalog, load_catalog
 from .model import (CorpusMeta, dumps_canonical, load_corpus_selection,
                     load_corpus_summaries, save_corpus)
@@ -137,11 +137,7 @@ def cmd_run(args) -> int:
     plan = load_run_plan(args.run_plan)
     templates = load_templates(args.templates)
     catalog = _load_catalog(args.catalog)
-    for run in plan.runs:  # a case's fault must not fail after earlier cases ran
-        for case in run.cases:
-            if case.fault_id not in catalog:
-                raise ValueError(f"run-plan {args.run_plan}: case {case.case_id}: "
-                                 f"unknown fault {case.fault_id!r}")
+    check_run_plan(plan, topology, templates, catalog, f"run-plan {args.run_plan}")
     criteria = OracleCriteria.load(args.criteria) if args.criteria else OracleCriteria()
     history = _load_history(args.history)
     if args.reset_history:

@@ -266,6 +266,35 @@ class CampaignResult:
         return {(tr.endpoint, tr.service) for tr in self.test_runs}
 
 
+def check_run_plan(plan: RunPlan, topology: TopologySpec, templates: list,
+                   catalog: dict, where: str) -> None:
+    """Raise ExecutorError, prefixed by `where` and naming the run or case,
+    unless every run and case trace has a template (a deferred case is
+    re-hosted on its own trace), every case's fault is in `catalog` and
+    every case's service invokes its endpoint in `topology`. A case of a
+    plan that passes cannot fail on its own fields after earlier cases ran."""
+    traces = {t.trace_id for t in templates}
+    services = {svc.name for svc in topology.services}
+    units = {(svc.name, step.endpoint())
+             for svc, iface in topology.interfaces() for step in iface.workflow}
+    for index, run in enumerate(plan.runs):
+        if run.trace_id not in traces:
+            raise ExecutorError(f"{where}: run {index}: no template for trace {run.trace_id}")
+        for case in run.cases:
+            target = case.target
+            if target.trace_id not in traces:
+                problem = f"no template for trace {target.trace_id}"
+            elif case.fault_id not in catalog:
+                problem = f"unknown fault {case.fault_id!r}"
+            elif target.service not in services:
+                problem = f"unknown service {target.service!r}"
+            elif (target.service, target.endpoint) not in units:
+                problem = f"service {target.service!r} never invokes {target.endpoint.triple()}"
+            else:
+                continue
+            raise ExecutorError(f"{where}: case {case.case_id}: {problem}")
+
+
 def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
               catalog: dict, phases: PhaseConfig,
               criteria: OracleCriteria, seed: int = 0,
@@ -275,7 +304,7 @@ def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
     exactly once, rescheduling deferred cases from fail-fast halts into fresh
     greedily-batched runs, and record every verdict in the history (no
     history means an empty one). Passed cases, and the runs they leave
-    empty, are dropped before wave 0."""
+    empty, are dropped before wave 0. `plan` must pass check_run_plan."""
     history = history or History()
     by_trace = {t.trace_id: t for t in templates}
     results = []
@@ -287,10 +316,6 @@ def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
         if pending:
             queue.append(Run(trace_id=run.trace_id, cases=pending))
     initial_runs = len(queue)
-    for run in queue:  # a deferred case is re-hosted on its own trace
-        for trace_id in (run.trace_id, *(case.target.trace_id for case in run.cases)):
-            if trace_id not in by_trace:
-                raise ExecutorError(f"no template for trace {trace_id}")
     while queue:  # the runs of a wave share nothing
         outcomes = _run_wave(queue, lambda run: execute_run(
             run, topology, by_trace[run.trace_id], catalog, phases, criteria,

@@ -733,14 +733,23 @@ def test_run_rejects_a_case_listed_twice_in_a_run_plan(planned_files, tmp_path, 
     assert not (tmp_path / "report.jsonl").exists()
 
 
-def test_run_rejects_an_unknown_fault_before_any_case_runs(planned_files, tmp_path,
-                                                           capsys, monkeypatch):
+@pytest.mark.parametrize("field, value, problem", [
+    (5, "no-such-fault", "unknown fault 'no-such-fault'"),
+    (4, "nosuch", "unknown service 'nosuch'"),
+    (3, "MQ:pulsar:publish", "service 'backend' never invokes MQ:pulsar:publish"),
+    (1, "t999999", "no template for trace t999999"),
+], ids=["fault", "service", "endpoint", "trace"])
+def test_run_checks_every_case_before_any_case_runs(planned_files, tmp_path,
+                                                     capsys, monkeypatch,
+                                                     field, value, problem):
+    # the last case line: backend's Database:jdbc:select on its own trace
     from resilitest import executor
 
     planned, topo = planned_files
     lines = (planned / "plans" / "runplan.txt").read_text().splitlines()
     fields = lines[-1].split()
-    fields[5] = "no-such-fault"
+    assert fields[3:5] == ["Database:jdbc:select", "backend"]
+    fields[field] = value
     lines[-1] = "  " + " ".join(fields)
     run_plan = tmp_path / "runplan.txt"
     run_plan.write_text("\n".join(lines) + "\n")
@@ -753,7 +762,7 @@ def test_run_rejects_an_unknown_fault_before_any_case_runs(planned_files, tmp_pa
         capsys, ["run", "--run-plan", str(run_plan), "--topology", str(topo),
                  "--templates", str(planned / "analysis" / "templates.jsonl"),
                  "--out", str(tmp_path / "report.jsonl")],
-        f"run-plan {run_plan}: case {fields[0]}: unknown fault 'no-such-fault'")
+        f"run-plan {run_plan}: case {fields[0]}: {problem}")
     assert started == []
     assert not (tmp_path / "report.jsonl").exists()
 

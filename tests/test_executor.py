@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from resilitest import executor
 from resilitest.executor import (EffectiveCriteria, ExecutorError,
                                  OracleCriteria, PhaseConfig, PhaseMetrics,
-                                 evaluate, execute_run, load_report, run_batch,
-                                 save_report)
+                                 check_run_plan, evaluate, execute_run, load_report,
+                                 run_batch, save_report)
 from resilitest.faults import default_catalog
 from resilitest.model import Endpoint
 from resilitest.planner import InjectionTarget, PlanConfig, TestCase, plan_targets
@@ -253,17 +253,17 @@ def test_history_records_outcomes(mini_setup):
     assert all(history.executed.get(c.case_id) for c in cases)
 
 
-def test_run_batch_checks_every_case_trace_before_any_case_runs(mini_setup, monkeypatch):
+def test_check_run_plan_checks_every_case_trace(mini_setup):
     # the stray case would be deferred onto its own trace, which has no template
     spec, corpus, analysis, catalog = mini_setup
     case = _mini_cases(analysis, corpus, catalog)[0]
     stray = replace(case, case_id="stray", target=replace(case.target, trace_id="t999999"))
     plan = RunPlan(runs=[Run(trace_id=case.target.trace_id, cases=[case, stray])])
-    monkeypatch.setattr(executor, "execute_run",
-                        lambda *args, **kwargs: pytest.fail("a case ran"))
-    with pytest.raises(ExecutorError, match="no template for trace t999999"):
-        run_batch(plan, spec, list(analysis.templates.values()), catalog, FAST,
-                  OracleCriteria())
+    with pytest.raises(ExecutorError, match="^plan: case stray: no template for trace t999999$"):
+        check_run_plan(plan, spec, list(analysis.templates.values()), catalog, "plan")
+    headless = RunPlan(runs=[Run(trace_id="t999999", cases=[case])])
+    with pytest.raises(ExecutorError, match="^plan: run 0: no template for trace t999999$"):
+        check_run_plan(headless, spec, list(analysis.templates.values()), catalog, "plan")
 
 
 def test_run_batch_skips_cases_passed_in_the_history(mini_setup):
