@@ -145,10 +145,14 @@ class DrainTree:
 
 def cluster_interfaces(corpus: Corpus) -> list:
     """Partition all corpus traces into interface clusters (every trace in
-    exactly one cluster)."""
+    exactly one cluster); a root request line that does not parse raises
+    RequestLineError naming its trace."""
     tree = DrainTree()
     for trace in corpus.traces:
-        method, tokens = parse_request_line(trace.root_span().operation_name)
+        try:
+            method, tokens = parse_request_line(trace.root_span().operation_name)
+        except RequestLineError as exc:
+            raise RequestLineError(f"trace {trace.trace_id}: {exc}") from None
         tree.add(method, tokens, trace.trace_id)
     return tree.clusters()
 

@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import __version__
-from .aggregation import save_cluster_report
+from .aggregation import RequestLineError, save_cluster_report
 from .campaign import analyze_corpus, plan_campaign, resolve_k
 from .executor import (FAIL_VERDICTS, ExecutorError, OracleCriteria, PhaseConfig,
                        check_run_plan, load_report, run_batch, save_report)
@@ -100,7 +100,10 @@ def cmd_simulate_record(args) -> int:
 def cmd_analyze(args) -> int:
     corpus = load_corpus_summaries(args.corpus)
     registry = ManualVariableRegistry.load(args.registry) if args.registry else None
-    analysis = analyze_corpus(corpus, weights=args.weights, registry=registry)
+    try:
+        analysis = analyze_corpus(corpus, weights=args.weights, registry=registry)
+    except RequestLineError as exc:
+        raise ValueError(f"corpus {args.corpus}: {exc}") from None
     ordered = [analysis.templates[c.interface_id] for c in analysis.clusters]
     for template in ordered:  # what `run` reads back must pass its checks
         try:

@@ -518,7 +518,9 @@ def test_analyze_rejects_malformed_root_request_line(planned_files, tmp_path, ca
     corpus.write_text(f"{header}\n{json.dumps(rec)}\n")
     _exits_2_with_error_line(
         capsys, ["analyze", "--corpus", str(corpus), "--out-dir", str(tmp_path / "analysis")],
-        "malformed request line 'nonsense': expected 'METHOD /path'")
+        f"corpus {corpus}: trace {rec['trace_id']}: malformed request line 'nonsense': "
+        f"expected 'METHOD /path'")
+    assert not (tmp_path / "analysis").exists()
 
 
 def _analyze_one_root_per_interface(planned, tmp_path, key, values):
