@@ -16,6 +16,7 @@ unless --fail-on-vulnerability is set.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -26,12 +27,12 @@ from .executor import (FAIL_VERDICTS, ExecutorError, OracleCriteria, PhaseConfig
                        check_run_plan, load_report, run_batch, save_report)
 from .faults import default_catalog, load_catalog
 from .model import (CorpusMeta, dumps_canonical, load_corpus_selection,
-                    load_corpus_summaries, save_corpus)
+                    load_corpus_summaries, read_lines, save_corpus)
 from .planner import PlanConfig, save_plan
 from .scheduler import History, greedy_batch, load_run_plan, save_run_plan
 from .selection import (ComplexityWeights, SelectionError, load_selection_report,
                         save_selection_report)
-from .sim.engine import record_traces
+from .sim.engine import RejectedEntry, record_traces
 from .sim.topology import load_topology
 from .sim.workload import load_workload
 from .templating import (ManualVariableRegistry, check_entry_payload, load_templates,
@@ -91,8 +92,13 @@ def _load_history(path) -> History:
 def cmd_simulate_record(args) -> int:
     topology = load_topology(args.topology)
     workload = load_workload(args.workload)
-    count = save_corpus(record_traces(topology, workload, seed=args.seed), args.out,
-                        CorpusMeta(args.seed, topology.digest()))
+    try:
+        count = save_corpus(record_traces(topology, workload, seed=args.seed), args.out,
+                            CorpusMeta(args.seed, topology.digest()))
+    except RejectedEntry as exc:  # entry i is the i-th non-blank line
+        where, _line = next(itertools.islice(read_lines(args.workload, "workload"),
+                                             exc.index, None))
+        raise ValueError(f"{where}: {exc.reason}") from None
     print(f"recorded {count} traces -> {args.out}")
     return 0
 

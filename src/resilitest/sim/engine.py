@@ -67,6 +67,16 @@ class SimError(ValueError):
     pass
 
 
+class RejectedEntry(SimError):
+    """Workload entry `index`, which no service took (`reason`), so that it
+    has no trace to record."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"workload entry {index}: {reason}")
+        self.index = index
+        self.reason = reason
+
+
 @dataclass
 class Response:
     exc: str  # the failure code, "" for success
@@ -728,7 +738,8 @@ def record_traces(spec: TopologySpec, workload, seed: int):
     """Run the healthy system over (at_us, EntryRequest) workload entries, an
     iterable in time order (no at_us before the previous one) read once, and
     yield each recorded trace in submission order, as soon as its request and
-    every earlier-submitted one have completed.
+    every earlier-submitted one have completed. An entry that no service
+    takes (no route, or a failed validation) raises RejectedEntry.
 
     Entry i is read once entry i-1 is posted, and posted (as post_request's
     `index` i) once every event before its at_us has run, so the events run
@@ -750,13 +761,15 @@ def record_traces(spec: TopologySpec, workload, seed: int):
                                f"the previous one at {last_us} us")
             last_us = at_us
             system._run_events(at_us - 1)  # every event before it (times are integers)
-            while handles and handles[0].completed:
-                handle = handles.popleft()
+            while handles and handles[0][1].completed:
+                posted, handle = handles.popleft()
                 trace, handle.trace = handle.trace, None  # its deadline event holds the handle
-                if trace is not None:
-                    yield trace
+                if trace is None:  # only a rejected entry opens no root span
+                    raise RejectedEntry(posted, f"{handle.request.line!r} reached no "
+                                                f"service: {handle.response.exc}")
+                yield trace
             if request is not None:
-                handles.append(system.post_request(request, at_us, index))
+                handles.append((index, system.post_request(request, at_us, index)))
             if index % _FORGET_EVERY == 0:  # no query reads a recording system's logs
                 system.forget_before(system.now_us)
     finally:

@@ -777,6 +777,11 @@ def _malformed_middle(lines):
     return [lines[0], lines[1], '{"at_us": 1}', *lines[3:]]
 
 
+def _repeated_order(lines):
+    # line 5 is the first order, whose token is single-use
+    return [*lines[:5], lines[4], *lines[5:]]
+
+
 def _edited_middle(edit):
     """Workload edit applying `edit` to the decoded record of line 3."""
     def edited(lines):
@@ -801,8 +806,12 @@ def _edited_middle(edit):
      "line 3: payload value of 'key' must not be a list or object, got [1, 2]"),
     (_edited_middle(lambda rec: rec["payload"].update(token={"a": 1})),
      "line 3: payload value of 'token' must not be a list or object, got {{'a': 1}}"),
+    (_edited_middle(lambda rec: rec.update(line="GET /no/such/route")),
+     "line 3: 'GET /no/such/route' reached no service: not_found"),
+    (_repeated_order, "line 6: 'POST /front/orders/place/item-aa01' reached no service: "
+                      "validation_reused_token"),
 ], ids=["back-in-time", "malformed", "line-not-string", "float-time", "bool-time",
-        "payload-not-object", "list-value", "object-value"])
+        "payload-not-object", "list-value", "object-value", "unrouted", "repeated"])
 def test_simulate_record_rejects_a_bad_workload_line_and_keeps_the_corpus(
         mini_files, capsys, edit, message):
     tmp_path, topo, workload = mini_files
