@@ -1,10 +1,11 @@
-"""Generated input-contract test for the JSON files the CLI reads.
+"""Generated input-contract test for the files the CLI reads.
 
 Each example takes one valid file of the mini campaign (selection,
-templates, report, workload or criteria), mutates one field of one record,
-repeats a record or adds a key, and runs the CLI stage that reads the file.
-The stage must either succeed, or exit 2 with exactly one stderr line
-`error: <what> <path> ...` and no traceback.
+templates, report, workload, criteria or run plan), mutates one field of one
+record, repeats a record or adds a key (or, in the run plan, drops, repeats
+or swaps a line), and runs the CLI stage that reads the file. The stage must
+either succeed, or exit 2 with exactly one stderr line `error: <what> <path>
+...` and no traceback.
 """
 
 import contextlib
@@ -133,3 +134,66 @@ def test_a_mutated_input_file_loads_or_exits_2_naming_it(campaign, reader, data)
         assert len(err.splitlines()) == 1, err
         assert err.startswith(f"error: {what} {path}"), err
         assert "Traceback" not in err
+
+
+# what a mutated run-plan field becomes: unknown IDs, IDs of the mini
+# topology and catalog that do not belong to the case, numbers, no field
+# ("") and two fields ("x y")
+PLAN_VALUES = ["x", "0", "-1", "16", "t999999", "t000003", "nosuch", "backend", "front",
+               "MQ:pulsar:publish", "Database:jdbc:insert", "a:b", "db-slow",
+               "no-such-fault", "", "x y"]
+
+
+def _mutate_run_plan(lines: list, data) -> list:
+    """`lines` with one line dropped, repeated or swapped with another, or
+    one field of a case line or a header's trace= or cases= changed."""
+    lines = list(lines)
+    index = data.draw(st.integers(0, len(lines) - 1), label="line")
+    mutation = data.draw(st.sampled_from(["drop", "repeat", "swap", "field"]),
+                         label="mutation")
+    if mutation == "drop":
+        del lines[index]
+    elif mutation == "repeat":
+        lines.insert(index, lines[index])
+    elif mutation == "swap":
+        other = data.draw(st.integers(0, len(lines) - 1), label="other")
+        lines[index], lines[other] = lines[other], lines[index]
+    else:
+        value = data.draw(st.sampled_from(PLAN_VALUES), label="value")
+        fields = lines[index].split()
+        if fields[0] == "run":
+            key = data.draw(st.sampled_from(["trace=", "cases="]), label="key")
+            lines[index] = " ".join(key + value if f.startswith(key) else f for f in fields)
+        else:
+            fields[data.draw(st.integers(0, len(fields) - 1), label="field")] = value
+            lines[index] = "  " + " ".join(fields)
+    return lines
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_a_mutated_run_plan_runs_or_exits_2_naming_it(campaign, data):
+    lines = (campaign / "plans" / "runplan.txt").read_text().splitlines()
+    mutated = _mutate_run_plan(lines, data)
+    path = campaign / "mutated" / "runplan.txt"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(line + "\n" for line in mutated))
+    report = campaign / "out" / "report.jsonl"
+    report.parent.mkdir(exist_ok=True)
+    report.unlink(missing_ok=True)
+    argv = _run_args(campaign, campaign / "analysis" / "templates.jsonl")
+    argv[argv.index("--run-plan") + 1] = path
+    code, err = _run(argv)
+    if code != 0:
+        assert code == 2
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: run-plan {path}"), err
+        assert "Traceback" not in err
+    else:
+        planned = [line.split()[0] for line in mutated if not line.startswith("run ")]
+        records = [json.loads(line) for line in report.read_text().splitlines()]
+        reported = [rec["case_id"] for rec in records if rec["type"] == "test_run"]
+        assert len(set(planned)) == len(planned)
+        assert len(set(reported)) == len(reported)
+        assert records[-1]["cases"] == len(reported)
+        assert set(reported) <= set(planned)
