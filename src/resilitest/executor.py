@@ -274,9 +274,6 @@ def check_run_plan(plan: RunPlan, topology: TopologySpec, templates: list,
     every case's service invokes its endpoint in `topology`. A case of a
     plan that passes cannot fail on its own fields after earlier cases ran."""
     traces = {t.trace_id for t in templates}
-    services = {svc.name for svc in topology.services}
-    units = {(svc.name, step.endpoint())
-             for svc, iface in topology.interfaces() for step in iface.workflow}
     for index, run in enumerate(plan.runs):
         if run.trace_id not in traces:
             raise ExecutorError(f"{where}: run {index}: no template for trace {run.trace_id}")
@@ -286,9 +283,7 @@ def check_run_plan(plan: RunPlan, topology: TopologySpec, templates: list,
                 problem = f"no template for trace {target.trace_id}"
             elif case.fault_id not in catalog:
                 problem = f"unknown fault {case.fault_id!r}"
-            elif target.service not in services:
-                problem = f"unknown service {target.service!r}"
-            elif (target.service, target.endpoint) not in units:
+            elif (target.service, target.endpoint) not in topology.units:
                 problem = f"service {target.service!r} never invokes {target.endpoint.triple()}"
             else:
                 continue

@@ -68,13 +68,11 @@ class SimError(ValueError):
 
 
 class RejectedEntry(SimError):
-    """Workload entry `index`, which no service took (`reason`), so that it
-    has no trace to record."""
+    """Workload entry `index`, which no service took, so that it has no trace."""
 
     def __init__(self, index: int, reason: str):
         super().__init__(f"workload entry {index}: {reason}")
-        self.index = index
-        self.reason = reason
+        self.index, self.reason = index, reason
 
 
 @dataclass
@@ -641,10 +639,7 @@ class System:
     # -- faults -----------------------------------------------------------------
 
     def arm_fault(self, service: str, endpoint: Endpoint, fault: FaultSpec) -> ArmedFault:
-        svc = self.spec.service(service)
-        present = any(step.endpoint() == endpoint
-                      for iface in svc.interfaces for step in iface.workflow)
-        if not present:
+        if (service, endpoint) not in self.spec.units:
             raise SimError(f"endpoint {endpoint.triple()} not used by service {service!r}")
         armed = ArmedFault(service=service, endpoint=endpoint, fault=fault)
         self._armed.setdefault((service, endpoint), armed)  # the first one wins

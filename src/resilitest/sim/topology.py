@@ -13,6 +13,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from ..model import WRITE_METHODS, Endpoint, dumps_canonical, write_lines
@@ -168,16 +169,16 @@ class TopologySpec:
     def digest(self) -> str:
         return hashlib.sha256(dumps_canonical(topology_to_record(self)).encode()).hexdigest()[:16]
 
-    def service(self, name: str) -> ServiceSpec:
-        for svc in self.services:
-            if svc.name == name:
-                return svc
-        raise TopologyError(f"unknown service {name!r}")
-
     def interfaces(self):
         for svc in self.services:
             for iface in svc.interfaces:
                 yield svc, iface
+
+    @cached_property
+    def units(self) -> frozenset:
+        """(service name, Endpoint) of each step: the units a fault can arm."""
+        return frozenset((svc.name, step.endpoint())
+                         for svc, iface in self.interfaces() for step in iface.workflow)
 
     def seeded_bugs(self) -> list:
         """(bug flag, service, interface line, step index) ground truth."""
@@ -273,8 +274,7 @@ def validate_topology(spec: TopologySpec) -> None:
                 if step.target_service not in names:
                     raise TopologyError(f"{loc}: call targets undeclared service "
                                         f"{step.target_service!r}")
-                target = spec.service(step.target_service)
-                if not any(i.line == step.target_line for i in target.interfaces):
+                if lines.get(step.target_line) != step.target_service:
                     raise TopologyError(f"{loc}: call targets unknown interface "
                                         f"{step.target_line!r} of {step.target_service}")
                 if "{" in step.target_line:

@@ -737,7 +737,7 @@ def test_run_rejects_a_case_listed_twice_in_a_run_plan(planned_files, tmp_path, 
 
 @pytest.mark.parametrize("field, value, problem", [
     (5, "no-such-fault", "unknown fault 'no-such-fault'"),
-    (4, "nosuch", "unknown service 'nosuch'"),
+    (4, "nosuch", "service 'nosuch' never invokes Database:jdbc:select"),
     (3, "MQ:pulsar:publish", "service 'backend' never invokes MQ:pulsar:publish"),
     (1, "t999999", "no template for trace t999999"),
 ], ids=["fault", "service", "endpoint", "trace"])
