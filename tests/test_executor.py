@@ -261,9 +261,9 @@ def test_check_run_plan_checks_every_case_trace(mini_setup):
     plan = RunPlan(runs=[Run(trace_id=case.target.trace_id, cases=[case, stray])])
     with pytest.raises(ExecutorError, match="^plan: case stray: no template for trace t999999$"):
         check_run_plan(plan, spec, list(analysis.templates.values()), catalog, "plan")
-    headless = RunPlan(runs=[Run(trace_id="t999999", cases=[case])])
+    unhosted = RunPlan(runs=[Run(trace_id="t999999", cases=[case])])
     with pytest.raises(ExecutorError, match="^plan: run 0: no template for trace t999999$"):
-        check_run_plan(headless, spec, list(analysis.templates.values()), catalog, "plan")
+        check_run_plan(unhosted, spec, list(analysis.templates.values()), catalog, "plan")
 
 
 def test_run_batch_skips_cases_passed_in_the_history(mini_setup):
