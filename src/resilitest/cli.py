@@ -147,6 +147,10 @@ def cmd_run(args) -> int:
     templates = load_templates(args.templates)
     catalog = _load_catalog(args.catalog)
     check_run_plan(plan, topology, templates, catalog, f"run-plan {args.run_plan}")
+    for what, path in (("report", args.out), ("history", args.history)):
+        folder = path and (os.path.dirname(path) or ".")  # written once every case ran
+        if folder and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ValueError(f"{what} {path}: {folder} is not a writable directory")
     criteria = OracleCriteria.load(args.criteria) if args.criteria else OracleCriteria()
     history = _load_history(args.history)
     if args.reset_history:

@@ -21,7 +21,7 @@ import itertools
 import math
 import random
 from bisect import bisect_left
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 from types import GeneratorType
@@ -34,7 +34,7 @@ from ..model import (Corpus, Endpoint, Span, Trace, dumps_canonical, new_corpus,
 from ..templating import EntryRequest
 from .topology import (ARG_LIT, ARG_REQ, BUG_NO_RETRY, ON_ERROR_CATCH,
                        ON_ERROR_PROPAGATE, OP_CALL, OP_CACHE, OP_DB, OP_MQ,
-                       TopologySpec, VALIDATE_FRESH, VALIDATE_SINGLE_USE)
+                       TopologySpec, VALIDATE_FRESH)
 
 SECOND_US = 1_000_000
 
@@ -44,6 +44,10 @@ _CALL_OVERHEAD_US = 800
 _ENTRY_OVERHEAD_US = 300
 _THROW_LATENCY_US = 100
 _OUTBOX_RETRY_US = 500_000
+# base -> (base - spread, n, bits): the draw of randrange(-spread, spread + 1),
+# spread = base // 4, is base - spread + the first getrandbits(bits) below n
+_JITTER = {base: (base - base // 4, base // 4 * 2 + 1, (base // 4 * 2 + 1).bit_length())
+           for base in (*_BASE_TIME_US.values(), _CALL_OVERHEAD_US, _ENTRY_OVERHEAD_US)}
 
 # "No response from the dependency": with a timeout the client errors at the
 # timeout, without one the worker blocks forever.
@@ -176,16 +180,43 @@ class _ServiceState:
         self.queue = deque()
 
 
+class _Unit:
+    """A (service, endpoint) of one system: the fault armed there, if any, and
+    its calls [(complete_us, start_us, ok), ...] in completion order."""
+
+    __slots__ = ("armed", "events")
+
+    def __init__(self):
+        self.armed = None
+        self.events = []
+
+
+class _Site:
+    """One step of a (service, interface) in one system: its unit, the throw
+    Effect poisoning it, its _JITTER triple, its store, table and write class."""
+
+    __slots__ = ("step", "unit", "poisoned", "jitter", "store", "table", "write")
+
+    def __init__(self, step, unit, stores):
+        self.step, self.unit, self.poisoned = step, unit, None
+        self.jitter = _JITTER[_CALL_OVERHEAD_US if step.op == OP_CALL
+                              else _BASE_TIME_US[step.op]]
+        self.store, self.table = stores.get(step.op), step.table or step.topic
+        self.write = ("delete" if step.method == "delete" else  # "" for a read
+                      "write" if step.method in ("insert", "update", "set") else "")
+
+
 class _Ctx:
     """One workflow execution (entry request or internal call)."""
 
-    __slots__ = ("service", "iface", "payload", "entry", "parent_span",
+    __slots__ = ("service", "iface", "sites", "payload", "entry", "parent_span",
                  "outputs", "journal", "on_complete", "is_entry")
 
-    def __init__(self, service, iface, payload, entry, parent_span,
+    def __init__(self, service, iface, sites, payload, entry, parent_span,
                  on_complete, is_entry):
         self.service = service
         self.iface = iface
+        self.sites = sites
         self.payload = payload
         self.entry = entry
         self.parent_span = parent_span
@@ -218,15 +249,13 @@ class System:
         self._db = {}
         self._cache = {}
         self._outbox = []  # creation times of the publishes not yet delivered
-        self._armed = {}  # (service, endpoint) -> active ArmedFault
-        self._poisoned = {}  # (service, line, step idx) -> throw Effect
+        self._units = {unit: _Unit() for unit in spec.units}
+        self._sites = {}  # (service, line) -> a _Site per step, once it runs
+        self._tokens = {}  # (prefix, string) -> _derive_token's token
         self._single_use_seen = set()
         # (complete_us, submitted_us, ok, silent losses), appended in
         # completion order, so sorted by complete_us since now_us never goes down
         self._entry_log = []
-        # (service, endpoint) -> [(complete_us, start_us, ok), ...] in
-        # completion order, so sorted by complete_us like the entry log
-        self._endpoint_events = defaultdict(list)
         self._kept_from_us = -math.inf  # forget_before dropped the records before
         self._fresh_counter = 0
         self._trace_counter = 0
@@ -247,15 +276,23 @@ class System:
     def _run_events(self, until_us, handle: Optional[EntryHandle] = None) -> None:
         """Resume the suspended workflow or call the callable of each event
         due by `until_us`, in order; stop early once `handle` has completed."""
-        heap = self._heap
+        heap, heappop, heappush = self._heap, heapq.heappop, heapq.heappush
         while heap and heap[0][0] <= until_us and (handle is None
                                                    or not handle.completed):
-            at, _seq, item = heapq.heappop(heap)
+            at, _seq, item = heappop(heap)
             self.now_us = at
-            if item.__class__ is GeneratorType:
-                self._drive(item)
-            else:
+            if item.__class__ is not GeneratorType:
                 item()
+                continue
+            try:
+                instr = item.send(None)
+            except StopIteration:
+                continue
+            if instr.__class__ is int and instr >= 0:  # the common wait
+                self._evseq += 1
+                heappush(heap, (at + instr, self._evseq, item))
+            else:
+                self._follow(item, instr)
 
     def run_until(self, t_us: int) -> None:
         self._run_events(t_us)
@@ -338,6 +375,7 @@ class System:
                 None, service_name, Endpoint("HTTP", "server", iface.method.lower()),
                 handle.request.line, dict(handle.request.payload), self.now_us)
         ctx = _Ctx(service=service_name, iface=iface,
+                   sites=self._sites_of(service_name, iface),
                    payload=dict(handle.request.payload), entry=handle,
                    parent_span=root_span,
                    on_complete=lambda resp: self._finish_entry(handle, resp, root_span),
@@ -345,21 +383,20 @@ class System:
         self._enqueue(service_name, ctx)
 
     def _validate_entry(self, iface, payload) -> str:
-        for fs in iface.fields:
-            if fs.validate == VALIDATE_FRESH:
-                value = payload.get(fs.path)
+        for path, validate in iface.checks:
+            value = payload.get(path)
+            if validate == VALIDATE_FRESH:
                 try:
                     ts = int(value)
                 except (TypeError, ValueError, OverflowError):  # inf overflows
-                    return f"bad_timestamp_{fs.path}"
+                    return f"bad_timestamp_{path}"
                 if abs(ts - self.now_us) > self.spec.validation_skew_us:
-                    return f"stale_{fs.path}"
-            elif fs.validate == VALIDATE_SINGLE_USE:
-                value = payload.get(fs.path)
+                    return f"stale_{path}"
+            else:  # single use
                 if not value:
-                    return f"missing_{fs.path}"
+                    return f"missing_{path}"
                 if value in self._single_use_seen:
-                    return f"reused_{fs.path}"
+                    return f"reused_{path}"
                 self._single_use_seen.add(value)
         return ""
 
@@ -414,6 +451,10 @@ class System:
             instr = proc.send(value)
         except StopIteration:
             return
+        self._follow(proc, instr)
+
+    def _follow(self, proc, instr) -> None:
+        """Carry out the instruction `proc` yielded."""
         if instr.__class__ is not tuple:  # a wait, in microseconds
             if instr < 0:
                 raise SimError(f"cannot wait a negative time ({instr} us)")
@@ -443,9 +484,21 @@ class System:
             on_resp(Response("not_found", {}))
             return
         # internal calls share the entry's recorder and loss accounting
-        ctx = _Ctx(service=target_service, iface=iface, payload=payload, entry=entry,
-                   parent_span=parent_span, on_complete=on_resp, is_entry=False)
+        ctx = _Ctx(service=target_service, iface=iface,
+                   sites=self._sites_of(target_service, iface), payload=payload,
+                   entry=entry, parent_span=parent_span, on_complete=on_resp,
+                   is_entry=False)
         self._enqueue(target_service, ctx)
+
+    def _sites_of(self, service: str, iface) -> tuple:
+        """The _Site of each step of `iface` of `service`, built on first use."""
+        sites = self._sites.get((service, iface.line))
+        if sites is None:
+            stores = {OP_DB: self._db, OP_CACHE: self._cache}  # an mq step has none
+            sites = self._sites[(service, iface.line)] = tuple(
+                _Site(step, self._units[(service, step.endpoint())], stores)
+                for step in iface.workflow)
+        return sites
 
     # -- workflow execution ---------------------------------------------------
 
@@ -454,30 +507,28 @@ class System:
         Each attempt ends in a failure code `exc` ("" for success) and a
         payload."""
         yield self._jitter(_ENTRY_OVERHEAD_US)
-        service, entry, line = ctx.service, ctx.entry, ctx.iface.line
+        service, entry = ctx.service, ctx.entry
         recorder = entry._recorder
-        events = self._endpoint_events
-        for index, step in enumerate(ctx.iface.workflow):
+        getrandbits = self._rng.getrandbits
+        for site in ctx.sites:
+            step, unit = site.step, site.unit
             args = self._render_args(ctx, step)
-            endpoint = step.endpoint()
-            unit = (service, endpoint)
             timeout = step.timeout_us
             span = None
             if recorder is not None:
                 op_name = (f"call {step.target_service} {step.target_line}"
                            if step.op == OP_CALL else
-                           f"{step.op}.{step.method} {step.table or step.topic}")
+                           f"{step.op}.{step.method} {site.table}")
                 span = recorder.open_span(
                     ctx.parent_span["id"] if ctx.parent_span else None,
-                    service, endpoint, op_name, args, self.now_us)
+                    service, step.endpoint(), op_name, args, self.now_us)
 
-            poison_key = (service, line, index)
             for _attempt in range(step.retries + 1):
                 start = self.now_us
                 # a poisoned step fails before the armed fault sees it
-                effect = self._poisoned.get(poison_key)
+                effect = site.poisoned
                 if effect is None:
-                    armed = self._armed.get(unit)
+                    armed = unit.armed
                     if armed is not None:
                         armed.hits.append(start)
                         effect = armed.fault.effect
@@ -492,7 +543,7 @@ class System:
                     exc, payload = effect.exception, {}
                     if exc in HANG_EXCEPTIONS:
                         if timeout is None:
-                            events[unit].append((start, start, False))
+                            unit.events.append((start, start, False))
                             yield _HANG
                             raise AssertionError("hung process resumed")
                         yield timeout
@@ -509,8 +560,12 @@ class System:
                 else:
                     if delay:
                         yield delay  # dependency stalls, then behaves normally
+                    low, n, bits = site.jitter  # _jitter's draw, inline
+                    r = getrandbits(bits)
+                    while r >= n:
+                        r = getrandbits(bits)
+                    yield low + r
                     if step.op == OP_CALL:
-                        yield self._jitter(_CALL_OVERHEAD_US)
                         resp = yield ("call", step.target_service, step.target_line,
                                       dict(args), timeout, span, entry)
                         if resp is _TIMEOUT:
@@ -518,9 +573,8 @@ class System:
                         else:
                             exc, payload = resp.exc, dict(resp.payload)
                     else:
-                        yield self._jitter(_BASE_TIME_US[step.op])
-                        exc, payload = "", self._apply_leaf(ctx, step, args)
-                events[unit].append((self.now_us, start, not exc))
+                        exc, payload = "", self._apply_leaf(ctx, site, args)
+                unit.events.append((self.now_us, start, not exc))
                 if not exc:
                     break
 
@@ -533,7 +587,7 @@ class System:
             # the step keeps failing until the system is restarted
             if (step.bug == BUG_NO_RETRY and step.retries == 0
                     and is_connection_exception(exc)):
-                self._poisoned[poison_key] = Effect(EFFECT_THROW, exception=exc)
+                site.poisoned = Effect(EFFECT_THROW, exception=exc)
             if step.on_error == ON_ERROR_PROPAGATE:
                 if ctx.iface.compensate:
                     self._rollback(ctx)
@@ -551,29 +605,39 @@ class System:
 
     def _render_response(self, ctx: _Ctx) -> dict:
         payload = {"status": "ok"}
-        for fs in ctx.iface.fields:
-            if fs.echo and fs.path in ctx.payload:
-                payload[fs.path] = ctx.payload[fs.path]
-        for rf in ctx.iface.resp_fields:
-            if rf.source.startswith("lit:"):
-                payload[rf.path] = rf.source[4:]
-            elif rf.source.startswith("echo:"):
-                payload[rf.path] = ctx.payload.get(rf.source[5:], "")
-            elif rf.source.startswith("derive:"):
-                payload[rf.path] = _derive_token("d", ctx.payload.get(rf.source[7:], ""))
-            elif rf.source == "token":
+        request = ctx.payload
+        for path in ctx.iface.echo_paths:
+            if path in request:
+                payload[path] = request[path]
+        for path, kind, arg in ctx.iface.resp_plan:
+            if kind == "lit":
+                payload[path] = arg
+            elif kind == "echo":
+                payload[path] = request.get(arg, "")
+            elif kind == "derive":
+                payload[path] = self._derive("d", request.get(arg, ""))
+            else:  # a fresh token
                 self._fresh_counter += 1
-                payload[rf.path] = f"srv{self._fresh_counter:08d}"
+                payload[path] = f"srv{self._fresh_counter:08d}"
         return payload
 
+    def _derive(self, prefix: str, value) -> str:
+        """_derive_token(prefix, value), remembered for a string value until
+        the next forget_before."""
+        if value.__class__ is not str:
+            return _derive_token(prefix, value)
+        token = self._tokens.get((prefix, value))
+        if token is None:
+            token = self._tokens[(prefix, value)] = _derive_token(prefix, value)
+        return token
+
     def _jitter(self, base_us: int) -> int:
-        spread = base_us // 4
-        n = 2 * spread + 1
+        low, n, bits = _JITTER[base_us]
         # randrange(-spread, spread + 1)'s draw: the same rejection loop on getrandbits
-        r = self._rng.getrandbits(n.bit_length())
+        r = self._rng.getrandbits(bits)
         while r >= n:
-            r = self._rng.getrandbits(n.bit_length())
-        return base_us - spread + r
+            r = self._rng.getrandbits(bits)
+        return low + r
 
     def _render_args(self, ctx: _Ctx, step) -> dict:
         out = {}
@@ -587,30 +651,23 @@ class System:
                 out[name] = outputs.get(value, "")
         return out
 
-    def _apply_leaf(self, ctx: _Ctx, step, args: dict) -> dict:
-        key = (step.table or step.topic, args.get("key", ""))
-        if step.op == OP_DB:
-            return self._store_op(self._db, ctx, step, key, args)
-        if step.op == OP_CACHE:
-            return self._store_op(self._cache, ctx, step, key, args)
-        if step.op == OP_MQ:
+    def _apply_leaf(self, ctx: _Ctx, site: _Site, args: dict) -> dict:
+        store = site.store
+        if store is None:  # a publish
             self._fresh_counter += 1
             return {"msgid": f"m{self._fresh_counter:08d}"}
-        raise SimError(f"unknown leaf op {step.op!r}")
-
-    def _store_op(self, store: dict, ctx: _Ctx, step, key, args: dict) -> dict:
-        if step.method in ("insert", "update", "set"):
+        key = (site.table, args.get("key", ""))
+        if site.write:
             ctx.journal.append((store, key, store.get(key), key in store))
-            store[key] = args.get("val") or _derive_token("v", f"{key[0]}:{key[1]}")
-            return {"rows": "1"}
-        if step.method == "delete":
-            ctx.journal.append((store, key, store.get(key), key in store))
-            store.pop(key, None)
+            if site.write == "delete":
+                store.pop(key, None)
+            else:
+                store[key] = args.get("val") or self._derive("v", f"{key[0]}:{key[1]}")
             return {"rows": "1"}
         # select / get
         stored = store.get(key)
         if stored is None:
-            return {"value": _derive_token("v", f"{key[0]}:{key[1]}"), "hit": "0"}
+            return {"value": self._derive("v", f"{key[0]}:{key[1]}"), "hit": "0"}
         return {"value": stored, "hit": "1"}
 
     def _rollback(self, ctx: _Ctx) -> None:
@@ -621,43 +678,48 @@ class System:
                 store.pop(key, None)
         ctx.journal.clear()
 
-    def _publish(self, unit: tuple):
+    def _publish(self, unit: _Unit):
         """A buffered publish to `unit`: pending in the outbox, and retried
         every _OUTBOX_RETRY_US while a fault is armed there."""
         created = self.now_us
         self._outbox.append(created)
         while True:
             yield _OUTBOX_RETRY_US
-            armed = self._armed.get(unit)
+            armed = unit.armed
             if armed is None:
                 break
             armed.hits.append(self.now_us)
-            self._endpoint_events[unit].append((self.now_us, self.now_us, False))
-        self._endpoint_events[unit].append((self.now_us, self.now_us, True))
+            unit.events.append((self.now_us, self.now_us, False))
+        unit.events.append((self.now_us, self.now_us, True))
         self._outbox.remove(created)
 
     # -- faults -----------------------------------------------------------------
 
     def arm_fault(self, service: str, endpoint: Endpoint, fault: FaultSpec) -> ArmedFault:
-        if (service, endpoint) not in self.spec.units:
+        unit = self._units.get((service, endpoint))  # one per spec.units member
+        if unit is None:
             raise SimError(f"endpoint {endpoint.triple()} not used by service {service!r}")
         armed = ArmedFault(service=service, endpoint=endpoint, fault=fault)
-        self._armed.setdefault((service, endpoint), armed)  # the first one wins
+        if unit.armed is None:  # the first one wins
+            unit.armed = armed
         return armed
 
     def disarm_fault(self, service: str, endpoint: Endpoint) -> None:
-        self._armed.pop((service, endpoint), None)
+        unit = self._units.get((service, endpoint))
+        if unit is not None:
+            unit.armed = None
 
     # -- metrics ----------------------------------------------------------------
 
     def forget_before(self, t_us: int) -> None:
         """Drop the entry-log and endpoint-event records completed before
-        `t_us`. A metric query for a window that starts before `t_us`
-        then raises SimError."""
+        `t_us`, and the remembered tokens. A metric query for a window that
+        starts before `t_us` then raises SimError."""
         log = self._entry_log
         del log[:bisect_left(log, t_us, key=_COMPLETE_US)]
-        for events in self._endpoint_events.values():
-            del events[:bisect_left(events, t_us, key=_COMPLETE_US)]
+        for unit in self._units.values():
+            del unit.events[:bisect_left(unit.events, t_us, key=_COMPLETE_US)]
+        self._tokens.clear()
         self._kept_from_us = max(self._kept_from_us, t_us)
 
     def _check_kept(self, lo: int) -> None:
@@ -698,7 +760,8 @@ class System:
         # a call that started at or after lo also completed at or after it
         invocations = 0
         failures = 0
-        events = self._endpoint_events.get((service, endpoint), ())
+        unit = self._units.get((service, endpoint))
+        events = unit.events if unit is not None else ()
         for (_complete, start, ok) in events[bisect_left(events, lo, key=_COMPLETE_US):]:
             if lo <= start < hi:
                 invocations += 1

@@ -134,8 +134,21 @@ class InterfaceSpec:
     compensate: bool = False
 
     def __post_init__(self):
-        # computed once; not a field, so equality and the codec are unchanged
+        # computed once; not fields, so equality and the codec are unchanged:
+        # the checked and echoed entry fields, and the (path, kind, literal or
+        # request path) of each response field validate_topology accepts
         object.__setattr__(self, "line", f"{self.method} {self.uri_template}")
+        object.__setattr__(self, "checks", tuple(
+            (fs.path, fs.validate) for fs in self.fields
+            if fs.validate in (VALIDATE_FRESH, VALIDATE_SINGLE_USE)))
+        object.__setattr__(self, "echo_paths",
+                           tuple(fs.path for fs in self.fields if fs.echo))
+        plan = []
+        for rf in self.resp_fields:
+            match = isinstance(rf.source, str) and RESP_SOURCE.match(rf.source)
+            if match:
+                plan.append((rf.path, match[1] or "token", rf.source[match.end():]))
+        object.__setattr__(self, "resp_plan", tuple(plan))
 
     def matches_path(self, path_tokens: list) -> bool:
         template = self.uri_template.split("/")[1:] if self.uri_template != "/" else []

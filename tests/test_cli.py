@@ -769,6 +769,31 @@ def test_run_checks_every_case_before_any_case_runs(planned_files, tmp_path,
     assert not (tmp_path / "report.jsonl").exists()
 
 
+@pytest.mark.parametrize("output", ["report", "history"])
+def test_run_checks_its_output_directories_before_any_case_runs(planned_files, tmp_path,
+                                                               capsys, monkeypatch,
+                                                               output):
+    from resilitest import executor
+
+    planned, topo = planned_files
+    missing = tmp_path / "no" / "such" / "dir"
+    paths = {"report": tmp_path / "report.jsonl", "history": tmp_path / "history.txt"}
+    paths[output] = missing / paths[output].name
+    started = []
+    execute_run = executor.execute_run
+    monkeypatch.setattr(executor, "execute_run",
+                        lambda *args, **kwargs: started.append(args[0].trace_id)
+                        or execute_run(*args, **kwargs))
+    _exits_2_with_error_line(
+        capsys, ["run", "--run-plan", str(planned / "plans" / "runplan.txt"),
+                 "--topology", str(topo),
+                 "--templates", str(planned / "analysis" / "templates.jsonl"),
+                 "--out", str(paths["report"]), "--history", str(paths["history"])],
+        f"{output} {paths[output]}: {missing} is not a writable directory")
+    assert started == []
+    assert not any(path.exists() for path in paths.values())
+
+
 def _back_in_time(lines):
     return [lines[0], lines[2], lines[1], *lines[3:]]
 

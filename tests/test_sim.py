@@ -1,21 +1,26 @@
+import json
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilitest.faults import parse_catalog
 from resilitest.model import Endpoint, trace_to_record, validate_trace
 from resilitest.sim.engine import (_BASE_TIME_US, _CALL_OVERHEAD_US, _ENTRY_OVERHEAD_US,
+                                   _JITTER, _derive_token,
                                    SimError, System, record_corpus, record_traces,
                                    replay_traffic)
-from resilitest.sim.topology import (TopologyError, load_topology,
+from resilitest.sim.topology import (FieldSpec, InterfaceSpec, RespField,
+                                     TopologyError, load_topology,
                                      save_topology, topology_from_record,
                                      topology_to_record)
 from resilitest.sim.workload import load_workload, save_workload
 from resilitest.templating import EntryRequest
 
-from conftest import make_mini_topology, make_mini_workload
+from conftest import REF_TOPOLOGY, make_mini_topology, make_mini_workload
 
 SECOND = 1_000_000
 
@@ -525,6 +530,36 @@ def test_no_retry_connection_failure_outlives_the_fault_until_restart(catalog):
     assert resp.ok
 
 
+def test_a_poisoned_step_is_one_site(catalog):
+    spec = _shared_insert_topology()
+    front = spec.services[1]
+    order = front.interfaces[0]
+    steps = (replace(order.workflow[0], bug="no_retry"),) + order.workflow[1:]
+    front = replace(front, interfaces=(replace(order, workflow=steps),)
+                    + front.interfaces[1:])
+    spec = replace(spec, services=(spec.services[0], front))
+    insert = Endpoint("Database", "jdbc", "insert")
+    backend_request = EntryRequest("POST /backend/internal/process", {"key": "k-1"})
+    system = _boot(spec)
+    system.arm_fault("front", insert, catalog.get("db-conn-transient"))
+    resp, _ = system.submit_request(_mini_request(system, token="s-1"))
+    assert resp.status == "error:SQLTransientConnectionException"
+    system.disarm_fault("front", insert)
+    # the backend's step on the same endpoint is a site of its own
+    resp, _ = system.submit_request(backend_request)
+    assert resp.ok
+    resp, _ = system.submit_request(_mini_request(system, token="s-2"))
+    assert resp.status == "error:SQLTransientConnectionException"
+    window = (0, system.now_us + 1)
+    assert system.endpoint_stats("front", insert, window) == \
+        {"invocations": 2, "failures": 2}
+    assert system.endpoint_stats("backend", insert, window) == \
+        {"invocations": 1, "failures": 0}
+    fresh = _boot(spec)
+    resp, _ = fresh.submit_request(_mini_request(fresh, token="s-3"))
+    assert resp.ok
+
+
 def test_step_with_one_retry_makes_two_attempts_under_a_throw(catalog):
     system = _boot(_front_step_replaced(retries=1), record=True)
     insert = Endpoint("Database", "jdbc", "insert")
@@ -652,12 +687,58 @@ def test_shipped_assets_load_as_the_builders_output(ref_topology, ref_topology_b
     assert ref_registry.entries == build_signature_registry(built).entries
 
 
-@pytest.mark.parametrize("base_us", [*_BASE_TIME_US.values(), _CALL_OVERHEAD_US,
-                                     _ENTRY_OVERHEAD_US])
+_JITTER_BASES = [*_BASE_TIME_US.values(), _CALL_OVERHEAD_US, _ENTRY_OVERHEAD_US]
+
+
+@pytest.mark.parametrize("base_us", _JITTER_BASES)
 def test_jitter_draws_what_randrange_draws(base_us):
+    assert sorted(_JITTER) == sorted(_JITTER_BASES) and len(_JITTER) == 5
     spread = base_us // 4
     owner = SimpleNamespace(_rng=random.Random(f"jitter:{base_us}"))
     reference = random.Random(f"jitter:{base_us}")
     got = [System._jitter(owner, base_us) for _ in range(5000)]
     assert got == [base_us + reference.randrange(-spread, spread + 1)
                    for _ in range(5000)]
+
+
+_DERIVABLE = st.one_of(st.text(max_size=12), st.integers(),
+                       st.lists(st.integers(), max_size=3),
+                       st.dictionaries(st.text(max_size=4), st.integers(), max_size=3))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(prefix=st.sampled_from(["d", "v"]), values=st.lists(_DERIVABLE, max_size=6))
+def test_remembered_tokens_are_the_derived_tokens(prefix, values):
+    system = System(make_mini_topology(), 1)
+    for value in values + values:  # the second pass reads the remembered ones
+        assert system._derive(prefix, value) == _derive_token(prefix, value)
+    system.forget_before(0)
+    assert system._tokens == {}
+    for value in values:
+        assert system._derive(prefix, value) == _derive_token(prefix, value)
+
+
+def test_interface_plans_are_derived_not_stored():
+    iface = InterfaceSpec(
+        method="POST", uri_template="/svc/a/b",
+        fields=(FieldSpec("ts", validate="fresh_window", echo=True),
+                FieldSpec("plain", echo=True), FieldSpec("tok", validate="single_use"),
+                FieldSpec("none", validate="none")),
+        resp_fields=(RespField("r1", "token"), RespField("r2", "derive:tok"),
+                     RespField("r3", "lit:up"), RespField("r4", "echo:plain")))
+    assert iface.resp_plan == (("r1", "token", ""), ("r2", "derive", "tok"),
+                               ("r3", "lit", "up"), ("r4", "echo", "plain"))
+    assert iface.checks == (("ts", "fresh_window"), ("tok", "single_use"))
+    assert iface.echo_paths == ("ts", "plain")
+    assert {"line", "checks", "echo_paths", "resp_plan"}.isdisjoint(
+        f.name for f in fields(InterfaceSpec))
+    planless = replace(iface)
+    for name in ("checks", "echo_paths", "resp_plan"):
+        object.__setattr__(planless, name, ())
+    assert planless == iface
+
+
+def test_the_shipped_topology_record_and_digest_keep_their_values(ref_topology):
+    with open(REF_TOPOLOGY, encoding="utf-8") as fh:
+        assert topology_to_record(ref_topology) == json.load(fh)
+    assert ref_topology.digest() == "62e43596a8e0bf40"
