@@ -68,14 +68,10 @@ def plan_campaign(ranked: list, corpus: Corpus, catalog: dict, k,
     the current epoch, and plan those cases.
 
     An interface with nothing to test, or whose every case passed, is passed
-    over; no history means an empty one.
+    over; no history means an empty one. `corpus` holds every ranked trace.
     """
     history = history or History()
     traces = {t.trace_id: t for t in corpus.traces}
-    for s in ranked:
-        if s.trace_id not in traces:
-            raise ValueError(f"selection names trace {s.trace_id!r} for interface "
-                             f"{s.interface_id}, which the corpus does not hold")
     k = resolve_k(k, len(ranked))
     selected = []
     cases = []

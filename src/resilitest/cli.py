@@ -26,8 +26,8 @@ from .campaign import analyze_corpus, plan_campaign, resolve_k
 from .executor import (FAIL_VERDICTS, ExecutorError, OracleCriteria, PhaseConfig,
                        check_run_plan, load_report, run_batch, save_report)
 from .faults import default_catalog, load_catalog
-from .model import (CorpusMeta, dumps_canonical, load_corpus_selection,
-                    load_corpus_summaries, read_lines, save_corpus)
+from .model import (CorpusMeta, dumps_canonical, load_corpus_summaries,
+                    load_indexed_traces, read_lines, save_corpus, save_corpus_index)
 from .planner import PlanConfig, save_plan
 from .scheduler import History, greedy_batch, load_run_plan, save_run_plan
 from .selection import (ComplexityWeights, SelectionError, load_selection_report,
@@ -39,6 +39,7 @@ from .templating import (ManualVariableRegistry, check_entry_payload, load_templ
                          save_templates)
 
 SECOND_US = 1_000_000
+CORPUS_INDEX = "corpus-index.jsonl"  # in the analysis directory
 
 
 def _parse_weights(text: str) -> ComplexityWeights:
@@ -121,13 +122,17 @@ def cmd_analyze(args) -> int:
     save_selection_report(analysis.ranked, corpus,
                           os.path.join(args.out_dir, "selection.jsonl"))
     save_templates(ordered, os.path.join(args.out_dir, "templates.jsonl"))
+    save_corpus_index(corpus, [s.trace_id for s in analysis.ranked],
+                      os.path.join(args.out_dir, CORPUS_INDEX))
     print(f"{len(analysis.clusters)} interfaces -> {args.out_dir}")
     return 0
 
 
 def cmd_plan(args) -> int:
-    ranked = load_selection_report(os.path.join(args.analysis, "selection.jsonl"))
-    corpus = load_corpus_selection(args.corpus, {s.trace_id for s in ranked})
+    selection = os.path.join(args.analysis, "selection.jsonl")
+    ranked = load_selection_report(selection)
+    corpus = load_indexed_traces(args.corpus, os.path.join(args.analysis, CORPUS_INDEX),
+                                 [s.trace_id for s in ranked], f"selection {selection}")
     catalog = _load_catalog(args.catalog)
     history = _load_history(args.history)
     plan_config = PlanConfig(n_services=args.n_services, seed=args.seed)
@@ -146,7 +151,8 @@ def cmd_run(args) -> int:
     plan = load_run_plan(args.run_plan)
     templates = load_templates(args.templates)
     catalog = _load_catalog(args.catalog)
-    check_run_plan(plan, topology, templates, catalog, f"run-plan {args.run_plan}")
+    check_run_plan(plan, topology, templates, catalog, f"run-plan {args.run_plan}",
+                   f"templates {args.templates}")
     for what, path in (("report", args.out), ("history", args.history)):
         folder = path and (os.path.dirname(path) or ".")  # written once every case ran
         if folder and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):

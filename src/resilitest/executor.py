@@ -267,20 +267,22 @@ class CampaignResult:
 
 
 def check_run_plan(plan: RunPlan, topology: TopologySpec, templates: list,
-                   catalog: dict, where: str) -> None:
+                   catalog: dict, where: str, templates_where: str) -> None:
     """Raise ExecutorError, prefixed by `where` and naming the run or case,
     unless every run and case trace has a template (a deferred case is
     re-hosted on its own trace), every case's fault is in `catalog` and
-    every case's service invokes its endpoint in `topology`. A case of a
-    plan that passes cannot fail on its own fields after earlier cases ran."""
+    every case's service invokes its endpoint in `topology`. A missing
+    template names `templates_where`, where `templates` come from. A case of
+    a plan that passes cannot fail on its own fields after earlier cases ran."""
     traces = {t.trace_id for t in templates}
     for index, run in enumerate(plan.runs):
         if run.trace_id not in traces:
-            raise ExecutorError(f"{where}: run {index}: no template for trace {run.trace_id}")
+            raise ExecutorError(f"{where}: run {index}: no template for trace "
+                                f"{run.trace_id} in {templates_where}")
         for case in run.cases:
             target = case.target
             if target.trace_id not in traces:
-                problem = f"no template for trace {target.trace_id}"
+                problem = f"no template for trace {target.trace_id} in {templates_where}"
             elif case.fault_id not in catalog:
                 problem = f"unknown fault {case.fault_id!r}"
             elif (target.service, target.endpoint) not in topology.units:

@@ -7,10 +7,12 @@ Payloads are flattened key-path -> scalar-string maps (nested documents use
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
@@ -124,12 +126,16 @@ class Corpus:
 
     traces: list = field(default_factory=list)
     meta: CorpusMeta = field(default_factory=lambda: CorpusMeta(0, "0"))
+    # of a file load_corpus_summaries read: its SHA-256, and each trace's
+    # line number and byte offset, interleaved, in the order of `traces`
+    sha256: str = ""
+    positions: array = field(default_factory=lambda: array("q"))
 
     @cached_property
     def endpoint_users(self) -> dict:
         """index_endpoint_users of `traces`, built on first use, so `traces`
-        must not change after; load_corpus_selection sets it to the index of
-        the whole file instead."""
+        must not change after; a stage that holds only some of a file's
+        traces sets it to the index of the whole file instead."""
         return index_endpoint_users(self.traces)
 
 
@@ -250,33 +256,6 @@ class CorpusVersionError(ValueError):
     pass
 
 
-def span_to_record(span: Span) -> dict:
-    return {
-        "id": span.span_id,
-        "parent": span.parent_id,
-        "service": span.service,
-        "endpoint": {
-            "component": span.endpoint.component,
-            "framework": span.endpoint.framework,
-            "method": span.endpoint.method,
-        },
-        "op": span.operation_name,
-        "req": span.request_payload,
-        "resp": span.response_payload,
-        "status": span.status,
-        "start_us": span.start_us,
-        "dur_us": span.duration_us,
-    }
-
-
-def trace_to_record(trace: Trace) -> dict:
-    return {
-        "trace_id": trace.trace_id,
-        "root": trace.root,
-        "spans": [span_to_record(s) for s in trace.spans],
-    }
-
-
 def _payload(rec: dict, key: str) -> dict:
     payload = rec[key] if key in rec else {}
     if payload.__class__ is not dict:
@@ -284,7 +263,7 @@ def _payload(rec: dict, key: str) -> dict:
     return payload
 
 
-def _decode_trace(rec: dict, endpoints: dict) -> Trace:
+def trace_from_record(rec: dict, endpoints: dict) -> Trace:
     """The Trace of one corpus record; `endpoints` maps each
     (component, framework, method) seen so far to its one Endpoint."""
     spans = []
@@ -306,6 +285,20 @@ def _decode_trace(rec: dict, endpoints: dict) -> Trace:
     if trace_id.__class__ is not str or root.__class__ is not str:
         raise TypeError(f"trace_id {trace_id!r} and root {root!r} must be strings")
     return Trace(trace_id, tuple(spans), root)
+
+
+def _decode_line(where: str, line, endpoints: dict) -> Trace:
+    """The Trace of corpus line `line` (text, or bytes in UTF-8), decoded by
+    trace_from_record and valid by validate_trace; else CorpusParseError at
+    `where`."""
+    try:
+        trace = trace_from_record(json.loads(line), endpoints)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorpusParseError(f"{where}: malformed trace record: {exc}") from exc
+    violations = validate_trace(trace)
+    if violations:
+        raise CorpusParseError(f"{where}: trace {trace.trace_id!r}: {violations[0]}")
+    return trace
 
 
 def dumps_canonical(obj) -> str:
@@ -332,15 +325,27 @@ def write_lines(path, lines: Iterable[str]) -> int:
     return count
 
 
-def read_lines(path, what: str):
+def read_lines(path, what: str, digest=None, positions: Optional[array] = None):
     """(where, line) for each non-blank line of `path`, stripped, in file
     order: the artifact line reader. `where`, `<what> <path> line <n>`,
-    prefixes each error about the line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    prefixes each error about the line, such as one that is not UTF-8. The
+    file's bytes are fed to `digest`, a hashlib object, and each line's
+    number and byte offset appended to `positions`, if they are given."""
+    offset = 0
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if digest is not None:
+                digest.update(raw)
+            where = f"{what} {path} line {line_no}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ValueError(f"{where}: not UTF-8") from None
             if line:
-                yield f"{what} {path} line {line_no}", line
+                if positions is not None:
+                    positions.extend((line_no, offset))
+                yield where, line
+            offset += len(raw)
 
 
 # The kinds of a record field: (name in messages, test). No kind holds a
@@ -351,6 +356,11 @@ INTEGER = ("an integer", lambda v: v.__class__ is int)
 COUNT = ("an integer >= 0", lambda v: v.__class__ is int and v >= 0)
 NUMBER = ("a finite number",
           lambda v: v.__class__ is int or (v.__class__ is float and math.isfinite(v)))
+TRIPLE = ("a list of three strings",
+          lambda v: v.__class__ is list and len(v) == 3 and all(s.__class__ is str for s in v))
+NAMES = ("a sorted list of distinct strings",
+         lambda v: (v.__class__ is list and all(s.__class__ is str for s in v)
+                    and v == sorted(set(v))))
 
 
 def check_kind(key: str, value, kind: tuple) -> None:
@@ -396,14 +406,13 @@ def read_records(path, what: str, fields: dict, closed: bool = False,
         yield where, record
 
 
-def save_corpus(traces: Iterable[Trace], path, meta: CorpusMeta) -> int:
-    """Write `traces`, an iterable read once, under a header with `meta`'s
-    seed and topology digest; `path` is replaced as write_lines does.
-    Returns the number of traces written."""
+def save_corpus(records: Iterable[dict], path, meta: CorpusMeta) -> int:
+    """Write `records`, corpus trace records in an iterable read once, under
+    a header with `meta`'s seed and topology digest; `path` is replaced as
+    write_lines does. Returns the number of traces written."""
     header = (f"{CORPUS_FORMAT} {CORPUS_VERSION} seed={meta.seed} "
               f"topology={meta.topology_digest}")
-    records = (dumps_canonical(trace_to_record(trace)) for trace in traces)
-    return write_lines(path, itertools.chain([header], records)) - 1
+    return write_lines(path, itertools.chain([header], map(dumps_canonical, records))) - 1
 
 
 def _read_header(lines, first: str) -> tuple:
@@ -432,29 +441,29 @@ class CorpusReader:
     repeats a trace ID or breaks a validate_trace rule raises
     CorpusParseError naming the file and line, after the traces before it were
     yielded; a bad header raises CorpusParseError or CorpusVersionError.
-    `meta` is set once the pass is complete.
+    `meta` and `sha256`, the file's, are set once the pass is complete;
+    `positions` holds the line number and byte offset of each trace yielded,
+    interleaved, in file order.
     """
 
     def __init__(self, path):
         self.path = path
         self.meta: Optional[CorpusMeta] = None
+        self.sha256: Optional[str] = None
+        self.positions = array("q")
 
     def __iter__(self):
-        lines = read_lines(self.path, "corpus")
+        sha256 = hashlib.sha256()
+        lines = read_lines(self.path, "corpus", sha256, self.positions)
         seed, digest = _read_header(lines, f"corpus {self.path} line 1")
+        del self.positions[:]  # the header's
         endpoints = {}
         seen_ids = set()
         start = end = None
         for where, line in lines:
-            try:
-                trace = _decode_trace(json.loads(line), endpoints)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusParseError(f"{where}: malformed trace record: {exc}") from exc
+            trace = _decode_line(where, line, endpoints)
             if trace.trace_id in seen_ids:
                 raise CorpusParseError(f"{where}: duplicate trace_id {trace.trace_id!r}")
-            violations = validate_trace(trace)
-            if violations:
-                raise CorpusParseError(f"{where}: trace {trace.trace_id!r}: {violations[0]}")
             seen_ids.add(trace.trace_id)
             # a valid trace's spans all lie inside its root: the root is
             # its whole share of the recording window
@@ -467,6 +476,7 @@ class CorpusReader:
         if start is None:
             start = end = 0
         self.meta = CorpusMeta(seed, digest, start, end)
+        self.sha256 = sha256.hexdigest()
 
 
 def load_corpus(path) -> Corpus:
@@ -493,30 +503,96 @@ def _compact_root(span: Span, strings: dict) -> Span:
 
 
 def load_corpus_summaries(path) -> Corpus:
-    """A corpus file's traces as TraceSummary views, in file order; the
-    strings of their root spans are shared across traces."""
+    """A corpus file's traces as TraceSummary views, in file order, with the
+    file's SHA-256, the positions of its traces and the endpoint_users index
+    of every trace; the strings of their root spans are shared across traces."""
     reader = CorpusReader(path)
     strings = {}
-    summaries = [TraceSummary(t.trace_id, _compact_root(t.root_span(), strings),
-                              t.span_count, t.diversity)
-                 for t in reader]
-    return Corpus(traces=summaries, meta=reader.meta)
+    summaries = []
+
+    def summarize():
+        for t in reader:
+            summaries.append(TraceSummary(t.trace_id, _compact_root(t.root_span(), strings),
+                                          t.span_count, t.diversity))
+            yield t
+
+    users = index_endpoint_users(summarize())
+    corpus = Corpus(summaries, reader.meta, reader.sha256, reader.positions)
+    corpus.endpoint_users = users
+    return corpus
 
 
-def load_corpus_selection(path, trace_ids) -> Corpus:
-    """The traces of a corpus file whose IDs are in `trace_ids`, with the
-    `endpoint_users` index of every trace in the file."""
-    reader = CorpusReader(path)
-    kept = []
+# The fields of a corpus index's records: its head, then an endpoint's
+# users or a trace's position
+INDEX_HEAD = {"corpus_sha256": STRING, "traces": COUNT}
+INDEX_USERS = {"endpoint": TRIPLE, "users": NAMES}
+INDEX_TRACE = {"trace_id": STRING, "line": COUNT, "offset": COUNT}
 
-    def keep_named():
-        for trace in reader:
-            if trace.trace_id in trace_ids:
-                kept.append(trace)
-            yield trace
 
-    users = index_endpoint_users(keep_named())
-    corpus = Corpus(traces=kept, meta=reader.meta)
+def save_corpus_index(corpus: Corpus, trace_ids: list, path) -> None:
+    """Write the index `plan` reads instead of the corpus file of `corpus`,
+    as load_corpus_summaries read it: a head with the file's SHA-256 and
+    trace count, each endpoint's users in endpoint order, and the line and
+    byte offset of each trace of `trace_ids`, in its order."""
+    located = dict.fromkeys(trace_ids)
+    for i, trace in enumerate(corpus.traces):
+        if trace.trace_id in located:
+            located[trace.trace_id] = corpus.positions[2 * i:2 * i + 2]
+    head = {"corpus_sha256": corpus.sha256, "traces": len(corpus.traces)}
+    users = ({"endpoint": [e.component, e.framework, e.method], "users": list(names)}
+             for e, names in sorted(corpus.endpoint_users.items()))
+    traces = ({"trace_id": trace_id, "line": line, "offset": offset}
+              for trace_id, (line, offset) in located.items())
+    write_lines(path, map(dumps_canonical, itertools.chain([head], users, traces)))
+
+
+def load_indexed_traces(path, index, trace_ids: list, named_by: str) -> Corpus:
+    """The traces of corpus file `path` that `trace_ids` lists, in its order,
+    read at the offsets in corpus index `index`, with its endpoint_users. The
+    corpus must have the SHA-256 the index holds, and the index must locate
+    each trace; `named_by`, where `trace_ids` come from, names them."""
+    if not os.path.isfile(index):
+        raise ValueError(f"corpus-index {index}: no such file; re-run analyze on "
+                         f"corpus {path} to write it")
+    head, users, located = None, {}, {}
+    for where, rec in read_records(index, "corpus-index", {}):
+        fields = (INDEX_HEAD if head is None else
+                  INDEX_TRACE if "trace_id" in rec else INDEX_USERS)
+        try:
+            check_fields(rec, fields, closed=True)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if head is None:
+            head = rec
+        elif fields is INDEX_USERS:
+            users[Endpoint(*rec["endpoint"])] = tuple(rec["users"])
+        else:
+            located[rec["trace_id"]] = where, rec
+    if head is None:
+        raise ValueError(f"corpus-index {index}: empty file")
+    with open(path, "rb") as fh:
+        sha256 = hashlib.sha256()
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            sha256.update(block)
+        if sha256.hexdigest() != head["corpus_sha256"]:
+            raise ValueError(f"corpus-index {index}: indexes a corpus with SHA-256 "
+                             f"{head['corpus_sha256']}, but corpus {path} has "
+                             f"{sha256.hexdigest()}; re-run analyze on it")
+        endpoints = {}
+        traces = []
+        for trace_id in trace_ids:
+            if trace_id not in located:
+                raise ValueError(f"{named_by}: trace {trace_id!r} is not in "
+                                 f"corpus-index {index}")
+            where, rec = located[trace_id]
+            fh.seek(rec["offset"])
+            trace = _decode_line(f"{where}: trace {trace_id!r} at corpus {path} line "
+                                 f"{rec['line']}", fh.readline(), endpoints)
+            if trace.trace_id != trace_id:
+                raise ValueError(f"{where}: offset {rec['offset']} of corpus {path} "
+                                 f"holds trace {trace.trace_id!r}, not {trace_id!r}")
+            traces.append(trace)
+    corpus = Corpus(traces)
     corpus.endpoint_users = users
     return corpus
 

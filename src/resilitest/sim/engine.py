@@ -29,8 +29,8 @@ from typing import Optional
 
 from ..faults import (DEFAULT_DELAY_US, EFFECT_DELAY, EFFECT_STATUS, EFFECT_THROW,
                       Effect, FaultSpec)
-from ..model import (Corpus, Endpoint, Span, Trace, dumps_canonical, new_corpus,
-                     span_status)
+from ..model import (Corpus, Endpoint, dumps_canonical, new_corpus, span_status,
+                     trace_from_record)
 from ..templating import EntryRequest
 from .topology import (ARG_LIT, ARG_REQ, BUG_NO_RETRY, ON_ERROR_CATCH,
                        ON_ERROR_PROPAGATE, OP_CALL, OP_CACHE, OP_DB, OP_MQ,
@@ -132,43 +132,42 @@ class EntryHandle:
         self.submitted_us = submitted_us
         self.completed = False
         self.response: Optional[Response] = None
-        self.trace: Optional[Trace] = None
+        self.trace: Optional[dict] = None  # the recorded trace's corpus record
         self.trace_id = trace_id
         self._recorder = None
         self.losses = 0  # failed non-best-effort writes an ok answer would hide
 
 
 class _Recorder:
-    __slots__ = ("spans", "_next")
+    """The spans of one trace, each kept as its corpus record."""
+
+    __slots__ = ("spans",)
 
     def __init__(self):
         self.spans = []
-        self._next = 0
 
     def open_span(self, parent, service, endpoint, op, req, start_us) -> dict:
-        span = {"id": f"s{self._next}", "parent": parent, "service": service,
-                "endpoint": endpoint, "op": op, "req": req, "resp": {},
-                "status": None, "start": start_us, "dur": None}
-        self._next += 1
+        span = {"id": f"s{len(self.spans)}", "parent": parent, "service": service,
+                "endpoint": {"component": endpoint.component, "framework": endpoint.framework,
+                             "method": endpoint.method},
+                "op": op, "req": req, "resp": {}, "status": None,
+                "start_us": start_us, "dur_us": None}
         self.spans.append(span)
         return span
 
     def close_span(self, span: dict, status: str, resp: dict, now_us: int) -> None:
         span["status"] = status
         span["resp"] = resp
-        span["dur"] = now_us - span["start"]
+        span["dur_us"] = now_us - span["start_us"]
 
-    def build(self, trace_id: str, root_id: str, now_us: int) -> Trace:
-        spans = []
-        for rec in self.spans:
-            dur = rec["dur"] if rec["dur"] is not None else now_us - rec["start"]
-            status = rec["status"] if rec["status"] is not None else span_status("incomplete")
-            spans.append(Span(
-                span_id=rec["id"], parent_id=rec["parent"], service=rec["service"],
-                endpoint=rec["endpoint"], operation_name=rec["op"],
-                request_payload=rec["req"], response_payload=rec["resp"],
-                status=status, start_us=rec["start"], duration_us=dur))
-        return Trace(trace_id=trace_id, spans=tuple(spans), root=root_id)
+    def build(self, trace_id: str, root_id: str, now_us: int) -> dict:
+        """The trace's corpus record. A span still open ends now, incomplete,
+        in a copy, so that the record does not change when it closes later."""
+        spans = [span if span["dur_us"] is not None else
+                 {**span, "status": span_status("incomplete"),
+                  "dur_us": now_us - span["start_us"]}
+                 for span in self.spans]
+        return {"trace_id": trace_id, "root": root_id, "spans": spans}
 
 
 class _ServiceState:
@@ -338,7 +337,7 @@ class System:
         self._run_events(math.inf, handle)
         if not handle.completed:
             raise SimError("request never completed (event queue drained)")
-        return handle.response, handle.trace
+        return handle.response, handle.trace and trace_from_record(handle.trace, {})
 
     def _route(self, line: str):
         if line in self._route_cache:
@@ -795,9 +794,10 @@ def replay_traffic(system: System, make_request, rate_per_sec: int,
 def record_traces(spec: TopologySpec, workload, seed: int):
     """Run the healthy system over (at_us, EntryRequest) workload entries, an
     iterable in time order (no at_us before the previous one) read once, and
-    yield each recorded trace in submission order, as soon as its request and
-    every earlier-submitted one have completed. An entry that no service
-    takes (no route, or a failed validation) raises RejectedEntry.
+    yield each recorded trace, as its corpus record, in submission order, as
+    soon as its request and every earlier-submitted one have completed. An
+    entry that no service takes (no route, or a failed validation) raises
+    RejectedEntry.
 
     Entry i is read once entry i-1 is posted, and posted (as post_request's
     `index` i) once every event before its at_us has run, so the events run
@@ -835,5 +835,6 @@ def record_traces(spec: TopologySpec, workload, seed: int):
 
 
 def record_corpus(spec: TopologySpec, workload: list, seed: int) -> Corpus:
-    """The corpus of every trace record_traces yields."""
-    return new_corpus(list(record_traces(spec, workload, seed)), seed, spec.digest())
+    """The corpus of every trace record_traces yields, decoded."""
+    return new_corpus([trace_from_record(record, {}) for record in
+                       record_traces(spec, workload, seed)], seed, spec.digest())

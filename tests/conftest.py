@@ -70,6 +70,34 @@ def make_trace(trace_id, spans):
     return Trace(trace_id=trace_id, spans=tuple(spans), root=spans[0].span_id)
 
 
+def span_to_record(span):
+    return {
+        "id": span.span_id,
+        "parent": span.parent_id,
+        "service": span.service,
+        "endpoint": {
+            "component": span.endpoint.component,
+            "framework": span.endpoint.framework,
+            "method": span.endpoint.method,
+        },
+        "op": span.operation_name,
+        "req": span.request_payload,
+        "resp": span.response_payload,
+        "status": span.status,
+        "start_us": span.start_us,
+        "dur_us": span.duration_us,
+    }
+
+
+def trace_to_record(trace):
+    """The corpus record of `trace`, which save_corpus writes."""
+    return {
+        "trace_id": trace.trace_id,
+        "root": trace.root,
+        "spans": [span_to_record(s) for s in trace.spans],
+    }
+
+
 def root_span(span_id="s0", line="GET /svc/a/b", req=None, resp=None,
               service="svc", start=0, dur=10_000, method="get"):
     return make_span(span_id, None, service=service, component="HTTP",

@@ -26,7 +26,7 @@ from resilitest.executor import (EffectiveCriteria, FAIL_VERDICTS,
                                  evaluate, load_report, run_batch)
 from resilitest.faults import faults_for_endpoint
 from resilitest.model import (compute_window, dumps_canonical,
-                              load_corpus_selection, new_corpus)
+                              load_indexed_traces, new_corpus)
 from resilitest.planner import PlanConfig, plan_targets, sample_services
 from resilitest.scheduler import Run, RunPlan, greedy_batch, load_run_plan
 from resilitest.selection import load_selection_report
@@ -57,6 +57,8 @@ SETUP_SHA256 = {
         "2b6ab6f2bd0e23cba8d9d2b3f8c6b23b7a8dcea798d3a187d1ff8661c806eef6",
     "analysis/templates.jsonl":
         "205c263ddcca779757aa8fbab71aff1e489339fd0c53cbe9db27301f398b5e92",
+    "analysis/corpus-index.jsonl":
+        "5aa37a536b0600ec2080bee03f9440d43fcf0d0bf78f172e61824d2e647e5921",
 }
 CAMPAIGN_ALL_RUNPLAN_SHA256 = \
     "5ca54e231898d28bef2d68c72a5437663662284b0d50e096e50a07e6fb3aad6d"
@@ -237,8 +239,9 @@ def test_criterion_4_granular_oracle_differential(pipeline, ref_topology, catalo
     assert len(units) == 2
     # what `plan` and `run` read of the set-up artifacts
     ranked = load_selection_report(pipeline / "analysis" / "selection.jsonl")
-    corpus = load_corpus_selection(pipeline / "corpus.txt",
-                                   {sel.trace_id for sel in ranked})
+    corpus = load_indexed_traces(pipeline / "corpus.txt",
+                                 pipeline / "analysis" / "corpus-index.jsonl",
+                                 [sel.trace_id for sel in ranked], "selection")
     templates = load_templates(pipeline / "analysis" / "templates.jsonl")
     traces = {t.trace_id: t for t in corpus.traces}
     checked = 0

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -121,9 +122,13 @@ def test_corpus_with_invalid_trace_exits_2(mini_files, capsys):
     expected = f"line 2: trace 't000000': [multiple-roots] span {rec['spans'][-1]['id']}"
     assert main(["analyze", "--corpus", str(corpus), "--out-dir", str(analysis)]) == 2
     assert expected in capsys.readouterr().err
+    # plan does not decode the corpus: it finds it is not the one analyzed
     assert main(["plan", "--corpus", str(corpus), "--analysis", str(analysis),
                  "--out-dir", str(tmp_path / "plans")]) == 2
-    assert expected in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: corpus-index {analysis / 'corpus-index.jsonl'}: ")
+    assert f"but corpus {corpus} has" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "plans").exists()
 
 
 def test_invalid_last_trace_fails_analyze_and_plan_before_any_write(mini_files, capsys):
@@ -142,12 +147,14 @@ def test_invalid_last_trace_fails_analyze_and_plan_before_any_write(mini_files, 
     assert main(["analyze", "--corpus", str(corpus),
                  "--out-dir", str(tmp_path / "analysis2")]) == 2
     assert expected in capsys.readouterr().err
-    assert main(["plan", "--corpus", str(corpus), "--analysis", str(analysis),
-                 "--out-dir", str(plans)]) == 2
-    assert expected in capsys.readouterr().err
-    assert main(["plan", "--corpus", str(corpus), "--analysis", str(analysis),
-                 "--out-dir", str(tmp_path / "plans2")]) == 2
-    assert expected in capsys.readouterr().err
+    mismatch = (f"error: corpus-index {analysis / 'corpus-index.jsonl'}: indexes a corpus "
+                f"with SHA-256 ")
+    for out_dir in (plans, tmp_path / "plans2"):
+        assert main(["plan", "--corpus", str(corpus), "--analysis", str(analysis),
+                     "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(mismatch) and f"but corpus {corpus} has" in err
+        assert len(err.splitlines()) == 1
     assert {p: p.read_bytes() for d in (analysis, plans) for p in d.iterdir()} == written
     assert not (tmp_path / "analysis2").exists()
     assert not (tmp_path / "plans2").exists()
@@ -632,11 +639,71 @@ def test_plan_rejects_selection_trace_missing_from_corpus(planned_files, tmp_pat
     first = json.loads((planned / "analysis" / "selection.jsonl").read_text().splitlines()[0])
     first["trace_id"] = "t999999"
     (analysis / "selection.jsonl").write_text(json.dumps(first) + "\n")
+    shutil.copy(planned / "analysis" / "corpus-index.jsonl", analysis)
     assert main(["plan", "--corpus", str(planned / "corpus.txt"), "--analysis",
                  str(analysis), "--top-k", "1", "--out-dir", str(tmp_path / "plans")]) == 2
-    assert (f"error: selection names trace 't999999' for interface "
-            f"{first['interface_id']}, which the corpus does not hold") in \
-        capsys.readouterr().err
+    assert (f"error: selection {analysis / 'selection.jsonl'}: trace 't999999' is not in "
+            f"corpus-index {analysis / 'corpus-index.jsonl'}") in capsys.readouterr().err
+
+
+def _plan_exits_2(planned, tmp_path, capsys, corpus, analysis, message):
+    """`plan` on `corpus` and `analysis` exits 2 with the one error line
+    `message` starts, and writes nothing."""
+    assert main(["plan", "--corpus", str(corpus), "--analysis", str(analysis),
+                 "--top-k", "all", "--out-dir", str(tmp_path / "plans")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "plans").exists()
+    return err
+
+
+def test_plan_rejects_the_analysis_of_another_corpus(planned_files, tmp_path, capsys):
+    planned, topo = planned_files
+    other = tmp_path / "corpus8.txt"
+    assert main(["simulate-record", "--topology", str(topo), "--workload",
+                 str(planned / "workload.jsonl"), "--seed", "8", "--out", str(other)]) == 0
+    index = planned / "analysis" / "corpus-index.jsonl"
+    err = _plan_exits_2(planned, tmp_path, capsys, other, planned / "analysis",
+                        f"corpus-index {index}: indexes a corpus with SHA-256 ")
+    assert f"but corpus {other} has " in err and err.endswith("; re-run analyze on it\n")
+
+
+def test_plan_rejects_a_corpus_edited_after_analyze(planned_files, tmp_path, capsys):
+    # still a valid corpus: its last trace dropped
+    planned, _topo = planned_files
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join((planned / "corpus.txt").read_text().splitlines(True)[:-1]))
+    err = _plan_exits_2(planned, tmp_path, capsys, corpus, planned / "analysis",
+                        f"corpus-index {planned / 'analysis' / 'corpus-index.jsonl'}: ")
+    assert f"but corpus {corpus} has " in err
+
+
+def test_plan_without_the_corpus_index_says_to_rerun_analyze(planned_files, tmp_path,
+                                                             capsys):
+    # an analysis directory written before analyze wrote the index
+    planned, _topo = planned_files
+    analysis = tmp_path / "analysis"
+    shutil.copytree(planned / "analysis", analysis)
+    (analysis / "corpus-index.jsonl").unlink()
+    corpus = planned / "corpus.txt"
+    _plan_exits_2(planned, tmp_path, capsys, corpus, analysis,
+                  f"corpus-index {analysis / 'corpus-index.jsonl'}: no such file; "
+                  f"re-run analyze on corpus {corpus} to write it")
+
+
+def test_plan_rejects_an_index_offset_at_another_trace(planned_files, tmp_path, capsys):
+    planned, _topo = planned_files
+    analysis = tmp_path / "analysis"
+    shutil.copytree(planned / "analysis", analysis)
+    index = analysis / "corpus-index.jsonl"
+    records = [json.loads(line) for line in index.read_text().splitlines()]
+    first, second = [rec for rec in records if "trace_id" in rec][:2]
+    first["offset"] = second["offset"]
+    index.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    err = _plan_exits_2(planned, tmp_path, capsys, planned / "corpus.txt", analysis,
+                        f"corpus-index {index} line {records.index(first) + 1}: ")
+    assert err.endswith(f"offset {second['offset']} of corpus {planned / 'corpus.txt'} "
+                        f"holds trace {second['trace_id']!r}, not {first['trace_id']!r}\n")
 
 
 @pytest.mark.parametrize("line, message", [

@@ -259,11 +259,14 @@ def test_check_run_plan_checks_every_case_trace(mini_setup):
     case = _mini_cases(analysis, corpus, catalog)[0]
     stray = replace(case, case_id="stray", target=replace(case.target, trace_id="t999999"))
     plan = RunPlan(runs=[Run(trace_id=case.target.trace_id, cases=[case, stray])])
-    with pytest.raises(ExecutorError, match="^plan: case stray: no template for trace t999999$"):
-        check_run_plan(plan, spec, list(analysis.templates.values()), catalog, "plan")
+    templates = list(analysis.templates.values())
+    with pytest.raises(ExecutorError, match="^plan: case stray: no template for trace "
+                                            "t999999 in templates$"):
+        check_run_plan(plan, spec, templates, catalog, "plan", "templates")
     unhosted = RunPlan(runs=[Run(trace_id="t999999", cases=[case])])
-    with pytest.raises(ExecutorError, match="^plan: run 0: no template for trace t999999$"):
-        check_run_plan(unhosted, spec, list(analysis.templates.values()), catalog, "plan")
+    with pytest.raises(ExecutorError, match="^plan: run 0: no template for trace "
+                                            "t999999 in templates$"):
+        check_run_plan(unhosted, spec, templates, catalog, "plan", "templates")
 
 
 def test_run_batch_skips_cases_passed_in_the_history(mini_setup):

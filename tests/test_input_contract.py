@@ -1,17 +1,20 @@
 """Generated input-contract test for the files the CLI reads.
 
-Each example takes one valid file of the mini campaign (selection,
-templates, report, workload, criteria or run plan), mutates one field of one
-record, repeats a record or adds a key (or, in the run plan, drops, repeats
-or swaps a line), and runs the CLI stage that reads the file. The stage must
-either succeed, or exit 2 with exactly one stderr line `error: <what> <path>
-...` and no traceback.
+Each example takes one valid file of the mini campaign (selection, corpus
+index, templates, report, workload, criteria or run plan), mutates one field
+of one record, repeats a record or adds a key (or, in the run plan, drops,
+repeats or swaps a line), and runs the CLI stage that reads the file. The
+stage must either succeed, or exit 2 with exactly one stderr line `error:
+<what> <path> ...` and no traceback; an error about a mismatch between the
+file and another one the stage reads may name the other file first. A line
+that is not UTF-8 must name its file and line.
 """
 
 import contextlib
 import io
 import json
 import math
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -67,13 +70,23 @@ def _run_args(d, templates, criteria=None):
             *(["--criteria", criteria] if criteria else [])]
 
 
+def _plan_args(sibling):
+    """The plan stage reading the analysis directory of `path`, into which
+    the valid `sibling`, the other analysis file plan reads, is copied."""
+    def argv(d, path):
+        shutil.copy(d / "analysis" / sibling, path.parent / sibling)
+        return ["plan", "--corpus", d / "corpus.txt", "--analysis", path.parent,
+                "--top-k", "all", "--out-dir", d / "out" / "plans"]
+    return argv
+
+
 # reader -> (the `what` its errors name, the valid file, whether the file is
 # one JSON document rather than one record a line, the stage reading `path`)
 READERS = {
     "selection": ("selection", "analysis/selection.jsonl", False,
-                  lambda d, path: ["plan", "--corpus", d / "corpus.txt",
-                                   "--analysis", path.parent, "--top-k", "all",
-                                   "--out-dir", d / "out" / "plans"]),
+                  _plan_args("corpus-index.jsonl")),
+    "corpus-index": ("corpus-index", "analysis/corpus-index.jsonl", False,
+                     _plan_args("selection.jsonl")),
     "templates": ("templates", "analysis/templates.jsonl", False,
                   lambda d, path: _run_args(d, path)),
     "report": ("report", "report.jsonl", False, lambda d, path: ["report", path]),
@@ -132,8 +145,39 @@ def test_a_mutated_input_file_loads_or_exits_2_naming_it(campaign, reader, data)
     if code != 0:
         assert code == 2
         assert len(err.splitlines()) == 1, err
-        assert err.startswith(f"error: {what} {path}"), err
+        # a mismatch with another file the stage reads may name that file first
+        assert err.startswith("error: ") and f" {what} {path}" in err, err
         assert "Traceback" not in err
+
+
+def _run_plan_args(d, path):
+    argv = _run_args(d, d / "analysis" / "templates.jsonl")
+    argv[argv.index("--run-plan") + 1] = path
+    return argv
+
+
+# each line reader above, and the run plan's and the corpus's:
+# reader -> (the `what` its errors name, the valid file, the stage reading `path`)
+LINE_READERS = {
+    **{reader: (what, name, argv)
+       for reader, (what, name, document, argv) in READERS.items() if not document},
+    "run-plan": ("run-plan", "plans/runplan.txt", _run_plan_args),
+    "corpus": ("corpus", "corpus.txt",
+               lambda d, path: ["analyze", "--corpus", path,
+                                "--out-dir", d / "out" / "analysis"]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(LINE_READERS))
+def test_a_line_that_is_not_utf8_exits_2_naming_its_file_and_line(campaign, reader):
+    what, name, argv = LINE_READERS[reader]
+    data = (campaign / name).read_bytes()
+    path = campaign / "not-utf8" / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data + b"\xff\xfe garbage\n")
+    (campaign / "out").mkdir(exist_ok=True)
+    line = data.count(b"\n") + 1
+    assert _run(argv(campaign, path)) == (2, f"error: {what} {path} line {line}: not UTF-8\n")
 
 
 # what a mutated run-plan field becomes: unknown IDs, IDs of the mini
@@ -181,9 +225,7 @@ def test_a_mutated_run_plan_runs_or_exits_2_naming_it(campaign, data):
     report = campaign / "out" / "report.jsonl"
     report.parent.mkdir(exist_ok=True)
     report.unlink(missing_ok=True)
-    argv = _run_args(campaign, campaign / "analysis" / "templates.jsonl")
-    argv[argv.index("--run-plan") + 1] = path
-    code, err = _run(argv)
+    code, err = _run(_run_plan_args(campaign, path))
     if code != 0:
         assert code == 2
         assert len(err.splitlines()) == 1, err

@@ -12,7 +12,7 @@ from resilitest.faults import default_catalog
 from resilitest.model import (Corpus, CorpusParseError, CorpusReader,
                               CorpusVersionError, Endpoint, Trace, Violation,
                               dumps_canonical, load_corpus, new_corpus,
-                              save_corpus, trace_to_record, validate_trace)
+                              save_corpus, validate_trace)
 from resilitest.planner import PlanConfig, plan_targets, save_plan
 from resilitest.scheduler import History, Run, RunPlan, save_run_plan
 from resilitest.selection import save_selection_report
@@ -21,7 +21,8 @@ from resilitest.sim.topology import save_topology
 from resilitest.sim.workload import save_workload
 from resilitest.templating import ManualVariableRegistry, save_templates
 
-from conftest import make_mini_topology, make_mini_workload, make_span, make_trace
+from conftest import (make_mini_topology, make_mini_workload, make_span, make_trace,
+                      trace_to_record)
 
 
 def test_minimal_valid_trace_has_empty_report():
@@ -188,7 +189,7 @@ def _random_trace(rng, trace_id):
 def test_corpus_round_trip_empty(tmp_path):
     corpus = new_corpus([], seed=3, topology_digest="abcd")
     path = tmp_path / "c.txt"
-    save_corpus(corpus.traces, path, corpus.meta)
+    save_corpus(map(trace_to_record, corpus.traces), path, corpus.meta)
     assert load_corpus(path) == corpus
 
 
@@ -197,7 +198,7 @@ def test_corpus_round_trip_generated_1000(tmp_path):
     traces = [_random_trace(rng, f"t{i:04d}") for i in range(1000)]
     corpus = new_corpus(traces, seed=17, topology_digest="ff00")
     path = tmp_path / "c.txt"
-    save_corpus(corpus.traces, path, corpus.meta)
+    save_corpus(map(trace_to_record, corpus.traces), path, corpus.meta)
     loaded = load_corpus(path)
     assert loaded == corpus
     assert loaded.meta.window_start_us == corpus.meta.window_start_us
@@ -208,7 +209,7 @@ def test_truncated_file_parse_error_names_final_record(tmp_path):
     corpus = new_corpus([_random_trace(rng, f"t{i}") for i in range(5)],
                         seed=1, topology_digest="aa")
     path = tmp_path / "c.txt"
-    save_corpus(corpus.traces, path, corpus.meta)
+    save_corpus(map(trace_to_record, corpus.traces), path, corpus.meta)
     data = path.read_bytes()
     path.write_bytes(data[:-20])  # chop the tail of the last record
     with pytest.raises(CorpusParseError) as err:
@@ -235,7 +236,7 @@ def test_duplicate_trace_ids_rejected(tmp_path):
     trace = _random_trace(rng, "dup")
     corpus = Corpus(traces=[trace, trace])
     path = tmp_path / "c.txt"
-    save_corpus(corpus.traces, path, corpus.meta)
+    save_corpus(map(trace_to_record, corpus.traces), path, corpus.meta)
     with pytest.raises(CorpusParseError):
         load_corpus(path)
 
@@ -247,7 +248,7 @@ def test_round_trip_property(seed, tmp_path_factory):
     traces = [_random_trace(rng, f"t{i}") for i in range(rng.randint(0, 8))]
     corpus = new_corpus(traces, seed=seed, topology_digest="55aa")
     path = tmp_path_factory.mktemp("prop") / "c.txt"
-    save_corpus(corpus.traces, path, corpus.meta)
+    save_corpus(map(trace_to_record, corpus.traces), path, corpus.meta)
     assert load_corpus(path) == corpus
 
 
@@ -276,7 +277,8 @@ def test_reader_yields_earlier_traces_before_a_malformed_line(tmp_path):
     rng = random.Random(8)
     first = _random_trace(rng, "t0")
     path = tmp_path / "c.txt"
-    save_corpus([first, _random_trace(rng, "t1")], path, new_corpus([], 1, "aa").meta)
+    save_corpus(map(trace_to_record, [first, _random_trace(rng, "t1")]), path,
+                new_corpus([], 1, "aa").meta)
     header, line2, _line3 = path.read_text().splitlines()
     path.write_text(f"{header}\n{line2}\n{{broken\n")
     traces = iter(CorpusReader(path))
@@ -301,7 +303,7 @@ def test_decoder_shares_one_endpoint_per_triple(tmp_path):
     rng = random.Random(9)
     corpus = new_corpus([_random_trace(rng, f"t{i}") for i in range(20)], 1, "aa")
     path = tmp_path / "c.txt"
-    save_corpus(corpus.traces, path, corpus.meta)
+    save_corpus(map(trace_to_record, corpus.traces), path, corpus.meta)
     endpoints = {}
     for trace in load_corpus(path).traces:
         for span in trace.spans:
@@ -312,7 +314,7 @@ def test_save_failure_midway_keeps_the_earlier_file(tmp_path):
     rng = random.Random(10)
     earlier = new_corpus([_random_trace(rng, f"t{i}") for i in range(3)], 1, "aa")
     path = tmp_path / "c.txt"
-    save_corpus(earlier.traces, path, earlier.meta)
+    save_corpus(map(trace_to_record, earlier.traces), path, earlier.meta)
     before = path.read_bytes()
 
     def traces_then_failure():
@@ -321,7 +323,7 @@ def test_save_failure_midway_keeps_the_earlier_file(tmp_path):
         raise RuntimeError("simulator failed")
 
     with pytest.raises(RuntimeError, match="simulator failed"):
-        save_corpus(traces_then_failure(), path, earlier.meta)
+        save_corpus(map(trace_to_record, traces_then_failure()), path, earlier.meta)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
 
@@ -362,7 +364,8 @@ def _writers(spec, corpus, analysis, cases, bad):
                         endpoint=Endpoint("Database", "jdbc", "select"),
                         fault_id="f0", rationale="r", verdict="PASS")
     return {
-        "save_corpus": lambda p: save_corpus([corpus.traces[0], bad], p, corpus.meta),
+        "save_corpus": lambda p: save_corpus(map(trace_to_record, [corpus.traces[0], bad]),
+                                             p, corpus.meta),
         "save_cluster_report": lambda p: save_cluster_report([analysis.clusters[0], bad], p),
         "save_selection_report": lambda p: save_selection_report(
             [analysis.ranked[0], bad], corpus, p),

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilitest.faults import parse_catalog
-from resilitest.model import Endpoint, trace_to_record, validate_trace
+from resilitest.model import (CorpusMeta, Endpoint, dumps_canonical, load_corpus,
+                              save_corpus, validate_trace)
 from resilitest.sim.engine import (_BASE_TIME_US, _CALL_OVERHEAD_US, _ENTRY_OVERHEAD_US,
                                    _JITTER, _derive_token,
                                    SimError, System, record_corpus, record_traces,
@@ -20,7 +21,7 @@ from resilitest.sim.topology import (FieldSpec, InterfaceSpec, RespField,
 from resilitest.sim.workload import load_workload, save_workload
 from resilitest.templating import EntryRequest
 
-from conftest import REF_TOPOLOGY, make_mini_topology, make_mini_workload
+from conftest import REF_TOPOLOGY, make_mini_topology, make_mini_workload, trace_to_record
 
 SECOND = 1_000_000
 
@@ -145,10 +146,23 @@ def test_streamed_traces_equal_one_run_to_idle():
     system.run_until_idle()
     submitted_in_completion_order = [submitted for _done, submitted, _ok, _lost in system._entry_log]
     assert submitted_in_completion_order != sorted(submitted_in_completion_order)
-    expected = [trace_to_record(h.trace) for h in handles if h.trace is not None]
-    streamed = [trace_to_record(t) for t in record_traces(spec, workload, seed=5)]
+    expected = [h.trace for h in handles if h.trace is not None]
+    streamed = list(record_traces(spec, workload, seed=5))
     assert streamed == expected
     assert [t["trace_id"] for t in streamed] == sorted(t["trace_id"] for t in streamed)
+
+
+@pytest.mark.parametrize("gap_us", [400_000, 1_000], ids=["apart", "overlapping"])
+def test_recorded_records_are_the_corpus_lines_of_their_decoded_traces(tmp_path, gap_us):
+    spec = make_mini_topology()
+    workload = make_mini_workload(spec, gap_us=gap_us)
+    path = tmp_path / "corpus.txt"
+    assert save_corpus(record_traces(spec, workload, seed=5), path,
+                       CorpusMeta(5, spec.digest())) == len(workload)
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    traces = load_corpus(path).traces
+    assert [dumps_canonical(trace_to_record(t)) for t in traces] == lines
+    assert [dumps_canonical(r) for r in record_traces(spec, workload, seed=5)] == lines
 
 
 def _order_request(at_us, token):
@@ -162,16 +176,16 @@ def test_streamed_workload_event_tied_with_a_simulator_event_keeps_its_order():
     # workflow: only the sequence numbers order the two events
     spec = make_mini_topology()
     workload = make_mini_workload(spec)
-    first = next(t for t in record_traces(spec, workload, seed=5) if len(t.spans) > 1)
-    index = int(first.trace_id[1:])
-    tie_us = first.spans[1].start_us
+    first = next(t for t in record_traces(spec, workload, seed=5) if len(t["spans"]) > 1)
+    index = int(first["trace_id"][1:])
+    tie_us = first["spans"][1]["start_us"]
     assert workload[index][0] < tie_us < workload[index + 1][0]
     workload.insert(index + 1, (tie_us, _order_request(tie_us, "tk-tie")))
     system = System(spec, 5, record_traces=True)
     handles = [system.post_request(request, at_us) for at_us, request in workload]
     system.run_until_idle()
-    expected = [trace_to_record(h.trace) for h in handles if h.trace is not None]
-    streamed = [trace_to_record(t) for t in record_traces(spec, workload, seed=5)]
+    expected = [h.trace for h in handles if h.trace is not None]
+    streamed = list(record_traces(spec, workload, seed=5))
     assert streamed == expected
 
 
@@ -638,10 +652,10 @@ def test_conservation_invocations_equal_recorded_spans():
     system.run_until_idle()
     per_endpoint = {}
     for handle in handles:
-        for span in handle.trace.spans:
-            if span.endpoint.framework == "server":
+        for span in handle.trace["spans"]:
+            if span["endpoint"]["framework"] == "server":
                 continue
-            key = (span.service, span.endpoint)
+            key = (span["service"], Endpoint(**span["endpoint"]))
             per_endpoint[key] = per_endpoint.get(key, 0) + 1
     units = {(svc.name, step.endpoint()) for svc, iface in spec.interfaces()
              for step in iface.workflow}
