@@ -1,4 +1,4 @@
-"""Span/trace data model and the line-delimited corpus file format.
+"""Span/trace data model, the line-delimited corpus file format and its index.
 
 A trace is the causally-ordered tree of spans produced by one entry request.
 Payloads are flattened key-path -> scalar-string maps (nested documents use
