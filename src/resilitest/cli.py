@@ -105,7 +105,7 @@ def cmd_simulate_record(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    corpus = load_corpus_summaries(args.corpus)
+    corpus, reader = load_corpus_summaries(args.corpus)
     registry = ManualVariableRegistry.load(args.registry) if args.registry else None
     try:
         analysis = analyze_corpus(corpus, weights=args.weights, registry=registry)
@@ -122,7 +122,7 @@ def cmd_analyze(args) -> int:
     save_selection_report(analysis.ranked, corpus,
                           os.path.join(args.out_dir, "selection.jsonl"))
     save_templates(ordered, os.path.join(args.out_dir, "templates.jsonl"))
-    save_corpus_index(corpus, [s.trace_id for s in analysis.ranked],
+    save_corpus_index(corpus, reader, [s.trace_id for s in analysis.ranked],
                       os.path.join(args.out_dir, CORPUS_INDEX))
     print(f"{len(analysis.clusters)} interfaces -> {args.out_dir}")
     return 0

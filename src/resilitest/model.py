@@ -126,10 +126,6 @@ class Corpus:
 
     traces: list = field(default_factory=list)
     meta: CorpusMeta = field(default_factory=lambda: CorpusMeta(0, "0"))
-    # of a file load_corpus_summaries read: its SHA-256, and each trace's
-    # line number and byte offset, interleaved, in the order of `traces`
-    sha256: str = ""
-    positions: array = field(default_factory=lambda: array("q"))
 
     @cached_property
     def endpoint_users(self) -> dict:
@@ -288,9 +284,8 @@ def trace_from_record(rec: dict, endpoints: dict) -> Trace:
 
 
 def _decode_line(where: str, line, endpoints: dict) -> Trace:
-    """The Trace of corpus line `line` (text, or bytes in UTF-8), decoded by
-    trace_from_record and valid by validate_trace; else CorpusParseError at
-    `where`."""
+    """The valid Trace of corpus line `line`, text or UTF-8 bytes; else
+    CorpusParseError at `where`."""
     try:
         trace = trace_from_record(json.loads(line), endpoints)
     except (KeyError, TypeError, ValueError) as exc:
@@ -441,20 +436,19 @@ class CorpusReader:
     repeats a trace ID or breaks a validate_trace rule raises
     CorpusParseError naming the file and line, after the traces before it were
     yielded; a bad header raises CorpusParseError or CorpusVersionError.
-    `meta` and `sha256`, the file's, are set once the pass is complete;
-    `positions` holds the line number and byte offset of each trace yielded,
-    interleaved, in file order.
+    `meta` is set once the pass is complete. The pass feeds the file's bytes
+    to `sha256`, a hashlib object, and appends the line number and byte
+    offset of each trace yielded to `positions`, interleaved, in file order.
     """
 
     def __init__(self, path):
         self.path = path
         self.meta: Optional[CorpusMeta] = None
-        self.sha256: Optional[str] = None
+        self.sha256 = hashlib.sha256()
         self.positions = array("q")
 
     def __iter__(self):
-        sha256 = hashlib.sha256()
-        lines = read_lines(self.path, "corpus", sha256, self.positions)
+        lines = read_lines(self.path, "corpus", self.sha256, self.positions)
         seed, digest = _read_header(lines, f"corpus {self.path} line 1")
         del self.positions[:]  # the header's
         endpoints = {}
@@ -476,7 +470,6 @@ class CorpusReader:
         if start is None:
             start = end = 0
         self.meta = CorpusMeta(seed, digest, start, end)
-        self.sha256 = sha256.hexdigest()
 
 
 def load_corpus(path) -> Corpus:
@@ -502,10 +495,10 @@ def _compact_root(span: Span, strings: dict) -> Span:
                 share(span.status, span.status), span.start_us, span.duration_us)
 
 
-def load_corpus_summaries(path) -> Corpus:
+def load_corpus_summaries(path) -> tuple:
     """A corpus file's traces as TraceSummary views, in file order, with the
-    file's SHA-256, the positions of its traces and the endpoint_users index
-    of every trace; the strings of their root spans are shared across traces."""
+    endpoint_users index of every trace, and the CorpusReader of the pass;
+    the strings of their root spans are shared across traces."""
     reader = CorpusReader(path)
     strings = {}
     summaries = []
@@ -517,9 +510,9 @@ def load_corpus_summaries(path) -> Corpus:
             yield t
 
     users = index_endpoint_users(summarize())
-    corpus = Corpus(summaries, reader.meta, reader.sha256, reader.positions)
+    corpus = Corpus(summaries, reader.meta)
     corpus.endpoint_users = users
-    return corpus
+    return corpus, reader
 
 
 # The fields of a corpus index's records: its head, then an endpoint's
@@ -529,20 +522,19 @@ INDEX_USERS = {"endpoint": TRIPLE, "users": NAMES}
 INDEX_TRACE = {"trace_id": STRING, "line": COUNT, "offset": COUNT}
 
 
-def save_corpus_index(corpus: Corpus, trace_ids: list, path) -> None:
-    """Write the index `plan` reads instead of the corpus file of `corpus`,
-    as load_corpus_summaries read it: a head with the file's SHA-256 and
+def save_corpus_index(corpus: Corpus, reader: CorpusReader, trace_ids: list, path) -> None:
+    """Write the index `plan` reads instead of the corpus file, as
+    load_corpus_summaries returned it: a head with the file's SHA-256 and
     trace count, each endpoint's users in endpoint order, and the line and
     byte offset of each trace of `trace_ids`, in its order."""
-    located = dict.fromkeys(trace_ids)
-    for i, trace in enumerate(corpus.traces):
-        if trace.trace_id in located:
-            located[trace.trace_id] = corpus.positions[2 * i:2 * i + 2]
-    head = {"corpus_sha256": corpus.sha256, "traces": len(corpus.traces)}
+    place = dict.fromkeys(trace_ids)  # each trace's index in the file
+    place.update((t.trace_id, i) for i, t in enumerate(corpus.traces) if t.trace_id in place)
+    head = {"corpus_sha256": reader.sha256.hexdigest(), "traces": len(corpus.traces)}
     users = ({"endpoint": [e.component, e.framework, e.method], "users": list(names)}
              for e, names in sorted(corpus.endpoint_users.items()))
-    traces = ({"trace_id": trace_id, "line": line, "offset": offset}
-              for trace_id, (line, offset) in located.items())
+    at = reader.positions
+    traces = ({"trace_id": trace_id, "line": at[2 * i], "offset": at[2 * i + 1]}
+              for trace_id, i in place.items())
     write_lines(path, map(dumps_canonical, itertools.chain([head], users, traces)))
 
 
