@@ -99,7 +99,7 @@ def cmd_simulate_record(args) -> int:
     except RejectedEntry as exc:  # entry i is the i-th non-blank line
         where, _line = next(itertools.islice(read_lines(args.workload, "workload"),
                                              exc.index, None))
-        raise ValueError(f"{where}: {exc.reason}") from None
+        raise ValueError(f"{where}: {exc.reason} in topology {args.topology}") from None
     print(f"recorded {count} traces -> {args.out}")
     return 0
 

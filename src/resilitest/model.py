@@ -274,9 +274,12 @@ def trace_from_record(rec: dict, endpoints: dict) -> Trace:
         endpoint = endpoints.get(key)
         if endpoint is None:
             endpoint = endpoints[key] = Endpoint(*key)
+        start_us, dur_us = s["start_us"], s["dur_us"]
+        if start_us.__class__ is not int or dur_us.__class__ is not int:
+            raise TypeError(f"span start_us {start_us!r} and dur_us {dur_us!r} must be integers")
         spans.append(Span(span_id, parent, s["service"], endpoint, s["op"],
                           _payload(s, "req"), _payload(s, "resp"), s["status"],
-                          int(s["start_us"]), int(s["dur_us"])))
+                          start_us, dur_us))
     trace_id, root = rec["trace_id"], rec["root"]
     if trace_id.__class__ is not str or root.__class__ is not str:
         raise TypeError(f"trace_id {trace_id!r} and root {root!r} must be strings")
@@ -343,8 +346,8 @@ def read_lines(path, what: str, digest=None, positions: Optional[array] = None):
             offset += len(raw)
 
 
-# The kinds of a record field: (name in messages, test). No kind holds a
-# bool, although JSON's true and false decode to a subclass of int.
+# The kinds of a record field: (name in messages, test). No kind but BOOLEAN
+# holds a bool, although JSON's true and false decode to a subclass of int.
 STRING = ("a string", lambda v: v.__class__ is str)
 OBJECT = ("an object", lambda v: v.__class__ is dict)
 INTEGER = ("an integer", lambda v: v.__class__ is int)
@@ -356,6 +359,18 @@ TRIPLE = ("a list of three strings",
 NAMES = ("a sorted list of distinct strings",
          lambda v: (v.__class__ is list and all(s.__class__ is str for s in v)
                     and v == sorted(set(v))))
+BOOLEAN = ("true or false", lambda v: v.__class__ is bool)
+POSITIVE = ("an integer >= 1", lambda v: v.__class__ is int and v >= 1)
+POSITIVE_OR_NULL = ("an integer >= 1 or null", lambda v: v is None or POSITIVE[1](v))
+OBJECTS = ("a list of objects", lambda v: v.__class__ is list and all(o.__class__ is dict for o in v))
+PAIRS = ("a list of [name, source] string pairs", lambda v: v.__class__ is list and all(
+    p.__class__ is list and len(p) == 2 and all(s.__class__ is str for s in p) for p in v))
+
+
+def one_of(*values) -> tuple:
+    """The kind of a field holding one of `values`, of the same type as it."""
+    return (f"one of {', '.join(map(repr, values))}",
+            lambda v: any(v.__class__ is w.__class__ and v == w for w in values))
 
 
 def check_kind(key: str, value, kind: tuple) -> None:

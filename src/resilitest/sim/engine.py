@@ -54,7 +54,6 @@ _JITTER = {base: (base - base // 4, base // 4 * 2 + 1, (base // 4 * 2 + 1).bit_l
 HANG_EXCEPTIONS = frozenset({"SocketTimeoutException"})
 
 _TIMEOUT = object()  # sentinel resuming a caller whose call timed out
-_HANG = ("hang",)  # instruction: the worker is leaked, never resumed
 _COMPLETE_US = itemgetter(0)  # of an entry-log or endpoint-event record
 # Entry i of a workload posted lazily in time order (post_request's `index`)
 # takes the sequence numbers 2i+1 and 2i+2 above this base: below every other
@@ -272,12 +271,11 @@ class System:
             seq = self._evseq
         heapq.heappush(self._heap, (at_us, seq, fn))
 
-    def _run_events(self, until_us, handle: Optional[EntryHandle] = None) -> None:
+    def _run_events(self, until_us) -> None:
         """Resume the suspended workflow or call the callable of each event
-        due by `until_us`, in order; stop early once `handle` has completed."""
+        due by `until_us`, in order."""
         heap, heappop, heappush = self._heap, heapq.heappop, heapq.heappush
-        while heap and heap[0][0] <= until_us and (handle is None
-                                                   or not handle.completed):
+        while heap and heap[0][0] <= until_us:
             at, _seq, item = heappop(heap)
             self.now_us = at
             if item.__class__ is not GeneratorType:
@@ -331,10 +329,11 @@ class System:
         return handle
 
     def submit_request(self, request: EntryRequest) -> tuple:
-        """Blocking submit: runs virtual time forward until this request
-        completes; returns (Response, recorded Trace or None)."""
+        """Blocking submit: runs virtual time forward, one instant at a time,
+        until this request completes; returns (Response, recorded Trace or None)."""
         handle = self.post_request(request)
-        self._run_events(math.inf, handle)
+        while not handle.completed and self._heap:
+            self._run_events(self._heap[0][0])
         if not handle.completed:
             raise SimError("request never completed (event queue drained)")
         return handle.response, handle.trace and trace_from_record(handle.trace, {})
@@ -453,28 +452,24 @@ class System:
         self._follow(proc, instr)
 
     def _follow(self, proc, instr) -> None:
-        """Carry out the instruction `proc` yielded."""
-        if instr.__class__ is not tuple:  # a wait, in microseconds
+        """Carry out the instruction `proc` yielded: a wait (in us) or a call."""
+        if instr.__class__ is not tuple:
             if instr < 0:
                 raise SimError(f"cannot wait a negative time ({instr} us)")
             self._evseq += 1
             heapq.heappush(self._heap, (self.now_us + instr, self._evseq, proc))
             return
-        kind = instr[0]
-        if kind == "call":
-            _kind, target_service, line, payload, timeout_us, parent_span, entry = instr
-            done = []
+        target_service, line, payload, timeout_us, parent_span, entry = instr
+        done = []
 
-            def resume(value):  # with the response or _TIMEOUT, whichever is first
-                if not done:
-                    done.append(True)
-                    self._drive(proc, value)
+        def resume(value):  # with the response or _TIMEOUT, whichever is first
+            if not done:
+                done.append(True)
+                self._drive(proc, value)
 
-            self._admit_call(target_service, line, payload, parent_span, entry, resume)
-            if timeout_us is not None:
-                self._schedule_at(self.now_us + timeout_us, lambda: resume(_TIMEOUT))
-        elif kind != "hang":  # a hung worker is leaked on purpose, never resumed
-            raise SimError(f"unknown instruction {kind!r}")
+        self._admit_call(target_service, line, payload, parent_span, entry, resume)
+        if timeout_us is not None:
+            self._schedule_at(self.now_us + timeout_us, lambda: resume(_TIMEOUT))
 
     def _admit_call(self, target_service, line, payload, parent_span, entry,
                     on_resp) -> None:
@@ -541,10 +536,9 @@ class System:
                 if kind == EFFECT_THROW:
                     exc, payload = effect.exception, {}
                     if exc in HANG_EXCEPTIONS:
-                        if timeout is None:
+                        if timeout is None:  # the worker is leaked: never answers
                             unit.events.append((start, start, False))
-                            yield _HANG
-                            raise AssertionError("hung process resumed")
+                            return
                         yield timeout
                     else:
                         yield _THROW_LATENCY_US
@@ -565,7 +559,7 @@ class System:
                         r = getrandbits(bits)
                     yield low + r
                     if step.op == OP_CALL:
-                        resp = yield ("call", step.target_service, step.target_line,
+                        resp = yield (step.target_service, step.target_line,
                                       dict(args), timeout, span, entry)
                         if resp is _TIMEOUT:
                             exc, payload = "SocketTimeoutException", {}

@@ -16,7 +16,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
-from ..model import WRITE_METHODS, Endpoint, dumps_canonical, write_lines
+from ..model import (BOOLEAN, COUNT, INTEGER, OBJECTS, PAIRS, POSITIVE,
+                     POSITIVE_OR_NULL, STRING, WRITE_METHODS, Endpoint, check_fields,
+                     dumps_canonical, one_of, write_lines)
 
 ON_ERROR_PROPAGATE = "propagate"
 ON_ERROR_CATCH = "catch_and_degrade"
@@ -53,11 +55,6 @@ ARG_SOURCE = re.compile(r"req\.|lit:|out:[0-9]+(\.|$)")
 RESP_SOURCE = re.compile(r"(lit|echo|derive):|token\Z")
 
 DEFAULT_TIMEOUT_US = 1_000_000
-DEFAULT_WORKERS = 4
-DEFAULT_QUEUE_LIMIT = 64
-DEFAULT_BOOT_US = 30_000_000
-DEFAULT_ENTRY_DEADLINE_US = 5_000_000
-DEFAULT_VALIDATION_SKEW_US = 30_000_000
 
 
 class TopologyError(ValueError):
@@ -145,7 +142,7 @@ class InterfaceSpec:
                            tuple(fs.path for fs in self.fields if fs.echo))
         plan = []
         for rf in self.resp_fields:
-            match = isinstance(rf.source, str) and RESP_SOURCE.match(rf.source)
+            match = RESP_SOURCE.match(rf.source)
             if match:
                 plan.append((rf.path, match[1] or "token", rf.source[match.end():]))
         object.__setattr__(self, "resp_plan", tuple(plan))
@@ -166,8 +163,8 @@ class InterfaceSpec:
 class ServiceSpec:
     name: str
     interfaces: tuple = ()
-    workers: int = DEFAULT_WORKERS
-    queue_limit: int = DEFAULT_QUEUE_LIMIT
+    workers: int = 4
+    queue_limit: int = 64
 
 
 @dataclass(frozen=True)
@@ -175,9 +172,9 @@ class TopologySpec:
     name: str
     seed: int
     services: tuple = ()
-    boot_us: int = DEFAULT_BOOT_US
-    entry_deadline_us: int = DEFAULT_ENTRY_DEADLINE_US
-    validation_skew_us: int = DEFAULT_VALIDATION_SKEW_US
+    boot_us: int = 30_000_000
+    entry_deadline_us: int = 5_000_000
+    validation_skew_us: int = 30_000_000
 
     def digest(self) -> str:
         return hashlib.sha256(dumps_canonical(topology_to_record(self)).encode()).hexdigest()[:16]
@@ -230,19 +227,9 @@ class TopologySpec:
         return replace(self, name=f"{self.name}-bugfree", services=tuple(services))
 
 
-def _check_count(where: str, name: str, value, least: int) -> None:
-    if type(value) is not int or value < least:  # bools are not counts
-        raise TopologyError(f"{where}: {name} must be an integer >= {least}, got {value!r}")
-
-
 def validate_topology(spec: TopologySpec) -> None:
-    """Reject invariant violations with their locations."""
-    for name, least in (("boot_us", 0), ("entry_deadline_us", 1),
-                        ("validation_skew_us", 0)):
-        _check_count(f"topology {spec.name}", name, getattr(spec, name), least)
-    for svc in spec.services:
-        _check_count(svc.name, "workers", svc.workers, 1)
-        _check_count(svc.name, "queue_limit", svc.queue_limit, 0)
+    """Reject records that do not fit together, naming the place: the kind
+    and range of each value are the reader's check."""
     names = [s.name for s in spec.services]
     if len(names) != len(set(names)):
         dupes = sorted({n for n in names if names.count(n) > 1})
@@ -257,26 +244,12 @@ def validate_topology(spec: TopologySpec) -> None:
 
     for svc, iface in spec.interfaces():
         where = f"{svc.name} {iface.line}"
-        for fs in iface.fields:
-            if fs.kind not in FIELD_KINDS:
-                raise TopologyError(f"{where}: field {fs.path!r} has unknown kind {fs.kind!r}")
-            if fs.validate not in VALIDATIONS:
-                raise TopologyError(f"{where}: field {fs.path!r} has unknown validation {fs.validate!r}")
         for rf in iface.resp_fields:
-            if not (isinstance(rf.source, str) and RESP_SOURCE.match(rf.source)):
+            if not RESP_SOURCE.match(rf.source):
                 raise TopologyError(f"{where}: response field {rf.path!r} has unknown "
                                     f"source {rf.source!r}")
         for idx, step in enumerate(iface.workflow):
             loc = f"{where} step {idx}"
-            if step.op not in OPS:
-                raise TopologyError(f"{loc}: unknown op {step.op!r}")
-            if step.on_error not in ON_ERRORS:
-                raise TopologyError(f"{loc}: unknown on_error {step.on_error!r}")
-            _check_count(loc, "retries", step.retries, 0)
-            if step.timeout_us is not None:
-                _check_count(loc, "timeout_us", step.timeout_us, 1)
-            if step.bug and step.bug not in BUG_FLAGS:
-                raise TopologyError(f"{loc}: unknown bug flag {step.bug!r}")
             if step.async_step and step.on_error == ON_ERROR_PROPAGATE:
                 raise TopologyError(f"{loc}: async steps cannot propagate errors")
             if step.bug == BUG_MISSING_TIMEOUT and step.timeout_us is not None:
@@ -324,20 +297,6 @@ def _step_record(step: Step) -> dict:
     return rec
 
 
-def _step_from(rec: dict) -> Step:
-    return Step(
-        op=rec["op"], method=rec["method"], framework=rec["framework"],
-        args=tuple((k, v) for k, v in rec.get("args", [])),
-        table=rec.get("table", ""), topic=rec.get("topic", ""),
-        target_service=rec.get("target_service", ""),
-        target_line=rec.get("target_line", ""),
-        component=rec.get("component", ""),
-        timeout_us=rec.get("timeout_us"), retries=rec.get("retries", 0),
-        async_step=rec.get("async", False), on_error=rec.get("on_error", ON_ERROR_PROPAGATE),
-        best_effort=rec.get("best_effort", False), bug=rec.get("bug", ""),
-    )
-
-
 def topology_to_record(spec: TopologySpec) -> dict:
     return {
         "format": "resilitest-topology",
@@ -373,57 +332,68 @@ def topology_to_record(spec: TopologySpec) -> dict:
     }
 
 
-def _objects(rec: dict, key: str) -> list:
-    """The list of objects under `key` of `rec` (none if absent)."""
-    items = rec.get(key, [])
-    if type(items) is not list or any(type(item) is not dict for item in items):
-        raise TopologyError(f"{key} must be a list of objects")
-    return items
+# Each topology record's keys: (required, optional), key -> kind. The reader
+# passes them to the record's dataclass, with uri, resp and async renamed.
+_DOCUMENT = ({"format": one_of("resilitest-topology"), "version": one_of(1),
+              "name": STRING, "seed": INTEGER},
+             {"services": OBJECTS, "boot_us": COUNT, "entry_deadline_us": POSITIVE,
+              "validation_skew_us": COUNT})
+_SERVICE = ({"name": STRING}, {"interfaces": OBJECTS, "workers": POSITIVE, "queue_limit": COUNT})
+_INTERFACE = ({"method": STRING, "uri": STRING}, {"compensate": BOOLEAN, "fields": OBJECTS,
+                                                  "resp": OBJECTS, "workflow": OBJECTS})
+_FIELD = ({"path": STRING}, {"kind": one_of(*FIELD_KINDS), "validate": one_of(*VALIDATIONS),
+                             "echo": BOOLEAN, "value": STRING})
+_RESP = ({"path": STRING, "source": STRING}, {})
+_STEP = ({"op": one_of(*OPS), "method": STRING, "framework": STRING,
+          "timeout_us": POSITIVE_OR_NULL},
+         {"args": PAIRS, "table": STRING, "topic": STRING, "target_service": STRING,
+          "target_line": STRING, "component": STRING, "retries": COUNT, "async": BOOLEAN,
+          "on_error": one_of(*ON_ERRORS), "best_effort": BOOLEAN, "bug": one_of("", *BUG_FLAGS)})
+_RENAME = {"uri": "uri_template", "resp": "resp_fields", "async": "async_step"}
 
 
-def topology_from_record(rec: dict) -> TopologySpec:
-    if type(rec) is not dict or rec.get("format") != "resilitest-topology":
-        raise TopologyError("not a resilitest topology document")
-    if rec.get("version") != 1:
-        raise TopologyError(f"unsupported topology version {rec.get('version')!r}")
-    services = []
-    records = _objects(rec, "services")
+def _checked(rec, place: str, keys: tuple) -> dict:
+    """`rec`, once check_fields finds in it the `keys` and no other key; else
+    TopologyError at `place`."""
     try:
-        for n, svc in enumerate(records):
-            where = f"services[{n}]"  # the service, interface or step being read
-            name = where = svc["name"]
-            interfaces = []
-            for i in _objects(svc, "interfaces"):
-                where = line = f"{name} {i['method']} {i['uri']}"
-                fields = tuple(FieldSpec(path=f["path"], kind=f.get("kind", "data"),
-                                         validate=f.get("validate", VALIDATE_NONE),
-                                         echo=f.get("echo", False), value=f.get("value", ""))
-                               for f in _objects(i, "fields"))
-                resp_fields = tuple(RespField(path=r["path"], source=r["source"])
-                                    for r in _objects(i, "resp"))
-                workflow = []
-                for idx, step in enumerate(_objects(i, "workflow")):
-                    where = f"{line} step {idx}"
-                    workflow.append(_step_from(step))
-                interfaces.append(InterfaceSpec(
-                    method=i["method"], uri_template=i["uri"],
-                    compensate=i.get("compensate", False), fields=fields,
-                    resp_fields=resp_fields, workflow=tuple(workflow)))
-            services.append(ServiceSpec(name=name, interfaces=tuple(interfaces),
-                                        workers=svc.get("workers", DEFAULT_WORKERS),
-                                        queue_limit=svc.get("queue_limit", DEFAULT_QUEUE_LIMIT)))
-    except KeyError as exc:
-        raise TopologyError(f"{where}: missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise TopologyError(f"{where}: {exc}") from None
-    spec = TopologySpec(
-        name=rec.get("name", "unnamed"),
-        seed=rec.get("seed", 0),
-        services=tuple(services),
-        boot_us=rec.get("boot_us", DEFAULT_BOOT_US),
-        entry_deadline_us=rec.get("entry_deadline_us", DEFAULT_ENTRY_DEADLINE_US),
-        validation_skew_us=rec.get("validation_skew_us", DEFAULT_VALIDATION_SKEW_US),
-    )
+        return check_fields(rec, *keys, closed=True)
+    except ValueError as exc:
+        raise TopologyError(f"{place}: {exc}") from None
+
+
+def _spec(cls, rec: dict, **built):
+    """The `cls` of the checked record `rec`: each key that names a field
+    of `cls`, once renamed, gives its value, or `built` does."""
+    given = {_RENAME.get(key, key): value for key, value in rec.items()}
+    given.update(built)
+    return cls(**{key: given[key] for key in cls.__dataclass_fields__ if key in given})
+
+
+def _name(rec, fallback: str) -> str:
+    """The name `rec` gives itself, if it is a record with a string name."""
+    name = rec.get("name") if rec.__class__ is dict else None
+    return name if name.__class__ is str else fallback
+
+
+def topology_from_record(rec) -> TopologySpec:
+    """The topology a document holds; else TopologyError names the place at fault."""
+    _checked(rec, f"topology {_name(rec, 'unnamed')}", _DOCUMENT)
+    services = []
+    for n, svc in enumerate(rec.get("services", ())):
+        name = _checked(svc, _name(svc, f"services[{n}]"), _SERVICE)["name"]
+        interfaces = []
+        for i in svc.get("interfaces", ()):
+            line = f"{name} {i.get('method')} {i.get('uri')}"
+            _checked(i, line, _INTERFACE)
+            workflow = tuple(_spec(Step, _checked(step, f"{line} step {idx}", _STEP),
+                                   args=tuple(map(tuple, step.get("args", ()))))
+                             for idx, step in enumerate(i.get("workflow", ())))
+            interfaces.append(_spec(
+                InterfaceSpec, i, workflow=workflow,
+                fields=tuple(FieldSpec(**_checked(f, line, _FIELD)) for f in i.get("fields", ())),
+                resp_fields=tuple(RespField(**_checked(r, line, _RESP)) for r in i.get("resp", ()))))
+        services.append(_spec(ServiceSpec, svc, interfaces=tuple(interfaces)))
+    spec = _spec(TopologySpec, rec, services=tuple(services))
     validate_topology(spec)
     return spec
 

@@ -471,10 +471,10 @@ PLACE_STEP = ("services", 1, "interfaces", 0, "workflow", 1)
 
 @pytest.mark.parametrize("keys, value, message", [
     ((*PLACE_STEP, "op"), _DROP,
-     "front POST /front/orders/place/{item} step 1: missing field 'op'"),
+     "front POST /front/orders/place/{item} step 1: missing op"),
     (("services", 1, "interfaces"), 3, "front: interfaces must be a list of objects"),
-    (("services",), {"front": {}}, "services must be a list of objects"),
-    (("services", 1, "name"), _DROP, "services[1]: missing field 'name'"),
+    (("services",), {"front": {}}, "topology mini: services must be a list of objects"),
+    (("services", 1, "name"), _DROP, "services[1]: missing name"),
     ((*PLACE_STEP, "args", 0, 1), "out:abc.x",
      "front POST /front/orders/place/{item} step 1: bad arg source 'out:abc.x'"),
     (("services", 1, "interfaces", 0, "resp", 0, "source"), "lti:oops",
@@ -527,6 +527,22 @@ def test_analyze_rejects_malformed_root_request_line(planned_files, tmp_path, ca
         capsys, ["analyze", "--corpus", str(corpus), "--out-dir", str(tmp_path / "analysis")],
         f"corpus {corpus}: trace {rec['trace_id']}: malformed request line 'nonsense': "
         f"expected 'METHOD /path'")
+    assert not (tmp_path / "analysis").exists()
+
+
+@pytest.mark.parametrize("dur_us", [10.25, "10", True])
+def test_analyze_rejects_a_span_time_that_is_not_an_integer(planned_files, tmp_path,
+                                                           capsys, dur_us):
+    planned, _topo = planned_files
+    header, first, *_rest = (planned / "corpus.txt").read_text().splitlines()
+    rec = json.loads(first)
+    rec["spans"][-1]["dur_us"] = dur_us
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"{header}\n{json.dumps(rec)}\n")
+    _exits_2_with_error_line(
+        capsys, ["analyze", "--corpus", str(corpus), "--out-dir", str(tmp_path / "analysis")],
+        f"corpus {corpus} line 2: malformed trace record: span start_us "
+        f"{rec['spans'][-1]['start_us']} and dur_us {dur_us!r} must be integers")
     assert not (tmp_path / "analysis").exists()
 
 

@@ -1,13 +1,14 @@
 """Generated input-contract test for the files the CLI reads.
 
 Each example takes one valid file of the mini campaign (selection, corpus
-index, templates, report, workload, criteria or run plan), mutates one field
-of one record, repeats a record or adds a key (or, in the run plan, drops,
-repeats or swaps a line), and runs the CLI stage that reads the file. The
-stage must either succeed, or exit 2 with exactly one stderr line `error:
-<what> <path> ...` and no traceback; only a templates file or corpus index
-that lacks a trace the run plan or selection names may be named after that
-file. A line that is not UTF-8 must name its file and line.
+index, templates, report, workload, criteria, topology or run plan), mutates
+one field of one record or of an object below it, repeats a record or adds a
+key (or, in the run plan, drops, repeats or swaps a line), and runs the CLI
+stage that reads the file. The stage must either succeed, or exit 2 with
+exactly one stderr line `error: <what> <path> ...` and no traceback; only a
+templates file or corpus index that lacks a trace the run plan or selection
+names, or a topology no service of which takes a workload entry, may be
+named after that file. A line that is not UTF-8 must name its file and line.
 """
 
 import contextlib
@@ -95,16 +96,25 @@ READERS = {
                                   "--workload", path, "--out", d / "out" / "corpus.txt"]),
     "criteria": ("criteria", "criteria.json", True,
                  lambda d, path: _run_args(d, d / "analysis" / "templates.jsonl", path)),
+    "topology": ("topology", "topology.json", True,
+                 lambda d, path: ["simulate-record", "--topology", path,
+                                  "--workload", d / "workload.jsonl",
+                                  "--out", d / "out" / "corpus.txt"]),
 }
 
 
-def _fields(rec) -> list:
-    """The path of each field of `rec` and of each field one object below."""
+def _fields(rec, above=()) -> list:
+    """The path of each field of `rec`, and of each field of every object
+    below it, held in a field or in a list in a field."""
     paths = []
     for key, value in rec.items():
-        paths.append((key,))
+        paths.append((*above, key))
         if isinstance(value, dict):
-            paths.extend((key, inner) for inner in value)
+            paths.extend(_fields(value, (*above, key)))
+        elif isinstance(value, list):
+            for index, inner in enumerate(value):
+                if isinstance(inner, dict):
+                    paths.extend(_fields(inner, (*above, key, index)))
     return paths
 
 
@@ -129,10 +139,12 @@ def _mutate(records: list, data) -> list:
 
 
 # reader -> (how an error starts, how it ends) when the mutated file lacks a
-# trace that another file the stage reads names: that file is named first
+# trace or an interface that another file the stage reads names: that file is
+# named first
 MISMATCHES = {
     "templates": ("error: run-plan ", " in templates {path}\n"),
     "corpus-index": ("error: selection ", " is not in corpus-index {path}\n"),
+    "topology": ("error: workload ", " in topology {path}\n"),
 }
 
 
@@ -158,6 +170,55 @@ def test_a_mutated_input_file_loads_or_exits_2_naming_it(campaign, reader, data)
                 or (first and err.startswith(first)
                     and err.endswith(last.format(path=path)))), err
         assert "Traceback" not in err
+
+
+_FRONT = ("services", 1, "interfaces", 0)
+_PLACE = "front POST /front/orders/place/{item}"
+_RENAMED = object()
+
+# topology fields that once loaded with another meaning than they state, or
+# crashed the stage: case -> (the record's path, its key, the key's new
+# value or _RENAMED for the key renamed to `timeout`, the error after the path)
+MALFORMED_TOPOLOGIES = {
+    "timeout-misspelled": ((*_FRONT, "workflow", 1), "timeout_us", _RENAMED,
+                           f"{_PLACE} step 1: missing timeout_us"),
+    "compensate-string": (_FRONT, "compensate", "false",
+                          f"{_PLACE}: compensate must be true or false, got 'false'"),
+    "best-effort-string": ((*_FRONT, "workflow", 1), "best_effort", "no",
+                           f"{_PLACE} step 1: best_effort must be true or false, got 'no'"),
+    "table-number": ((*_FRONT, "workflow", 0), "table", 3,
+                     f"{_PLACE} step 0: table must be a string, got 3"),
+    "name-list": ((), "name", ["mini"],
+                  "topology unnamed: name must be a string, got ['mini']"),
+    "seed-string": ((), "seed", "11", "topology mini: seed must be an integer, got '11'"),
+    "uri-number": (_FRONT, "uri", 3, "front POST 3: uri must be a string, got 3"),
+    "response-path-number": ((*_FRONT, "resp", 0), "path", 3,
+                             f"{_PLACE}: path must be a string, got 3"),
+}
+
+
+@pytest.mark.parametrize("stage", ["simulate-record", "run"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_TOPOLOGIES))
+def test_a_malformed_topology_exits_2_naming_its_file_and_place(campaign, case, stage):
+    keys, key, value, message = MALFORMED_TOPOLOGIES[case]
+    rec = json.loads((campaign / "topology.json").read_text())
+    holder = rec
+    for inner in keys:
+        holder = holder[inner]
+    if value is _RENAMED:
+        holder["timeout"] = holder.pop(key)
+    else:
+        holder[key] = value
+    path = campaign / "malformed" / f"{case}.json"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(rec))
+    (campaign / "out").mkdir(exist_ok=True)
+    if stage == "run":
+        argv = _run_args(campaign, campaign / "analysis" / "templates.jsonl")
+        argv[argv.index("--topology") + 1] = path
+    else:
+        argv = READERS["topology"][3](campaign, path)
+    assert _run(argv) == (2, f"error: topology {path}: {message}\n")
 
 
 def _run_plan_args(d, path):

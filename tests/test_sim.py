@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import fields, replace
@@ -104,8 +105,8 @@ def test_topology_number_out_of_range_rejected(where, key, value, least):
                 "service": "front", "topology": "topology mini"}[where]
     with pytest.raises(TopologyError) as excinfo:
         topology_from_record(rec)
-    assert str(excinfo.value) == (f"{location}: {key} must be an integer >= {least}, "
-                                  f"got {value!r}")
+    kind = f"an integer >= {least}" + (" or null" if key == "timeout_us" else "")
+    assert str(excinfo.value) == f"{location}: {key} must be {kind}, got {value!r}"
 
 
 def test_malformed_topology_file(tmp_path):
@@ -756,3 +757,32 @@ def test_the_shipped_topology_record_and_digest_keep_their_values(ref_topology):
     with open(REF_TOPOLOGY, encoding="utf-8") as fh:
         assert topology_to_record(ref_topology) == json.load(fh)
     assert ref_topology.digest() == "62e43596a8e0bf40"
+
+
+# --- the event stream ---------------------------------------------------------
+
+def test_the_event_stream_of_a_faulted_mini_run_keeps_its_values(catalog):
+    # a pin on the simulator itself: an engine change that runs one event
+    # more or fewer, or draws one jitter more or in another order, fails here
+    # before any campaign digest moves. The run takes a slow-database fault,
+    # blocking submits, and a socket-timeout fault that hangs every worker of
+    # the untimed call.
+    spec = make_mini_topology(bug="missing_timeout")
+    system = _boot(spec, record=True)
+    db, http = Endpoint("Database", "jdbc", "insert"), Endpoint("HTTP", "resttemplate", "post")
+    system.arm_fault("front", db, catalog.get("db-slow"))
+    replay_traffic(system, lambda at: _mini_request(system, token=f"a{at}"),
+                   rate_per_sec=20, start_us=system.now_us, duration_us=3 * SECOND)
+    system.disarm_fault("front", db)
+    for i in range(3):
+        assert system.submit_request(_mini_request(system, token=f"s-{i}"))[0].ok
+    system.arm_fault("front", http, catalog.get("http-socket-timeout"))
+    replay_traffic(system, lambda at: _mini_request(system, token=f"b{at}"),
+                   rate_per_sec=20, start_us=system.now_us, duration_us=3 * SECOND)
+    resp, _ = system.submit_request(_mini_request(system, token="s-hung"))
+    assert resp.exc == "deadline_exceeded"
+    executed = system._evseq - len(system._heap)
+    state = hashlib.sha256(repr(system._rng.getstate()).encode()).hexdigest()
+    system.close()
+    assert executed == 586
+    assert state == "1f2d58eab7717dfaf54386791f14bcce1f6abb3a393cc4c1152011b3c8a694a4"
