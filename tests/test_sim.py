@@ -759,6 +759,123 @@ def test_the_shipped_topology_record_and_digest_keep_their_values(ref_topology):
     assert ref_topology.digest() == "62e43596a8e0bf40"
 
 
+# --- internal calls and admission -----------------------------------------------
+
+_CALL = Endpoint("HTTP", "resttemplate", "post")
+_SELECT = Endpoint("Database", "jdbc", "select")
+
+
+def _slow(delay):
+    return parse_catalog(f"slow comm_latency Database:*:* delay {delay}\n").get("slow")
+
+
+def _mini_replaced(front_steps=None, front=None, backend=None, **topology):
+    """The mini topology with the front order workflow's steps, the front and
+    backend services' settings, or the topology's own settings replaced; the
+    backend's select has no timeout."""
+    spec = make_mini_topology()
+    back, front_svc = spec.services
+    select = replace(back.interfaces[0].workflow[0], timeout_us=None)
+    back = replace(back, interfaces=(replace(back.interfaces[0], workflow=(select,)),),
+                   **(backend or {}))
+    order = front_svc.interfaces[0]
+    if front_steps is not None:
+        order = replace(order, workflow=front_steps(order.workflow))
+    front_svc = replace(front_svc, interfaces=(order,) + front_svc.interfaces[1:],
+                        **(front or {}))
+    return replace(spec, services=(back, front_svc), **topology)
+
+
+def test_a_call_answered_after_its_timeout_resumes_the_caller_once():
+    # the first call times out at 1 s; the backend answers it 0.5 s later,
+    # while the caller waits on its second, untimed call: that late answer is
+    # dropped, and the second call waits for its own
+    spec = _mini_replaced(front_steps=lambda steps: (
+        replace(steps[1], on_error="ignore"), replace(steps[1], timeout_us=None)))
+    system = _boot(spec, record=True)
+    system.arm_fault("backend", _SELECT, _slow("1500ms"))
+    resp, trace = system.submit_request(_mini_request(system))
+    assert resp.ok
+    first, second = [s for s in trace.spans if s.endpoint == _CALL]
+    assert first.status == "error:SocketTimeoutException"
+    assert 1_000_000 < first.duration_us <= 1_001_000  # the call overhead, then the timeout
+    assert second.status == "ok" and second.duration_us > 1_500_000
+    system.run_until_idle()
+    window = (0, system.now_us + 1)
+    assert system.endpoint_stats("front", _CALL, window) == {"invocations": 2, "failures": 1}
+    assert system.endpoint_stats("backend", _SELECT, window) == {"invocations": 2, "failures": 0}
+    assert system.entry_metrics(window).samples == 1
+
+
+def test_every_worker_of_a_callee_is_free_again_after_its_callers_timed_out():
+    system = _boot(_mini_replaced())
+    system.arm_fault("backend", _SELECT, _slow("1500ms"))
+    at = system.now_us
+    handles = [system.post_request(_order_request(at, f"tk-{i}"), at) for i in range(6)]
+    system.run_until_idle()
+    assert [h.response.exc for h in handles] == ["SocketTimeoutException"] * 6
+    assert system.endpoint_stats("backend", _SELECT, (at, system.now_us + 1)) == \
+        {"invocations": 6, "failures": 0}
+    backend = system._services["backend"]
+    assert backend.busy == 0 and not backend.queue
+    system.disarm_fault("backend", _SELECT)
+    assert system.submit_request(_mini_request(system))[0].ok
+
+
+def test_an_internal_call_to_a_full_service_is_overloaded_at_once():
+    system = _boot(_mini_replaced(backend={"workers": 1, "queue_limit": 0}), record=True)
+    system.arm_fault("backend", _SELECT, _slow("300ms"))
+    at = system.now_us
+    first = system.post_request(_order_request(at, "tk-a"), at)
+    second = system.post_request(_order_request(at + 1_000, "tk-b"), at + 1_000)
+    system.run_until_idle()
+    assert first.response.ok
+    assert second.response.exc == "overload"
+    (call,) = [s for s in second.trace["spans"] if s["endpoint"]["framework"] == "resttemplate"]
+    assert call["status"] == "error:overload"
+    assert call["dur_us"] <= 1_000  # the call overhead only
+    assert system.endpoint_stats("backend", _SELECT, (at, system.now_us + 1)) == \
+        {"invocations": 1, "failures": 0}
+
+
+@pytest.mark.parametrize("service, line", [
+    ("backend", "POST /backend/internal/missing"),
+    ("front", "POST /backend/internal/process"),
+    ("ghost", "POST /backend/internal/process"),
+], ids=["missing-line", "line-of-another-service", "undeclared-service"])
+def test_a_call_to_an_interface_its_target_lacks_is_not_found(service, line):
+    spec = _mini_replaced(front_steps=lambda steps: (
+        steps[0], replace(steps[1], target_service=service, target_line=line), steps[2]))
+    system = _boot(spec, record=True)
+    resp, trace = system.submit_request(_mini_request(system))
+    assert resp.exc == "not_found"
+    (call,) = [s for s in trace.spans if s.endpoint == _CALL]
+    assert call.status == "error:not_found" and call.duration_us <= 1_000
+    assert system.endpoint_stats("backend", _SELECT, (0, system.now_us + 1)) == \
+        {"invocations": 0, "failures": 0}
+
+
+def test_a_queued_entry_past_its_deadline_is_answered_once_and_skipped():
+    spec = _mini_replaced(front={"workers": 1}, entry_deadline_us=200_000)
+    system = _boot(spec)
+    insert = Endpoint("Database", "jdbc", "insert")
+    armed = system.arm_fault("front", insert, _slow("300ms"))
+    at = system.now_us
+    first = system.post_request(_order_request(at, "tk-a"), at)
+    second = system.post_request(_order_request(at, "tk-b"), at)
+    system.run_until(at + 250_000)  # the first still holds the one worker
+    assert first.response.exc == second.response.exc == "deadline_exceeded"
+    answered = second.response
+    system.run_until_idle()
+    assert second.response is answered
+    assert len(armed.hits) == 1  # the worker, once free, skipped the second
+    assert system.endpoint_stats("front", insert, (at, system.now_us + 1)) == \
+        {"invocations": 1, "failures": 0}
+    assert system.entry_metrics((at, system.now_us + 1)).samples == 2
+    front = system._services["front"]
+    assert front.busy == 0 and not front.queue
+
+
 # --- the event stream ---------------------------------------------------------
 
 def test_the_event_stream_of_a_faulted_mini_run_keeps_its_values(catalog):
