@@ -5,7 +5,9 @@ generator process driven by a single event loop, so arbitrarily many
 requests overlap in virtual time while execution stays bit-reproducible for
 a given (topology, seed, workload). The generator runs all of its steps and
 retries itself; to wait it yields a plain number of microseconds, and the
-loop puts the suspended generator on the event heap to resume it then.
+loop puts the suspended generator on the event heap to resume it then. The
+heap holds three kinds of item: a suspended workflow, an entry handle (its
+arrival, then its deadline) and a call record (its timeout).
 Services have fixed worker pools and bounded queues, which is what makes
 thread-exhaustion cascades expressible. A buffered publish is a process of
 its own that retries until its endpoint takes it. Stores, the outbox of
@@ -123,12 +125,13 @@ class ArmedFault:
 class EntryHandle:
     """Completion state of one submitted entry request."""
 
-    __slots__ = ("request", "submitted_us", "completed", "response", "trace",
+    __slots__ = ("request", "submitted_us", "accepted", "completed", "response", "trace",
                  "trace_id", "_recorder", "losses")
 
     def __init__(self, request: EntryRequest, submitted_us: int, trace_id: str):
         self.request = request
         self.submitted_us = submitted_us
+        self.accepted = False  # its arrival event has run
         self.completed = False
         self.response: Optional[Response] = None
         self.trace: Optional[dict] = None  # the recorded trace's corpus record
@@ -191,12 +194,14 @@ class _Unit:
 
 class _Site:
     """One step of a (service, interface) in one system: its unit, the throw
-    Effect poisoning it, its _JITTER triple, its store, table and write class."""
+    Effect poisoning it, its _JITTER triple, its store, table and write class,
+    and, for a call once it has run, its target: (_ServiceState, interface,
+    sites) of the callee, or () when the target lacks the line."""
 
-    __slots__ = ("step", "unit", "poisoned", "jitter", "store", "table", "write")
+    __slots__ = ("step", "unit", "poisoned", "jitter", "store", "table", "write", "target")
 
     def __init__(self, step, unit, stores):
-        self.step, self.unit, self.poisoned = step, unit, None
+        self.step, self.unit, self.poisoned, self.target = step, unit, None, None
         self.jitter = _JITTER[_CALL_OVERHEAD_US if step.op == OP_CALL
                               else _BASE_TIME_US[step.op]]
         self.store, self.table = stores.get(step.op), step.table or step.topic
@@ -204,14 +209,25 @@ class _Site:
                       "write" if step.method in ("insert", "update", "set") else "")
 
 
+class _Call:
+    """An internal call in flight: the caller's suspended workflow, resumed
+    once, by the callee's answer or by the call's timeout, whichever is first."""
+
+    __slots__ = ("proc", "done")
+
+    def __init__(self, proc):
+        self.proc = proc
+        self.done = False
+
+
 class _Ctx:
-    """One workflow execution (entry request or internal call)."""
+    """One workflow execution (entry request or internal call); its waiter
+    is the EntryHandle it answers, or the _Call."""
 
     __slots__ = ("service", "iface", "sites", "payload", "entry", "parent_span",
-                 "outputs", "journal", "on_complete", "is_entry")
+                 "outputs", "journal", "waiter")
 
-    def __init__(self, service, iface, sites, payload, entry, parent_span,
-                 on_complete, is_entry):
+    def __init__(self, service, iface, sites, payload, entry, parent_span, waiter):
         self.service = service
         self.iface = iface
         self.sites = sites
@@ -220,8 +236,7 @@ class _Ctx:
         self.parent_span = parent_span
         self.outputs = []
         self.journal = []
-        self.on_complete = on_complete
-        self.is_entry = is_entry
+        self.waiter = waiter
 
 
 def _derive_token(prefix: str, value) -> str:
@@ -263,33 +278,42 @@ class System:
 
     # -- event loop -----------------------------------------------------------
 
-    def _schedule_at(self, at_us: int, fn, seq: Optional[int] = None) -> None:
+    def _schedule_at(self, at_us: int, item, seq: Optional[int] = None) -> None:
         if at_us < self.now_us:
             raise SimError(f"cannot schedule into the past ({at_us} < {self.now_us})")
         if seq is None:
             self._evseq += 1
             seq = self._evseq
-        heapq.heappush(self._heap, (at_us, seq, fn))
+        heapq.heappush(self._heap, (at_us, seq, item))
 
     def _run_events(self, until_us) -> None:
-        """Resume the suspended workflow or call the callable of each event
-        due by `until_us`, in order."""
+        """Run each event due by `until_us`, in order: resume a suspended
+        workflow, time out a call not yet answered, or accept an entry, then
+        meet its deadline if it is still unanswered."""
         heap, heappop, heappush = self._heap, heapq.heappop, heapq.heappush
         while heap and heap[0][0] <= until_us:
             at, _seq, item = heappop(heap)
             self.now_us = at
-            if item.__class__ is not GeneratorType:
-                item()
-                continue
-            try:
-                instr = item.send(None)
-            except StopIteration:
-                continue
-            if instr.__class__ is int and instr >= 0:  # the common wait
-                self._evseq += 1
-                heappush(heap, (at + instr, self._evseq, item))
-            else:
-                self._follow(item, instr)
+            cls = item.__class__
+            if cls is GeneratorType:
+                try:
+                    instr = item.send(None)
+                except StopIteration:
+                    continue
+                if instr.__class__ is int and instr >= 0:  # the common wait
+                    self._evseq += 1
+                    heappush(heap, (at + instr, self._evseq, item))
+                else:
+                    self._follow(item, instr)
+            elif cls is _Call:
+                if not item.done:
+                    item.done = True
+                    self._drive(item.proc, _TIMEOUT)
+            elif not item.accepted:
+                self._accept_entry(item)
+            elif not item.completed:
+                self._finish_entry(item, Response("deadline_exceeded", {"status": "timeout"}),
+                                   None)
 
     def run_until(self, t_us: int) -> None:
         self._run_events(t_us)
@@ -323,9 +347,8 @@ class System:
         if index is not None:
             accept_seq = _WORKLOAD_SEQ_BASE + 2 * index + 1
             deadline_seq = accept_seq + 1
-        self._schedule_at(at, lambda: self._accept_entry(handle), accept_seq)
-        self._schedule_at(at + self.spec.entry_deadline_us,
-                          lambda: self._deadline_entry(handle), deadline_seq)
+        self._schedule_at(at, handle, accept_seq)
+        self._schedule_at(at + self.spec.entry_deadline_us, handle, deadline_seq)
         return handle
 
     def submit_request(self, request: EntryRequest) -> tuple:
@@ -355,8 +378,7 @@ class System:
         return None
 
     def _accept_entry(self, handle: EntryHandle) -> None:
-        if handle.completed:
-            return
+        handle.accepted = True
         route = self._route(handle.request.line)
         if route is None:
             self._finish_entry(handle, Response("not_found", {"status": "not_found"}), None)
@@ -372,13 +394,10 @@ class System:
             root_span = handle._recorder.open_span(
                 None, service_name, Endpoint("HTTP", "server", iface.method.lower()),
                 handle.request.line, dict(handle.request.payload), self.now_us)
-        ctx = _Ctx(service=service_name, iface=iface,
-                   sites=self._sites_of(service_name, iface),
-                   payload=dict(handle.request.payload), entry=handle,
-                   parent_span=root_span,
-                   on_complete=lambda resp: self._finish_entry(handle, resp, root_span),
-                   is_entry=True)
-        self._enqueue(service_name, ctx)
+        ctx = _Ctx(service_name, iface, self._sites_of(service_name, iface),
+                   dict(handle.request.payload), handle, root_span, handle)
+        if not self._admit(self._services[service_name], ctx):
+            self._finish_entry(handle, Response("overload", {"status": "overload"}), root_span)
 
     def _validate_entry(self, iface, payload) -> str:
         for path, validate in iface.checks:
@@ -397,11 +416,6 @@ class System:
                     return f"reused_{path}"
                 self._single_use_seen.add(value)
         return ""
-
-    def _deadline_entry(self, handle: EntryHandle) -> None:
-        if not handle.completed:
-            self._finish_entry(handle, Response("deadline_exceeded",
-                                                {"status": "timeout"}), None)
 
     def _finish_entry(self, handle: EntryHandle, response: Response,
                       root_span: Optional[dict]) -> None:
@@ -422,24 +436,29 @@ class System:
 
     # -- service admission ----------------------------------------------------
 
-    def _enqueue(self, service_name: str, ctx: _Ctx) -> None:
-        state = self._services[service_name]
+    def _admit(self, state: _ServiceState, ctx: _Ctx) -> bool:
+        """Start `ctx` on a free worker of `state`, else queue it; False when
+        the queue is full too."""
         if state.busy < state.spec.workers:
             self._start_work(state, ctx)
         elif len(state.queue) < state.spec.queue_limit:
             state.queue.append(ctx)
         else:
-            ctx.on_complete(Response("overload", {"status": "overload"}))
+            return False
+        return True
 
     def _start_work(self, state: _ServiceState, ctx: _Ctx) -> None:
+        """Take a worker, and start the workflow after the entry overhead."""
         state.busy += 1
-        self._drive(self._workflow(state, ctx))
+        self._evseq += 1
+        heapq.heappush(self._heap, (self.now_us + self._jitter(_ENTRY_OVERHEAD_US),
+                                    self._evseq, self._workflow(state, ctx)))
 
     def _release(self, state: _ServiceState) -> None:
         state.busy -= 1
         while state.queue and state.busy < state.spec.workers:
             ctx = state.queue.popleft()
-            if ctx.is_entry and ctx.entry.completed:
+            if ctx.waiter.__class__ is EntryHandle and ctx.waiter.completed:
                 continue
             self._start_work(state, ctx)
             break
@@ -452,37 +471,41 @@ class System:
         self._follow(proc, instr)
 
     def _follow(self, proc, instr) -> None:
-        """Carry out the instruction `proc` yielded: a wait (in us) or a call."""
+        """Carry out the instruction `proc` yielded: a wait (in us) or a call
+        (site, payload, span, entry)."""
         if instr.__class__ is not tuple:
             if instr < 0:
                 raise SimError(f"cannot wait a negative time ({instr} us)")
             self._evseq += 1
             heapq.heappush(self._heap, (self.now_us + instr, self._evseq, proc))
             return
-        target_service, line, payload, timeout_us, parent_span, entry = instr
-        done = []
+        site, payload, span, entry = instr
+        target = site.target
+        if target is None:
+            step = site.step
+            iface = self._interfaces.get((step.target_service, step.target_line))
+            target = site.target = () if iface is None else (
+                self._services[step.target_service], iface,
+                self._sites_of(step.target_service, iface))
+        call = _Call(proc)
+        if not target:
+            self._resume(call, Response("not_found", {}))
+        else:
+            # an internal call shares the entry's recorder and loss accounting
+            state, iface, sites = target
+            if not self._admit(state, _Ctx(state.spec.name, iface, sites, payload, entry,
+                                           span, call)):
+                self._resume(call, Response("overload", {"status": "overload"}))
+        timeout = site.step.timeout_us
+        if timeout is not None:
+            self._evseq += 1
+            heapq.heappush(self._heap, (self.now_us + timeout, self._evseq, call))
 
-        def resume(value):  # with the response or _TIMEOUT, whichever is first
-            if not done:
-                done.append(True)
-                self._drive(proc, value)
-
-        self._admit_call(target_service, line, payload, parent_span, entry, resume)
-        if timeout_us is not None:
-            self._schedule_at(self.now_us + timeout_us, lambda: resume(_TIMEOUT))
-
-    def _admit_call(self, target_service, line, payload, parent_span, entry,
-                    on_resp) -> None:
-        iface = self._interfaces.get((target_service, line))
-        if iface is None:
-            on_resp(Response("not_found", {}))
-            return
-        # internal calls share the entry's recorder and loss accounting
-        ctx = _Ctx(service=target_service, iface=iface,
-                   sites=self._sites_of(target_service, iface), payload=payload,
-                   entry=entry, parent_span=parent_span, on_complete=on_resp,
-                   is_entry=False)
-        self._enqueue(target_service, ctx)
+    def _resume(self, call: _Call, value) -> None:
+        """Resume the caller of `call` with `value`, unless it was resumed."""
+        if not call.done:
+            call.done = True
+            self._drive(call.proc, value)
 
     def _sites_of(self, service: str, iface) -> tuple:
         """The _Site of each step of `iface` of `service`, built on first use."""
@@ -500,13 +523,19 @@ class System:
         """Run every step of `ctx`, with its retries, in this one process.
         Each attempt ends in a failure code `exc` ("" for success) and a
         payload."""
-        yield self._jitter(_ENTRY_OVERHEAD_US)
-        service, entry = ctx.service, ctx.entry
+        service, entry, request, outputs = ctx.service, ctx.entry, ctx.payload, ctx.outputs
         recorder = entry._recorder
         getrandbits = self._rng.getrandbits
         for site in ctx.sites:
             step, unit = site.step, site.unit
-            args = self._render_args(ctx, step)
+            args = {}
+            for name, ref, value in step.arg_plan:
+                if ref is ARG_REQ:
+                    args[name] = request.get(value, "")
+                elif ref is ARG_LIT:
+                    args[name] = value
+                else:
+                    args[name] = (outputs[ref] if ref < len(outputs) else {}).get(value, "")
             timeout = step.timeout_us
             span = None
             if recorder is not None:
@@ -559,8 +588,7 @@ class System:
                         r = getrandbits(bits)
                     yield low + r
                     if step.op == OP_CALL:
-                        resp = yield (step.target_service, step.target_line,
-                                      dict(args), timeout, span, entry)
+                        resp = yield site, dict(args), span, entry
                         if resp is _TIMEOUT:
                             exc, payload = "SocketTimeoutException", {}
                         else:
@@ -573,7 +601,7 @@ class System:
 
             if span is not None:
                 recorder.close_span(span, span_status(exc), payload, self.now_us)
-            ctx.outputs.append(payload)
+            outputs.append(payload)
             if not exc:
                 continue
             # a no-retry client never re-establishes a dropped connection:
@@ -593,7 +621,10 @@ class System:
                 entry.losses += 1
         else:
             response = Response("", self._render_response(ctx))
-        ctx.on_complete(response)
+        if ctx.waiter.__class__ is _Call:
+            self._resume(ctx.waiter, response)
+        else:
+            self._finish_entry(ctx.waiter, response, ctx.parent_span)
         self._release(state)
 
     def _render_response(self, ctx: _Ctx) -> dict:
@@ -631,18 +662,6 @@ class System:
         while r >= n:
             r = self._rng.getrandbits(bits)
         return low + r
-
-    def _render_args(self, ctx: _Ctx, step) -> dict:
-        out = {}
-        for name, ref, value in step.arg_plan:
-            if ref is ARG_REQ:
-                out[name] = ctx.payload.get(value, "")
-            elif ref is ARG_LIT:
-                out[name] = value
-            else:
-                outputs = ctx.outputs[ref] if ref < len(ctx.outputs) else {}
-                out[name] = outputs.get(value, "")
-        return out
 
     def _apply_leaf(self, ctx: _Ctx, site: _Site, args: dict) -> dict:
         store = site.store

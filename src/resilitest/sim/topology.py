@@ -346,9 +346,13 @@ _FIELD = ({"path": STRING}, {"kind": one_of(*FIELD_KINDS), "validate": one_of(*V
 _RESP = ({"path": STRING, "source": STRING}, {})
 _STEP = ({"op": one_of(*OPS), "method": STRING, "framework": STRING,
           "timeout_us": POSITIVE_OR_NULL},
-         {"args": PAIRS, "table": STRING, "topic": STRING, "target_service": STRING,
-          "target_line": STRING, "component": STRING, "retries": COUNT, "async": BOOLEAN,
-          "on_error": one_of(*ON_ERRORS), "best_effort": BOOLEAN, "bug": one_of("", *BUG_FLAGS)})
+         {"args": PAIRS, "retries": COUNT, "async": BOOLEAN, "on_error": one_of(*ON_ERRORS),
+          "best_effort": BOOLEAN, "bug": one_of("", *BUG_FLAGS)})
+# a step's keys by its op, with the keys only that op reads: a db, cache or
+# mq step's component is its op's
+_STEPS = {op: (_STEP[0], {**_STEP[1], **keys}) for op, keys in (
+    (OP_DB, {"table": STRING}), (OP_CACHE, {"table": STRING}), (OP_MQ, {"topic": STRING}),
+    (OP_CALL, {"target_service": STRING, "target_line": STRING, "component": STRING}))}
 _RENAME = {"uri": "uri_template", "resp": "resp_fields", "async": "async_step"}
 
 
@@ -375,6 +379,12 @@ def _name(rec, fallback: str) -> str:
     return name if name.__class__ is str else fallback
 
 
+def _op(step: dict):
+    """The op of `step`, if it is a string; else None."""
+    op = step.get("op")
+    return op if op.__class__ is str else None
+
+
 def topology_from_record(rec) -> TopologySpec:
     """The topology a document holds; else TopologyError names the place at fault."""
     _checked(rec, f"topology {_name(rec, 'unnamed')}", _DOCUMENT)
@@ -385,7 +395,8 @@ def topology_from_record(rec) -> TopologySpec:
         for i in svc.get("interfaces", ()):
             line = f"{name} {i.get('method')} {i.get('uri')}"
             _checked(i, line, _INTERFACE)
-            workflow = tuple(_spec(Step, _checked(step, f"{line} step {idx}", _STEP),
+            workflow = tuple(_spec(Step, _checked(step, f"{line} step {idx}",
+                                                  _STEPS.get(_op(step), _STEP)),
                                    args=tuple(map(tuple, step.get("args", ()))))
                              for idx, step in enumerate(i.get("workflow", ())))
             interfaces.append(_spec(

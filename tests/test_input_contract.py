@@ -177,38 +177,56 @@ _PLACE = "front POST /front/orders/place/{item}"
 _RENAMED = object()
 
 # topology fields that once loaded with another meaning than they state, or
-# crashed the stage: case -> (the record's path, its key, the key's new
-# value or _RENAMED for the key renamed to `timeout`, the error after the path)
+# crashed the stage: case -> (the record's path, its keys with their new
+# values, _RENAMED for a key renamed to `timeout`, the error after the path)
 MALFORMED_TOPOLOGIES = {
-    "timeout-misspelled": ((*_FRONT, "workflow", 1), "timeout_us", _RENAMED,
+    "timeout-misspelled": ((*_FRONT, "workflow", 1), {"timeout_us": _RENAMED},
                            f"{_PLACE} step 1: missing timeout_us"),
-    "compensate-string": (_FRONT, "compensate", "false",
+    "compensate-string": (_FRONT, {"compensate": "false"},
                           f"{_PLACE}: compensate must be true or false, got 'false'"),
-    "best-effort-string": ((*_FRONT, "workflow", 1), "best_effort", "no",
+    "best-effort-string": ((*_FRONT, "workflow", 1), {"best_effort": "no"},
                            f"{_PLACE} step 1: best_effort must be true or false, got 'no'"),
-    "table-number": ((*_FRONT, "workflow", 0), "table", 3,
+    "table-number": ((*_FRONT, "workflow", 0), {"table": 3},
                      f"{_PLACE} step 0: table must be a string, got 3"),
-    "name-list": ((), "name", ["mini"],
+    "name-list": ((), {"name": ["mini"]},
                   "topology unnamed: name must be a string, got ['mini']"),
-    "seed-string": ((), "seed", "11", "topology mini: seed must be an integer, got '11'"),
-    "uri-number": (_FRONT, "uri", 3, "front POST 3: uri must be a string, got 3"),
-    "response-path-number": ((*_FRONT, "resp", 0), "path", 3,
+    "seed-string": ((), {"seed": "11"}, "topology mini: seed must be an integer, got '11'"),
+    "uri-number": (_FRONT, {"uri": 3}, "front POST 3: uri must be a string, got 3"),
+    "response-path-number": ((*_FRONT, "resp", 0), {"path": 3},
                              f"{_PLACE}: path must be a string, got 3"),
+    # a key the step's op does not read
+    "db-step-component": ((*_FRONT, "workflow", 0), {"component": "RPC"},
+                          f"{_PLACE} step 0: unknown key(s) component"),
+    "db-step-call-target": ((*_FRONT, "workflow", 0),
+                            {"target_service": "backend",
+                             "target_line": "POST /backend/internal/process"},
+                            f"{_PLACE} step 0: unknown key(s) target_line, target_service"),
+    "db-step-topic": ((*_FRONT, "workflow", 0), {"topic": "front-events"},
+                      f"{_PLACE} step 0: unknown key(s) topic"),
+    "cache-step-topic": ((*_FRONT, "workflow", 0), {"op": "cache", "topic": "front-events"},
+                         f"{_PLACE} step 0: unknown key(s) topic"),
+    "call-step-table": ((*_FRONT, "workflow", 1), {"table": "front_main"},
+                        f"{_PLACE} step 1: unknown key(s) table"),
+    "call-step-topic": ((*_FRONT, "workflow", 1), {"topic": "front-events"},
+                        f"{_PLACE} step 1: unknown key(s) topic"),
+    "mq-step-table": ((*_FRONT, "workflow", 2), {"table": "front_main"},
+                      f"{_PLACE} step 2: unknown key(s) table"),
 }
 
 
 @pytest.mark.parametrize("stage", ["simulate-record", "run"])
 @pytest.mark.parametrize("case", sorted(MALFORMED_TOPOLOGIES))
 def test_a_malformed_topology_exits_2_naming_its_file_and_place(campaign, case, stage):
-    keys, key, value, message = MALFORMED_TOPOLOGIES[case]
+    keys, changes, message = MALFORMED_TOPOLOGIES[case]
     rec = json.loads((campaign / "topology.json").read_text())
     holder = rec
     for inner in keys:
         holder = holder[inner]
-    if value is _RENAMED:
-        holder["timeout"] = holder.pop(key)
-    else:
-        holder[key] = value
+    for key, value in changes.items():
+        if value is _RENAMED:
+            holder["timeout"] = holder.pop(key)
+        else:
+            holder[key] = value
     path = campaign / "malformed" / f"{case}.json"
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(rec))
