@@ -278,14 +278,6 @@ class System:
 
     # -- event loop -----------------------------------------------------------
 
-    def _schedule_at(self, at_us: int, item, seq: Optional[int] = None) -> None:
-        if at_us < self.now_us:
-            raise SimError(f"cannot schedule into the past ({at_us} < {self.now_us})")
-        if seq is None:
-            self._evseq += 1
-            seq = self._evseq
-        heapq.heappush(self._heap, (at_us, seq, item))
-
     def _run_events(self, until_us) -> None:
         """Run each event due by `until_us`, in order: resume a suspended
         workflow, time out a call not yet answered, or accept an entry, then
@@ -343,12 +335,13 @@ class System:
         self._trace_counter += 1
         if self.record_traces:
             handle._recorder = _Recorder()
-        accept_seq = deadline_seq = None
-        if index is not None:
+        if index is None:
+            accept_seq = self._evseq + 1
+            self._evseq += 2
+        else:
             accept_seq = _WORKLOAD_SEQ_BASE + 2 * index + 1
-            deadline_seq = accept_seq + 1
-        self._schedule_at(at, handle, accept_seq)
-        self._schedule_at(at + self.spec.entry_deadline_us, handle, deadline_seq)
+        heapq.heappush(self._heap, (at, accept_seq, handle))
+        heapq.heappush(self._heap, (at + self.spec.entry_deadline_us, accept_seq + 1, handle))
         return handle
 
     def submit_request(self, request: EntryRequest) -> tuple:
