@@ -11,36 +11,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .model import Corpus, write_lines
+from .model import Corpus, RequestLineError, parse_request_line, write_lines
 
 WILDCARD = "<*>"
 
 TREE_DEPTH = 4
 SIMILARITY_THRESHOLD = 0.5
 MAX_CHILDREN = 100
-
-
-class RequestLineError(ValueError):
-    pass
-
-
-def parse_request_line(line: str) -> tuple:
-    """Split an entry request line into (method, path tokens).
-
-    Tokens are the "/"-separated path segments; empty segments are preserved
-    ("PUT /a//b" -> (PUT, [a, "", b])), the bare root path has none.
-    """
-    if not line or not line.strip():
-        raise RequestLineError("empty request line")
-    parts = line.split(" ")
-    if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise RequestLineError(f"malformed request line {line!r}: expected 'METHOD /path'")
-    method, path = parts
-    if not path.startswith("/"):
-        raise RequestLineError(f"malformed request line {line!r}: path must start with '/'")
-    if path == "/":
-        return method, []
-    return method, path.split("/")[1:]
 
 
 @dataclass

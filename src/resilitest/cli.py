@@ -21,12 +21,12 @@ import os
 import sys
 
 from . import __version__
-from .aggregation import RequestLineError, save_cluster_report
+from .aggregation import save_cluster_report
 from .campaign import analyze_corpus, plan_campaign, resolve_k
 from .executor import (FAIL_VERDICTS, ExecutorError, OracleCriteria, PhaseConfig,
                        check_run_plan, load_report, run_batch, save_report)
 from .faults import default_catalog, load_catalog
-from .model import (CorpusMeta, dumps_canonical, load_corpus_summaries,
+from .model import (CorpusMeta, RequestLineError, dumps_canonical, load_corpus_summaries,
                     load_indexed_traces, read_lines, save_corpus, save_corpus_index)
 from .planner import PlanConfig, save_plan
 from .scheduler import History, greedy_batch, load_run_plan, save_run_plan

@@ -20,8 +20,8 @@ import signal
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import (COUNT, NUMBER, OBJECT, STRING, Endpoint, check_fields,
-                    check_kind, dumps_canonical, read_records, write_lines)
+from .model import (COUNT, NUMBER, OBJECT, STRING, check_fields, check_kind,
+                    dumps_canonical, read_records, write_lines)
 from .scheduler import (VERDICT_PASS, History, Run, RunPlan, filter_history,
                         greedy_batch)
 from .sim.engine import PhaseMetrics, System, replay_traffic
@@ -117,28 +117,6 @@ class OracleCriteria:
         return criteria
 
 
-@dataclass
-class TestRun:
-    __test__ = False  # not a pytest class, despite the name
-
-    case_id: str
-    trace_id: str       # the case's own trace
-    host_trace_id: str  # the trace whose template the run replayed
-    interface_id: str   # interface of the host trace (criteria context)
-    service: str
-    endpoint: Endpoint
-    fault_id: str
-    rationale: str
-    verdict: str
-    startup: Optional[PhaseMetrics] = None
-    inject: Optional[PhaseMetrics] = None
-    recover: Optional[PhaseMetrics] = None
-    injection_hits: int = 0
-    inject_endpoint_failures: int = 0
-    recover_endpoint_failures: int = 0
-    downstream_effect_ok: bool = True
-
-
 def _rate(metrics: Optional[PhaseMetrics]) -> float:
     if metrics is None or metrics.success_rate is None:
         return 0.0
@@ -183,7 +161,8 @@ def execute_run(run: Run, topology: TopologySpec, template: TraceTemplate,
                 entry_only: bool = False) -> tuple:
     """One fresh system, one shared startup, batched cases with fail-fast.
 
-    Returns (list of TestRun, deferred cases for rescheduling).
+    Returns (the `test_run` report record of each case run, deferred cases
+    for rescheduling). The records share the run's startup phase dict.
     """
     system = System(topology, run_seed)
     ids = SequentialIdSource(f"rp{run_seed % 1_000_000:06d}")
@@ -198,57 +177,61 @@ def execute_run(run: Run, topology: TopologySpec, template: TraceTemplate,
     cursor += phases.startup_us
     startup = system.entry_metrics(startup_window)
     startup_ok = _rate(startup) >= effective.startup_min
+    startup_phase = startup.to_dict()
 
-    results = []
-    deferred = []
+    records, deferred = [], []
     for position, case in enumerate(run.cases):
-        base = TestRun(
-            case_id=case.case_id, trace_id=case.target.trace_id,
-            host_trace_id=run.trace_id, interface_id=template.interface_id,
-            service=case.target.service, endpoint=case.target.endpoint,
-            fault_id=case.fault_id, rationale=case.target.rationale,
-            verdict=VERDICT_STARTUP, startup=startup)
-        if not startup_ok:
-            results.append(base)
-            deferred.extend(run.cases[position + 1:])
-            break
-
-        system.forget_before(cursor)  # only this case's windows are read from here
-        fault = catalog[case.fault_id]
-        armed = system.arm_fault(case.target.service, case.target.endpoint, fault)
-        inject_window = replay_traffic(system, make_request, phases.rate_per_sec,
-                                       cursor, phases.inject_us)
-        cursor += phases.inject_us
-        system.disarm_fault(case.target.service, case.target.endpoint)
-        recover_window = replay_traffic(system, make_request, phases.rate_per_sec,
-                                        cursor, phases.recover_us)
-        cursor += phases.recover_us
-
-        case_window = (inject_window[0], recover_window[1])
-        base.inject = system.entry_metrics(inject_window)
-        base.recover = system.entry_metrics(recover_window)
-        base.injection_hits = armed.hits_in(inject_window)
-        base.inject_endpoint_failures = system.endpoint_stats(
-            case.target.service, case.target.endpoint, inject_window)["failures"]
-        base.recover_endpoint_failures = system.endpoint_stats(
-            case.target.service, case.target.endpoint, recover_window)["failures"]
-        base.downstream_effect_ok = (system.losses_in(case_window) == 0
-                                     and system.outbox_pending_from(case_window) == 0)
-        base.verdict = evaluate(
-            base.startup, base.inject, base.recover, base.injection_hits,
-            base.inject_endpoint_failures, base.recover_endpoint_failures,
-            base.downstream_effect_ok, effective, entry_only=entry_only)
-        results.append(base)
-        if base.verdict != VERDICT_PASS:
+        target = case.target
+        verdict = VERDICT_STARTUP
+        inject = recover = None
+        hits = inject_failures = recover_failures = 0
+        effect_ok = True
+        if startup_ok:
+            system.forget_before(cursor)  # only this case's windows are read from here
+            armed = system.arm_fault(target.service, target.endpoint, catalog[case.fault_id])
+            inject_window = replay_traffic(system, make_request, phases.rate_per_sec,
+                                           cursor, phases.inject_us)
+            cursor += phases.inject_us
+            system.disarm_fault(target.service, target.endpoint)
+            recover_window = replay_traffic(system, make_request, phases.rate_per_sec,
+                                            cursor, phases.recover_us)
+            cursor += phases.recover_us
+            case_window = (inject_window[0], recover_window[1])
+            inject = system.entry_metrics(inject_window)
+            recover = system.entry_metrics(recover_window)
+            hits = armed.hits_in(inject_window)
+            inject_failures = system.endpoint_stats(
+                target.service, target.endpoint, inject_window)["failures"]
+            recover_failures = system.endpoint_stats(
+                target.service, target.endpoint, recover_window)["failures"]
+            effect_ok = (system.losses_in(case_window) == 0
+                         and system.outbox_pending_from(case_window) == 0)
+            verdict = evaluate(startup, inject, recover, hits, inject_failures,
+                               recover_failures, effect_ok, effective, entry_only=entry_only)
+        records.append({
+            "type": "test_run", "case_id": case.case_id,
+            "trace_id": target.trace_id,  # the case's own trace
+            "host_trace_id": run.trace_id,  # the trace whose template the run replayed
+            "interface_id": template.interface_id,  # of the host trace (criteria context)
+            "service": target.service, "endpoint": target.endpoint.triple(),
+            "fault_id": case.fault_id, "rationale": target.rationale, "verdict": verdict,
+            "phases": {"startup": startup_phase, "inject": inject and inject.to_dict(),
+                       "recover": recover and recover.to_dict()},
+            "assertions": {"injection_hits": hits,
+                           "inject_endpoint_failures": inject_failures,
+                           "recover_endpoint_failures": recover_failures,
+                           "downstream_effect_ok": effect_ok},
+        })
+        if verdict != VERDICT_PASS:
             deferred.extend(run.cases[position + 1:])
             break
     system.close()
-    return results, deferred
+    return records, deferred
 
 
 @dataclass
 class CampaignResult:
-    test_runs: list
+    test_runs: list  # the `test_run` report record of each case, in run order
     startup_count: int
     initial_runs: int
 
@@ -258,12 +241,12 @@ class CampaignResult:
 
     def verdict_counts(self) -> dict:
         counts = {v: 0 for v in VERDICTS}
-        for tr in self.test_runs:
-            counts[tr.verdict] += 1
+        for rec in self.test_runs:
+            counts[rec["verdict"]] += 1
         return counts
 
     def coverage(self) -> set:
-        return {(tr.endpoint, tr.service) for tr in self.test_runs}
+        return {(rec["endpoint"], rec["service"]) for rec in self.test_runs}
 
 
 def check_run_plan(plan: RunPlan, topology: TopologySpec, templates: list,
@@ -317,12 +300,12 @@ def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
         outcomes = _run_wave(queue, lambda run: execute_run(
             run, topology, by_trace[run.trace_id], catalog, phases, criteria,
             run_seed_for(seed, run.trace_id, wave), entry_only=entry_only))
-        results.extend(tr for run_results, _deferred in outcomes for tr in run_results)
+        results.extend(rec for records, _deferred in outcomes for rec in records)
         startup_count += len(queue)
         queue = greedy_batch([case for _results, deferred in outcomes for case in deferred]).runs
         wave += 1
-    for tr in results:
-        history.record_outcome(tr.case_id, tr.verdict)
+    for rec in results:
+        history.record_outcome(rec["case_id"], rec["verdict"])
     return CampaignResult(test_runs=results, startup_count=startup_count,
                           initial_runs=initial_runs)
 
@@ -393,36 +376,10 @@ def _run_wave(runs: list, work) -> list:
 
 # --- report file -------------------------------------------------------------
 
-def test_run_to_record(tr: TestRun) -> dict:
-    return {
-        "type": "test_run",
-        "case_id": tr.case_id,
-        "trace_id": tr.trace_id,
-        "host_trace_id": tr.host_trace_id,
-        "interface_id": tr.interface_id,
-        "service": tr.service,
-        "endpoint": tr.endpoint.triple(),
-        "fault_id": tr.fault_id,
-        "rationale": tr.rationale,
-        "verdict": tr.verdict,
-        "phases": {
-            "startup": tr.startup.to_dict() if tr.startup else None,
-            "inject": tr.inject.to_dict() if tr.inject else None,
-            "recover": tr.recover.to_dict() if tr.recover else None,
-        },
-        "assertions": {
-            "injection_hits": tr.injection_hits,
-            "inject_endpoint_failures": tr.inject_endpoint_failures,
-            "recover_endpoint_failures": tr.recover_endpoint_failures,
-            "downstream_effect_ok": tr.downstream_effect_ok,
-        },
-    }
-
-
 def save_report(result: CampaignResult, path, config: Optional[dict] = None) -> None:
     def lines():
-        for tr in result.test_runs:
-            yield dumps_canonical(test_run_to_record(tr))
+        for rec in result.test_runs:
+            yield dumps_canonical(rec)
         yield dumps_canonical({
             "type": "summary",
             "cases": len(result.test_runs),

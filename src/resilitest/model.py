@@ -28,6 +28,27 @@ def span_status(exc: str) -> str:
     return f"error:{exc}" if exc else STATUS_OK
 
 
+class RequestLineError(ValueError):
+    pass
+
+
+def parse_request_line(line: str) -> tuple:
+    """Split an entry request line into (method, path tokens).
+
+    Tokens are the "/"-separated path segments; empty segments are preserved
+    ("PUT /a//b" -> (PUT, [a, "", b])), the bare root path has none.
+    """
+    if not line or not line.strip():
+        raise RequestLineError("empty request line")
+    parts = line.split(" ")
+    if len(parts) != 2 or not parts[0] or not parts[1]:
+        raise RequestLineError(f"malformed request line {line!r}: expected 'METHOD /path'")
+    method, path = parts
+    if not path.startswith("/"):
+        raise RequestLineError(f"malformed request line {line!r}: path must start with '/'")
+    return method, path.split("/")[1:] if path != "/" else []
+
+
 @dataclass(frozen=True, order=True)
 class Endpoint:
     """(Component, Framework, Method) tuple identifying a fault-injection target class."""

@@ -106,13 +106,16 @@ class History:
             epoch = _int(where, "epoch", parts[0])
             case_id, verdict = parts[1], parts[2]
             seq = _int(where, "sequence number", parts[3])
+            if history._records and (epoch < history.epoch or seq <= history._seq):
+                raise ValueError(f"{where}: out of order after epoch {history.epoch}, "
+                                 f"sequence number {history._seq}")
             if epoch > history.epoch:
                 history.epoch = epoch
                 history.executed = {}
             if case_id != HISTORY_RESET_MARKER:
                 history.executed[case_id] = verdict
             history._records.append((epoch, case_id, verdict, seq))
-            history._seq = max(history._seq, seq)
+            history._seq = seq
         return history
 
 

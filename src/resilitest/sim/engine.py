@@ -126,26 +126,26 @@ class EntryHandle:
     """Completion state of one submitted entry request."""
 
     __slots__ = ("request", "submitted_us", "accepted", "completed", "response", "trace",
-                 "trace_id", "_recorder", "losses")
+                 "_recorder", "losses")
 
-    def __init__(self, request: EntryRequest, submitted_us: int, trace_id: str):
+    def __init__(self, request: EntryRequest, submitted_us: int):
         self.request = request
         self.submitted_us = submitted_us
         self.accepted = False  # its arrival event has run
         self.completed = False
         self.response: Optional[Response] = None
         self.trace: Optional[dict] = None  # the recorded trace's corpus record
-        self.trace_id = trace_id
         self._recorder = None
         self.losses = 0  # failed non-best-effort writes an ok answer would hide
 
 
 class _Recorder:
-    """The spans of one trace, each kept as its corpus record."""
+    """The ID and spans of one trace, each span kept as its corpus record."""
 
-    __slots__ = ("spans",)
+    __slots__ = ("trace_id", "spans")
 
-    def __init__(self):
+    def __init__(self, trace_id: str):
+        self.trace_id = trace_id
         self.spans = []
 
     def open_span(self, parent, service, endpoint, op, req, start_us) -> dict:
@@ -162,14 +162,14 @@ class _Recorder:
         span["resp"] = resp
         span["dur_us"] = now_us - span["start_us"]
 
-    def build(self, trace_id: str, root_id: str, now_us: int) -> dict:
+    def build(self, root_id: str, now_us: int) -> dict:
         """The trace's corpus record. A span still open ends now, incomplete,
         in a copy, so that the record does not change when it closes later."""
         spans = [span if span["dur_us"] is not None else
                  {**span, "status": span_status("incomplete"),
                   "dur_us": now_us - span["start_us"]}
                  for span in self.spans]
-        return {"trace_id": trace_id, "root": root_id, "spans": spans}
+        return {"trace_id": self.trace_id, "root": root_id, "spans": spans}
 
 
 class _ServiceState:
@@ -263,7 +263,10 @@ class System:
         self._cache = {}
         self._outbox = []  # creation times of the publishes not yet delivered
         self._units = {unit: _Unit() for unit in spec.units}
-        self._sites = {}  # (service, line) -> a _Site per step, once it runs
+        # request line -> (_ServiceState, interface, a _Site per step) of the
+        # interface spec.route gives it, or () for none; an interface's sites
+        # are shared by every line routed to it
+        self._routes = {}
         self._tokens = {}  # (prefix, string) -> _derive_token's token
         self._single_use_seen = set()
         # (complete_us, submitted_us, ok, silent losses), appended in
@@ -272,9 +275,6 @@ class System:
         self._kept_from_us = -math.inf  # forget_before dropped the records before
         self._fresh_counter = 0
         self._trace_counter = 0
-        self._route_cache = {}
-        self._interfaces = {(svc.name, iface.line): iface
-                            for svc, iface in spec.interfaces()}
 
     # -- event loop -----------------------------------------------------------
 
@@ -331,10 +331,10 @@ class System:
         entry `index` of a workload posted lazily in time order: its two
         events then sort as if the whole workload had been posted first."""
         at = self.now_us if at_us is None else max(at_us, self.now_us)
-        handle = EntryHandle(request, at, f"t{self._trace_counter:06d}")
-        self._trace_counter += 1
-        if self.record_traces:
-            handle._recorder = _Recorder()
+        handle = EntryHandle(request, at)
+        if self.record_traces:  # a recorded trace is numbered in posting order
+            handle._recorder = _Recorder(f"t{self._trace_counter:06d}")
+            self._trace_counter += 1
         if index is None:
             accept_seq = self._evseq + 1
             self._evseq += 2
@@ -354,29 +354,31 @@ class System:
             raise SimError("request never completed (event queue drained)")
         return handle.response, handle.trace and trace_from_record(handle.trace, {})
 
-    def _route(self, line: str):
-        if line in self._route_cache:
-            return self._route_cache[line]
-        parts = line.split(" ")
-        if len(parts) != 2:
-            return None
-        method, path = parts
-        tokens = path.split("/")[1:] if path != "/" else []
-        for svc in self.spec.services:
-            for iface in svc.interfaces:
-                if iface.method == method and iface.matches_path(tokens):
-                    self._route_cache[line] = (svc.name, iface)
-                    return svc.name, iface
-        self._route_cache[line] = None
-        return None
+    def _route(self, line: str) -> tuple:
+        """self._routes[line], built on first use."""
+        route = self._routes.get(line)
+        if route is None:
+            served = self.spec.route(line)
+            if served is None:
+                route = ()
+            elif line != served[1].line:
+                route = self._route(served[1].line)
+            else:
+                service, iface = served
+                stores = {OP_DB: self._db, OP_CACHE: self._cache}  # an mq step has none
+                route = (self._services[service.name], iface, tuple(
+                    _Site(step, self._units[(service.name, step.endpoint())], stores)
+                    for step in iface.workflow))
+            self._routes[line] = route
+        return route
 
     def _accept_entry(self, handle: EntryHandle) -> None:
         handle.accepted = True
         route = self._route(handle.request.line)
-        if route is None:
+        if not route:
             self._finish_entry(handle, Response("not_found", {"status": "not_found"}), None)
             return
-        service_name, iface = route
+        state, iface, sites = route
         reject = self._validate_entry(iface, handle.request.payload)
         if reject:
             self._finish_entry(handle, Response(f"validation_{reject}",
@@ -385,11 +387,11 @@ class System:
         root_span = None
         if handle._recorder is not None:
             root_span = handle._recorder.open_span(
-                None, service_name, Endpoint("HTTP", "server", iface.method.lower()),
+                None, state.spec.name, Endpoint("HTTP", "server", iface.method.lower()),
                 handle.request.line, dict(handle.request.payload), self.now_us)
-        ctx = _Ctx(service_name, iface, self._sites_of(service_name, iface),
-                   dict(handle.request.payload), handle, root_span, handle)
-        if not self._admit(self._services[service_name], ctx):
+        ctx = _Ctx(state.spec.name, iface, sites, dict(handle.request.payload), handle,
+                   root_span, handle)
+        if not self._admit(state, ctx):
             self._finish_entry(handle, Response("overload", {"status": "overload"}), root_span)
 
     def _validate_entry(self, iface, payload) -> str:
@@ -424,7 +426,7 @@ class System:
                 handle._recorder.close_span(root_span, response.status,
                                             dict(response.payload), self.now_us)
             root_id = handle._recorder.spans[0]["id"]
-            handle.trace = handle._recorder.build(handle.trace_id, root_id, self.now_us)
+            handle.trace = handle._recorder.build(root_id, self.now_us)
         handle._recorder = None  # spans recorded after completion join no trace
 
     # -- service admission ----------------------------------------------------
@@ -474,12 +476,11 @@ class System:
             return
         site, payload, span, entry = instr
         target = site.target
-        if target is None:
-            step = site.step
-            iface = self._interfaces.get((step.target_service, step.target_line))
-            target = site.target = () if iface is None else (
-                self._services[step.target_service], iface,
-                self._sites_of(step.target_service, iface))
+        if target is None:  # a line its target service does not serve is not found
+            target = self._route(site.step.target_line)
+            if target and target[0].spec.name != site.step.target_service:
+                target = ()
+            site.target = target
         call = _Call(proc)
         if not target:
             self._resume(call, Response("not_found", {}))
@@ -499,16 +500,6 @@ class System:
         if not call.done:
             call.done = True
             self._drive(call.proc, value)
-
-    def _sites_of(self, service: str, iface) -> tuple:
-        """The _Site of each step of `iface` of `service`, built on first use."""
-        sites = self._sites.get((service, iface.line))
-        if sites is None:
-            stores = {OP_DB: self._db, OP_CACHE: self._cache}  # an mq step has none
-            sites = self._sites[(service, iface.line)] = tuple(
-                _Site(step, self._units[(service, step.endpoint())], stores)
-                for step in iface.workflow)
-        return sites
 
     # -- workflow execution ---------------------------------------------------
 

@@ -17,8 +17,8 @@ from functools import cached_property
 from typing import Optional
 
 from ..model import (BOOLEAN, COUNT, INTEGER, OBJECTS, PAIRS, POSITIVE,
-                     POSITIVE_OR_NULL, STRING, WRITE_METHODS, Endpoint, check_fields,
-                     dumps_canonical, one_of, write_lines)
+                     POSITIVE_OR_NULL, STRING, WRITE_METHODS, Endpoint, RequestLineError,
+                     check_fields, dumps_canonical, one_of, parse_request_line, write_lines)
 
 ON_ERROR_PROPAGATE = "propagate"
 ON_ERROR_CATCH = "catch_and_degrade"
@@ -147,17 +147,6 @@ class InterfaceSpec:
                 plan.append((rf.path, match[1] or "token", rf.source[match.end():]))
         object.__setattr__(self, "resp_plan", tuple(plan))
 
-    def matches_path(self, path_tokens: list) -> bool:
-        template = self.uri_template.split("/")[1:] if self.uri_template != "/" else []
-        if len(template) != len(path_tokens):
-            return False
-        for expected, actual in zip(template, path_tokens):
-            if expected.startswith("{") and expected.endswith("}"):
-                continue
-            if expected != actual:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class ServiceSpec:
@@ -183,6 +172,30 @@ class TopologySpec:
         for svc in self.services:
             for iface in svc.interfaces:
                 yield svc, iface
+
+    @cached_property
+    def _declared(self) -> dict:
+        """Interface line -> (service, interface) of its first declaration."""
+        return {iface.line: (svc, iface) for svc, iface in reversed([*self.interfaces()])}
+
+    def route(self, line: str) -> Optional[tuple]:
+        """(service, interface) serving request `line`, an entry's or a call's
+        alike: the interface declaring the line, else the first declared whose
+        method is the line's and whose template matches its path, a "{param}"
+        segment matching any one segment. None for no match or a malformed line."""
+        if line in self._declared:
+            return self._declared[line]
+        try:
+            method, tokens = parse_request_line(line)
+        except RequestLineError:
+            return None
+        for svc, iface in self.interfaces():
+            template = iface.uri_template.split("/")[1:] if iface.uri_template != "/" else []
+            if iface.method == method and len(template) == len(tokens) and all(
+                    expected == actual or expected.startswith("{") and expected.endswith("}")
+                    for expected, actual in zip(template, tokens)):
+                return svc, iface
+        return None
 
     @cached_property
     def units(self) -> frozenset:
@@ -237,6 +250,10 @@ def validate_topology(spec: TopologySpec) -> None:
 
     lines = {}
     for svc, iface in spec.interfaces():
+        try:
+            parse_request_line(iface.line)  # the grammar every request line is read by
+        except RequestLineError as exc:
+            raise TopologyError(f"{svc.name} {iface.line}: {exc}") from None
         if iface.line in lines:
             raise TopologyError(
                 f"{svc.name}/{iface.line}: interface line already declared by {lines[iface.line]}")

@@ -262,8 +262,8 @@ def test_criterion_4_granular_oracle_differential(pipeline, ref_topology, catalo
                           OracleCriteria(), seed=SEED).test_runs
         naive, = run_batch(plan, ref_topology, templates, catalog, PHASES,
                            OracleCriteria(), seed=SEED, entry_only=True).test_runs
-        assert dual.verdict == "FAIL_SILENT", (service, dual.verdict)
-        assert naive.verdict == "PASS", (service, naive.verdict)
+        assert dual["verdict"] == "FAIL_SILENT", (service, dual["verdict"])
+        assert naive["verdict"] == "PASS", (service, naive["verdict"])
         checked += 1
     assert checked == 2
     _ok(4, "(both fire_and_forget bugs: entry-only PASS, dual-level FAIL_SILENT)")

@@ -5,7 +5,6 @@ import signal
 import time
 import weakref
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -178,11 +177,11 @@ def test_run_test_healthy_resilient_case(mini_setup):
     cases = _mini_cases(analysis, corpus, catalog)
     case = next(c for c in cases if c.fault_id == "db-sql-timeout")
     result = _run_one(case, analysis, spec, catalog, seed=3)
-    assert result.verdict == "PASS"
-    assert result.injection_hits > 0
-    assert result.startup.success_rate == 1.0
-    assert result.inject.success_rate <= 0.30
-    assert result.recover.success_rate >= 0.80
+    assert result["verdict"] == "PASS"
+    assert result["assertions"]["injection_hits"] > 0
+    assert result["phases"]["startup"]["success_rate"] == 1.0
+    assert result["phases"]["inject"]["success_rate"] <= 0.30
+    assert result["phases"]["recover"]["success_rate"] >= 0.80
 
 
 def test_fire_and_forget_differential_oracle(catalog):
@@ -193,9 +192,9 @@ def test_fire_and_forget_differential_oracle(catalog):
     case = next(c for c in cases if c.fault_id == "mq-disconnect"
                 and c.target.endpoint.component == "MQ")
     dual = _run_one(case, analysis, spec, catalog, seed=3)
-    assert dual.verdict == "FAIL_SILENT"
+    assert dual["verdict"] == "FAIL_SILENT"
     naive = _run_one(case, analysis, spec, catalog, seed=3, entry_only=True)
-    assert naive.verdict == "PASS"
+    assert naive["verdict"] == "PASS"
 
 
 def _reference_protocol_startups(plan, verdicts):
@@ -226,8 +225,8 @@ def test_fail_fast_defers_rest_of_run_and_startup_count_matches_reference(catalo
     result = run_batch(plan, spec, list(analysis.templates.values()), catalog,
                        FAST, OracleCriteria(), seed=9)
     assert len(result.test_runs) == len(cases)  # exactly once
-    assert len({tr.case_id for tr in result.test_runs}) == len(cases)
-    verdicts = {tr.case_id: tr.verdict for tr in result.test_runs}
+    assert len({tr["case_id"] for tr in result.test_runs}) == len(cases)
+    verdicts = {tr["case_id"]: tr["verdict"] for tr in result.test_runs}
     assert result.startup_count == _reference_protocol_startups(plan, verdicts)
     assert result.startup_count == result.initial_runs + result.reschedules
 
@@ -239,7 +238,7 @@ def test_all_pass_run_shares_single_startup(mini_setup):
     plan = greedy_batch(cases)
     result = run_batch(plan, spec, list(analysis.templates.values()), catalog,
                        FAST, OracleCriteria(), seed=2)
-    assert all(tr.verdict == "PASS" for tr in result.test_runs)
+    assert all(tr["verdict"] == "PASS" for tr in result.test_runs)
     assert result.startup_count == len(plan.runs)
     assert result.reschedules == 0
 
@@ -276,7 +275,7 @@ def test_run_batch_skips_cases_passed_in_the_history(mini_setup):
     history.record_outcome(cases[0].case_id, "PASS")
     result = run_batch(greedy_batch(cases), spec, list(analysis.templates.values()),
                        catalog, FAST, OracleCriteria(), seed=4, history=history)
-    assert sorted(tr.case_id for tr in result.test_runs) == sorted(
+    assert sorted(tr["case_id"] for tr in result.test_runs) == sorted(
         c.case_id for c in cases[1:])
     assert all(history.executed.get(c.case_id) for c in cases)
 
@@ -296,8 +295,8 @@ def test_report_round_trip(tmp_path, mini_setup):
     for original, loaded in zip(result.test_runs, runs):
         assert (loaded["case_id"], loaded["service"], loaded["endpoint"],
                 loaded["fault_id"], loaded["verdict"]) == (
-            original.case_id, original.service, original.endpoint.triple(),
-            original.fault_id, original.verdict)
+            original["case_id"], original["service"], original["endpoint"],
+            original["fault_id"], original["verdict"])
 
 
 def test_report_save_interrupted_keeps_earlier_file(tmp_path, mini_setup):
@@ -309,9 +308,9 @@ def test_report_save_interrupted_keeps_earlier_file(tmp_path, mini_setup):
     path = tmp_path / "report.jsonl"
     save_report(result, path)
     before = path.read_bytes()
-    # the second record cannot be serialized, after the first was written
+    # the summary cannot count the second record, after both were written
     broken = replace(result, test_runs=[result.test_runs[0], None])
-    with pytest.raises(AttributeError):
+    with pytest.raises(TypeError):
         save_report(broken, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["report.jsonl"]
@@ -375,7 +374,7 @@ def _run_wave_of(monkeypatch, cpus, n, fake):
 
 
 def _passes(run, *_args, **_kwargs):
-    return [SimpleNamespace(case_id=case.case_id, verdict="PASS") for case in run.cases], []
+    return [{"case_id": case.case_id, "verdict": "PASS"} for case in run.cases], []
 
 
 def _assert_no_child_left():
@@ -387,7 +386,7 @@ def _assert_no_child_left():
 def test_run_batch_merges_the_runs_of_a_wave_in_run_order(monkeypatch, deadline, cpus):
     # runs are handed out largest first, t2 and t5 before t0
     result = _run_wave_of(monkeypatch, cpus, 6, _passes)
-    assert [tr.case_id for tr in result.test_runs] == [
+    assert [tr["case_id"] for tr in result.test_runs] == [
         f"c{i}.{j}" for i in range(6) for j in range(i % 3 + 1)]
     assert result.startup_count == 6
     _assert_no_child_left()

@@ -192,6 +192,13 @@ MALFORMED_TOPOLOGIES = {
                   "topology unnamed: name must be a string, got ['mini']"),
     "seed-string": ((), {"seed": "11"}, "topology mini: seed must be an integer, got '11'"),
     "uri-number": (_FRONT, {"uri": 3}, "front POST 3: uri must be a string, got 3"),
+    # an interface line that `analyze` could not parse once recorded
+    "uri-relative": (_FRONT, {"uri": "front/orders"},
+                     "front POST front/orders: malformed request line 'POST front/orders': "
+                     "path must start with '/'"),
+    "uri-space": (_FRONT, {"uri": "/front/orders place"},
+                  "front POST /front/orders place: malformed request line "
+                  "'POST /front/orders place': expected 'METHOD /path'"),
     "response-path-number": ((*_FRONT, "resp", 0), {"path": 3},
                              f"{_PLACE}: path must be a string, got 3"),
     # a key the step's op does not read

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from resilitest.aggregation import save_cluster_report
 from resilitest.campaign import analyze_corpus
-from resilitest.executor import CampaignResult, TestRun, save_report
+from resilitest.executor import CampaignResult, save_report
 from resilitest.faults import default_catalog
 from resilitest.model import (Corpus, CorpusParseError, CorpusReader,
                               CorpusVersionError, Endpoint, Trace, Violation,
@@ -328,9 +328,9 @@ def test_save_failure_midway_keeps_the_earlier_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
 
 
-class _Unwritable:
-    """A record whose serialisation fails: reading any attribute or
-    iterating over it raises."""
+class _Unwritable(list):
+    """A record whose serialisation fails: reading any attribute, iterating
+    over it or encoding it as JSON (which lists it first) raises."""
 
     def __getattr__(self, name):
         raise RuntimeError("unwritable record")
@@ -359,10 +359,10 @@ def _writers(spec, corpus, analysis, cases, bad):
     history = History()
     history.record_outcome(cases[0].case_id, "PASS")
     history._records.append(bad)
-    first_run = TestRun(case_id="c0", trace_id="t0", host_trace_id="t0",
-                        interface_id="if0", service="svc",
-                        endpoint=Endpoint("Database", "jdbc", "select"),
-                        fault_id="f0", rationale="r", verdict="PASS")
+    first_run = {"type": "test_run", "case_id": "c0", "trace_id": "t0", "host_trace_id": "t0",
+                 "interface_id": "if0", "service": "svc",
+                 "endpoint": "Database:jdbc:select", "fault_id": "f0", "rationale": "r",
+                 "verdict": "PASS"}
     return {
         "save_corpus": lambda p: save_corpus(map(trace_to_record, [corpus.traces[0], bad]),
                                              p, corpus.meta),

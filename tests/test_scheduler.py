@@ -204,6 +204,9 @@ def test_history_file_round_trip(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("0 c1 PASS 1\nx c2 PASS 2\n", "line 2: epoch 'x' is not an integer"),
     ("0 c1 PASS 1.5\n", "line 1: sequence number '1.5' is not an integer"),
+    # an earlier epoch after a reset, which would count caseB as passed in epoch 1
+    ("1 - RESET 1\n0 caseB PASS 2\n", "line 2: out of order after epoch 1, sequence number 1"),
+    ("0 c1 PASS 2\n0 c2 PASS 2\n", "line 2: out of order after epoch 0, sequence number 2"),
 ])
 def test_history_load_names_file_line_and_field(tmp_path, text, message):
     path = tmp_path / "history.txt"

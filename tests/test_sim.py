@@ -855,6 +855,28 @@ def test_a_call_to_an_interface_its_target_lacks_is_not_found(service, line):
         {"invocations": 0, "failures": 0}
 
 
+def test_an_entry_and_a_call_resolve_a_request_line_by_one_rule():
+    # a template declared before a concrete line that it also matches: an
+    # entry and an internal call for that line both take the concrete one
+    def answering(uri, kind):
+        return InterfaceSpec(method="POST", uri_template=uri,
+                             resp_fields=(RespField("kind", f"lit:{kind}"),))
+
+    spec = _mini_replaced(front_steps=lambda steps: (
+        replace(steps[1], target_line="POST /backend/x/y"),))
+    back, front = spec.services
+    back = replace(back, interfaces=back.interfaces + (
+        answering("/backend/x/{id}", "template"), answering("/backend/x/y", "exact")))
+    system = _boot(replace(spec, services=(back, front)), record=True)
+    for line, kind in (("POST /backend/x/y", "exact"), ("POST /backend/x/z", "template")):
+        resp, _ = system.submit_request(EntryRequest(line, {}))
+        assert resp.payload["kind"] == kind, line
+    resp, trace = system.submit_request(_mini_request(system))
+    assert resp.ok
+    (call,) = [s for s in trace.spans if s.endpoint == _CALL]
+    assert call.response_payload["kind"] == "exact"
+
+
 def test_a_queued_entry_past_its_deadline_is_answered_once_and_skipped():
     spec = _mini_replaced(front={"workers": 1}, entry_deadline_us=200_000)
     system = _boot(spec)

@@ -1,6 +1,7 @@
 """Static checks over the package source, with the standard library's `ast`:
-every import is used, every private module-level name is referenced, and
-every public name is reached from outside the tests or listed as test-only."""
+every import is used, every private module-level name is referenced, every
+public name is reached from outside the tests or listed as test-only, and the
+simulator imports none of the campaign layers built on it."""
 
 import ast
 from pathlib import Path
@@ -103,3 +104,26 @@ def test_every_public_name_is_reached_outside_the_tests_or_listed():
     # a listed name that is gone, or now reached, leaves the list
     defined = {name for name, _where in public}
     assert sorted(name for name in TEST_ONLY if name not in defined or name in named) == []
+
+
+# the campaign layers built on the simulator; sim/ imports none of them
+CAMPAIGN_LAYERS = {"aggregation", "selection", "planner", "scheduler", "campaign", "executor",
+                   "cli"}
+
+
+def test_the_simulator_imports_no_campaign_layer():
+    imported = []
+    for module, tree in _modules().items():
+        if not module.startswith("sim/"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[-1],
+                         *(alias.name for alias in node.names if not node.module)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name.split(".")[-1] for alias in node.names]
+            else:
+                continue
+            imported += [f"{module}:{node.lineno} {name}" for name in names
+                         if name in CAMPAIGN_LAYERS]
+    assert imported == []
