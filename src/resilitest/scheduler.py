@@ -106,7 +106,7 @@ class History:
             epoch = _int(where, "epoch", parts[0])
             case_id, verdict = parts[1], parts[2]
             seq = _int(where, "sequence number", parts[3])
-            if history._records and (epoch < history.epoch or seq <= history._seq):
+            if epoch < history.epoch or seq <= history._seq:  # after (0, 0) on line 1
                 raise ValueError(f"{where}: out of order after epoch {history.epoch}, "
                                  f"sequence number {history._seq}")
             if epoch > history.epoch:

@@ -207,6 +207,7 @@ def test_history_file_round_trip(tmp_path):
     # an earlier epoch after a reset, which would count caseB as passed in epoch 1
     ("1 - RESET 1\n0 caseB PASS 2\n", "line 2: out of order after epoch 1, sequence number 1"),
     ("0 c1 PASS 2\n0 c2 PASS 2\n", "line 2: out of order after epoch 0, sequence number 2"),
+    ("-1 c1 PASS 1\n", "line 1: out of order after epoch 0, sequence number 0"),
 ])
 def test_history_load_names_file_line_and_field(tmp_path, text, message):
     path = tmp_path / "history.txt"
