@@ -24,7 +24,7 @@ from .model import (COUNT, NUMBER, OBJECT, STRING, check_fields, check_kind,
                     dumps_canonical, read_records, write_lines)
 from .scheduler import (VERDICT_PASS, History, Run, RunPlan, filter_history,
                         greedy_batch)
-from .sim.engine import PhaseMetrics, System, replay_traffic
+from .sim.engine import System, replay_traffic
 from .sim.topology import TopologySpec
 from .templating import SequentialIdSource, TraceTemplate, instantiate
 
@@ -117,35 +117,33 @@ class OracleCriteria:
         return criteria
 
 
-def _rate(metrics: Optional[PhaseMetrics]) -> float:
-    if metrics is None or metrics.success_rate is None:
+def _rate(phase: Optional[dict]) -> float:
+    if phase is None or phase["success_rate"] is None:
         return 0.0
-    return metrics.success_rate
+    return phase["success_rate"]
 
 
-def evaluate(startup: Optional[PhaseMetrics], inject: Optional[PhaseMetrics],
-             recover: Optional[PhaseMetrics], injection_hits: int,
-             inject_endpoint_failures: int, recover_endpoint_failures: int,
-             downstream_effect_ok: bool, criteria: EffectiveCriteria,
+def evaluate(phases: dict, assertions: dict, criteria: EffectiveCriteria,
              entry_only: bool = False) -> str:
-    """Pure verdict function over phase metrics and granular assertions.
+    """Pure verdict function over a `test_run` record's `phases` and `assertions`.
 
     Zero-sample phases count as 0.0 success (nothing demonstrated). With
     entry_only set, the endpoint-level assertions (impact, silent failure,
     residual endpoint failures) are skipped, which is exactly the naive
     oracle the granular assertion points exist to improve on.
     """
-    if inject is None or recover is None:
+    if phases["inject"] is None or phases["recover"] is None:
         raise ExecutorError("evaluation requires all three phases")
-    if _rate(startup) < criteria.startup_min:
+    if _rate(phases["startup"]) < criteria.startup_min:
         return VERDICT_STARTUP
-    if not entry_only and injection_hits == 0:
+    if not entry_only and assertions["injection_hits"] == 0:
         return VERDICT_NO_IMPACT
-    if (not entry_only and _rate(inject) > criteria.inject_max
-            and inject_endpoint_failures > 0 and not downstream_effect_ok):
+    if (not entry_only and _rate(phases["inject"]) > criteria.inject_max
+            and assertions["inject_endpoint_failures"] > 0
+            and not assertions["downstream_effect_ok"]):
         return VERDICT_SILENT
-    if _rate(recover) < criteria.recover_min or (
-            not entry_only and recover_endpoint_failures > 0):
+    if _rate(phases["recover"]) < criteria.recover_min or (
+            not entry_only and assertions["recover_endpoint_failures"] > 0):
         return VERDICT_NO_RECOVERY
     return VERDICT_PASS
 
@@ -177,15 +175,14 @@ def execute_run(run: Run, topology: TopologySpec, template: TraceTemplate,
     cursor += phases.startup_us
     startup = system.entry_metrics(startup_window)
     startup_ok = _rate(startup) >= effective.startup_min
-    startup_phase = startup.to_dict()
 
     records, deferred = [], []
     for position, case in enumerate(run.cases):
         target = case.target
         verdict = VERDICT_STARTUP
-        inject = recover = None
-        hits = inject_failures = recover_failures = 0
-        effect_ok = True
+        measured = {"startup": startup, "inject": None, "recover": None}
+        assertions = {"injection_hits": 0, "inject_endpoint_failures": 0,
+                      "recover_endpoint_failures": 0, "downstream_effect_ok": True}
         if startup_ok:
             system.forget_before(cursor)  # only this case's windows are read from here
             armed = system.arm_fault(target.service, target.endpoint, catalog[case.fault_id])
@@ -197,17 +194,18 @@ def execute_run(run: Run, topology: TopologySpec, template: TraceTemplate,
                                             cursor, phases.recover_us)
             cursor += phases.recover_us
             case_window = (inject_window[0], recover_window[1])
-            inject = system.entry_metrics(inject_window)
-            recover = system.entry_metrics(recover_window)
-            hits = armed.hits_in(inject_window)
-            inject_failures = system.endpoint_stats(
-                target.service, target.endpoint, inject_window)["failures"]
-            recover_failures = system.endpoint_stats(
-                target.service, target.endpoint, recover_window)["failures"]
-            effect_ok = (system.losses_in(case_window) == 0
-                         and system.outbox_pending_from(case_window) == 0)
-            verdict = evaluate(startup, inject, recover, hits, inject_failures,
-                               recover_failures, effect_ok, effective, entry_only=entry_only)
+            measured["inject"] = system.entry_metrics(inject_window)
+            measured["recover"] = system.entry_metrics(recover_window)
+            assertions = {
+                "injection_hits": armed.hits_in(inject_window),
+                "inject_endpoint_failures": system.endpoint_stats(
+                    target.service, target.endpoint, inject_window)["failures"],
+                "recover_endpoint_failures": system.endpoint_stats(
+                    target.service, target.endpoint, recover_window)["failures"],
+                "downstream_effect_ok": (system.losses_in(case_window) == 0
+                                         and system.outbox_pending_from(case_window) == 0),
+            }
+            verdict = evaluate(measured, assertions, effective, entry_only=entry_only)
         records.append({
             "type": "test_run", "case_id": case.case_id,
             "trace_id": target.trace_id,  # the case's own trace
@@ -215,12 +213,7 @@ def execute_run(run: Run, topology: TopologySpec, template: TraceTemplate,
             "interface_id": template.interface_id,  # of the host trace (criteria context)
             "service": target.service, "endpoint": target.endpoint.triple(),
             "fault_id": case.fault_id, "rationale": target.rationale, "verdict": verdict,
-            "phases": {"startup": startup_phase, "inject": inject and inject.to_dict(),
-                       "recover": recover and recover.to_dict()},
-            "assertions": {"injection_hits": hits,
-                           "inject_endpoint_failures": inject_failures,
-                           "recover_endpoint_failures": recover_failures,
-                           "downstream_effect_ok": effect_ok},
+            "phases": measured, "assertions": assertions,
         })
         if verdict != VERDICT_PASS:
             deferred.extend(run.cases[position + 1:])

@@ -96,6 +96,8 @@ def _parse_effect(kind: str, args: list, where: str) -> Effect:
                 delay = int(args[0])
         except ValueError:
             raise CatalogError(f"{where}: bad delay {args[0]!r}") from None
+        if delay < 0:
+            raise CatalogError(f"{where}: delay must be at least 0, got {args[0]!r}")
         return Effect(kind=EFFECT_DELAY, delay_us=delay)
     if kind == EFFECT_STATUS:
         if not args:

@@ -193,76 +193,59 @@ class Violation:
         return f"[{self.rule}] span {self.span_id}: {self.detail}"
 
 
-def _ancestor_ids(by_id: dict, span: Span) -> set:
-    """IDs on the parent chain of `span`, followed through `by_id` up to a
-    parentless span, a repeat or an ID `by_id` lacks (which is included)."""
-    ids = set()
-    parent_id = span.parent_id
-    while parent_id is not None and parent_id not in ids:
-        ids.add(parent_id)
-        parent = by_id.get(parent_id)
-        if parent is None:
-            break
-        parent_id = parent.parent_id
-    return ids
-
-
-def validate_trace(trace: Trace) -> list:
-    """Check all Span/Trace invariants; total and pure.
-
-    Returns a list of Violations (empty iff the trace is valid). Violations
-    are data, not errors: malformed traces never raise.
-    """
-    violations = []
+def validate_trace(trace: Trace) -> Optional[Violation]:
+    """The first broken Span/Trace invariant of `trace`, rules and spans taken
+    in order, or None if it is valid; total and pure: never raises."""
     by_id = {}
     for span in trace.spans:
         if span.span_id in by_id:
-            violations.append(Violation(span.span_id, "unique-id", "duplicate span_id"))
-        else:
-            by_id[span.span_id] = span
+            return Violation(span.span_id, "unique-id", "duplicate span_id")
+        by_id[span.span_id] = span
 
     roots = [s for s in trace.spans if s.parent_id is None]
     if len(roots) > 1:
-        for span in roots[1:]:
-            violations.append(Violation(span.span_id, "multiple-roots", "more than one span lacks parent_id"))
+        return Violation(roots[1].span_id, "multiple-roots", "more than one span lacks parent_id")
     if not roots:
-        violations.append(Violation(trace.root, "missing-root", "no span lacks parent_id"))
-    elif roots[0].span_id != trace.root or trace.root not in by_id:
-        violations.append(Violation(trace.root, "root-mismatch",
-                                    f"declared root {trace.root!r} is not the parentless span"))
+        return Violation(trace.root, "missing-root", "no span lacks parent_id")
+    if roots[0].span_id != trace.root:
+        return Violation(trace.root, "root-mismatch",
+                         f"declared root {trace.root!r} is not the parentless span")
 
     for span in trace.spans:
-        if span.parent_id is not None and span.parent_id not in by_id:
-            violations.append(Violation(span.span_id, "dangling-parent",
-                                        f"parent {span.parent_id!r} not in trace"))
-        if span.duration_us < 0:
-            violations.append(Violation(span.span_id, "negative-duration", f"duration {span.duration_us}"))
         parent = by_id.get(span.parent_id) if span.parent_id is not None else None
-        if parent is not None:
-            if span.start_us < parent.start_us or span.end_us > parent.end_us:
-                violations.append(Violation(
-                    span.span_id, "containment",
-                    f"[{span.start_us}, {span.end_us}] outside parent [{parent.start_us}, {parent.end_us}]"))
+        if span.parent_id is not None and parent is None:
+            return Violation(span.span_id, "dangling-parent",
+                             f"parent {span.parent_id!r} not in trace")
+        if span.duration_us < 0:
+            return Violation(span.span_id, "negative-duration", f"duration {span.duration_us}")
+        if parent is not None and (span.start_us < parent.start_us
+                                   or span.end_us > parent.end_us):
+            return Violation(
+                span.span_id, "containment",
+                f"[{span.start_us}, {span.end_us}] outside parent [{parent.start_us}, {parent.end_us}]")
 
     # Ordering: a valid topological order of the parent relation, ties (spans
     # unrelated in the ancestor partial order) broken by start_time.
-    positions = {s.span_id: i for i, s in enumerate(trace.spans)}
-    for span in trace.spans:
-        if span.parent_id is not None and span.parent_id in positions:
-            if positions[span.parent_id] > positions[span.span_id]:
-                violations.append(Violation(span.span_id, "topo-order", "span precedes its parent"))
     spans = trace.spans
-    ancestors = [_ancestor_ids(by_id, span) for span in spans]
-    for i, earlier in enumerate(spans):
-        for j in range(i + 1, len(spans)):
-            later = spans[j]
-            if (earlier.start_us > later.start_us
-                    and earlier.span_id not in ancestors[j]
-                    and later.span_id not in ancestors[i]):
-                violations.append(Violation(
-                    later.span_id, "start-order",
-                    f"starts at {later.start_us} before unrelated earlier span {earlier.span_id} at {earlier.start_us}"))
-    return violations
+    positions = {s.span_id: i for i, s in enumerate(spans)}
+    for i, span in enumerate(spans):
+        if span.parent_id is not None and positions[span.parent_id] > i:
+            return Violation(span.span_id, "topo-order", "span precedes its parent")
+    # Now an ancestor is listed before its descendants and starts no later, so
+    # a span starting before an earlier-listed one is unrelated to it: report
+    # the pair with the smallest earlier index, then the smallest later one.
+    first, earliest = None, math.inf  # earliest: the least start after position i
+    for i in range(len(spans) - 1, -1, -1):
+        if spans[i].start_us > earliest:
+            first = i
+        earliest = min(earliest, spans[i].start_us)
+    if first is None:
+        return None
+    earlier = spans[first]
+    later = next(s for s in spans[first + 1:] if s.start_us < earlier.start_us)
+    return Violation(
+        later.span_id, "start-order",
+        f"starts at {later.start_us} before unrelated earlier span {earlier.span_id} at {earlier.start_us}")
 
 
 class CorpusParseError(ValueError):
@@ -314,9 +297,9 @@ def _decode_line(where: str, line, endpoints: dict) -> Trace:
         trace = trace_from_record(json.loads(line), endpoints)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusParseError(f"{where}: malformed trace record: {exc}") from exc
-    violations = validate_trace(trace)
-    if violations:
-        raise CorpusParseError(f"{where}: trace {trace.trace_id!r}: {violations[0]}")
+    violation = validate_trace(trace)
+    if violation is not None:
+        raise CorpusParseError(f"{where}: trace {trace.trace_id!r}: {violation}")
     return trace
 
 

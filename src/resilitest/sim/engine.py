@@ -94,26 +94,8 @@ class Response:
         return span_status(self.exc)
 
 
-@dataclass(frozen=True)
-class PhaseMetrics:
-    """Entry-request outcomes of one window: the oracle's phase metrics."""
-
-    samples: int
-    success_rate: Optional[float]
-    p50_us: Optional[int]
-    p95_us: Optional[int]
-    throughput_rps: float
-
-    def to_dict(self) -> dict:
-        return {"samples": self.samples, "success_rate": self.success_rate,
-                "p50_us": self.p50_us, "p95_us": self.p95_us,
-                "throughput_rps": self.throughput_rps}
-
-
 @dataclass
 class ArmedFault:
-    service: str
-    endpoint: Endpoint
     fault: FaultSpec
     hits: list = field(default_factory=list)  # interception times (us)
 
@@ -695,7 +677,7 @@ class System:
         unit = self._units.get((service, endpoint))  # one per spec.units member
         if unit is None:
             raise SimError(f"endpoint {endpoint.triple()} not used by service {service!r}")
-        armed = ArmedFault(service=service, endpoint=endpoint, fault=fault)
+        armed = ArmedFault(fault)
         if unit.armed is None:  # the first one wins
             unit.armed = armed
         return armed
@@ -731,24 +713,23 @@ class System:
         return log[bisect_left(log, lo, key=_COMPLETE_US):
                    bisect_left(log, hi, key=_COMPLETE_US)]
 
-    def entry_metrics(self, window: tuple) -> PhaseMetrics:
+    def entry_metrics(self, window: tuple) -> dict:
+        """Entry-request outcomes of `window`: the oracle's phase record, as
+        the report holds it."""
         lo, hi = window
         done = self._entries_in(window)
         if hi > self.now_us + 1:
             raise SimError(f"window [{lo}, {hi}) beyond elapsed virtual time {self.now_us}")
         if not done:
-            return PhaseMetrics(samples=0, success_rate=None, p50_us=None,
-                                p95_us=None, throughput_rps=0.0)
+            return {"samples": 0, "success_rate": None, "p50_us": None,
+                    "p95_us": None, "throughput_rps": 0.0}
         latencies = sorted(c - s for (c, s, _ok, _lost) in done)
         n = len(latencies)
         ok_count = sum(1 for (_c, _s, ok, _lost) in done if ok)
-        return PhaseMetrics(
-            samples=n,
-            success_rate=ok_count / n,
-            p50_us=latencies[max(0, (n * 50 + 99) // 100 - 1)],  # nearest-rank
-            p95_us=latencies[max(0, (n * 95 + 99) // 100 - 1)],
-            throughput_rps=n / ((hi - lo) / SECOND_US),
-        )
+        return {"samples": n, "success_rate": ok_count / n,
+                "p50_us": latencies[max(0, (n * 50 + 99) // 100 - 1)],  # nearest-rank
+                "p95_us": latencies[max(0, (n * 95 + 99) // 100 - 1)],
+                "throughput_rps": n / ((hi - lo) / SECOND_US)}
 
     def endpoint_stats(self, service: str, endpoint: Endpoint, window: tuple) -> dict:
         lo, hi = window

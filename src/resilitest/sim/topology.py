@@ -250,13 +250,13 @@ def validate_topology(spec: TopologySpec) -> None:
 
     lines = {}
     for svc, iface in spec.interfaces():
+        where = f"{svc.name} {iface.line}"
         try:
             parse_request_line(iface.line)  # the grammar every request line is read by
         except RequestLineError as exc:
-            raise TopologyError(f"{svc.name} {iface.line}: {exc}") from None
+            raise TopologyError(f"{where}: {exc}") from None
         if iface.line in lines:
-            raise TopologyError(
-                f"{svc.name}/{iface.line}: interface line already declared by {lines[iface.line]}")
+            raise TopologyError(f"{where}: interface line already declared by {lines[iface.line]}")
         lines[iface.line] = svc.name
 
     for svc, iface in spec.interfaces():

@@ -22,7 +22,7 @@ import pytest
 from resilitest.campaign import analyze_corpus, replay_check
 from resilitest.cli import main
 from resilitest.executor import (EffectiveCriteria, FAIL_VERDICTS,
-                                 OracleCriteria, PhaseConfig, PhaseMetrics,
+                                 OracleCriteria, PhaseConfig,
                                  evaluate, load_report, run_batch)
 from resilitest.faults import faults_for_endpoint
 from resilitest.model import (compute_window, dumps_canonical,
@@ -486,8 +486,8 @@ def test_criterion_10_oracle_truth_table():
         return "PASS"
 
     def metrics(rate):
-        return PhaseMetrics(samples=100, success_rate=rate, p50_us=1,
-                            p95_us=2, throughput_rps=1.0)
+        return {"samples": 100, "success_rate": rate, "p50_us": 1,
+                "p95_us": 2, "throughput_rps": 1.0}
 
     grid = [round(i / 10, 1) for i in range(11)]
     checked = 0
@@ -495,8 +495,12 @@ def test_criterion_10_oracle_truth_table():
         for hits in (0, 3):
             for epf in (0, 2):
                 for downstream_ok in (True, False):
-                    got = evaluate(metrics(s), metrics(i), metrics(r), hits,
-                                   epf, 0, downstream_ok, criteria)
+                    phases = {"startup": metrics(s), "inject": metrics(i),
+                              "recover": metrics(r)}
+                    assertions = {"injection_hits": hits, "inject_endpoint_failures": epf,
+                                  "recover_endpoint_failures": 0,
+                                  "downstream_effect_ok": downstream_ok}
+                    got = evaluate(phases, assertions, criteria)
                     assert got == reference_table(s, i, r, hits, epf,
                                                   downstream_ok), \
                         (s, i, r, hits, epf, downstream_ok, got)

@@ -106,22 +106,53 @@ def test_analyze_missing_registry_exits_2(mini_files, capsys):
     assert "no_such_file" in capsys.readouterr().err
 
 
-def test_corpus_with_invalid_trace_exits_2(mini_files, capsys):
+# One edit of the first trace, whose spans are s0, the root, and s1, its child,
+# per span rule: (rule, the edit, the span named, its detail from s0 and s1).
+SPAN_RULE_EDITS = [
+    ("unique-id", lambda rec: rec["spans"][1].update(id="s0"), "s0",
+     lambda s0, s1: "duplicate span_id"),
+    ("multiple-roots", lambda rec: rec["spans"][1].update(parent=None), "s1",
+     lambda s0, s1: "more than one span lacks parent_id"),
+    ("missing-root", lambda rec: rec["spans"][0].update(parent="s1"), "s0",
+     lambda s0, s1: "no span lacks parent_id"),
+    ("root-mismatch", lambda rec: rec.update(root="s1"), "s1",
+     lambda s0, s1: "declared root 's1' is not the parentless span"),
+    ("dangling-parent", lambda rec: rec["spans"][1].update(parent="sx"), "s1",
+     lambda s0, s1: "parent 'sx' not in trace"),
+    ("negative-duration", lambda rec: rec["spans"][1].update(dur_us=-1), "s1",
+     lambda s0, s1: "duration -1"),
+    ("containment", lambda rec: rec["spans"][1].update(dur_us=10**9), "s1",
+     lambda s0, s1: f"[{s1['start_us']}, {s1['start_us'] + 10**9}] outside parent "
+                    f"[{s0['start_us']}, {s0['start_us'] + s0['dur_us']}]"),
+    ("topo-order", lambda rec: rec["spans"].reverse(), "s1",
+     lambda s0, s1: "span precedes its parent"),
+    ("start-order", lambda rec: rec["spans"].append({**rec["spans"][1], "id": "s2",
+                                                     "start_us": rec["spans"][0]["start_us"]}),
+     "s2", lambda s0, s1: f"starts at {s0['start_us']} before unrelated earlier span s1 "
+                          f"at {s1['start_us']}"),
+]
+
+
+@pytest.mark.parametrize("rule, edit, span_id, detail", SPAN_RULE_EDITS,
+                         ids=[case[0] for case in SPAN_RULE_EDITS])
+def test_corpus_with_invalid_trace_exits_2(mini_files, capsys, rule, edit, span_id, detail):
     tmp_path, topo, workload = mini_files
     corpus = tmp_path / "corpus.txt"
     analysis = tmp_path / "analysis"
     assert main(["simulate-record", "--topology", str(topo), "--workload",
                  str(workload), "--out", str(corpus)]) == 0
     assert main(["analyze", "--corpus", str(corpus), "--out-dir", str(analysis)]) == 0
-    # a second root: the last span of the first trace loses its parent
     header, first, *rest = corpus.read_text().splitlines()
     rec = json.loads(first)
-    assert rec["trace_id"] == "t000000" and len(rec["spans"]) > 1
-    rec["spans"][-1]["parent"] = None
+    assert rec["trace_id"] == "t000000" and rec["root"] == "s0"
+    s0, s1 = rec["spans"]
+    assert (s0["id"], s0["parent"], s1["id"], s1["parent"]) == ("s0", None, "s1", "s0")
+    expected = (f"error: corpus {corpus} line 2: trace 't000000': "
+                f"[{rule}] span {span_id}: {detail(s0, s1)}\n")
+    edit(rec)
     corpus.write_text("\n".join([header, json.dumps(rec), *rest]) + "\n")
-    expected = f"line 2: trace 't000000': [multiple-roots] span {rec['spans'][-1]['id']}"
     assert main(["analyze", "--corpus", str(corpus), "--out-dir", str(analysis)]) == 2
-    assert expected in capsys.readouterr().err
+    assert capsys.readouterr().err == expected
     # plan does not decode the corpus: it finds it is not the one analyzed
     assert main(["plan", "--corpus", str(corpus), "--analysis", str(analysis),
                  "--out-dir", str(tmp_path / "plans")]) == 2

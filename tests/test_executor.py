@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from resilitest import executor
 from resilitest.executor import (EffectiveCriteria, ExecutorError,
-                                 OracleCriteria, PhaseConfig, PhaseMetrics,
+                                 OracleCriteria, PhaseConfig,
                                  check_run_plan, evaluate, execute_run, load_report,
                                  run_batch, save_report)
 from resilitest.faults import default_catalog
@@ -30,8 +30,20 @@ FAST = PhaseConfig(6 * SECOND, 6 * SECOND, 6 * SECOND, 5)
 
 
 def _metrics(rate, samples=60):
-    return PhaseMetrics(samples=samples, success_rate=rate, p50_us=1000,
-                        p95_us=2000, throughput_rps=5.0)
+    return {"samples": samples, "success_rate": rate, "p50_us": 1000,
+            "p95_us": 2000, "throughput_rps": 5.0}
+
+
+def _phases(startup, inject, recover):
+    return {"startup": startup, "inject": inject, "recover": recover}
+
+
+def _assertions(injection_hits, inject_endpoint_failures, recover_endpoint_failures,
+                downstream_effect_ok):
+    return {"injection_hits": injection_hits,
+            "inject_endpoint_failures": inject_endpoint_failures,
+            "recover_endpoint_failures": recover_endpoint_failures,
+            "downstream_effect_ok": downstream_effect_ok}
 
 
 DEFAULTS = EffectiveCriteria(startup_min=1.0, inject_max=0.30, recover_min=0.80)
@@ -62,64 +74,65 @@ def test_criteria_file_resolves_interface_override(tmp_path):
 
 
 def test_evaluate_pass_case():
-    verdict = evaluate(_metrics(1.0), _metrics(0.20), _metrics(0.85),
-                       injection_hits=5, inject_endpoint_failures=5,
-                       recover_endpoint_failures=0, downstream_effect_ok=True,
+    verdict = evaluate(_phases(_metrics(1.0), _metrics(0.20), _metrics(0.85)),
+                       _assertions(injection_hits=5, inject_endpoint_failures=5,
+                                   recover_endpoint_failures=0, downstream_effect_ok=True),
                        criteria=DEFAULTS)
     assert verdict == "PASS"
 
 
 def test_evaluate_no_recovery_below_threshold():
-    verdict = evaluate(_metrics(1.0), _metrics(0.20), _metrics(0.50),
-                       injection_hits=5, inject_endpoint_failures=5,
-                       recover_endpoint_failures=0, downstream_effect_ok=True,
+    verdict = evaluate(_phases(_metrics(1.0), _metrics(0.20), _metrics(0.50)),
+                       _assertions(injection_hits=5, inject_endpoint_failures=5,
+                                   recover_endpoint_failures=0, downstream_effect_ok=True),
                        criteria=DEFAULTS)
     assert verdict == "FAIL_NO_RECOVERY"
 
 
 def test_evaluate_silent_failure():
-    verdict = evaluate(_metrics(1.0), _metrics(0.35), _metrics(0.85),
-                       injection_hits=5, inject_endpoint_failures=3,
-                       recover_endpoint_failures=0, downstream_effect_ok=False,
+    verdict = evaluate(_phases(_metrics(1.0), _metrics(0.35), _metrics(0.85)),
+                       _assertions(injection_hits=5, inject_endpoint_failures=3,
+                                   recover_endpoint_failures=0, downstream_effect_ok=False),
                        criteria=DEFAULTS)
     assert verdict == "FAIL_SILENT"
 
 
 def test_evaluate_no_impact_when_zero_hits():
-    verdict = evaluate(_metrics(1.0), _metrics(1.0), _metrics(1.0),
-                       injection_hits=0, inject_endpoint_failures=0,
-                       recover_endpoint_failures=0, downstream_effect_ok=True,
+    verdict = evaluate(_phases(_metrics(1.0), _metrics(1.0), _metrics(1.0)),
+                       _assertions(injection_hits=0, inject_endpoint_failures=0,
+                                   recover_endpoint_failures=0, downstream_effect_ok=True),
                        criteria=DEFAULTS)
     assert verdict == "FAIL_NO_IMPACT"
 
 
 def test_evaluate_startup_failure_takes_precedence():
-    verdict = evaluate(_metrics(0.9), _metrics(0.0), _metrics(0.0),
-                       injection_hits=0, inject_endpoint_failures=0,
-                       recover_endpoint_failures=0, downstream_effect_ok=False,
+    verdict = evaluate(_phases(_metrics(0.9), _metrics(0.0), _metrics(0.0)),
+                       _assertions(injection_hits=0, inject_endpoint_failures=0,
+                                   recover_endpoint_failures=0, downstream_effect_ok=False),
                        criteria=DEFAULTS)
     assert verdict == "STARTUP_FAILURE"
 
 
 def test_evaluate_residual_endpoint_failures_fail_recovery():
-    verdict = evaluate(_metrics(1.0), _metrics(1.0), _metrics(1.0),
-                       injection_hits=5, inject_endpoint_failures=5,
-                       recover_endpoint_failures=2, downstream_effect_ok=True,
+    verdict = evaluate(_phases(_metrics(1.0), _metrics(1.0), _metrics(1.0)),
+                       _assertions(injection_hits=5, inject_endpoint_failures=5,
+                                   recover_endpoint_failures=2, downstream_effect_ok=True),
                        criteria=DEFAULTS)
     assert verdict == "FAIL_NO_RECOVERY"
 
 
 def test_evaluate_entry_only_skips_granular_assertions():
-    verdict = evaluate(_metrics(1.0), _metrics(1.0), _metrics(1.0),
-                       injection_hits=0, inject_endpoint_failures=5,
-                       recover_endpoint_failures=5, downstream_effect_ok=False,
+    verdict = evaluate(_phases(_metrics(1.0), _metrics(1.0), _metrics(1.0)),
+                       _assertions(injection_hits=0, inject_endpoint_failures=5,
+                                   recover_endpoint_failures=5, downstream_effect_ok=False),
                        criteria=DEFAULTS, entry_only=True)
     assert verdict == "PASS"
 
 
 def test_evaluate_requires_all_phases():
     with pytest.raises(ExecutorError):
-        evaluate(_metrics(1.0), None, _metrics(1.0), 1, 1, 0, True, DEFAULTS)
+        evaluate(_phases(_metrics(1.0), None, _metrics(1.0)), _assertions(1, 1, 0, True),
+                 DEFAULTS)
 
 
 @given(s=st.floats(0, 1), i=st.floats(0, 1), r=st.floats(0, 1),
@@ -128,10 +141,10 @@ def test_evaluate_requires_all_phases():
 @settings(max_examples=300, deadline=None)
 def test_evaluate_is_pure_and_total_over_random_tuples(s, i, r, hits, epf_i,
                                                        epf_r, downstream):
-    first = evaluate(_metrics(s), _metrics(i), _metrics(r), hits, epf_i, epf_r,
-                     downstream, DEFAULTS)
-    second = evaluate(_metrics(s), _metrics(i), _metrics(r), hits, epf_i, epf_r,
-                      downstream, DEFAULTS)
+    first = evaluate(_phases(_metrics(s), _metrics(i), _metrics(r)),
+                     _assertions(hits, epf_i, epf_r, downstream), DEFAULTS)
+    second = evaluate(_phases(_metrics(s), _metrics(i), _metrics(r)),
+                      _assertions(hits, epf_i, epf_r, downstream), DEFAULTS)
     assert first == second
     assert first in ("PASS", "FAIL_NO_RECOVERY", "FAIL_SILENT",
                      "FAIL_NO_IMPACT", "STARTUP_FAILURE")

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import shutil
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,9 @@ MALFORMED_TOPOLOGIES = {
     "uri-space": (_FRONT, {"uri": "/front/orders place"},
                   "front POST /front/orders place: malformed request line "
                   "'POST /front/orders place': expected 'METHOD /path'"),
+    "uri-repeated": (_FRONT, {"uri": "/backend/internal/process"},
+                     "front POST /backend/internal/process: interface line already "
+                     "declared by backend"),
     "response-path-number": ((*_FRONT, "resp", 0), {"path": 3},
                              f"{_PLACE}: path must be a string, got 3"),
     # a key the step's op does not read
@@ -244,6 +248,25 @@ def test_a_malformed_topology_exits_2_naming_its_file_and_place(campaign, case, 
     else:
         argv = READERS["topology"][3](campaign, path)
     assert _run(argv) == (2, f"error: topology {path}: {message}\n")
+
+
+@pytest.mark.parametrize("stage", ["plan", "run"])
+def test_a_negative_catalog_delay_exits_2_naming_its_file_and_line(campaign, stage):
+    lines = resources.files("resilitest.assets").joinpath(
+        "default_faults.txt").read_text("utf-8").splitlines()
+    line = next(n for n, text in enumerate(lines, 1) if text.startswith("db-slow "))
+    lines[line - 1] = lines[line - 1].replace("delay auto", "delay -5s")
+    path = campaign / "negative-delay" / "faults.txt"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("".join(text + "\n" for text in lines))
+    (campaign / "out").mkdir(exist_ok=True)
+    if stage == "run":
+        argv = _run_args(campaign, campaign / "analysis" / "templates.jsonl")
+    else:
+        argv = ["plan", "--corpus", campaign / "corpus.txt", "--analysis",
+                campaign / "analysis", "--out-dir", campaign / "out" / "plans"]
+    assert _run([*argv, "--catalog", path]) == (
+        2, f"error: catalog {path} line {line}: delay must be at least 0, got '-5s'\n")
 
 
 def _run_plan_args(d, path):
