@@ -37,9 +37,11 @@ def interface_digest(method: str, template_tokens: list) -> str:
 
 
 class _Leaf:
-    __slots__ = ("template", "trace_ids")
+    __slots__ = ("method", "template", "trace_ids", "index")
 
-    def __init__(self, tokens, trace_id):
+    def __init__(self, method, tokens, trace_id, index):
+        self.method = method
+        self.index = index
         self.template = list(tokens)
         self.trace_ids = [trace_id]
 
@@ -67,6 +69,7 @@ class DrainTree:
 
     def __init__(self):
         self._root = {}
+        self.leaves = []  # every leaf, in the order they were made
 
     def _leaf_group(self, method: str, tokens: list) -> list:
         key = (method, len(tokens))
@@ -83,41 +86,32 @@ class DrainTree:
                 node = children.setdefault(WILDCARD, {})
         return node.setdefault("leaves", [])
 
-    def add(self, method: str, tokens: list, trace_id: str) -> None:
+    def add(self, line: str, trace_id: str) -> int:
+        """The index in `leaves` of the leaf trace `trace_id`, of root request
+        line `line`, joins for good; RequestLineError if `line` does not parse."""
+        try:
+            method, tokens = parse_request_line(line)
+        except RequestLineError as exc:
+            raise RequestLineError(f"trace {trace_id}: {exc}") from None
         leaves = self._leaf_group(method, tokens)
-        best = None
-        best_key = (-1.0, -1)
-        for leaf in leaves:
-            sim, wildcards = _similarity(leaf.template, tokens)
-            if (sim, wildcards) > best_key:
-                best_key = (sim, wildcards)
-                best = leaf
-        if best is not None and best_key[0] >= SIMILARITY_THRESHOLD:
+        (sim, _wildcards), best = max(  # the first leaf of the most similar template
+            ((_similarity(leaf.template, tokens), leaf) for leaf in leaves),
+            key=lambda pair: pair[0], default=((-1.0, -1), None))
+        if best is not None and sim >= SIMILARITY_THRESHOLD:
             best.trace_ids.append(trace_id)
             best.template = [a if a == b else WILDCARD
                              for a, b in zip(best.template, tokens)]
-        else:
-            leaves.append(_Leaf(tokens, trace_id))
+            return best.index
+        leaves.append(_Leaf(method, tokens, trace_id, len(self.leaves)))
+        self.leaves.append(leaves[-1])
+        return leaves[-1].index
 
     def clusters(self) -> list:
-        out = []
-        for (method, _count), node in self._root.items():
-            out.extend(self._collect(method, node))
-        out.sort(key=lambda c: (c.http_method, c.template_tokens))
-        return out
-
-    def _collect(self, method, node):
-        found = []
-        for leaf in node.get("leaves", []):
-            found.append(InterfaceCluster(
-                interface_id=interface_digest(method, leaf.template),
-                template_tokens=list(leaf.template),
-                member_trace_ids=list(leaf.trace_ids),
-                http_method=method,
-            ))
-        for child in node.get("children", {}).values():
-            found.extend(self._collect(method, child))
-        return found
+        """The InterfaceCluster of each leaf, by method and template."""
+        return sorted((InterfaceCluster(interface_digest(leaf.method, leaf.template),
+                                        list(leaf.template), list(leaf.trace_ids), leaf.method)
+                       for leaf in self.leaves),
+                      key=lambda c: (c.http_method, c.template_tokens))
 
 
 def cluster_interfaces(corpus: Corpus) -> list:
@@ -126,11 +120,7 @@ def cluster_interfaces(corpus: Corpus) -> list:
     RequestLineError naming its trace."""
     tree = DrainTree()
     for trace in corpus.traces:
-        try:
-            method, tokens = parse_request_line(trace.root_span().operation_name)
-        except RequestLineError as exc:
-            raise RequestLineError(f"trace {trace.trace_id}: {exc}") from None
-        tree.add(method, tokens, trace.trace_id)
+        tree.add(trace.root_span().operation_name, trace.trace_id)
     return tree.clusters()
 
 

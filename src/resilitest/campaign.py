@@ -10,48 +10,103 @@ progressively explore new interfaces instead of re-testing passed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from array import array
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Optional
 
-from .aggregation import cluster_interfaces
-from .model import Corpus
+from .aggregation import DrainTree, interface_digest
+from .model import Corpus, CorpusMeta, RequestLineError
 from .planner import PlanConfig, plan_targets
 from .scheduler import History, filter_history
-from .selection import ComplexityWeights, score_corpus, select_top_k
+from .selection import ComplexityWeights, complexity, norms_of, select_top_k
 from .sim.engine import System
 from .sim.topology import TopologySpec
-from .templating import (ManualVariableRegistry, SequentialIdSource,
-                         build_template, instantiate)
+from .templating import (ManualVariableRegistry, MemberRoots, SequentialIdSource,
+                         instantiate)
 
 REPLAY_ATTEMPTS = 3
 
 
 @dataclass
 class Analysis:
-    corpus: Corpus
+    corpus: Corpus               # the corpus, or its representatives in rank order
     clusters: list
     scores: dict                 # trace_id -> complexity score
     ranked: list                 # SelectedInterface, best-first, all interfaces
     templates: dict              # interface_id -> TraceTemplate
+    located: dict = field(default_factory=dict)  # representative -> its index in the corpus
+
+
+class Analyzer:
+    """The one pass of `analyze`: it clusters each trace fed to it, adds the
+    root span to the leaf's MemberRoots and keeps only the trace's leaf and
+    complexity factors, in arrays. `finish` scores, ranks and templates."""
+
+    def __init__(self):
+        self.tree = DrainTree()
+        self.roots = defaultdict(MemberRoots)  # of each leaf of `tree`, by index
+        self.leaf = array("l")  # of each trace, in corpus order
+        self.factors = array("q")  # span count, diversity, root duration of each
+        self.error = None  # the first RequestLineError; `finish` raises it
+
+    def feed(self, traces: Iterable):
+        """Add each trace of `traces`, then yield it."""
+        for trace in traces:
+            if self.error is None:
+                root = trace.root_span()
+                try:
+                    leaf = self.tree.add(root.operation_name, trace.trace_id)
+                except RequestLineError as exc:
+                    self.error = exc
+                else:
+                    self.roots[leaf].add(root)
+                    self.leaf.append(leaf)
+                    self.factors.extend((trace.span_count, trace.diversity, root.duration_us))
+            yield trace
+
+    def _trace_ids(self):
+        """Each trace's ID, in corpus order."""
+        members = [iter(leaf.trace_ids) for leaf in self.tree.leaves]
+        return (next(members[leaf]) for leaf in self.leaf)
+
+    def finish(self, meta: CorpusMeta, trace_at: Callable, weights=None,
+               registry=None) -> Analysis:
+        """Aggregation, scoring, full ranking, and a template for every
+        cluster, whose representative `trace_at` returns from its index in
+        the corpus and its ID; the Analysis holds them, in rank order."""
+        if self.error is not None:
+            raise self.error
+        columns = [self.factors[i::3] for i in range(3)]
+        norms = norms_of(*columns)
+        weights = weights or ComplexityWeights()
+        scores = {trace_id: complexity(*factors, weights, norms)
+                  for trace_id, *factors in zip(self._trace_ids(), *columns)}
+        clusters = self.tree.clusters()
+        ranked = select_top_k(clusters, scores)
+        located = dict.fromkeys(s.trace_id for s in ranked)
+        located.update((trace_id, i) for i, trace_id in enumerate(self._trace_ids())
+                       if trace_id in located)
+        leaf_of = {interface_digest(leaf.method, leaf.template): i
+                   for i, leaf in enumerate(self.tree.leaves)}
+        registry = registry or ManualVariableRegistry()
+        bases, templates = [], {}
+        for sel in ranked:
+            bases.append(trace_at(located[sel.trace_id], sel.trace_id))
+            templates[sel.interface_id] = self.roots[leaf_of[sel.interface_id]].template(
+                bases[-1].root_span(), registry, sel.interface_id,
+                (meta.window_start_us, meta.window_end_us), sel.trace_id)
+        return Analysis(Corpus(bases, meta), clusters, scores, ranked, templates, located)
 
 
 def analyze_corpus(corpus: Corpus, weights: Optional[ComplexityWeights] = None,
                    registry: Optional[ManualVariableRegistry] = None) -> Analysis:
     """Aggregation, scoring, full ranking, and templates for every cluster."""
-    registry = registry or ManualVariableRegistry()
-    clusters = cluster_interfaces(corpus)
-    scores = score_corpus(corpus, weights)
-    ranked = select_top_k(clusters, scores)
-    by_id = {t.trace_id: t for t in corpus.traces}
-    members = {c.interface_id: c.member_trace_ids for c in clusters}
-    window = (corpus.meta.window_start_us, corpus.meta.window_end_us)
-    templates = {}
-    for sel in ranked:
-        templates[sel.interface_id] = build_template(
-            [by_id[tid] for tid in members[sel.interface_id]], registry,
-            interface_id=sel.interface_id, window=window, trace_id=sel.trace_id)
-    return Analysis(corpus=corpus, clusters=clusters, scores=scores,
-                    ranked=ranked, templates=templates)
+    analyzer = Analyzer()
+    for _trace in analyzer.feed(corpus.traces):
+        pass
+    return replace(analyzer.finish(corpus.meta, lambda i, _trace_id: corpus.traces[i],
+                                   weights, registry), corpus=corpus)
 
 
 def resolve_k(k, available: int) -> int:

@@ -22,12 +22,13 @@ import sys
 
 from . import __version__
 from .aggregation import save_cluster_report
-from .campaign import analyze_corpus, plan_campaign, resolve_k
+from .campaign import Analyzer, plan_campaign, resolve_k
 from .executor import (FAIL_VERDICTS, ExecutorError, OracleCriteria, PhaseConfig,
                        check_run_plan, load_report, run_batch, save_report)
 from .faults import default_catalog, load_catalog
-from .model import (CorpusMeta, RequestLineError, dumps_canonical, load_corpus_summaries,
-                    load_indexed_traces, read_lines, save_corpus, save_corpus_index)
+from .model import (CorpusMeta, CorpusReader, RequestLineError, dumps_canonical,
+                    index_endpoint_users, load_indexed_traces, read_lines, read_trace_at,
+                    save_corpus, save_corpus_index)
 from .planner import PlanConfig, save_plan
 from .scheduler import History, greedy_batch, load_run_plan, save_run_plan
 from .selection import (ComplexityWeights, SelectionError, load_selection_report,
@@ -105,12 +106,17 @@ def cmd_simulate_record(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    corpus, reader = load_corpus_summaries(args.corpus)
+    reader = CorpusReader(args.corpus)
+    analyzer = Analyzer()
+    users = index_endpoint_users(analyzer.feed(reader))
     registry = ManualVariableRegistry.load(args.registry) if args.registry else None
-    try:
-        analysis = analyze_corpus(corpus, weights=args.weights, registry=registry)
-    except RequestLineError as exc:
-        raise ValueError(f"corpus {args.corpus}: {exc}") from None
+    with open(args.corpus, "rb") as fh:
+        try:  # each representative is read back from its line
+            analysis = analyzer.finish(reader.meta, lambda i, trace_id: read_trace_at(
+                fh, args.corpus, *reader.positions[2 * i:2 * i + 2], trace_id,
+                f"corpus {args.corpus}", {}), args.weights, registry)
+        except RequestLineError as exc:
+            raise ValueError(f"corpus {args.corpus}: {exc}") from None
     ordered = [analysis.templates[c.interface_id] for c in analysis.clusters]
     for template in ordered:  # what `run` reads back must pass its checks
         try:
@@ -119,10 +125,10 @@ def cmd_analyze(args) -> int:
             raise ValueError(f"corpus {args.corpus}: trace {template.trace_id}: {exc}") from None
     os.makedirs(args.out_dir, exist_ok=True)
     save_cluster_report(analysis.clusters, os.path.join(args.out_dir, "clusters.txt"))
-    save_selection_report(analysis.ranked, corpus,
+    save_selection_report(analysis.ranked, analysis.corpus,
                           os.path.join(args.out_dir, "selection.jsonl"))
     save_templates(ordered, os.path.join(args.out_dir, "templates.jsonl"))
-    save_corpus_index(corpus, reader, [s.trace_id for s in analysis.ranked],
+    save_corpus_index(reader, users, analysis.located,
                       os.path.join(args.out_dir, CORPUS_INDEX))
     print(f"{len(analysis.clusters)} interfaces -> {args.out_dir}")
     return 0

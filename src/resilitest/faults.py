@@ -106,6 +106,8 @@ def _parse_effect(kind: str, args: list, where: str) -> Effect:
             code = int(args[0])
         except ValueError:
             raise CatalogError(f"{where}: bad status code {args[0]!r}") from None
+        if not 400 <= code <= 599:  # a fault answers with an error status
+            raise CatalogError(f"{where}: status code must be 400-599, got {args[0]!r}")
         return Effect(kind=EFFECT_STATUS, status_code=code, body=" ".join(args[1:]))
     raise CatalogError(f"{where}: unknown effect kind {kind!r}")
 

@@ -117,21 +117,6 @@ class Trace:
         return len(services) + len(components)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceSummary:
-    """What `analyze` keeps of a trace: its ID, its root span and the two
-    complexity factors that read every span. It reads like a Trace wherever
-    only `trace_id`, `root_span()`, `span_count` and `diversity` are read."""
-
-    trace_id: str
-    entry: Span  # the root span
-    span_count: int
-    diversity: int
-
-    def root_span(self) -> Span:
-        return self.entry
-
-
 @dataclass(frozen=True)
 class CorpusMeta:
     seed: int
@@ -142,8 +127,8 @@ class CorpusMeta:
 
 @dataclass
 class Corpus:
-    """The traces a stage holds (full Traces, or TraceSummary views for
-    `analyze`) and the meta of the file or recording they come from."""
+    """The traces a stage holds and the meta of the file or recording they
+    come from."""
 
     traces: list = field(default_factory=list)
     meta: CorpusMeta = field(default_factory=lambda: CorpusMeta(0, "0"))
@@ -498,42 +483,6 @@ def load_corpus(path) -> Corpus:
     return Corpus(traces=traces, meta=reader.meta)
 
 
-def _compact_root(span: Span, strings: dict) -> Span:
-    """`span` holding, for each of its strings and payload keys and string
-    values, the one equal string in `strings` (a dict mapping each to
-    itself). Other payload values are kept as they are: `1`, `1.0` and
-    `true` compare equal but are different values."""
-    share = strings.setdefault
-    request = {share(key, key): share(value, value) if value.__class__ is str else value
-               for key, value in span.request_payload.items()}
-    response = {share(key, key): share(value, value) if value.__class__ is str else value
-                for key, value in span.response_payload.items()}
-    return Span(share(span.span_id, span.span_id), span.parent_id,
-                share(span.service, span.service), span.endpoint,
-                share(span.operation_name, span.operation_name), request, response,
-                share(span.status, span.status), span.start_us, span.duration_us)
-
-
-def load_corpus_summaries(path) -> tuple:
-    """A corpus file's traces as TraceSummary views, in file order, with the
-    endpoint_users index of every trace, and the CorpusReader of the pass;
-    the strings of their root spans are shared across traces."""
-    reader = CorpusReader(path)
-    strings = {}
-    summaries = []
-
-    def summarize():
-        for t in reader:
-            summaries.append(TraceSummary(t.trace_id, _compact_root(t.root_span(), strings),
-                                          t.span_count, t.diversity))
-            yield t
-
-    users = index_endpoint_users(summarize())
-    corpus = Corpus(summaries, reader.meta)
-    corpus.endpoint_users = users
-    return corpus, reader
-
-
 # The fields of a corpus index's records: its head, then an endpoint's
 # users or a trace's position
 INDEX_HEAD = {"corpus_sha256": STRING, "traces": COUNT}
@@ -541,20 +490,32 @@ INDEX_USERS = {"endpoint": TRIPLE, "users": NAMES}
 INDEX_TRACE = {"trace_id": STRING, "line": COUNT, "offset": COUNT}
 
 
-def save_corpus_index(corpus: Corpus, reader: CorpusReader, trace_ids: list, path) -> None:
-    """Write the index `plan` reads instead of the corpus file, as
-    load_corpus_summaries returned it: a head with the file's SHA-256 and
-    trace count, each endpoint's users in endpoint order, and the line and
-    byte offset of each trace of `trace_ids`, in its order."""
-    place = dict.fromkeys(trace_ids)  # each trace's index in the file
-    place.update((t.trace_id, i) for i, t in enumerate(corpus.traces) if t.trace_id in place)
-    head = {"corpus_sha256": reader.sha256.hexdigest(), "traces": len(corpus.traces)}
-    users = ({"endpoint": [e.component, e.framework, e.method], "users": list(names)}
-             for e, names in sorted(corpus.endpoint_users.items()))
+def save_corpus_index(reader: CorpusReader, users: dict, located: dict, path) -> None:
+    """Write the index `plan` reads instead of the corpus file `reader` read:
+    a head with the file's SHA-256 and trace count, each endpoint's `users`
+    in endpoint order, and the line and byte offset of each trace ID of
+    `located`, in its order, which maps it to its index in the file."""
     at = reader.positions
+    head = {"corpus_sha256": reader.sha256.hexdigest(), "traces": len(at) // 2}
+    users = ({"endpoint": [e.component, e.framework, e.method], "users": list(names)}
+             for e, names in sorted(users.items()))
     traces = ({"trace_id": trace_id, "line": at[2 * i], "offset": at[2 * i + 1]}
-              for trace_id, i in place.items())
+              for trace_id, i in located.items())
     write_lines(path, map(dumps_canonical, itertools.chain([head], users, traces)))
+
+
+def read_trace_at(fh, path, line: int, offset: int, trace_id: str, where: str,
+                  endpoints: dict) -> Trace:
+    """The valid trace `trace_id` at byte `offset`, line `line`, of corpus
+    `path`, open as binary file `fh`; `where` prefixes each error, such as
+    one for another trace found there."""
+    fh.seek(offset)
+    trace = _decode_line(f"{where}: trace {trace_id!r} at corpus {path} line {line}",
+                         fh.readline(), endpoints)
+    if trace.trace_id != trace_id:
+        raise ValueError(f"{where}: offset {offset} of corpus {path} "
+                         f"holds trace {trace.trace_id!r}, not {trace_id!r}")
+    return trace
 
 
 def load_indexed_traces(path, index, trace_ids: list, named_by: str) -> Corpus:
@@ -596,13 +557,8 @@ def load_indexed_traces(path, index, trace_ids: list, named_by: str) -> Corpus:
                 raise ValueError(f"{named_by}: trace {trace_id!r} is not in "
                                  f"corpus-index {index}")
             where, rec = located[trace_id]
-            fh.seek(rec["offset"])
-            trace = _decode_line(f"{where}: trace {trace_id!r} at corpus {path} line "
-                                 f"{rec['line']}", fh.readline(), endpoints)
-            if trace.trace_id != trace_id:
-                raise ValueError(f"{where}: offset {rec['offset']} of corpus {path} "
-                                 f"holds trace {trace.trace_id!r}, not {trace_id!r}")
-            traces.append(trace)
+            traces.append(read_trace_at(fh, path, rec["line"], rec["offset"], trace_id,
+                                        where, endpoints))
     corpus = Corpus(traces)
     corpus.endpoint_users = users
     return corpus

@@ -28,11 +28,11 @@ def _pool(field: str, service: str) -> list:
     return [f"{field}-{service}-{i:02d}x" for i in range(6)]
 
 
-def build_reference_workload(spec: TopologySpec, per_interface: int = 5) -> list:
+def build_reference_workload(spec: TopologySpec, per_interface: int = 5):
     """Deterministic workload hitting every interface `per_interface` times,
     one request every WORKLOAD_GAP_US from a second after boot, with cycled
-    data values, fresh tokens, and send-time timestamps."""
-    entries = []
+    data values, fresh tokens, and send-time timestamps; each (at_us,
+    EntryRequest) is made when it is read, so none is held."""
     counter = 0
     at = spec.boot_us + 1_000_000
     for svc, iface in spec.interfaces():
@@ -54,6 +54,5 @@ def build_reference_workload(spec: TopologySpec, per_interface: int = 5) -> list
                 if segment.startswith("{"):
                     field = segment[1:-1]
                     path = path.replace(segment, payload.get(field, "x"))
-            entries.append((at, EntryRequest(f"{iface.method} {path}", payload)))
+            yield at, EntryRequest(f"{iface.method} {path}", payload)
             at += WORKLOAD_GAP_US
-    return entries

@@ -50,14 +50,18 @@ def root_duration(trace) -> int:
     return trace.root_span().duration_us
 
 
-def compute_norms(corpus: Corpus) -> CorpusNorms:
-    if not corpus.traces:
+def norms_of(span_counts, diversities, durations) -> CorpusNorms:
+    """The norms of three parallel sequences, one number of each trace."""
+    if not span_counts:
         raise SelectionError("cannot compute norms for an empty corpus")
-    lens = [t.span_count for t in corpus.traces]
-    divs = [t.diversity for t in corpus.traces]
-    durs = [root_duration(t) for t in corpus.traces]
-    return CorpusNorms(min(lens), max(lens), min(divs), max(divs),
-                       min(durs), max(durs))
+    return CorpusNorms(min(span_counts), max(span_counts), min(diversities),
+                       max(diversities), min(durations), max(durations))
+
+
+def compute_norms(corpus: Corpus) -> CorpusNorms:
+    traces = corpus.traces
+    return norms_of([t.span_count for t in traces], [t.diversity for t in traces],
+                    [root_duration(t) for t in traces])
 
 
 def _norm(value: float, lo: float, hi: float) -> float:
@@ -66,12 +70,18 @@ def _norm(value: float, lo: float, hi: float) -> float:
     return (value - lo) / (hi - lo)
 
 
+def complexity(span_count: int, diversity: int, duration_us: int,
+               weights: ComplexityWeights, norms: CorpusNorms) -> float:
+    """Score of a trace of these factors under corpus-wide `norms`."""
+    return (weights.w_len * _norm(span_count, norms.len_min, norms.len_max)
+            + weights.w_div * _norm(diversity, norms.div_min, norms.div_max)
+            + weights.w_dur * _norm(duration_us, norms.dur_min, norms.dur_max))
+
+
 def trace_complexity(trace, weights: ComplexityWeights,
                      norms: CorpusNorms) -> float:
-    """Score of a Trace or TraceSummary under corpus-wide `norms`."""
-    return (weights.w_len * _norm(trace.span_count, norms.len_min, norms.len_max)
-            + weights.w_div * _norm(trace.diversity, norms.div_min, norms.div_max)
-            + weights.w_dur * _norm(root_duration(trace), norms.dur_min, norms.dur_max))
+    return complexity(trace.span_count, trace.diversity, root_duration(trace),
+                      weights, norms)
 
 
 def score_corpus(corpus: Corpus, weights: ComplexityWeights = None) -> dict:

@@ -539,9 +539,8 @@ class System:
                         yield _THROW_LATENCY_US
                 elif kind == EFFECT_STATUS:
                     yield self._jitter(_CALL_OVERHEAD_US)
-                    code = effect.status_code
-                    payload = {"status": str(code), "body": effect.body}
-                    exc = f"http_{code}" if code >= 400 else ""
+                    exc = f"http_{effect.status_code}"  # the catalog's codes are 400-599
+                    payload = {"status": str(effect.status_code), "body": effect.body}
                 elif delay and timeout is not None and timeout < delay:
                     yield timeout
                     exc, payload = "OperationTimedOut", {}

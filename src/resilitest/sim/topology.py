@@ -55,6 +55,8 @@ ARG_SOURCE = re.compile(r"req\.|lit:|out:[0-9]+(\.|$)")
 RESP_SOURCE = re.compile(r"(lit|echo|derive):|token\Z")
 
 DEFAULT_TIMEOUT_US = 1_000_000
+# The most call hops below an entry: the simulator nests three Python frames a hop
+MAX_CALL_DEPTH = 100
 
 
 class TopologyError(ValueError):
@@ -288,6 +290,24 @@ def validate_topology(spec: TopologySpec) -> None:
             for _, ref, _ in step.arg_plan:
                 if isinstance(ref, int) and ref >= idx:
                     raise TopologyError(f"{loc}: arg references later step {ref}")
+
+    below = {}  # "<service> <line>" -> the most call hops below it; None while walked
+
+    def walk(svc, iface, path: list) -> int:  # path: its callers, outermost first
+        key = f"{svc.name} {iface.line}"
+        if below.get(key, 0) is None:
+            raise TopologyError(f"call cycle: {' -> '.join(path[path.index(key):] + [key])}")
+        if key not in below and len(path) <= MAX_CALL_DEPTH:
+            below[key] = None
+            below[key] = max((1 + walk(*spec.route(step.target_line), path + [key])
+                              for step in iface.workflow if step.op == OP_CALL), default=0)
+        if len(path) + below.get(key, 1) > MAX_CALL_DEPTH:
+            raise TopologyError(f"{(path or [key])[0]}: a call chain of more than "
+                                f"{MAX_CALL_DEPTH} hops")
+        return below[key]
+
+    for svc, iface in spec.interfaces():
+        walk(svc, iface, [])
 
 
 # --- JSON (de)serialization -------------------------------------------------

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..model import (INTEGER, OBJECT, STRING, dumps_canonical, read_records,
                      write_lines)
 from ..templating import EntryRequest, check_entry_payload
 
 
-def save_workload(entries: list, path) -> None:
+def save_workload(entries: Iterable, path) -> None:
     write_lines(path, (dumps_canonical({"at_us": at_us, "line": request.line,
                                         "payload": request.payload})
                        for at_us, request in entries))

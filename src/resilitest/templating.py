@@ -16,6 +16,7 @@ computed signatures).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -125,80 +126,80 @@ def find_intraspan_candidates(span: Span) -> set:
             if _scalar(value) and value in resp_values}
 
 
-def confirm_dynamic_variables(spans: list) -> set:
-    """Stage 2: keep intra-span candidates whose value is not constant across spans.
+class MemberRoots:
+    """Stage 2 of one cluster, fed its members' root spans and holding none:
+    their services and endpoints, the union of their stage-1 candidates, and
+    per request key-path the number of roots with a scalar value there, the
+    first value, whether another differs from it as in a set (`1`, `1.0` and
+    `true` do not), and the least and greatest `int()` while all are integers."""
 
-    Candidates are the union of per-span stage-1 results; a candidate missing
-    from some span's request is skipped (no evidence either way), and so is
-    one that holds a list or object value in some span's request. Fewer than
-    two spans show no variability, so they confirm nothing.
-    """
-    candidates = set()
-    for span in spans:
-        candidates |= find_intraspan_candidates(span)
-    confirmed = set()
-    for path in candidates:
-        values = []
+    __slots__ = ("roots", "heads", "candidates", "keys")
+
+    def __init__(self, spans: Iterable[Span] = ()):
+        self.roots = 0
+        self.heads = set()  # (service, endpoint) of each root
+        self.candidates = set()
+        self.keys = {}  # key-path -> [roots, first, differs, least, greatest]
         for span in spans:
-            if path not in span.request_payload or not _scalar(span.request_payload[path]):
-                break
-            values.append(span.request_payload[path])
-        else:
-            if len(set(values)) > 1:
-                confirmed.add(path)
-    return confirmed
+            self.add(span)
+
+    def add(self, span: Span) -> None:
+        self.heads.add((span.service, span.endpoint))
+        self.roots += 1
+        self.candidates |= find_intraspan_candidates(span)
+        for path, value in span.request_payload.items():
+            if _scalar(value):
+                stat = self.keys.setdefault(path, [0, value, False, math.inf, -math.inf])
+                stat[0] += 1
+                stat[2] = stat[2] or not (value is stat[1] or value == stat[1])
+                if stat[3] is not None:
+                    try:
+                        number = int(value)
+                        stat[3], stat[4] = min(stat[3], number), max(stat[4], number)
+                    except (TypeError, ValueError, OverflowError):
+                        stat[3] = None
+
+    def confirmed(self) -> set:
+        """Candidates with a scalar value in every root and two distinct values."""
+        return {path for path in self.candidates
+                if (stat := self.keys.get(path)) and stat[0] == self.roots and stat[2]}
+
+    def template(self, base: Span, registry: ManualVariableRegistry, interface_id: str,
+                 window: tuple, trace_id: str) -> TraceTemplate:
+        """The template of root span `base`, of member `trace_id`: a confirmed
+        path is a timestamp if every value is an integer in the recording
+        `window`, else a fresh id; registry entries override, for keys of `base`."""
+        placeholders = {}
+        for path in self.confirmed() if len(self.heads) == 1 else ():
+            least, greatest = self.keys[path][3:]
+            placeholders[path] = (KIND_TIMESTAMP if least is not None and
+                                  window[0] <= least <= greatest <= window[1]
+                                  else KIND_FRESH_ID)
+        for key_path, kind in registry.entries.get(interface_id, {}).items():
+            if key_path in base.request_payload:
+                placeholders[key_path] = kind
+            # otherwise the entry does not apply to this interface's payload shape
+        return TraceTemplate(interface_id=interface_id, trace_id=trace_id,
+                             request=EntryRequest(base.operation_name,
+                                                  dict(base.request_payload)),
+                             placeholders=placeholders)
 
 
-def _spans_comparable(spans: list) -> bool:
-    first = spans[0]
-    return all(s.service == first.service and s.endpoint == first.endpoint for s in spans)
-
-
-def _infer_kind(values: Iterable[str], window: tuple) -> str:
-    # A path is a timestamp if every observed value is an integer inside the
-    # corpus recording window; everything else auto-detected is a fresh id.
-    lo, hi = window
-    for value in values:
-        try:
-            v = int(value)
-        except (TypeError, ValueError):
-            return KIND_FRESH_ID
-        if not (lo <= v <= hi):
-            return KIND_FRESH_ID
-    return KIND_TIMESTAMP
+def confirm_dynamic_variables(spans: list) -> set:
+    """Stage 2: the union of the spans' stage-1 candidates that hold a scalar
+    value in every span's request, not the same in all (MemberRoots.confirmed)."""
+    return MemberRoots(spans).confirmed()
 
 
 def build_template(cluster_traces: list, registry: ManualVariableRegistry,
                    interface_id: str, window: tuple, trace_id: str) -> TraceTemplate:
-    """Build the replay template for one interface cluster.
-
-    The base trace is the member `trace_id`, the trace selection picks for
-    the interface. Its root request is what replay sends. `window` is the
-    corpus recording window that timestamp values are inferred against.
-    Placeholders are the two-stage heuristic's paths over the members' root
-    spans; registry entries for this interface override them, for the keys
-    present in the base root request.
-    """
+    """The replay template of an interface cluster of `cluster_traces`, on
+    the root request of member `trace_id`, as MemberRoots.template makes it."""
     base = next((t for t in cluster_traces if t.trace_id == trace_id), None)
     if base is None:
         raise TemplatingError(f"trace {trace_id!r} is not a member of {interface_id}")
-
-    placeholders = {}
-    roots = [t.root_span() for t in cluster_traces]
-    if _spans_comparable(roots):
-        for path in confirm_dynamic_variables(roots):
-            placeholders[path] = _infer_kind((s.request_payload[path] for s in roots), window)
-
-    root = base.root_span()
-    for key_path, kind in registry.entries.get(interface_id, {}).items():
-        if key_path in root.request_payload:
-            placeholders[key_path] = kind
-        # otherwise the entry does not apply to this interface's payload shape
-
-    return TraceTemplate(interface_id=interface_id, trace_id=base.trace_id,
-                         request=EntryRequest(root.operation_name,
-                                              dict(root.request_payload)),
-                         placeholders=placeholders)
+    return MemberRoots(t.root_span() for t in cluster_traces).template(
+        base.root_span(), registry, interface_id, window, trace_id)
 
 
 class SequentialIdSource:

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import shutil
+import signal
 from importlib import resources
 
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilitest.cli import main
-from resilitest.sim.topology import save_topology
+from resilitest.sim.topology import MAX_CALL_DEPTH, save_topology, topology_to_record
 from resilitest.sim.workload import save_workload
 
 from conftest import make_mini_topology, make_mini_workload
@@ -176,6 +177,21 @@ def test_a_mutated_input_file_loads_or_exits_2_naming_it(campaign, reader, data)
 _FRONT = ("services", 1, "interfaces", 0)
 _PLACE = "front POST /front/orders/place/{item}"
 _RENAMED = object()
+_BACKEND_CALL = topology_to_record(make_mini_topology())["services"][1]["interfaces"][0][
+    "workflow"][1]  # front's call of backend's POST /backend/internal/process
+
+
+def _hop_services(hops: int) -> list:
+    """The mini topology's services and `hops` more, hop<k> serving
+    POST /hop<k>/next, each called by the one before; backend calls hop1."""
+    services = topology_to_record(make_mini_topology())["services"]
+    caller = services[0]["interfaces"][0]
+    for k in range(1, hops + 1):
+        caller["workflow"].append(dict(_BACKEND_CALL, target_service=f"hop{k}",
+                                       target_line=f"POST /hop{k}/next"))
+        caller = {"method": "POST", "uri": f"/hop{k}/next", "workflow": []}
+        services.append({"name": f"hop{k}", "interfaces": [caller]})
+    return services
 
 # topology fields that once loaded with another meaning than they state, or
 # crashed the stage: case -> (the record's path, its keys with their new
@@ -222,7 +238,32 @@ MALFORMED_TOPOLOGIES = {
                         f"{_PLACE} step 1: unknown key(s) topic"),
     "mq-step-table": ((*_FRONT, "workflow", 2), {"table": "front_main"},
                       f"{_PLACE} step 2: unknown key(s) table"),
+    # a call graph the simulator would recurse through without end, or too deep
+    "call-cycle": (("services", 0, "interfaces", 0), {"workflow": [_BACKEND_CALL]},
+                   "call cycle: backend POST /backend/internal/process -> "
+                   "backend POST /backend/internal/process"),
+    "call-chain-too-deep": ((), {"services": _hop_services(MAX_CALL_DEPTH)},
+                            f"{_PLACE}: a call chain of more than {MAX_CALL_DEPTH} hops"),
 }
+
+
+class _Overrun(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise _Overrun in the block once `seconds` of wall time have passed."""
+    def overrun(_signum, _frame):
+        raise _Overrun(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("stage", ["simulate-record", "run"])
@@ -247,16 +288,31 @@ def test_a_malformed_topology_exits_2_naming_its_file_and_place(campaign, case, 
         argv[argv.index("--topology") + 1] = path
     else:
         argv = READERS["topology"][3](campaign, path)
-    assert _run(argv) == (2, f"error: topology {path}: {message}\n")
+    with _deadline(10):  # a call cycle once recorded without end
+        assert _run(argv) == (2, f"error: topology {path}: {message}\n")
 
 
-@pytest.mark.parametrize("stage", ["plan", "run"])
-def test_a_negative_catalog_delay_exits_2_naming_its_file_and_line(campaign, stage):
+def test_a_call_chain_at_the_depth_bound_records(campaign):
+    rec = json.loads((campaign / "topology.json").read_text())
+    rec["services"] = _hop_services(MAX_CALL_DEPTH - 1)  # front calls backend first
+    path = campaign / "deep" / "topology.json"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(rec))
+    corpus = path.parent / "corpus.txt"
+    assert _run(["simulate-record", "--topology", path, "--workload",
+                 campaign / "workload.jsonl", "--out", corpus]) == (0, "")
+    _header, *lines = corpus.read_text().splitlines()
+    assert max(len(json.loads(line)["spans"]) for line in lines) > MAX_CALL_DEPTH
+
+
+def _edited_catalog(campaign, stage, fault_id, old, new) -> tuple:
+    """The argv of `stage` with the default catalog, `old` replaced by `new`
+    in fault `fault_id`'s line, and (that catalog's path, the line's number)."""
     lines = resources.files("resilitest.assets").joinpath(
         "default_faults.txt").read_text("utf-8").splitlines()
-    line = next(n for n, text in enumerate(lines, 1) if text.startswith("db-slow "))
-    lines[line - 1] = lines[line - 1].replace("delay auto", "delay -5s")
-    path = campaign / "negative-delay" / "faults.txt"
+    line = next(n for n, text in enumerate(lines, 1) if text.startswith(f"{fault_id} "))
+    lines[line - 1] = lines[line - 1].replace(old, new)
+    path = campaign / f"{fault_id}-{new.replace(' ', '-')}" / "faults.txt"
     path.parent.mkdir(exist_ok=True)
     path.write_text("".join(text + "\n" for text in lines))
     (campaign / "out").mkdir(exist_ok=True)
@@ -265,8 +321,24 @@ def test_a_negative_catalog_delay_exits_2_naming_its_file_and_line(campaign, sta
     else:
         argv = ["plan", "--corpus", campaign / "corpus.txt", "--analysis",
                 campaign / "analysis", "--out-dir", campaign / "out" / "plans"]
-    assert _run([*argv, "--catalog", path]) == (
+    return [*argv, "--catalog", path], path, line
+
+
+@pytest.mark.parametrize("stage", ["plan", "run"])
+def test_a_negative_catalog_delay_exits_2_naming_its_file_and_line(campaign, stage):
+    argv, path, line = _edited_catalog(campaign, stage, "db-slow", "delay auto", "delay -5s")
+    assert _run(argv) == (
         2, f"error: catalog {path} line {line}: delay must be at least 0, got '-5s'\n")
+
+
+@pytest.mark.parametrize("stage", ["plan", "run"])
+@pytest.mark.parametrize("code", ["200", "-7", "399", "600"])
+def test_a_catalog_status_outside_400_to_599_exits_2_naming_its_file_and_line(
+        campaign, stage, code):
+    argv, path, line = _edited_catalog(campaign, stage, "http-500", "status 500",
+                                       f"status {code}")
+    assert _run(argv) == (2, f"error: catalog {path} line {line}: status code must be "
+                             f"400-599, got '{code}'\n")
 
 
 def _run_plan_args(d, path):
