@@ -131,7 +131,7 @@ def test_stage_two_templates_of_a_hand_made_corpus_are_pinned(tmp_path):
     ]
 
 
-def _corpus_lines(tmp_path, bad_line_at=None, broken_span_at=None) -> tuple:
+def _broken_corpus(tmp_path, bad_line_at=None, broken_span_at=None) -> tuple:
     """The hand-made corpus, its trace at `bad_line_at` holding a request
     line that does not parse and its trace at `broken_span_at` a span whose
     parent is missing; (path, the broken trace's line number)."""
@@ -147,7 +147,7 @@ def _corpus_lines(tmp_path, bad_line_at=None, broken_span_at=None) -> tuple:
 
 def test_a_broken_span_after_a_bad_request_line_is_the_error_reported(tmp_path):
     # every trace is validated before any is clustered
-    corpus, line = _corpus_lines(tmp_path, bad_line_at=1, broken_span_at=6)
+    corpus, line = _broken_corpus(tmp_path, bad_line_at=1, broken_span_at=6)
     assert _run(["analyze", "--corpus", corpus, "--out-dir", tmp_path / "out"]) == (
         2, f"error: corpus {corpus} line {line}: trace 't6': [dangling-parent] span c6: "
            f"parent 'nowhere' not in trace\n")
@@ -155,12 +155,12 @@ def test_a_broken_span_after_a_bad_request_line_is_the_error_reported(tmp_path):
 
 
 def test_the_first_bad_request_line_is_reported_once_every_trace_is_valid(tmp_path):
-    corpus, _line = _corpus_lines(tmp_path, bad_line_at=1)
-    records = corpus.read_text().splitlines()
-    rec = json.loads(records[5])
+    corpus, _line = _broken_corpus(tmp_path, bad_line_at=1)
+    lines = corpus.read_text().splitlines()
+    rec = json.loads(lines[5])  # trace t4, after the header and t0-t3
     rec["spans"][0]["op"] = "GET"
-    records[5] = json.dumps(rec)
-    corpus.write_text("".join(f"{line}\n" for line in records))
+    lines[5] = json.dumps(rec)
+    corpus.write_text("".join(f"{line}\n" for line in lines))
     assert _run(["analyze", "--corpus", corpus, "--out-dir", tmp_path / "out"]) == (
         2, f"error: corpus {corpus}: trace t1: malformed request line 'nonsense': "
            f"expected 'METHOD /path'\n")
@@ -168,9 +168,22 @@ def test_the_first_bad_request_line_is_reported_once_every_trace_is_valid(tmp_pa
 
 @pytest.mark.parametrize("registry_line", ["x req k opaque\n", "x resp k fresh_id\n"])
 def test_a_bad_registry_is_reported_before_a_bad_request_line(tmp_path, registry_line):
-    corpus, _line = _corpus_lines(tmp_path, bad_line_at=1)
+    corpus, _line = _broken_corpus(tmp_path, bad_line_at=1)
     registry = tmp_path / "registry.txt"
     registry.write_text(registry_line)
     code, err = _run(["analyze", "--corpus", corpus, "--registry", registry,
                       "--out-dir", tmp_path / "out"])
     assert code == 2 and err.startswith(f"error: registry {registry} line 1: "), err
+
+
+def test_an_infinite_value_makes_a_fresh_id_not_a_crash(tmp_path):
+    # int(inf) raises OverflowError, which once escaped as a traceback
+    traces = [make_trace(f"t{n}", [root_span(f"s{n}", f"GET /a/{n}", req={"x": value},
+                                             resp={"x": value}, start=n * 100, dur=50)])
+              for n, value in enumerate([float("inf"), 1.0])]
+    corpus = tmp_path / "corpus.txt"
+    save_corpus(map(trace_to_record, traces), corpus, CorpusMeta(0, "00"))
+    out = tmp_path / "analysis"
+    assert _run(["analyze", "--corpus", corpus, "--out-dir", out]) == (0, "")
+    (record,) = [json.loads(line) for line in (out / "templates.jsonl").read_text().splitlines()]
+    assert record["placeholders"] == {"x": "fresh_id"}
