@@ -3,9 +3,9 @@
 `analyze_corpus` clusters, scores, ranks and templates a corpus;
 `plan_campaign` selects the interfaces and plans their cases. The `run` stage
 is `executor.run_batch` on the run plan that `scheduler.greedy_batch` makes.
-Selection is history-aware: ranked interfaces whose every case already passed
-in the current epoch are skipped, so successive small-K campaigns
-progressively explore new interfaces instead of re-testing passed ones.
+Selection skips the cases that passed in earlier reports, and the ranked
+interfaces left with none, so successive small-K campaigns progressively
+explore new interfaces instead of re-testing passed ones.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Optional
 from .aggregation import DrainTree, interface_digest
 from .model import Corpus, CorpusMeta, RequestLineError
 from .planner import PlanConfig, plan_targets
-from .scheduler import History, filter_history
 from .selection import ComplexityWeights, complexity, norms_of, select_top_k
 from .sim.engine import System
 from .sim.topology import TopologySpec
@@ -117,15 +116,13 @@ def resolve_k(k, available: int) -> int:
 
 
 def plan_campaign(ranked: list, corpus: Corpus, catalog: dict, k,
-                  plan_config: PlanConfig,
-                  history: Optional[History] = None) -> tuple:
-    """Select the first K ranked interfaces that have a case not passed in
-    the current epoch, and plan those cases.
+                  plan_config: PlanConfig, passed: set = frozenset()) -> tuple:
+    """Select the first K ranked interfaces that have a case whose ID is not
+    in `passed`, and plan those cases.
 
     An interface with nothing to test, or whose every case passed, is passed
-    over; no history means an empty one. `corpus` holds every ranked trace.
+    over. `corpus` holds every ranked trace.
     """
-    history = history or History()
     traces = {t.trace_id: t for t in corpus.traces}
     k = resolve_k(k, len(ranked))
     selected = []
@@ -133,8 +130,9 @@ def plan_campaign(ranked: list, corpus: Corpus, catalog: dict, k,
     for candidate in ranked:
         if len(selected) >= k:
             break
-        pending = filter_history(plan_targets([traces[candidate.trace_id]], corpus,
-                                              catalog, plan_config), history)
+        pending = [case for case in plan_targets([traces[candidate.trace_id]], corpus,
+                                                 catalog, plan_config)
+                   if case.case_id not in passed]
         if pending:
             selected.append(candidate)
             cases.extend(pending)

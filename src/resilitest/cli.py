@@ -24,13 +24,13 @@ from . import __version__
 from .aggregation import save_cluster_report
 from .campaign import Analyzer, plan_campaign, resolve_k
 from .executor import (FAIL_VERDICTS, ExecutorError, OracleCriteria, PhaseConfig,
-                       check_run_plan, load_report, run_batch, save_report)
+                       check_run_plan, load_report, passed_cases, run_batch, save_report)
 from .faults import default_catalog, load_catalog
 from .model import (CorpusMeta, CorpusReader, RequestLineError, dumps_canonical,
                     index_endpoint_users, load_indexed_traces, read_lines, read_trace_at,
                     save_corpus, save_corpus_index)
 from .planner import PlanConfig, save_plan
-from .scheduler import History, greedy_batch, load_run_plan, save_run_plan
+from .scheduler import greedy_batch, load_run_plan, save_run_plan
 from .selection import (ComplexityWeights, SelectionError, load_selection_report,
                         save_selection_report)
 from .sim.engine import RejectedEntry, record_traces
@@ -85,12 +85,6 @@ def _load_catalog(path):
     return load_catalog(path) if path else default_catalog()
 
 
-def _load_history(path) -> History:
-    if path and os.path.exists(path):
-        return History.load(path)
-    return History()
-
-
 def cmd_simulate_record(args) -> int:
     topology = load_topology(args.topology)
     workload = load_workload(args.workload)
@@ -140,10 +134,9 @@ def cmd_plan(args) -> int:
     corpus = load_indexed_traces(args.corpus, os.path.join(args.analysis, CORPUS_INDEX),
                                  [s.trace_id for s in ranked], f"selection {selection}")
     catalog = _load_catalog(args.catalog)
-    history = _load_history(args.history)
     plan_config = PlanConfig(n_services=args.n_services, seed=args.seed)
     selected, cases = plan_campaign(ranked, corpus, catalog, args.top_k,
-                                    plan_config, history=history)
+                                    plan_config, passed_cases(args.history))
     os.makedirs(args.out_dir, exist_ok=True)
     save_plan(cases, os.path.join(args.out_dir, "plan.txt"))
     save_run_plan(greedy_batch(cases), os.path.join(args.out_dir, "runplan.txt"))
@@ -159,17 +152,12 @@ def cmd_run(args) -> int:
     catalog = _load_catalog(args.catalog)
     check_run_plan(plan, topology, templates, catalog, f"run-plan {args.run_plan}",
                    f"templates {args.templates}")
-    for what, path in (("report", args.out), ("history", args.history)):
-        folder = path and (os.path.dirname(path) or ".")  # written once every case ran
-        if folder and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-            raise ValueError(f"{what} {path}: {folder} is not a writable directory")
+    folder = os.path.dirname(args.out) or "."  # written once every case ran
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ValueError(f"report {args.out}: {folder} is not a writable directory")
     criteria = OracleCriteria.load(args.criteria) if args.criteria else OracleCriteria()
-    history = _load_history(args.history)
-    if args.reset_history:
-        history.reset()
     result = run_batch(plan, topology, templates, catalog, args.phases, criteria,
-                       seed=args.seed, entry_only=args.entry_only_oracle,
-                       history=history)
+                       seed=args.seed, entry_only=args.entry_only_oracle)
     config = {
         "seed": args.seed,
         "entry_only_oracle": args.entry_only_oracle,
@@ -179,8 +167,6 @@ def cmd_run(args) -> int:
     if args.top_k is not None:
         config["top_k"] = str(args.top_k)
     save_report(result, args.out, config=config)
-    if args.history:
-        history.save(args.history)
     counts = result.verdict_counts()
     print(f"{len(result.test_runs)} cases, startups={result.startup_count} "
           f"verdicts={dumps_canonical(counts)} -> {args.out}")
@@ -259,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=_parse_top_k, default="all")
     p.add_argument("--n-services", type=_parse_n_services, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--history", help="skip cases that passed in the current epoch")
+    p.add_argument("--history", action="append", default=[], metavar="REPORT",
+                   help="a report of an earlier campaign; a case whose last verdict in "
+                        "the reports given, in order, is PASS is not planned (repeatable)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_plan)
 
@@ -269,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--templates", required=True)
     p.add_argument("--catalog")
     p.add_argument("--criteria", help="oracle criteria JSON")
-    p.add_argument("--history")
-    p.add_argument("--reset-history", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--phases", type=_parse_phases,
                    default=PhaseConfig(), metavar="STARTUP_S,INJECT_S,RECOVER_S,RATE")

@@ -22,12 +22,12 @@ from typing import Optional
 
 from .model import (COUNT, NUMBER, OBJECT, STRING, check_fields, check_kind,
                     dumps_canonical, read_records, write_lines)
-from .scheduler import (VERDICT_PASS, History, Run, RunPlan, filter_history,
-                        greedy_batch)
+from .scheduler import Run, RunPlan, greedy_batch
 from .sim.engine import System, replay_traffic
 from .sim.topology import TopologySpec
 from .templating import SequentialIdSource, TraceTemplate, instantiate
 
+VERDICT_PASS = "PASS"
 VERDICT_NO_RECOVERY = "FAIL_NO_RECOVERY"
 VERDICT_SILENT = "FAIL_SILENT"
 VERDICT_NO_IMPACT = "FAIL_NO_IMPACT"
@@ -53,8 +53,9 @@ class PhaseConfig:
     def __post_init__(self):
         if min(self.startup_us, self.inject_us, self.recover_us) <= 0:
             raise ExecutorError("phase durations must be positive")
-        if self.rate_per_sec <= 0:
-            raise ExecutorError("replay rate must be positive")
+        if not 0 < self.rate_per_sec <= SECOND_US:  # paced in whole microseconds
+            raise ExecutorError(f"replay rate must be 1 to {SECOND_US} requests a "
+                                f"second, got {self.rate_per_sec}")
 
 
 @dataclass(frozen=True)
@@ -271,23 +272,15 @@ def check_run_plan(plan: RunPlan, topology: TopologySpec, templates: list,
 def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
               catalog: dict, phases: PhaseConfig,
               criteria: OracleCriteria, seed: int = 0,
-              entry_only: bool = False,
-              history: Optional[History] = None) -> CampaignResult:
-    """Execute every planned case not passed in the history's current epoch
-    exactly once, rescheduling deferred cases from fail-fast halts into fresh
-    greedily-batched runs, and record every verdict in the history (no
-    history means an empty one). Passed cases, and the runs they leave
-    empty, are dropped before wave 0. `plan` must pass check_run_plan."""
-    history = history or History()
+              entry_only: bool = False) -> CampaignResult:
+    """Execute every planned case exactly once, rescheduling deferred cases
+    from fail-fast halts into fresh greedily-batched runs. `plan` must pass
+    check_run_plan."""
     by_trace = {t.trace_id: t for t in templates}
     results = []
     startup_count = 0
     wave = 0
-    queue = []
-    for run in plan.runs:
-        pending = filter_history(run.cases, history)
-        if pending:
-            queue.append(Run(trace_id=run.trace_id, cases=pending))
+    queue = plan.runs
     initial_runs = len(queue)
     while queue:  # the runs of a wave share nothing
         outcomes = _run_wave(queue, lambda run: execute_run(
@@ -297,8 +290,6 @@ def run_batch(plan: RunPlan, topology: TopologySpec, templates: list,
         startup_count += len(queue)
         queue = greedy_batch([case for _results, deferred in outcomes for case in deferred]).runs
         wave += 1
-    for rec in results:
-        history.record_outcome(rec["case_id"], rec["verdict"])
     return CampaignResult(test_runs=results, startup_count=startup_count,
                           initial_runs=initial_runs)
 
@@ -427,3 +418,16 @@ def load_report(path) -> tuple:
         raise ExecutorError(f"{summary_where}: cases is {summary['cases']}, but the "
                             f"report holds {len(runs)} test_run records")
     return list(runs.values()), summary
+
+
+def passed_cases(paths) -> set:
+    """The case IDs whose last verdict in the reports at `paths`, read in
+    order, is PASS: the cases a later campaign need not plan again."""
+    verdicts = {}
+    for path in paths:
+        try:
+            test_runs, _summary = load_report(path)
+        except OSError as exc:
+            raise ExecutorError(f"report {path}: {exc.strerror}") from None
+        verdicts.update((rec["case_id"], rec["verdict"]) for rec in test_runs)
+    return {case_id for case_id, verdict in verdicts.items() if verdict == VERDICT_PASS}

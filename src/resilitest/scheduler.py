@@ -1,12 +1,10 @@
-"""Run batching and execution history.
+"""Run batching and the run-plan file.
 
 System startup dominates test cost, so tests are batched: a greedy loop
 repeatedly picks the trace whose coverage adds the most not-yet-covered
 (endpoint, service) pairs, and every pending case that trace can host joins
 its run (a case is hostable wherever its coverage unit occurs, since a run
-replays one trace while arming the case's service/endpoint/fault). History
-then keeps campaigns from re-executing tests that already passed in the
-current epoch; failed tests are retained.
+replays one trace while arming the case's service/endpoint/fault).
 """
 
 from __future__ import annotations
@@ -15,9 +13,6 @@ from dataclasses import dataclass, field
 
 from .model import read_lines, write_lines
 from .planner import format_case_line, parse_case_line
-
-VERDICT_PASS = "PASS"
-HISTORY_RESET_MARKER = "-"
 
 
 def coverage_unit(case) -> tuple:
@@ -69,68 +64,6 @@ def greedy_batch(cases: list) -> RunPlan:
     return RunPlan(runs=runs)
 
 
-@dataclass
-class History:
-    """Executed-case ledger; record-then-query consistent, last write wins."""
-
-    executed: dict = field(default_factory=dict)  # case_id -> verdict (current epoch)
-    epoch: int = 0
-    _seq: int = 0
-    _records: list = field(default_factory=list)  # (epoch, case_id, verdict, seq)
-
-    def record_outcome(self, case_id: str, verdict: str) -> None:
-        self._seq += 1
-        self.executed[case_id] = verdict
-        self._records.append((self.epoch, case_id, verdict, self._seq))
-
-    def reset(self) -> None:
-        self._seq += 1
-        self.executed = {}
-        self.epoch += 1
-        self._records.append((self.epoch, HISTORY_RESET_MARKER, "RESET", self._seq))
-
-    def passed(self, case_id: str) -> bool:
-        return self.executed.get(case_id) == VERDICT_PASS
-
-    def save(self, path) -> None:
-        write_lines(path, (f"{epoch} {case_id} {verdict} {seq}"
-                           for epoch, case_id, verdict, seq in self._records))
-
-    @classmethod
-    def load(cls, path) -> "History":
-        history = cls()
-        for where, line in read_lines(path, "history"):
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{where}: expected 4 fields")
-            epoch = _int(where, "epoch", parts[0])
-            case_id, verdict = parts[1], parts[2]
-            seq = _int(where, "sequence number", parts[3])
-            if epoch < history.epoch or seq <= history._seq:  # after (0, 0) on line 1
-                raise ValueError(f"{where}: out of order after epoch {history.epoch}, "
-                                 f"sequence number {history._seq}")
-            if epoch > history.epoch:
-                history.epoch = epoch
-                history.executed = {}
-            if case_id != HISTORY_RESET_MARKER:
-                history.executed[case_id] = verdict
-            history._records.append((epoch, case_id, verdict, seq))
-            history._seq = seq
-        return history
-
-
-def _int(where: str, name: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{where}: {name} {text!r} is not an integer") from None
-
-
-def filter_history(cases: list, history: History) -> list:
-    """The cases still to run: all but those that PASSed in the current epoch."""
-    return [c for c in cases if not history.passed(c.case_id)]
-
-
 def save_run_plan(plan: RunPlan, path) -> None:
     def lines():
         for index, run in enumerate(plan.runs):
@@ -144,7 +77,7 @@ def save_run_plan(plan: RunPlan, path) -> None:
 def load_run_plan(path) -> RunPlan:
     """The runs of a run-plan file. Each run header's `cases=` count must
     match the case lines under it, so a file cut inside a run is rejected,
-    and no case ID may be listed twice."""
+    and be at least 1; no case ID may be listed twice."""
     headed = []  # (where, cases=, Run) of each run header
     case_ids = set()
     for where, line in read_lines(path, "run-plan"):
@@ -153,8 +86,15 @@ def load_run_plan(path) -> RunPlan:
             for key in ("trace", "cases"):
                 if key not in fields:
                     raise ValueError(f"{where}: run header without {key}=")
-            headed.append((where, _int(where, "cases=", fields["cases"]),
-                           Run(trace_id=fields["trace"], cases=[])))
+            try:
+                count = int(fields["cases"])
+            except ValueError:
+                raise ValueError(f"{where}: cases= {fields['cases']!r} "
+                                 f"is not an integer") from None
+            if count < 1:
+                raise ValueError(f"{where}: run header says cases={count}, but a run "
+                                 f"holds at least one case")
+            headed.append((where, count, Run(trace_id=fields["trace"], cases=[])))
             continue
         if not headed:
             raise ValueError(f"{where}: case before any run header")

@@ -88,13 +88,6 @@ class ManualVariableRegistry:
         if note:
             self.provenance[(interface_id, key_path)] = note
 
-    def save(self, path) -> None:
-        notes = {key: f"  # {note}" for key, note in self.provenance.items()}
-        write_lines(path, (f"{interface_id} {REQ} {key_path} {kinds[key_path]}"
-                           f"{notes.get((interface_id, key_path), '')}"
-                           for interface_id, kinds in sorted(self.entries.items())
-                           for key_path in sorted(kinds)))
-
     @classmethod
     def load(cls, path) -> "ManualVariableRegistry":
         reg = cls()
@@ -183,12 +176,6 @@ class MemberRoots:
                              request=EntryRequest(base.operation_name,
                                                   dict(base.request_payload)),
                              placeholders=placeholders)
-
-
-def confirm_dynamic_variables(spans: list) -> set:
-    """Stage 2: the union of the spans' stage-1 candidates that hold a scalar
-    value in every span's request, not the same in all (MemberRoots.confirmed)."""
-    return MemberRoots(spans).confirmed()
 
 
 def build_template(cluster_traces: list, registry: ManualVariableRegistry,

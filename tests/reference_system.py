@@ -23,8 +23,9 @@ byte what this module writes. To regenerate them after changing the builder:
 from __future__ import annotations
 
 from resilitest.aggregation import WILDCARD, interface_digest
+from resilitest.model import write_lines
 from resilitest.refassets import build_reference_workload
-from resilitest.templating import ManualVariableRegistry
+from resilitest.templating import REQ, ManualVariableRegistry
 from resilitest.sim.topology import (BUG_FIRE_AND_FORGET, BUG_MISSING_TIMEOUT,
                                      BUG_NO_RETRY, BUG_NO_ROLLBACK, BUG_SWALLOW,
                                      FieldSpec, InterfaceSpec, ON_ERROR_CATCH,
@@ -480,6 +481,17 @@ def build_signature_registry(spec: TopologySpec) -> ManualVariableRegistry:
     return registry
 
 
+def save_registry(registry: ManualVariableRegistry, path) -> None:
+    """Write `registry` in the format ManualVariableRegistry.load reads, one
+    entry per line with its note, interfaces and key-paths sorted. The
+    program only reads registries: an operator writes them."""
+    notes = {key: f"  # {note}" for key, note in registry.provenance.items()}
+    write_lines(path, (f"{interface_id} {REQ} {key_path} {kinds[key_path]}"
+                       f"{notes.get((interface_id, key_path), '')}"
+                       for interface_id, kinds in sorted(registry.entries.items())
+                       for key_path in sorted(kinds)))
+
+
 def write_reference_assets(out_dir: str) -> dict:
     """Materialize the shipped topology, bug-free variant, workload, and
     signature registry as files; returns their paths."""
@@ -499,7 +511,7 @@ def write_reference_assets(out_dir: str) -> dict:
     save_topology(topology, paths["topology"])
     save_topology(topology.bug_free(), paths["topology_bugfree"])
     save_workload(build_reference_workload(topology), paths["workload"])
-    build_signature_registry(topology).save(paths["registry"])
+    save_registry(build_signature_registry(topology), paths["registry"])
     return paths
 
 

@@ -94,23 +94,22 @@ def cli_setup(out, topology=REF_TOPOLOGY):
     return out
 
 
-def cli_campaign(out, top_k="all", topology=REF_TOPOLOGY, setup=None, history=None):
+def cli_campaign(out, top_k="all", topology=REF_TOPOLOGY, setup=None, history=()):
     """Run a campaign through the CLI into directory `out`, with the
     arguments of the benchmark's campaign; returns the report's path.
 
     The set-up stages run into `out` too, unless `setup` names a directory
-    where `cli_setup` already ran. `history` is passed to `plan` and `run`
-    when given.
+    where `cli_setup` already ran. `plan` is given each earlier report in
+    `history`, so it skips the cases whose last verdict there is PASS.
     """
     setup = setup or cli_setup(out, topology)
-    history_args = ("--history", history) if history else ()
+    history_args = [arg for report in history for arg in ("--history", report)]
     _cli("plan", "--corpus", setup / "corpus.txt", "--analysis", setup / "analysis",
          "--top-k", top_k, "--n-services", N_SERVICES, "--seed", SEED,
          "--out-dir", out / "plans", *history_args)
     _cli("run", "--run-plan", out / "plans" / "runplan.txt", "--topology", topology,
          "--templates", setup / "analysis" / "templates.jsonl", "--seed", SEED,
-         "--phases", "12,12,12,5", "--top-k", top_k, "--out", out / "report.jsonl",
-         *history_args)
+         "--phases", "12,12,12,5", "--top-k", top_k, "--out", out / "report.jsonl")
     return out / "report.jsonl"
 
 
@@ -407,14 +406,13 @@ def test_criterion_7_sensitivity_curves(ref_topology, campaign_all, sweep):
 
 
 def test_criterion_8_history_cumulative_coverage(pipeline, tmp_path):
-    history = tmp_path / "history.txt"
-    first, _summary = load_report(cli_campaign(tmp_path / "first", 10,
-                                               setup=pipeline, history=history))
+    first_report = cli_campaign(tmp_path / "first", 10, setup=pipeline)
+    first, _summary = load_report(first_report)
     pass1 = {rec["case_id"] for rec in first if rec["verdict"] == "PASS"}
     coverage1 = {(rec["endpoint"], rec["service"]) for rec in first}
 
     second, _summary = load_report(cli_campaign(tmp_path / "second", 10,
-                                                setup=pipeline, history=history))
+                                                setup=pipeline, history=[first_report]))
     pass2 = {rec["case_id"] for rec in second if rec["verdict"] == "PASS"}
     coverage2 = {(rec["endpoint"], rec["service"]) for rec in second}
 

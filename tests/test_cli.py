@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import resilitest
-from resilitest.cli import main
+from resilitest.cli import build_parser, main
 from resilitest.executor import CampaignResult, save_report
 from resilitest.model import load_corpus
 from resilitest.sim.topology import save_topology
@@ -85,6 +86,30 @@ def test_run_has_no_parallel_option(capsys):
               "--out", "r", "--parallel", "2"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
+
+
+def test_readme_walkthrough_commands_parse():
+    # parsed only: the walkthrough runs a whole campaign
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## CLI walkthrough", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("resilitest ")]
+    assert len(commands) == 5
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
+
+
+def test_run_has_no_history_options(capsys):
+    # earlier reports are given to `plan`; not giving them is the reset
+    for flags in (["--history", "h.txt"], ["--reset-history"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--run-plan", "p", "--topology", "t", "--templates", "x",
+                  "--out", "r", *flags])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 def test_analyze_has_no_drain_options(capsys):
@@ -197,6 +222,12 @@ _SUMMARY = {"type": "summary", "verdicts": {"PASS": 1}, "endpoint_coverage": 1,
             "startup_count": 1, "reschedules": 0}
 
 
+def _report_of(path, test_runs):
+    """Write a report at `path` holding the `test_run` records given."""
+    save_report(CampaignResult(test_runs=test_runs, startup_count=1, initial_runs=1), path)
+    return path
+
+
 @pytest.mark.parametrize("records, message", [
     ([{"type": "test_run", "case_id": "x"}], "line 1: missing service"),
     ([[1, 2]], "line 1: expected a JSON object, got list"),
@@ -294,7 +325,12 @@ def test_run_rejects_bad_criteria_before_any_case(planned_files, capsys, text, m
      "argument --top-k: --top-k must be >= 1 or 'all'"),
     (["plan", "--corpus", "c", "--analysis", "a", "--out-dir", "p", "--n-services", "0"],
      "argument --n-services: --n-services must be >= 1, got 0"),
-], ids=["zero-phase", "weights-sum", "weights-nan", "top-k-zero", "n-services-zero"])
+    # parsed only: a run at this rate would post millions of requests a phase
+    (["run", "--run-plan", "p", "--topology", "t", "--templates", "x", "--out", "r",
+      "--phases", "12,12,12,2000000"],
+     "argument --phases: replay rate must be 1 to 1000000 requests a second, got 2000000"),
+], ids=["zero-phase", "weights-sum", "weights-nan", "top-k-zero", "n-services-zero",
+        "rate-above-one-a-microsecond"])
 def test_rejected_argument_values_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
@@ -753,19 +789,24 @@ def test_plan_rejects_an_index_offset_at_another_trace(planned_files, tmp_path, 
                         f"holds trace {second['trace_id']!r}, not {first['trace_id']!r}\n")
 
 
-@pytest.mark.parametrize("line, message", [
-    ("x t1 PASS 1", "line 1: epoch 'x' is not an integer"),
-    ("0 t1 PASS y", "line 1: sequence number 'y' is not an integer"),
-])
-def test_plan_rejects_history_with_non_integer_field(planned_files, tmp_path, capsys,
-                                                     line, message):
+@pytest.mark.parametrize("records, message", [
+    (None, ": No such file or directory"),
+    ([_RUN_C1, {**_SUMMARY, "cases": 1}, {**_SUMMARY, "cases": 1}],
+     " line 3: repeated type 'summary'"),
+], ids=["missing", "second-summary"])
+def test_plan_rejects_a_missing_or_malformed_history_report(planned_files, tmp_path, capsys,
+                                                            records, message):
     planned, _topo = planned_files
-    history = tmp_path / "history.txt"
-    history.write_text(line + "\n")
-    assert main(["plan", "--corpus", str(planned / "corpus.txt"), "--analysis",
-                 str(planned / "analysis"), "--history", str(history),
-                 "--out-dir", str(tmp_path / "plans")]) == 2
-    assert f"error: history {history} {message}" in capsys.readouterr().err
+    good = _report_of(tmp_path / "good.jsonl", [])
+    report = tmp_path / "report.jsonl"
+    if records is not None:
+        report.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    _exits_2_with_error_line(
+        capsys, ["plan", "--corpus", str(planned / "corpus.txt"), "--analysis",
+                 str(planned / "analysis"), "--history", str(good), "--history", str(report),
+                 "--out-dir", str(tmp_path / "plans")],
+        f"report {report}{message}")
+    assert not (tmp_path / "plans").exists()
 
 
 def test_run_rejects_run_header_without_trace(planned_files, tmp_path, capsys):
@@ -809,11 +850,16 @@ def _count_not_integer(lines):
     return [lines[0].split(" cases=")[0] + " cases=x", *lines[1:]]
 
 
+def _empty_run(lines):
+    return [lines[0].split(" cases=")[0] + " cases=0"]
+
+
 @pytest.mark.parametrize("edit, message", [
     (_cut_last_case, "line 1: run header says cases={n}, but {m} case lines follow it"),
     (_bad_run_header, "line 1: run header without cases="),
     (_count_not_integer, "line 1: cases= 'x' is not an integer"),
-], ids=["cut", "no-count", "count-not-integer"])
+    (_empty_run, "line 1: run header says cases=0, but a run holds at least one case"),
+], ids=["cut", "no-count", "count-not-integer", "empty-run"])
 def test_run_rejects_a_run_plan_cut_inside_a_run(planned_files, tmp_path, capsys,
                                                  edit, message):
     planned, topo = planned_files
@@ -883,16 +929,13 @@ def test_run_checks_every_case_before_any_case_runs(planned_files, tmp_path,
     assert not (tmp_path / "report.jsonl").exists()
 
 
-@pytest.mark.parametrize("output", ["report", "history"])
-def test_run_checks_its_output_directories_before_any_case_runs(planned_files, tmp_path,
-                                                               capsys, monkeypatch,
-                                                               output):
+def test_run_checks_its_output_directory_before_any_case_runs(planned_files, tmp_path,
+                                                              capsys, monkeypatch):
     from resilitest import executor
 
     planned, topo = planned_files
     missing = tmp_path / "no" / "such" / "dir"
-    paths = {"report": tmp_path / "report.jsonl", "history": tmp_path / "history.txt"}
-    paths[output] = missing / paths[output].name
+    report = missing / "report.jsonl"
     started = []
     execute_run = executor.execute_run
     monkeypatch.setattr(executor, "execute_run",
@@ -902,10 +945,10 @@ def test_run_checks_its_output_directories_before_any_case_runs(planned_files, t
         capsys, ["run", "--run-plan", str(planned / "plans" / "runplan.txt"),
                  "--topology", str(topo),
                  "--templates", str(planned / "analysis" / "templates.jsonl"),
-                 "--out", str(paths["report"]), "--history", str(paths["history"])],
-        f"{output} {paths[output]}: {missing} is not a writable directory")
+                 "--out", str(report)],
+        f"report {report}: {missing} is not a writable directory")
     assert started == []
-    assert not any(path.exists() for path in paths.values())
+    assert not report.exists()
 
 
 def _back_in_time(lines):
@@ -1034,24 +1077,6 @@ def test_analyze_empty_corpus_is_an_error(tmp_path, capsys):
     assert "empty corpus" in capsys.readouterr().err
 
 
-def test_plan_with_history_skips_fully_passed_interfaces(mini_files):
-    tmp_path, topo, workload = mini_files
-    corpus, analysis, plans, report, _ = _pipeline(tmp_path, topo, workload)
-    history = tmp_path / "history.txt"
-    args = ["run", "--run-plan", str(plans / "runplan.txt"), "--topology",
-            str(topo), "--templates", str(analysis / "templates.jsonl"),
-            "--seed", "7", "--phases", "6,6,6,5", "--history", str(history),
-            "--out", str(tmp_path / "r.jsonl")]
-    assert main(args) == 0
-    plans2 = tmp_path / "plans2"
-    assert main(["plan", "--corpus", str(corpus), "--analysis", str(analysis),
-                 "--top-k", "all", "--seed", "7", "--history", str(history),
-                 "--out-dir", str(plans2)]) == 0
-    first = (plans / "plan.txt").read_text().splitlines()
-    second = (plans2 / "plan.txt").read_text().splitlines()
-    assert len(second) < len(first)  # passed cases no longer planned
-
-
 def test_bad_paths_exit_2(tmp_path, capsys):
     assert main(["simulate-record", "--topology", str(tmp_path / "nope.json"),
                  "--workload", str(tmp_path / "w.jsonl"),
@@ -1067,26 +1092,60 @@ def test_malformed_corpus_reported(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def _plan_after(corpus, analysis, out_dir, reports=()):
+    """`plan` into `out_dir`, given the earlier `reports`; returns plan.txt's text."""
+    history = [arg for report in reports for arg in ("--history", str(report))]
+    assert main(["plan", "--corpus", str(corpus), "--analysis", str(analysis),
+                 "--top-k", "all", "--seed", "7", *history, "--out-dir", str(out_dir)]) == 0
+    return (out_dir / "plan.txt").read_text()
+
+
+def _campaign_on(corpus, analysis, topo, out, reports=()):
+    """Plan into `out`/plans, given the earlier `reports`, and run the plan
+    into `out`/report.jsonl; returns the report's path."""
+    _plan_after(corpus, analysis, out / "plans", reports)
+    assert main(["run", "--run-plan", str(out / "plans" / "runplan.txt"), "--topology",
+                 str(topo), "--templates", str(analysis / "templates.jsonl"),
+                 "--seed", "7", "--phases", "6,6,6,5", "--out", str(out / "report.jsonl")]) == 0
+    return out / "report.jsonl"
+
+
+def test_plan_with_history_skips_fully_passed_interfaces(mini_files):
+    tmp_path, topo, workload = mini_files
+    corpus, analysis, plans, report, _ = _pipeline(tmp_path, topo, workload)
+    first = (plans / "plan.txt").read_text().splitlines()
+    second = _plan_after(corpus, analysis, tmp_path / "plans2", [report]).splitlines()
+    assert len(second) < len(first)  # passed cases no longer planned
+
+
 def test_history_across_runs_skips_passed_cases(mini_files):
     tmp_path, topo, workload = mini_files
-    corpus, analysis, plans, report, code = _pipeline(tmp_path, topo, workload)
-    history = tmp_path / "history.txt"
-    report2 = tmp_path / "report2.jsonl"
-    args = ["run", "--run-plan", str(plans / "runplan.txt"), "--topology",
-            str(topo), "--templates", str(analysis / "templates.jsonl"),
-            "--seed", "7", "--phases", "6,6,6,5", "--history", str(history),
-            "--out", str(report2)]
-    assert main(args) == 0
-    first_cases = _count_cases(report2)
-    report3 = tmp_path / "report3.jsonl"
-    assert main(args[:-1] + [str(report3)]) == 0
-    second_cases = _count_cases(report3)
+    corpus, analysis, _plans, report, _code = _pipeline(tmp_path, topo, workload)
+    first_cases = _count_cases(report)
+    report2 = _campaign_on(corpus, analysis, topo, tmp_path / "second", [report])
+    second_cases = _count_cases(report2)
     assert second_cases < first_cases  # passed cases skipped on the second run
 
-    # reset-history makes everything eligible again
-    report4 = tmp_path / "report4.jsonl"
-    assert main(args[:-1] + [str(report4), "--reset-history"]) == 0
-    assert _count_cases(report4) == first_cases
+    # given no earlier report, every case is eligible again
+    report3 = _campaign_on(corpus, analysis, topo, tmp_path / "third")
+    assert _count_cases(report3) == first_cases
+
+
+def test_a_case_that_failed_in_a_later_report_is_planned_again(mini_files):
+    tmp_path, topo, workload = mini_files
+    corpus, analysis, _plans, report, _code = _pipeline(tmp_path, topo, workload)
+    *runs, _summary = [json.loads(line) for line in report.read_text().splitlines()]
+    passed = [rec["case_id"] for rec in runs if rec["verdict"] == "PASS"]
+    later = _report_of(tmp_path / "later.jsonl", [
+        {**runs[0], "case_id": passed[0], "verdict": "FAIL_NO_RECOVERY"}])
+
+    def planned(*reports):
+        text = _plan_after(corpus, analysis, tmp_path / "replan", reports)
+        return {case_id for case_id in passed if case_id in text}
+
+    assert planned(report) == set()
+    assert planned(report, later) == {passed[0]}
+    assert planned(later, report) == set()  # the last verdict given counts
 
 
 def _five_run_plan(tmp_path, topo, workload):
@@ -1106,19 +1165,19 @@ def _five_run_plan(tmp_path, topo, workload):
     return run_plan, analysis / "templates.jsonl"
 
 
-def test_report_and_history_do_not_depend_on_the_cpu_count(mini_files, monkeypatch):
+def test_report_does_not_depend_on_the_cpu_count(mini_files, monkeypatch):
     tmp_path, topo, workload = mini_files
     run_plan, templates = _five_run_plan(tmp_path, topo, workload)
     outputs = set()
     for cpus in (1, 2, 4):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, n=cpus: set(range(n)))
-        report, history = tmp_path / f"report-{cpus}.jsonl", tmp_path / f"history-{cpus}.txt"
+        report = tmp_path / f"report-{cpus}.jsonl"
         assert main(["run", "--run-plan", str(run_plan), "--topology", str(topo),
                      "--templates", str(templates), "--seed", "7", "--phases", "6,6,6,5",
-                     "--history", str(history), "--out", str(report)]) == 0
-        outputs.add((report.read_bytes(), history.read_bytes()))
+                     "--out", str(report)]) == 0
+        outputs.add(report.read_bytes())
     assert len(outputs) == 1
-    summary = json.loads(outputs.pop()[0].splitlines()[-1])
+    summary = json.loads(outputs.pop().splitlines()[-1])
     assert (summary["initial_runs"], summary["reschedules"] > 0) == (5, True)
 
 

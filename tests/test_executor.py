@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilitest import executor
-from resilitest.executor import (EffectiveCriteria, ExecutorError,
+from resilitest.executor import (CampaignResult, EffectiveCriteria, ExecutorError,
                                  OracleCriteria, PhaseConfig,
                                  check_run_plan, evaluate, execute_run, load_report,
-                                 run_batch, save_report)
+                                 passed_cases, run_batch, save_report)
 from resilitest.faults import default_catalog
 from resilitest.model import Endpoint
 from resilitest.planner import InjectionTarget, PlanConfig, TestCase, plan_targets
-from resilitest.scheduler import History, Run, RunPlan, greedy_batch
+from resilitest.scheduler import Run, RunPlan, greedy_batch
 from resilitest.sim.engine import System, record_corpus
 from resilitest.campaign import analyze_corpus
 from resilitest.templating import EntryRequest, TraceTemplate
@@ -256,15 +256,6 @@ def test_all_pass_run_shares_single_startup(mini_setup):
     assert result.reschedules == 0
 
 
-def test_history_records_outcomes(mini_setup):
-    spec, corpus, analysis, catalog = mini_setup
-    cases = _mini_cases(analysis, corpus, catalog)[:4]
-    history = History()
-    run_batch(greedy_batch(cases), spec, list(analysis.templates.values()),
-              catalog, FAST, OracleCriteria(), seed=4, history=history)
-    assert all(history.executed.get(c.case_id) for c in cases)
-
-
 def test_check_run_plan_checks_every_case_trace(mini_setup):
     # the stray case would be deferred onto its own trace, which has no template
     spec, corpus, analysis, catalog = mini_setup
@@ -279,18 +270,6 @@ def test_check_run_plan_checks_every_case_trace(mini_setup):
     with pytest.raises(ExecutorError, match="^plan: run 0: no template for trace "
                                             "t999999 in templates$"):
         check_run_plan(unhosted, spec, templates, catalog, "plan", "templates")
-
-
-def test_run_batch_skips_cases_passed_in_the_history(mini_setup):
-    spec, corpus, analysis, catalog = mini_setup
-    cases = _mini_cases(analysis, corpus, catalog)[:4]
-    history = History()
-    history.record_outcome(cases[0].case_id, "PASS")
-    result = run_batch(greedy_batch(cases), spec, list(analysis.templates.values()),
-                       catalog, FAST, OracleCriteria(), seed=4, history=history)
-    assert sorted(tr["case_id"] for tr in result.test_runs) == sorted(
-        c.case_id for c in cases[1:])
-    assert all(history.executed.get(c.case_id) for c in cases)
 
 
 def test_report_round_trip(tmp_path, mini_setup):
@@ -327,6 +306,34 @@ def test_report_save_interrupted_keeps_earlier_file(tmp_path, mini_setup):
         save_report(broken, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["report.jsonl"]
+
+
+def _verdict_report(path, verdicts):
+    """Write a report at `path` holding one test run per (case_id, verdict)."""
+    save_report(CampaignResult([{"type": "test_run", "case_id": case_id, "service": "svc",
+                                 "endpoint": "Database:jdbc:select", "fault_id": "f0",
+                                 "verdict": verdict} for case_id, verdict in verdicts],
+                               1, 1), path)
+    return path
+
+
+def test_passed_cases_of_no_reports_is_empty():
+    assert passed_cases([]) == set()
+
+
+def test_passed_cases_holds_passed_and_not_failed_cases(tmp_path):
+    report = _verdict_report(tmp_path / "r.jsonl", [("c1", "PASS"), ("c2", "FAIL_SILENT"),
+                                                    ("c3", "STARTUP_FAILURE")])
+    assert passed_cases([report]) == {"c1"}
+
+
+def test_passed_cases_takes_each_case_s_last_verdict_in_the_reports_given(tmp_path):
+    first = _verdict_report(tmp_path / "1.jsonl", [("c1", "PASS"), ("c2", "FAIL_SILENT")])
+    second = _verdict_report(tmp_path / "2.jsonl", [("c1", "FAIL_NO_RECOVERY"),
+                                                    ("c2", "PASS")])
+    assert passed_cases([first, second]) == {"c2"}
+    assert passed_cases([second, first]) == {"c1"}
+    assert passed_cases([first, second, first]) == {"c1"}
 
 
 def test_finished_run_frees_its_system_without_the_collector(mini_setup, monkeypatch):

@@ -14,7 +14,7 @@ from resilitest.model import (Corpus, CorpusParseError, CorpusReader,
                               dumps_canonical, load_corpus, new_corpus,
                               save_corpus, validate_trace)
 from resilitest.planner import PlanConfig, plan_targets, save_plan
-from resilitest.scheduler import History, Run, RunPlan, save_run_plan
+from resilitest.scheduler import Run, RunPlan, save_run_plan
 from resilitest.selection import save_selection_report
 from resilitest.sim.engine import record_corpus
 from resilitest.sim.topology import save_topology
@@ -23,6 +23,7 @@ from resilitest.templating import ManualVariableRegistry, save_templates
 
 from conftest import (make_mini_topology, make_mini_workload, make_span, make_trace,
                       trace_to_record)
+from reference_system import save_registry
 
 
 def test_minimal_valid_trace_has_empty_report():
@@ -387,9 +388,6 @@ def _writers(spec, corpus, analysis, cases, bad):
     registry = ManualVariableRegistry()
     registry.register("if0", "sig", "fresh_id")
     registry.entries["if1"] = bad
-    history = History()
-    history.record_outcome(cases[0].case_id, "PASS")
-    history._records.append(bad)
     first_run = {"type": "test_run", "case_id": "c0", "trace_id": "t0", "host_trace_id": "t0",
                  "interface_id": "if0", "service": "svc",
                  "endpoint": "Database:jdbc:select", "fault_id": "f0", "rationale": "r",
@@ -402,22 +400,21 @@ def _writers(spec, corpus, analysis, cases, bad):
             [analysis.ranked[0], bad], corpus, p),
         "save_templates": lambda p: save_templates(
             [next(iter(analysis.templates.values())), bad], p),
-        "ManualVariableRegistry.save": lambda p: registry.save(p),
+        "save_registry": lambda p: save_registry(registry, p),
         "save_plan": lambda p: save_plan([cases[0], bad], p),
         "save_run_plan": lambda p: save_run_plan(
             RunPlan([Run(cases[0].target.trace_id, [cases[0], bad])]), p),
         "save_workload": lambda p: save_workload([make_mini_workload(spec)[0], bad], p),
         "save_topology": lambda p: save_topology(
             replace(spec, services=(spec.services[0], bad)), p),
-        "History.save": lambda p: history.save(p),
         "save_report": lambda p: save_report(CampaignResult([first_run, bad], 1, 1), p),
     }
 
 
 @pytest.mark.parametrize("writer", [
     "save_corpus", "save_cluster_report", "save_selection_report", "save_templates",
-    "ManualVariableRegistry.save", "save_plan", "save_run_plan", "save_workload",
-    "save_topology", "History.save", "save_report"])
+    "save_registry", "save_plan", "save_run_plan", "save_workload",
+    "save_topology", "save_report"])
 def test_writer_failing_midway_keeps_the_earlier_file(mini_artifacts, tmp_path, writer):
     path = tmp_path / "artifact"
     path.write_bytes(b"earlier bytes\n")

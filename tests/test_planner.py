@@ -11,7 +11,6 @@ from resilitest.planner import (PlanConfig, dual_write_groups, parse_case_line,
                                 plan_targets, plan_trace_targets,
                                 producer_consumer_pairs, sample_services,
                                 save_plan)
-from resilitest.scheduler import History
 
 from conftest import make_span, make_trace, root_span
 
@@ -399,17 +398,22 @@ def test_plan_targets_of_no_selection_is_no_case(catalog):
     assert plan_targets([], new_corpus([_simple_trace()], 0, "00"), catalog) == []
 
 
-def test_no_history_selects_as_an_empty_history(ref_analysis):
-    """Interfaces that yield no case are passed over with or without a
-    history: the MQ-only catalog gives most ranked interfaces nothing."""
+def test_interfaces_without_a_case_to_run_are_passed_over(ref_analysis):
+    """Interfaces that yield no case are passed over: the MQ-only catalog
+    gives most ranked interfaces nothing. So are interfaces whose every case
+    passed, and the next one with a case takes their place."""
     text = resources.files("resilitest.assets").joinpath("default_faults.txt").read_text("utf-8")
     mq_only = parse_catalog("\n".join(line for line in text.splitlines() if " MQ:" in line))
     config = PlanConfig(n_services=3, seed=7)
     plain = plan_campaign(ref_analysis.ranked, ref_analysis.corpus, mq_only, 5, config)
-    empty = plan_campaign(ref_analysis.ranked, ref_analysis.corpus, mq_only, 5, config,
-                          history=History())
-    assert plain == empty
     assert len(plain[0]) == 5 and len(plain[1]) == 7
+    first = plain[0][0]
+    first_cases = {case.case_id for case in plain[1]
+                   if case.target.trace_id == first.trace_id}
+    selected, cases = plan_campaign(ref_analysis.ranked, ref_analysis.corpus, mq_only, 5,
+                                    config, passed=first_cases)
+    assert selected[:4] == plain[0][1:] and first not in selected and len(selected) == 5
+    assert not first_cases & {case.case_id for case in cases}
 
 
 # SHA-256 of plan.txt on the reference analysis at PlanConfig(3, 7); a change

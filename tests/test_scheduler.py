@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from resilitest.model import Endpoint
 from resilitest.planner import InjectionTarget, TestCase, case_digest
-from resilitest.scheduler import (History, Run, RunPlan, coverage_unit,
-                                  filter_history, greedy_batch, load_run_plan,
-                                  save_run_plan)
+from resilitest.scheduler import (Run, RunPlan, coverage_unit, greedy_batch,
+                                  load_run_plan, save_run_plan)
 
 
 def _case(trace_id, endpoint_name, fault_id="f0", service="svc"):
@@ -154,69 +153,6 @@ def test_greedy_empty_input_gives_empty_plan():
     assert greedy_batch([]) == RunPlan(runs=[])
 
 
-def test_filter_history_empty_history_keeps_all():
-    cases = [_case("t1", "a"), _case("t1", "b", "f1")]
-    assert filter_history(cases, History()) == cases
-
-
-def test_filter_history_skips_passed_and_keeps_failed():
-    cases = [_case("t1", "a"), _case("t1", "b", "f1")]
-    history = History()
-    history.record_outcome(cases[0].case_id, "PASS")
-    history.record_outcome(cases[1].case_id, "FAIL_SILENT")
-    assert [c.case_id for c in filter_history(cases, history)] == [cases[1].case_id]
-
-
-def test_reset_clears_skips_and_increments_epoch():
-    cases = [_case("t1", "a")]
-    history = History()
-    history.record_outcome(cases[0].case_id, "PASS")
-    assert filter_history(cases, history) == []
-    epoch_before = history.epoch
-    history.reset()
-    assert history.epoch == epoch_before + 1
-    assert filter_history(cases, history) == cases
-
-
-def test_last_write_wins():
-    history = History()
-    history.record_outcome("c1", "PASS")
-    history.record_outcome("c1", "FAIL_NO_RECOVERY")
-    assert not history.passed("c1")
-    history.record_outcome("c1", "PASS")
-    assert history.passed("c1")
-
-
-def test_history_file_round_trip(tmp_path):
-    history = History()
-    history.record_outcome("c1", "PASS")
-    history.record_outcome("c2", "FAIL_SILENT")
-    history.reset()
-    history.record_outcome("c3", "PASS")
-    path = tmp_path / "history.txt"
-    history.save(path)
-    loaded = History.load(path)
-    assert loaded.epoch == 1
-    assert loaded.passed("c3")
-    assert not loaded.passed("c1")  # earlier epoch no longer skips
-
-
-@pytest.mark.parametrize("text, message", [
-    ("0 c1 PASS 1\nx c2 PASS 2\n", "line 2: epoch 'x' is not an integer"),
-    ("0 c1 PASS 1.5\n", "line 1: sequence number '1.5' is not an integer"),
-    # an earlier epoch after a reset, which would count caseB as passed in epoch 1
-    ("1 - RESET 1\n0 caseB PASS 2\n", "line 2: out of order after epoch 1, sequence number 1"),
-    ("0 c1 PASS 2\n0 c2 PASS 2\n", "line 2: out of order after epoch 0, sequence number 2"),
-    ("-1 c1 PASS 1\n", "line 1: out of order after epoch 0, sequence number 0"),
-])
-def test_history_load_names_file_line_and_field(tmp_path, text, message):
-    path = tmp_path / "history.txt"
-    path.write_text(text)
-    with pytest.raises(ValueError) as excinfo:
-        History.load(path)
-    assert str(excinfo.value) == f"history {path} {message}"
-
-
 def test_run_plan_file_round_trip(tmp_path):
     cases = [_case("t1", "a"), _case("t2", "b", "f1"), _case("t2", "c", "f2"),
              TestCase(case_id=case_digest("t3", 4, "f3"),
@@ -229,22 +165,3 @@ def test_run_plan_file_round_trip(tmp_path):
     path = tmp_path / "runplan.txt"
     save_run_plan(plan, path)
     assert load_run_plan(path) == plan
-
-
-def test_history_save_interrupted_keeps_earlier_file(tmp_path):
-    path = tmp_path / "history.txt"
-    history = History()
-    history.record_outcome("c1", "PASS")
-    history.save(path)
-    before = path.read_bytes()
-
-    class Unprintable:
-        def __format__(self, spec):
-            raise RuntimeError("write interrupted")
-
-    history.record_outcome("c2", "PASS")
-    history._records.append((0, Unprintable(), "PASS", 99))
-    with pytest.raises(RuntimeError):
-        history.save(path)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["history.txt"]

@@ -15,8 +15,6 @@ TEST_ONLY = {
     "seeded_bugs": "the ground truth that the seeded-bug criteria check verdicts against",
     "bug_free": "builds the bug-free reference topology of the zero-false-FAIL criterion",
     "save_topology": "writes the topology files that the CLI tests read",
-    "confirm_dynamic_variables": "stage 2 over a list of spans, which the templating "
-                                 "tests pin; `analyze` feeds MemberRoots one root at a time",
 }
 
 

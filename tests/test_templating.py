@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilitest.model import compute_window
-from resilitest.templating import (ManualVariableRegistry,
+from resilitest.templating import (ManualVariableRegistry, MemberRoots,
                                    SequentialIdSource, TemplatingError,
-                                   build_template, confirm_dynamic_variables,
-                                   find_intraspan_candidates, instantiate,
-                                   load_templates, save_templates)
+                                   build_template, find_intraspan_candidates,
+                                   instantiate, load_templates, save_templates)
 
 from conftest import make_trace, root_span
+from reference_system import save_registry
 
 
 def session_echo_span(span_id, session, domain="acme-cloud", start=0):
@@ -45,12 +45,12 @@ def test_stage1_multiple_request_paths_matching_same_value():
 
 def test_stage2_confirms_varying_session_only():
     spans = [session_echo_span("s0", "f7k9q2"), session_echo_span("s1", "r4m8p1")]
-    assert confirm_dynamic_variables(spans) == {"session_id"}
+    assert MemberRoots(spans).confirmed() == {"session_id"}
 
 
 def test_stage2_identical_spans_yield_nothing():
     spans = [session_echo_span("s0", "f7k9q2"), session_echo_span("s1", "f7k9q2")]
-    assert confirm_dynamic_variables(spans) == set()
+    assert MemberRoots(spans).confirmed() == set()
 
 
 def test_stage2_generated_ground_truth():
@@ -62,11 +62,11 @@ def test_stage2_generated_ground_truth():
         spans.append(root_span(f"s{i}", "POST /svc/things/make",
                                req={"T": t, "U": "const-u"},
                                resp={"T": t, "U": "const-u"}))
-    assert confirm_dynamic_variables(spans) == {"T"}
+    assert MemberRoots(spans).confirmed() == {"T"}
 
 
 def test_stage2_requires_two_instances():
-    assert confirm_dynamic_variables([session_echo_span("s0", "a")]) == set()
+    assert MemberRoots([session_echo_span("s0", "a")]).confirmed() == set()
 
 
 def test_build_template_session_pair():
@@ -207,7 +207,7 @@ def test_registry_file_round_trip(tmp_path):
     registry.register("ifa", "sig", "fresh_id", note="computed signature")
     registry.register("ifb", "chain.token", "timestamp")
     path = tmp_path / "registry.txt"
-    registry.save(path)
+    save_registry(registry, path)
     assert path.read_text().splitlines() == [
         "ifa req sig fresh_id  # computed signature", "ifb req chain.token timestamp"]
     loaded = ManualVariableRegistry.load(path)
@@ -239,7 +239,7 @@ def test_stage2_constant_paths_never_confirmed(values):
                        req={"var": v, "const": "fixed-value"},
                        resp={"var": v, "const": "fixed-value"})
              for i, v in enumerate(values)]
-    confirmed = confirm_dynamic_variables(spans)
+    confirmed = MemberRoots(spans).confirmed()
     assert "const" not in confirmed
     assert ("var" in confirmed) == (len(set(values)) > 1)
 
