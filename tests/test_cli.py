@@ -789,17 +789,41 @@ def test_plan_rejects_an_index_offset_at_another_trace(planned_files, tmp_path, 
                         f"holds trace {second['trace_id']!r}, not {first['trace_id']!r}\n")
 
 
+_A_DIRECTORY = object()
+
+
+# `records` is what the report holds: None for no file, bytes for raw content,
+# or a list of records, one JSON line each
 @pytest.mark.parametrize("records, message", [
     (None, ": No such file or directory"),
     ([_RUN_C1, {**_SUMMARY, "cases": 1}, {**_SUMMARY, "cases": 1}],
      " line 3: repeated type 'summary'"),
-], ids=["missing", "second-summary"])
+    (_A_DIRECTORY, ": Is a directory"),
+    (b"\xff\n", " line 1: not UTF-8"),
+    (b"{\n", " line 1: Expecting property name enclosed in double quotes"),
+    ([[1, 2]], " line 1: expected a JSON object, got list"),
+    ([{"type": "test_run", "case_id": "x"}], " line 1: missing service"),
+    ([{"type": "run"}], " line 1: type must be 'test_run' or 'summary', got 'run'"),
+    ([_RUN_C1, {**_RUN_C1, "verdict": "FAIL_SILENT"}, {**_SUMMARY, "cases": 2}],
+     " line 2: repeated case_id 'c1'"),
+    ([_RUN_C1, {**_SUMMARY, "cases": 1, "verdicts": {"PASS": -1}}],
+     " line 2: verdicts PASS must be an integer >= 0, got -1"),
+    ([_RUN_C1, {**_SUMMARY, "cases": 5}],
+     " line 2: cases is 5, but the report holds 1 test_run records"),
+    ([_RUN_C1], " has no summary record"),
+], ids=["missing", "second-summary", "a-directory", "not-utf8", "not-json", "not-an-object",
+        "test-run-missing-fields", "unknown-type", "repeated-case", "negative-verdict-count",
+        "count-differs", "no-summary"])
 def test_plan_rejects_a_missing_or_malformed_history_report(planned_files, tmp_path, capsys,
                                                             records, message):
     planned, _topo = planned_files
     good = _report_of(tmp_path / "good.jsonl", [])
     report = tmp_path / "report.jsonl"
-    if records is not None:
+    if records is _A_DIRECTORY:
+        report.mkdir()
+    elif isinstance(records, bytes):
+        report.write_bytes(records)
+    elif records is not None:
         report.write_text("".join(json.dumps(rec) + "\n" for rec in records))
     _exits_2_with_error_line(
         capsys, ["plan", "--corpus", str(planned / "corpus.txt"), "--analysis",
